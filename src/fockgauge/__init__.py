@@ -21,9 +21,9 @@ from .group_core import (
     dump_group_file,
 )
 from .clebsch_gordan import ProductDecomposition, CGTensor, decompose, cg, verify_cg
+from .operators import BasisMismatchError, Operator
 from .link_space import (
     LinkSpace,
-    LinkOperator,
     UOperator,
     theta_left,
     theta_right,
@@ -36,7 +36,6 @@ from .link_space import (
 )
 from .matter_space import (
     VertexFock,
-    MatterOperator,
     psi,
     psi_dagger,
     number_operator,
@@ -49,7 +48,6 @@ from .lattice_model import (
     LatticeSpec,
     ModelParams,
     GlobalBasis,
-    GlobalOperator,
     Model,
     build_model,
     embed_link,

@@ -2,7 +2,8 @@
 
 Configuration is one YAML document (see README for the schema); results
 are written as a JSON file whose content depends only on the configuration
-and seed, never on wall-clock or thread count.  Timings go to stderr.
+and seed, never on wall-clock; the thread count appears only in its
+``threads`` field.  Timings go to stderr.
 
 Exit codes: 0 success, 1 task failure (failed invariant, non-convergence),
 2 configuration or input error.
@@ -221,7 +222,9 @@ def _common_options(fn):
     fn = click.option("--seed", type=int, default=None,
                       help="override the config seed")(fn)
     fn = click.option("--threads", type=int, default=None,
-                      help=f"assembly threads (default ${THREADS_ENV} or 1)")(fn)
+                      help="thread count recorded in the result's 'threads' "
+                           f"field (default ${THREADS_ENV} or 1); assembly runs "
+                           "on one thread")(fn)
     fn = click.option("--output", "-o", type=click.Path(), default=None,
                       help="override the config output path")(fn)
     fn = click.option("--basis", type=click.Choice([REP, GROUP]), default=None,
@@ -323,6 +326,15 @@ def verify(config_path, seed, threads, output, basis):
 
 def _spectrum_payload(model, opts, seed, threads):
     k = int(opts.get("k", 6))
+    if k < 1:
+        raise ConfigError(f"spectrum k must be at least 1, got {k}")
+    basis_cols = None
+    if opts.get("sector") == "physical":
+        # before the full-space solve, so a model over the dense cap fails fast
+        try:
+            basis_cols = physical_basis(model)
+        except ValueError as exc:
+            raise ConfigError(f"physical sector: {exc}") from exc
     ham = build_hamiltonian(model, threads=threads)
     result = eigensolve(ham, k=k, seed=seed)
     payload = {
@@ -331,8 +343,7 @@ def _spectrum_payload(model, opts, seed, threads):
         "residuals": result.residuals,
         "degeneracies": result.degeneracies(),
     }
-    if opts.get("sector") == "physical":
-        basis_cols = physical_basis(model)
+    if basis_cols is not None:
         h_red = basis_cols.conj().T @ ham.toarray() @ basis_cols
         vals = np.linalg.eigvalsh(h_red)
         payload["physical_sector"] = {
@@ -357,6 +368,9 @@ def spectrum(config_path, seed, threads, output, basis):
     payload = _result_skeleton(doc, seed, threads)
     try:
         payload["tasks"]["spectrum"] = _spectrum_payload(model, opts, seed, threads)
+    except ConfigError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(2)
     except EigensolveError as exc:
         click.echo(f"eigensolve failed: {exc}", err=True)
         sys.exit(1)
@@ -390,9 +404,8 @@ def _observable_values(model, names, state, threads):
             values[name] = acc / len(model.lattice.plaquettes)
         elif name == "trivial_rep_weight":
             from .lattice_model import embed_link
-            proj = projector_rep(model.link_space, model.entry.trivial_label())
-            if model.basis_tag == GROUP:
-                proj = proj.to_basis(GROUP)
+            proj = projector_rep(model.link_space, model.entry.trivial_label()
+                                 ).to_basis(model.basis_tag)
             acc = 0.0
             for link in model.lattice.links:
                 acc += expectation(embed_link(model, proj, link.index),

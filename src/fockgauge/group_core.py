@@ -22,6 +22,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.linalg import expm
 
+from .operators import max_abs
+
 DEFAULT_TOL = 1e-10
 EXHAUSTIVE_ASSOCIATIVITY_LIMIT = 64
 RANDOM_ASSOCIATIVITY_TRIPLES = 10_000
@@ -394,11 +396,6 @@ class ValidationReport:
         return "\n".join(str(c) for c in self.checks)
 
 
-def _max_abs(a) -> float:
-    a = np.asarray(a)
-    return float(np.abs(a).max()) if a.size else 0.0
-
-
 def _check_latin_square(mul: np.ndarray) -> float:
     order = mul.shape[0]
     if mul.shape != (order, order) or order == 0:
@@ -470,13 +467,13 @@ def validate(entry: GroupCatalogEntry, tolerance: float = DEFAULT_TOL) -> Valida
     eye_res = unit_res = invdag_res = hom_res = 0.0
     for ir in entry.irreps:
         d = ir.matrices
-        eye_res = max(eye_res, _max_abs(d[e] - np.eye(ir.dim)))
+        eye_res = max(eye_res, max_abs(d[e] - np.eye(ir.dim)))
         unit_res = max(unit_res, max(
-            _max_abs(d[g].conj().T @ d[g] - np.eye(ir.dim)) for g in range(order)))
+            max_abs(d[g].conj().T @ d[g] - np.eye(ir.dim)) for g in range(order)))
         invdag_res = max(invdag_res, max(
-            _max_abs(d[spec.inv[g]] - d[g].conj().T) for g in range(order)))
+            max_abs(d[spec.inv[g]] - d[g].conj().T) for g in range(order)))
         prod = np.einsum("gab,hbc->ghac", d, d)
-        hom_res = max(hom_res, _max_abs(prod - d[mul]))
+        hom_res = max(hom_res, max_abs(prod - d[mul]))
     report.add("irreps.identity_matrix", eye_res, tolerance)
     report.add("irreps.unitary", unit_res, tolerance)
     report.add("irreps.inverse_is_dagger", invdag_res, tolerance)
@@ -490,7 +487,7 @@ def validate(entry: GroupCatalogEntry, tolerance: float = DEFAULT_TOL) -> Valida
     dup = 0
     for g in range(order):
         for h in range(g + 1, order):
-            if _max_abs(fund[g] - fund[h]) < 1e-6:
+            if max_abs(fund[g] - fund[h]) < 1e-6:
                 dup += 1
     report.add("fundamental.faithful", float(dup))
 
@@ -500,7 +497,7 @@ def validate(entry: GroupCatalogEntry, tolerance: float = DEFAULT_TOL) -> Valida
     reg = dims @ table.chi
     expected = np.zeros(spec.n_classes)
     expected[spec.class_of[e]] = order
-    report.add("characters.regular_representation", _max_abs(reg - expected), tolerance)
+    report.add("characters.regular_representation", max_abs(reg - expected), tolerance)
     return report
 
 
@@ -508,7 +505,7 @@ def _validate_lie(entry: GroupCatalogEntry, report: ValidationReport, tolerance:
     herm = 0.0
     for ir in entry.irreps:
         for t in ir.generators:
-            herm = max(herm, _max_abs(t - t.conj().T))
+            herm = max(herm, max_abs(t - t.conj().T))
     report.add("generators.hermitian", herm, tolerance)
 
     if entry.lie_kind == "su2":
@@ -522,9 +519,9 @@ def _validate_lie(entry: GroupCatalogEntry, report: ValidationReport, tolerance:
                 for b in range(3):
                     comm = t[a] @ t[b] - t[b] @ t[a]
                     expect = 1j * sum(eps[a, b, c] * t[c] for c in range(3))
-                    alg = max(alg, _max_abs(comm - expect))
+                    alg = max(alg, max_abs(comm - expect))
             total = sum(x @ x for x in t)
-            cas = max(cas, _max_abs(total - ir.casimir * np.eye(ir.dim)))
+            cas = max(cas, max_abs(total - ir.casimir * np.eye(ir.dim)))
         report.add("su2.algebra_structure_constants", alg, tolerance)
         report.add("su2.casimir_diagonal", cas, tolerance)
         two_js = sorted(int(2 * parse_j_label(ir.label)) for ir in entry.irreps)
@@ -535,7 +532,7 @@ def _validate_lie(entry: GroupCatalogEntry, report: ValidationReport, tolerance:
         p_max = int(entry.cutoff)
         complete = ps == list(range(-p_max, p_max + 1))
         report.add("u1.charge_series_complete", 0.0 if complete else 1.0)
-        diag = max(_max_abs(ir.generators[0] - float(ir.label)) for ir in entry.irreps)
+        diag = max(max_abs(ir.generators[0] - float(ir.label)) for ir in entry.irreps)
         report.add("u1.generator_is_charge", diag, tolerance)
 
     report.add("fundamental.present",
@@ -553,7 +550,7 @@ def great_orthogonality_residual(entry: GroupCatalogEntry) -> float:
             if i == k:
                 eye = np.eye(ir1.dim)
                 expect = np.einsum("ac,bd->abcd", eye, eye) / ir1.dim
-            worst = max(worst, _max_abs(s - expect))
+            worst = max(worst, max_abs(s - expect))
     return worst
 
 

@@ -12,9 +12,10 @@ top x-link, then U-dagger on the left y-link (counterclockwise circulation).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from functools import reduce
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +25,6 @@ from .link_space import (
     GROUP,
     REP,
     BasisMismatchError,
-    LinkOperator,
     LinkSpace,
     UOperator,
     generators as link_generators,
@@ -38,10 +38,10 @@ from .matter_space import (
     VertexFock,
     annihilation_matrix,
     charges as matter_charges,
-    theta_q_from_matrix,
+    number_operator,
+    theta_q,
 )
-
-HERMITICITY_TOL = 1e-12
+from .operators import Operator
 
 
 @dataclass(frozen=True)
@@ -219,61 +219,6 @@ class GlobalBasis:
         return (idx // self.strides[factor]) % self.factor_dims[factor]
 
 
-@dataclass
-class GlobalOperator:
-    """Sparse complex operator over an explicitly enumerated global basis."""
-
-    basis: GlobalBasis
-    matrix: sp.csr_matrix
-
-    def __post_init__(self):
-        mat = sp.csr_matrix(self.matrix)
-        mat.sum_duplicates()
-        mat.eliminate_zeros()
-        self.matrix = mat
-
-    def _compatible(self, other: "GlobalOperator"):
-        if self.basis is not other.basis:
-            raise BasisMismatchError("operators live on different global bases")
-
-    def __add__(self, other):
-        self._compatible(other)
-        return GlobalOperator(self.basis, self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        self._compatible(other)
-        return GlobalOperator(self.basis, self.matrix - other.matrix)
-
-    def __matmul__(self, other):
-        self._compatible(other)
-        return GlobalOperator(self.basis, self.matrix @ other.matrix)
-
-    def __mul__(self, scalar: complex):
-        return GlobalOperator(self.basis, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def dagger(self) -> "GlobalOperator":
-        return GlobalOperator(self.basis, self.matrix.conj().T.tocsr())
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
-    def hermiticity_residual(self) -> float:
-        diff = (self.matrix - self.matrix.conj().T).tocoo()
-        return float(np.abs(diff.data).max()) if diff.nnz else 0.0
-
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return self.hermiticity_residual() <= tol
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-
 class Model:
     """A gauge group on a lattice with parameters, ready for assembly."""
 
@@ -395,7 +340,7 @@ class Model:
                 self.global_basis.n_fermion_modes, gm)
         return self._fermion_ops[gm]
 
-    def link_theta(self, g, side: str) -> LinkOperator:
+    def link_theta(self, g, side: str) -> Operator:
         if self.basis_tag == GROUP:
             return theta_group_basis(self.link_space, g, side)
         if side == "L":
@@ -415,30 +360,47 @@ def build_model(entry: GroupCatalogEntry, lattice: LatticeSpec,
 
 def _embed_factors(basis: GlobalBasis,
                    ops: dict[int, list[sp.spmatrix]]) -> sp.csr_matrix:
-    """Kronecker placement of per-factor operator products, identity elsewhere."""
-    result = None
+    """Kronecker placement of per-factor operator products, identity elsewhere.
+
+    Runs of untouched factors become one identity block each.
+    """
+    blocks = []
     pending_identity = 1
     for factor, dim in enumerate(basis.factor_dims):
-        if factor in ops:
-            block = ops[factor][0]
-            for extra in ops[factor][1:]:
-                block = block @ extra
-            if pending_identity > 1:
-                eye = sp.identity(pending_identity, dtype=complex, format="csr")
-                result = eye if result is None else sp.kron(result, eye, format="csr")
-                pending_identity = 1
-            result = block if result is None else sp.kron(result, block, format="csr")
-        else:
+        if factor not in ops:
             pending_identity *= dim
-    if pending_identity > 1:
-        eye = sp.identity(pending_identity, dtype=complex, format="csr")
-        result = eye if result is None else sp.kron(result, eye, format="csr")
-    if result is None:
-        result = sp.identity(basis.dim, dtype=complex, format="csr")
-    return sp.csr_matrix(result)
+            continue
+        if pending_identity > 1:
+            blocks.append(sp.identity(pending_identity, dtype=complex, format="csr"))
+            pending_identity = 1
+        blocks.append(reduce(operator.matmul, ops[factor]))
+    if pending_identity > 1 or not blocks:
+        blocks.append(sp.identity(pending_identity, dtype=complex, format="csr"))
+    return sp.csr_matrix(reduce(lambda a, b: sp.kron(a, b, format="csr"), blocks))
 
 
-def embed_link(model: Model, op: LinkOperator, link_index: int) -> GlobalOperator:
+def _vertex_block(model: Model, matrix: sp.spmatrix, vertex: int) -> sp.csr_matrix:
+    """A parity-even vertex Fock matrix over the whole fermion factor.
+
+    Only valid for operators commuting with the vertex fermion parity
+    (every gauge transformation, charge and number operator here does), so
+    no string factors are needed across the other vertices.
+    """
+    gb = model.global_basis
+    mm = gb.modes_per_vertex
+    before = sp.identity(1 << (mm * vertex), dtype=complex, format="csr")
+    after = sp.identity(1 << (mm * (gb.n_vertices - vertex - 1)),
+                        dtype=complex, format="csr")
+    return sp.kron(after, sp.kron(sp.csr_matrix(matrix), before), format="csr")
+
+
+def _hop(model: Model, vertex_a: int, a: int, vertex_b: int, b: int) -> sp.csr_matrix:
+    """psi^dag_(vertex_a, a) psi_(vertex_b, b) over the fermion factor, strings included."""
+    return (model.fermion_annihilation(vertex_a, a).conj().T
+            @ model.fermion_annihilation(vertex_b, b))
+
+
+def embed_link(model: Model, op: Operator, link_index: int) -> Operator:
     """Place a link operator on one link factor, identity everywhere else."""
     if op.basis_tag != model.basis_tag:
         raise BasisMismatchError(
@@ -446,122 +408,74 @@ def embed_link(model: Model, op: LinkOperator, link_index: int) -> GlobalOperato
             f"{model.basis_tag!r}")
     if not 0 <= link_index < model.lattice.n_links:
         raise ValueError(f"link {link_index} out of range")
-    factor = model.global_basis.link_factor(link_index)
-    return GlobalOperator(model.global_basis,
-                          _embed_factors(model.global_basis, {factor: [op.matrix]}))
-
-
-def embed_vertex(model: Model, matrix: sp.spmatrix, vertex: int) -> GlobalOperator:
-    """Embed a parity-even vertex Fock operator into the global fermion factor.
-
-    Only valid for operators commuting with the vertex fermion parity
-    (every gauge transformation and charge here does), so no string factors
-    are needed across the other vertices.
-    """
     gb = model.global_basis
-    mm = gb.modes_per_vertex
-    before = sp.identity(1 << (mm * vertex), dtype=complex, format="csr")
-    after = sp.identity(1 << (mm * (gb.n_vertices - vertex - 1)),
-                        dtype=complex, format="csr")
-    mat = sp.kron(after, sp.kron(sp.csr_matrix(matrix), before), format="csr")
-    return GlobalOperator(gb, _embed_factors(gb, {gb.fermion_factor: [mat]}))
+    return Operator(gb, _embed_factors(gb, {gb.link_factor(link_index): [op.matrix]}))
+
+
+def embed_vertex(model: Model, matrix: sp.spmatrix, vertex: int) -> Operator:
+    """Embed a parity-even vertex Fock operator into the global fermion factor."""
+    gb = model.global_basis
+    return Operator(gb, _embed_factors(
+        gb, {gb.fermion_factor: [_vertex_block(model, matrix, vertex)]}))
 
 
 def embed_fermion_bilinear(model: Model, vertex_a: int, vertex_b: int,
-                           coeff: np.ndarray) -> GlobalOperator:
+                           coeff: np.ndarray) -> Operator:
     """sum_ab coeff[a, b] psi^dag_(vertex_a, a) psi_(vertex_b, b), strings included."""
     gb = model.global_basis
     n_v = gb.n_vertices
     if not (0 <= vertex_a < n_v and 0 <= vertex_b < n_v):
         raise ValueError("vertex out of range")
     coeff = np.asarray(coeff, dtype=complex)
-    total = None
+    total = sp.csr_matrix((gb.factor_dims[gb.fermion_factor],) * 2, dtype=complex)
     for a in range(gb.modes_per_vertex):
         for b in range(gb.modes_per_vertex):
-            if coeff[a, b] == 0:
-                continue
-            term = coeff[a, b] * (
-                model.fermion_annihilation(vertex_a, a).conj().T
-                @ model.fermion_annihilation(vertex_b, b))
-            total = term if total is None else total + term
-    if total is None:
-        total = sp.csr_matrix((gb.factor_dims[gb.fermion_factor],) * 2, dtype=complex)
-    return GlobalOperator(gb, _embed_factors(gb, {gb.fermion_factor: [total]}))
+            if coeff[a, b] != 0:
+                total = total + coeff[a, b] * _hop(model, vertex_a, a, vertex_b, b)
+    return Operator(gb, _embed_factors(gb, {gb.fermion_factor: [total]}))
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian assembly
+# Hamiltonian assembly: each term yields its pieces, merged once per term
 # ---------------------------------------------------------------------------
 
-def _mass_jobs(model: Model) -> list[Callable[[], sp.csr_matrix]]:
+def _mass_pieces(model: Model) -> Iterator[sp.csr_matrix]:
     gb = model.global_basis
-
-    def job():
-        states = np.arange(gb.factor_dims[gb.fermion_factor])
-        diag = np.zeros(len(states))
-        mm = gb.modes_per_vertex
-        for v in range(gb.n_vertices):
-            count = np.zeros(len(states))
-            for a in range(mm):
-                count += (states >> (v * mm + a)) & 1
-            diag += model.mass_at(v) * count
-        mat = sp.diags(diag.astype(complex), format="csr")
-        return _embed_factors(gb, {gb.fermion_factor: [mat]})
-
-    return [job]
+    ferm = sum(model.mass_at(v) * _vertex_block(model, number_operator(space).matrix, v)
+               for v, space in enumerate(model.vertex_spaces))
+    yield _embed_factors(gb, {gb.fermion_factor: [ferm]})
 
 
-def _tunneling_jobs(model: Model) -> list[Callable[[], sp.csr_matrix]]:
+def _tunneling_pieces(model: Model) -> Iterator[sp.csr_matrix]:
     gb = model.global_basis
     u = model.u_tunneling
-    dim_j = u.dim
-
-    def one_link(link: Link):
-        def job():
-            total = None
-            for a in range(dim_j):
-                for b in range(dim_j):
-                    ferm = (model.fermion_annihilation(link.origin, a).conj().T
-                            @ model.fermion_annihilation(link.target, b))
-                    piece = _embed_factors(gb, {
-                        gb.fermion_factor: [ferm],
-                        gb.link_factor(link.index): [u.entry(a, b).matrix],
-                    })
-                    total = piece if total is None else total + piece
-            total = model.epsilon[link.index] * total
-            if model.params.include_hc:
-                total = total + total.conj().T
-            return total
-        return job
-
-    return [one_link(link) for link in model.lattice.links]
+    for link in model.lattice.links:
+        total = None
+        for a in range(u.dim):
+            for b in range(u.dim):
+                piece = _embed_factors(gb, {
+                    gb.fermion_factor: [_hop(model, link.origin, a, link.target, b)],
+                    gb.link_factor(link.index): [u.entry(a, b).matrix],
+                })
+                total = piece if total is None else total + piece
+        total = model.epsilon[link.index] * total
+        if model.params.include_hc:
+            total = total + total.conj().T
+        yield total
 
 
-def _electric_jobs(model: Model) -> list[Callable[[], sp.csr_matrix]]:
+def _electric_pieces(model: Model) -> Iterator[sp.csr_matrix]:
     gb = model.global_basis
-    weights = model.electric_weights()
     g2 = model.params.coupling ** 2
-
-    def link_operator() -> sp.csr_matrix:
-        op = None
-        for label, w in weights.items():
-            if not model.entry.has_irrep(label):
-                continue
-            proj = projector_rep(model.link_space, label)
-            if model.basis_tag == GROUP:
-                proj = proj.to_basis(GROUP)
-            term = (g2 / 2.0 * w) * proj
-            op = term if op is None else op + term
-        return op.matrix
-
-    link_op = link_operator()
-
-    def one_link(index: int):
-        def job():
-            return _embed_factors(gb, {gb.link_factor(index): [link_op]})
-        return job
-
-    return [one_link(link.index) for link in model.lattice.links]
+    link_op = None
+    for label, w in model.electric_weights().items():
+        if not model.entry.has_irrep(label):
+            continue
+        proj = projector_rep(model.link_space, label).to_basis(model.basis_tag)
+        term = (g2 / 2.0 * w) * proj
+        link_op = term if link_op is None else link_op + term
+    for link in model.lattice.links:
+        yield _embed_factors(gb, {gb.link_factor(link.index): [link_op.matrix]})
 
 
 def _plaquette_trace_matrix(model: Model, plaq: Plaquette) -> sp.csr_matrix:
@@ -597,44 +511,31 @@ def _plaquette_trace_matrix(model: Model, plaq: Plaquette) -> sp.csr_matrix:
     return total
 
 
-def plaquette_trace(model: Model, plaquette_index: int) -> GlobalOperator:
+def plaquette_trace(model: Model, plaquette_index: int) -> Operator:
     """The (in general non-Hermitian) Wilson plaquette operator Tr W."""
     plaq = model.lattice.plaquettes[plaquette_index]
-    return GlobalOperator(model.global_basis, _plaquette_trace_matrix(model, plaq))
+    return Operator(model.global_basis, _plaquette_trace_matrix(model, plaq))
 
 
-def _magnetic_jobs(model: Model) -> list[Callable[[], sp.csr_matrix]]:
+def _magnetic_pieces(model: Model) -> Iterator[sp.csr_matrix]:
     pref = -1.0 / (2.0 * model.params.coupling ** 2)
-
-    def one_plaquette(plaq: Plaquette):
-        def job():
-            total = pref * _plaquette_trace_matrix(model, plaq)
-            if model.params.include_hc:
-                total = total + total.conj().T
-            return total
-        return job
-
-    return [one_plaquette(p) for p in model.lattice.plaquettes]
+    for plaq in model.lattice.plaquettes:
+        total = pref * _plaquette_trace_matrix(model, plaq)
+        if model.params.include_hc:
+            total = total + total.conj().T
+        yield total
 
 
-_TERM_BUILDERS = {
-    "mass": _mass_jobs,
-    "tunneling": _tunneling_jobs,
-    "electric": _electric_jobs,
-    "magnetic": _magnetic_jobs,
+_TERM_PIECES = {
+    "mass": _mass_pieces,
+    "tunneling": _tunneling_pieces,
+    "electric": _electric_pieces,
+    "magnetic": _magnetic_pieces,
 }
 
 
-def _run_jobs(jobs, threads: int) -> list[sp.csr_matrix]:
-    if threads <= 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]   # fixed merge order
-
-
 def _merge(basis: GlobalBasis, mats: list[sp.csr_matrix]) -> sp.csr_matrix:
-    """Single sorted coordinate merge so the result is thread-count independent."""
+    """Sum of matrices as one sorted coordinate merge, in a fixed order."""
     if not mats:
         return sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
     rows = np.concatenate([m.tocoo().row for m in mats])
@@ -648,29 +549,32 @@ def _merge(basis: GlobalBasis, mats: list[sp.csr_matrix]) -> sp.csr_matrix:
 
 
 def hamiltonian_terms(model: Model, threads: int = 1,
-                      names: Optional[Sequence[str]] = None) -> dict[str, GlobalOperator]:
-    """Each enabled Hamiltonian piece as its own global operator."""
-    out = {}
-    for name in (model.terms if names is None else names):
-        jobs = _TERM_BUILDERS[name](model)
-        mats = _run_jobs(jobs, threads)
-        out[name] = GlobalOperator(model.global_basis, _merge(model.global_basis, mats))
-    return out
+                      names: Optional[Sequence[str]] = None) -> dict[str, Operator]:
+    """Each enabled Hamiltonian piece as its own global operator.
+
+    Assembly runs on one thread.  ``threads`` is accepted so callers can
+    pass on the thread count they record; it does not change the result.
+    """
+    gb = model.global_basis
+    return {name: Operator(gb, _merge(gb, list(_TERM_PIECES[name](model))))
+            for name in (model.terms if names is None else names)}
 
 
-def build_hamiltonian(model: Model, threads: int = 1) -> GlobalOperator:
-    """Assemble the full Hamiltonian of the model's enabled terms."""
+def build_hamiltonian(model: Model, threads: int = 1) -> Operator:
+    """Assemble the full Hamiltonian of the model's enabled terms.
+
+    ``threads`` is recorded only, as in hamiltonian_terms.
+    """
     terms = hamiltonian_terms(model, threads=threads)
-    return GlobalOperator(model.global_basis,
-                          _merge(model.global_basis,
-                                 [t.matrix for t in terms.values()]))
+    gb = model.global_basis
+    return Operator(gb, _merge(gb, [t.matrix for t in terms.values()]))
 
 
 # ---------------------------------------------------------------------------
 # Gauss law
 # ---------------------------------------------------------------------------
 
-def gauss_operator(model: Model, vertex: int, g) -> GlobalOperator:
+def gauss_operator(model: Model, vertex: int, g) -> Operator:
     """Gauge transformation at one vertex: Theta^L on outgoing links,
     Theta^R on ingoing links, and the matter transformation on the vertex.
 
@@ -684,23 +588,15 @@ def gauss_operator(model: Model, vertex: int, g) -> GlobalOperator:
     ops: dict[int, list[sp.spmatrix]] = {}
     for link, role in model.lattice.links_at_vertex(vertex):
         side = "L" if role == "out" else "R"
-        theta = model.link_theta(g, side)
-        ops.setdefault(gb.link_factor(link.index), []).append(theta.matrix)
+        ops.setdefault(gb.link_factor(link.index), []).append(
+            model.link_theta(g, side).matrix)
     if model.lattice.include_matter:
-        space = model.vertex_spaces[vertex]
-        ir = model.entry.fundamental_irrep
-        dmat = (np.atleast_2d(ir.matrix_angle(g)) if model.entry.is_lie
-                else ir.matrix(int(g)))
-        tq = theta_q_from_matrix(space, dmat).matrix
-        mm = gb.modes_per_vertex
-        before = sp.identity(1 << (mm * vertex), dtype=complex, format="csr")
-        after = sp.identity(1 << (mm * (gb.n_vertices - vertex - 1)),
-                            dtype=complex, format="csr")
-        ops[gb.fermion_factor] = [sp.kron(after, sp.kron(tq, before), format="csr")]
-    return GlobalOperator(gb, _embed_factors(gb, ops))
+        tq = theta_q(model.vertex_spaces[vertex], model.entry, g).matrix
+        ops[gb.fermion_factor] = [_vertex_block(model, tq, vertex)]
+    return Operator(gb, _embed_factors(gb, ops))
 
 
-def gauss_generators(model: Model, vertex: int) -> list[GlobalOperator]:
+def gauss_generators(model: Model, vertex: int) -> list[Operator]:
     """Hermitian Gauss generators G_a = sum_in R_a + sum_out L_a + Q_a (Lie)."""
     if not model.entry.is_lie:
         raise ValueError("generator form of the Gauss law requires a Lie catalog; "
@@ -717,11 +613,11 @@ def gauss_generators(model: Model, vertex: int) -> list[GlobalOperator]:
         if model.lattice.include_matter:
             q = matter_charges(model.vertex_spaces[vertex], model.entry)[a]
             mats.append(embed_vertex(model, q.matrix, vertex).matrix)
-        out.append(GlobalOperator(gb, _merge(gb, mats)))
+        out.append(Operator(gb, _merge(gb, mats)))
     return out
 
 
-def gauss_casimir(model: Model) -> GlobalOperator:
+def gauss_casimir(model: Model) -> Operator:
     """sum over vertices and components of G_a^2; physical states are its nullspace."""
     gb = model.global_basis
     total = None
@@ -729,11 +625,11 @@ def gauss_casimir(model: Model) -> GlobalOperator:
         for g_a in gauss_generators(model, v):
             sq = g_a.matrix @ g_a.matrix
             total = sq if total is None else total + sq
-    return GlobalOperator(gb, total)
+    return Operator(gb, total)
 
 
 def physical_projector(model: Model,
-                       sector: Optional[dict[int, str]] = None) -> GlobalOperator:
+                       sector: Optional[dict[int, str]] = None) -> Operator:
     """Projector onto a Gauss-law sector (finite groups).
 
     P is the product over vertices of the character-weighted group averages
@@ -753,7 +649,7 @@ def physical_projector(model: Model,
     return total
 
 
-def vertex_sector_average(model: Model, vertex: int, sector_label: str) -> GlobalOperator:
+def vertex_sector_average(model: Model, vertex: int, sector_label: str) -> Operator:
     """(dim(s)/|G|) sum_g chi_s(g)* Theta_{g, vertex} for one vertex."""
     spec = model.entry.spec
     ir = model.entry.irrep(sector_label)
@@ -762,7 +658,7 @@ def vertex_sector_average(model: Model, vertex: int, sector_label: str) -> Globa
     mats = [(ir.dim / spec.order) * chi[g].conjugate()
             * gauss_operator(model, vertex, g).matrix
             for g in range(spec.order)]
-    return GlobalOperator(gb, _merge(gb, mats))
+    return Operator(gb, _merge(gb, mats))
 
 
 def physical_basis(model: Model, tol: float = 1e-8,

@@ -17,22 +17,7 @@ import scipy.sparse as sp
 
 from .clebsch_gordan import cg, decompose
 from .group_core import GroupCatalogEntry, fourier_matrix, rep_basis_order
-
-SPARSE_DROP_TOL = 1e-14
-
-REP = "rep"
-GROUP = "group"
-
-
-class BasisMismatchError(ValueError):
-    """Operators in different bases were combined."""
-
-
-def _drop_tiny(mat: sp.spmatrix, tol: float = SPARSE_DROP_TOL) -> sp.csr_matrix:
-    mat = sp.csr_matrix(mat)
-    mat.data[np.abs(mat.data) <= tol] = 0.0
-    mat.eliminate_zeros()
-    return mat
+from .operators import GROUP, REP, BasisMismatchError, Operator
 
 
 class LinkSpace:
@@ -63,67 +48,8 @@ class LinkSpace:
         return self._block_start[label] + m * self.catalog.irrep(label).dim + n
 
 
-@dataclass
-class LinkOperator:
-    """Sparse operator on one link, tagged with the basis it lives in."""
-
-    space: LinkSpace
-    basis_tag: str
-    matrix: sp.csr_matrix
-
-    def __post_init__(self):
-        self.matrix = _drop_tiny(self.matrix)
-
-    def _compatible(self, other: "LinkOperator"):
-        if self.space is not other.space:
-            raise BasisMismatchError("operators live on different link spaces")
-        if self.basis_tag != other.basis_tag:
-            raise BasisMismatchError(
-                f"cannot combine {self.basis_tag!r} with {other.basis_tag!r} operators")
-
-    def __matmul__(self, other: "LinkOperator") -> "LinkOperator":
-        self._compatible(other)
-        return LinkOperator(self.space, self.basis_tag, self.matrix @ other.matrix)
-
-    def __add__(self, other: "LinkOperator") -> "LinkOperator":
-        self._compatible(other)
-        return LinkOperator(self.space, self.basis_tag, self.matrix + other.matrix)
-
-    def __sub__(self, other: "LinkOperator") -> "LinkOperator":
-        self._compatible(other)
-        return LinkOperator(self.space, self.basis_tag, self.matrix - other.matrix)
-
-    def __mul__(self, scalar: complex) -> "LinkOperator":
-        return LinkOperator(self.space, self.basis_tag, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def dagger(self) -> "LinkOperator":
-        return LinkOperator(self.space, self.basis_tag,
-                            self.matrix.conj().T.tocsr())
-
-    def to_basis(self, basis_tag: str) -> "LinkOperator":
-        """Convert between bases through the Fourier unitary (finite groups)."""
-        if basis_tag == self.basis_tag:
-            return self
-        f = self.space.fourier
-        if f is None:
-            raise BasisMismatchError("Lie link spaces only have the rep basis")
-        dense = self.matrix.toarray()
-        if basis_tag == GROUP:
-            converted = f @ dense @ f.conj().T
-        elif basis_tag == REP:
-            converted = f.conj().T @ dense @ f
-        else:
-            raise ValueError(f"unknown basis tag {basis_tag!r}")
-        return LinkOperator(self.space, basis_tag, sp.csr_matrix(converted))
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-
-def identity_operator(space: LinkSpace, basis_tag: str = REP) -> LinkOperator:
-    return LinkOperator(space, basis_tag, sp.identity(space.dim, dtype=complex, format="csr"))
+def identity_operator(space: LinkSpace, basis_tag: str = REP) -> Operator:
+    return Operator(space, sp.identity(space.dim, dtype=complex, format="csr"), basis_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +64,7 @@ def _element_matrices(space: LinkSpace, g) -> dict[str, np.ndarray]:
     return {ir.label: ir.matrix(int(g)) for ir in space.catalog.irreps}
 
 
-def theta_left(space: LinkSpace, g) -> LinkOperator:
+def theta_left(space: LinkSpace, g) -> Operator:
     """Left transformation in the rep basis: D^{j*}(g) on the m index, blockwise.
 
     ``g`` is an element index for finite groups, or the angle vector of
@@ -146,17 +72,17 @@ def theta_left(space: LinkSpace, g) -> LinkOperator:
     """
     blocks = [np.kron(d.conj(), np.eye(d.shape[0]))
               for d in _element_matrices(space, g).values()]
-    return LinkOperator(space, REP, sp.block_diag(blocks, format="csr"))
+    return Operator(space, sp.block_diag(blocks, format="csr"), REP)
 
 
-def theta_right(space: LinkSpace, g) -> LinkOperator:
+def theta_right(space: LinkSpace, g) -> Operator:
     """Right transformation in the rep basis: D^j(g) on the n index, blockwise."""
     blocks = [np.kron(np.eye(d.shape[0]), d)
               for d in _element_matrices(space, g).values()]
-    return LinkOperator(space, REP, sp.block_diag(blocks, format="csr"))
+    return Operator(space, sp.block_diag(blocks, format="csr"), REP)
 
 
-def theta_group_basis(space: LinkSpace, g: int, side: str) -> LinkOperator:
+def theta_group_basis(space: LinkSpace, g: int, side: str) -> Operator:
     """Translation permutations on |h>: left sends h -> g h, right h -> h g^-1."""
     if space.catalog.is_lie:
         raise BasisMismatchError("group element basis requires a finite group")
@@ -170,7 +96,7 @@ def theta_group_basis(space: LinkSpace, g: int, side: str) -> LinkOperator:
         raise ValueError(f"side must be 'L' or 'R', got {side!r}")
     mat = sp.coo_matrix((np.ones(spec.order), (target, h)),
                         shape=(spec.order, spec.order), dtype=complex)
-    return LinkOperator(space, GROUP, mat.tocsr())
+    return Operator(space, mat.tocsr(), GROUP)
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +110,17 @@ class UOperator:
     space: LinkSpace
     j: str
     basis_tag: str
-    entries: list[list[LinkOperator]]
+    entries: list[list[Operator]]
     dropped: list[tuple[str, str]] = field(default_factory=list)
 
     @property
     def dim(self) -> int:
         return len(self.entries)
 
-    def entry(self, m: int, n: int) -> LinkOperator:
+    def entry(self, m: int, n: int) -> Operator:
         return self.entries[m][n]
 
-    def dagger_entry(self, m: int, n: int) -> LinkOperator:
+    def dagger_entry(self, m: int, n: int) -> Operator:
         """(U^dag)_{mn} = (U_{nm})^dag."""
         return self.entries[n][m].dagger()
 
@@ -222,7 +148,7 @@ def u_matrix(space: LinkSpace, j: Optional[str] = None, basis_tag: str = REP) ->
         if catalog.is_lie:
             raise BasisMismatchError("group element basis requires a finite group")
         mats = catalog.irrep(j).matrices
-        entries = [[LinkOperator(space, GROUP, sp.diags(mats[:, m, n], format="csr"))
+        entries = [[Operator(space, sp.diags(mats[:, m, n], format="csr"), GROUP)
                     for n in range(dim_j)] for m in range(dim_j)]
         return UOperator(space=space, j=j, basis_tag=GROUP, entries=entries)
     if basis_tag != REP:
@@ -246,7 +172,7 @@ def u_matrix(space: LinkSpace, j: Optional[str] = None, basis_tag: str = REP) ->
                     x_mp = tensor.coeffs[:, mp, :]
                     block = factor * np.kron(x_m.T, x_mp.conj().T)
                     dense[m][mp][rows, cols] += block
-    entries = [[LinkOperator(space, REP, sp.csr_matrix(dense[m][n]))
+    entries = [[Operator(space, sp.csr_matrix(dense[m][n]), REP)
                 for n in range(dim_j)] for m in range(dim_j)]
     return UOperator(space=space, j=j, basis_tag=REP, entries=entries,
                      dropped=dropped)
@@ -256,23 +182,23 @@ def u_matrix(space: LinkSpace, j: Optional[str] = None, basis_tag: str = REP) ->
 # projectors, generators, diagnostics
 # ---------------------------------------------------------------------------
 
-def projector_rep(space: LinkSpace, j: str) -> LinkOperator:
+def projector_rep(space: LinkSpace, j: str) -> Operator:
     """Diagonal projector onto all |j m n> of one representation (rep basis)."""
     diag = np.zeros(space.dim)
     diag[space.block_slice(j)] = 1.0
-    return LinkOperator(space, REP, sp.diags(diag.astype(complex), format="csr"))
+    return Operator(space, sp.diags(diag.astype(complex), format="csr"), REP)
 
 
-def projector_class(space: LinkSpace, c: int) -> LinkOperator:
+def projector_class(space: LinkSpace, c: int) -> Operator:
     """Diagonal projector onto |g> with g in conjugacy class c (group basis)."""
     if space.catalog.is_lie:
         raise BasisMismatchError("class projectors require a finite group")
     spec = space.catalog.spec
     diag = (spec.class_of == c).astype(complex)
-    return LinkOperator(space, GROUP, sp.diags(diag, format="csr"))
+    return Operator(space, sp.diags(diag, format="csr"), GROUP)
 
 
-def generators(space: LinkSpace) -> tuple[list[LinkOperator], list[LinkOperator]]:
+def generators(space: LinkSpace) -> tuple[list[Operator], list[Operator]]:
     """Left and right electric generators for a Lie catalog.
 
     L_a acts blockwise as -T_a^T on the m index, R_a as +T_a on the n
@@ -290,13 +216,13 @@ def generators(space: LinkSpace) -> tuple[list[LinkOperator], list[LinkOperator]
             eye = np.eye(ir.dim)
             l_blocks.append(np.kron(-t.T, eye))
             r_blocks.append(np.kron(eye, t))
-        left.append(LinkOperator(space, REP, sp.block_diag(l_blocks, format="csr")))
-        right.append(LinkOperator(space, REP, sp.block_diag(r_blocks, format="csr")))
+        left.append(Operator(space, sp.block_diag(l_blocks, format="csr"), REP))
+        right.append(Operator(space, sp.block_diag(r_blocks, format="csr"), REP))
     return left, right
 
 
 def trace_diagnostic(space: LinkSpace, j: Optional[str] = None,
-                     basis_tag: str = REP) -> LinkOperator:
+                     basis_tag: str = REP) -> Operator:
     """The operator Tr(U^{j dag} U^j) = sum_{m,n} U_{mn}^dag U_{mn}.
 
     Equal to dim(j) times the identity when U is unitary (finite groups with

@@ -8,13 +8,12 @@ the least significant bit; creation operators pick up the sign
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm, logm
 
 from .group_core import GroupCatalogEntry
+from .operators import Operator
 
 
 def _popcount_below(states: np.ndarray, mode: int) -> np.ndarray:
@@ -48,35 +47,6 @@ class VertexFock:
         return self.dim - 1
 
 
-@dataclass
-class MatterOperator:
-    space: VertexFock
-    matrix: sp.csr_matrix
-
-    def __post_init__(self):
-        self.matrix = sp.csr_matrix(self.matrix)
-
-    def __matmul__(self, other: "MatterOperator") -> "MatterOperator":
-        return MatterOperator(self.space, self.matrix @ other.matrix)
-
-    def __add__(self, other: "MatterOperator") -> "MatterOperator":
-        return MatterOperator(self.space, self.matrix + other.matrix)
-
-    def __sub__(self, other: "MatterOperator") -> "MatterOperator":
-        return MatterOperator(self.space, self.matrix - other.matrix)
-
-    def __mul__(self, scalar: complex) -> "MatterOperator":
-        return MatterOperator(self.space, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def dagger(self) -> "MatterOperator":
-        return MatterOperator(self.space, self.matrix.conj().T.tocsr())
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-
 def annihilation_matrix(n_modes: int, mode: int) -> sp.csr_matrix:
     """psi_mode over 2^n_modes states, with the canonical sign string."""
     if not 0 <= mode < n_modes:
@@ -90,15 +60,15 @@ def annihilation_matrix(n_modes: int, mode: int) -> sp.csr_matrix:
         shape=(dim, dim)).tocsr()
 
 
-def psi(space: VertexFock, mode: int) -> MatterOperator:
-    return MatterOperator(space, annihilation_matrix(space.n_modes, mode))
+def psi(space: VertexFock, mode: int) -> Operator:
+    return Operator(space, annihilation_matrix(space.n_modes, mode))
 
 
-def psi_dagger(space: VertexFock, mode: int) -> MatterOperator:
+def psi_dagger(space: VertexFock, mode: int) -> Operator:
     return psi(space, mode).dagger()
 
 
-def number_operator(space: VertexFock, mode: int = None) -> MatterOperator:
+def number_operator(space: VertexFock, mode: int = None) -> Operator:
     """n_mode, or the total number operator when mode is None."""
     states = np.arange(space.dim)
     if mode is None:
@@ -107,10 +77,10 @@ def number_operator(space: VertexFock, mode: int = None) -> MatterOperator:
             diag += (states >> a) & 1
     else:
         diag = ((states >> mode) & 1).astype(float)
-    return MatterOperator(space, sp.diags(diag.astype(complex), format="csr"))
+    return Operator(space, sp.diags(diag.astype(complex), format="csr"))
 
 
-def bilinear(space: VertexFock, coeff: np.ndarray) -> MatterOperator:
+def bilinear(space: VertexFock, coeff: np.ndarray) -> Operator:
     """sum_ab coeff[a, b] psi_a^dag psi_b."""
     coeff = np.asarray(coeff)
     total = sp.csr_matrix((space.dim, space.dim), dtype=complex)
@@ -120,7 +90,7 @@ def bilinear(space: VertexFock, coeff: np.ndarray) -> MatterOperator:
                 total = total + coeff[a, b] * (
                     annihilation_matrix(space.n_modes, a).conj().T
                     @ annihilation_matrix(space.n_modes, b))
-    return MatterOperator(space, total)
+    return Operator(space, total)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +108,7 @@ def _resolve_dmatrix(space: VertexFock, entry: GroupCatalogEntry, g) -> np.ndarr
     return ir.matrix(int(g))
 
 
-def theta_q(space: VertexFock, entry: GroupCatalogEntry, g) -> MatterOperator:
+def theta_q(space: VertexFock, entry: GroupCatalogEntry, g) -> Operator:
     """Gauge transformation on the vertex Fock space, staggering included.
 
     Built as the induced action on antisymmetrized states: the sector with
@@ -152,7 +122,7 @@ def theta_q(space: VertexFock, entry: GroupCatalogEntry, g) -> MatterOperator:
     return theta_q_from_matrix(space, dmat)
 
 
-def theta_q_from_matrix(space: VertexFock, dmat: np.ndarray) -> MatterOperator:
+def theta_q_from_matrix(space: VertexFock, dmat: np.ndarray) -> Operator:
     dmat = np.asarray(dmat, dtype=complex)
     dim = space.dim
     out = np.zeros((dim, dim), dtype=complex)
@@ -169,10 +139,10 @@ def theta_q_from_matrix(space: VertexFock, dmat: np.ndarray) -> MatterOperator:
                 else:
                     out[s_row, s_col] = np.linalg.det(dmat[np.ix_(rows, cols)])
     det_phase = np.linalg.det(dmat).conj() ** space.parity
-    return MatterOperator(space, sp.csr_matrix(out * det_phase))
+    return Operator(space, sp.csr_matrix(out * det_phase))
 
 
-def theta_q_exponential(space: VertexFock, entry: GroupCatalogEntry, g) -> MatterOperator:
+def theta_q_exponential(space: VertexFock, entry: GroupCatalogEntry, g) -> Operator:
     """Same transformation through exp(i psi^dag q psi) with q = -i log D(g).
 
     Kept as a cross-check of theta_q; the principal logarithm is ambiguous
@@ -182,7 +152,7 @@ def theta_q_exponential(space: VertexFock, entry: GroupCatalogEntry, g) -> Matte
     q = -1j * logm(np.asarray(dmat, dtype=complex))
     exponent = bilinear(space, q).toarray()
     det_phase = np.linalg.det(dmat).conj() ** space.parity
-    return MatterOperator(space, sp.csr_matrix(expm(1j * exponent) * det_phase))
+    return Operator(space, sp.csr_matrix(expm(1j * exponent) * det_phase))
 
 
 PAULI = (
@@ -192,7 +162,7 @@ PAULI = (
 )
 
 
-def charge_su2(space: VertexFock, entry: GroupCatalogEntry) -> list[MatterOperator]:
+def charge_su2(space: VertexFock, entry: GroupCatalogEntry) -> list[Operator]:
     """Non-Abelian charges Q_i = psi^dag (sigma_i / 2) psi of an SU(2) vertex."""
     if entry.lie_kind != "su2":
         raise ValueError("SU(2) charges require an SU(2) catalog entry")
@@ -201,17 +171,14 @@ def charge_su2(space: VertexFock, entry: GroupCatalogEntry) -> list[MatterOperat
     return [bilinear(space, s / 2.0) for s in PAULI]
 
 
-def charge_u1(space: VertexFock) -> MatterOperator:
+def charge_u1(space: VertexFock) -> Operator:
     """Staggered Abelian charge Q = psi^dag psi - (1 - (-1)^parity)/2."""
     shift = (1.0 - (-1.0) ** space.parity) / 2.0
-    states = np.arange(space.dim)
-    diag = np.zeros(space.dim)
-    for a in range(space.n_modes):
-        diag += (states >> a) & 1
-    return MatterOperator(space, sp.diags((diag - shift).astype(complex), format="csr"))
+    eye = sp.identity(space.dim, dtype=complex, format="csr")
+    return Operator(space, number_operator(space).matrix - shift * eye)
 
 
-def charges(space: VertexFock, entry: GroupCatalogEntry) -> list[MatterOperator]:
+def charges(space: VertexFock, entry: GroupCatalogEntry) -> list[Operator]:
     """The charges entering the Gauss law generators for a Lie catalog."""
     if entry.lie_kind == "su2":
         return charge_su2(space, entry)

@@ -18,12 +18,12 @@ from scipy.linalg import eigh_tridiagonal
 
 from .group_core import GroupCatalogEntry
 from .lattice_model import (
-    GlobalOperator,
     LatticeSpec,
     Model,
     ModelParams,
     build_hamiltonian,
 )
+from .operators import Operator, hermiticity_residual
 
 DENSE_CUTOFF = 4096
 LANCZOS_TOL = 1e-8
@@ -70,18 +70,13 @@ class ObservableReport:
         return float(self.value.real)
 
 
-def _as_sparse(op: Union[GlobalOperator, sp.spmatrix, np.ndarray]) -> sp.csr_matrix:
-    if isinstance(op, GlobalOperator):
+def _as_sparse(op: Union[Operator, sp.spmatrix, np.ndarray]) -> sp.csr_matrix:
+    if isinstance(op, Operator):
         return op.matrix
     return sp.csr_matrix(op)
 
 
-def _hermiticity_residual(mat: sp.spmatrix) -> float:
-    diff = (mat - mat.conj().T).tocoo()
-    return float(np.abs(diff.data).max()) if diff.nnz else 0.0
-
-
-def eigensolve(op: Union[GlobalOperator, sp.spmatrix, np.ndarray],
+def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
                k: Optional[int] = None, *, seed: int = 0,
                dense_cutoff: int = DENSE_CUTOFF,
                tol: float = LANCZOS_TOL,
@@ -93,12 +88,14 @@ def eigensolve(op: Union[GlobalOperator, sp.spmatrix, np.ndarray],
     dim = mat.shape[0]
     if dim != mat.shape[1]:
         raise ValueError("operator must be square")
-    herm_res = _hermiticity_residual(mat)
+    herm_res = hermiticity_residual(mat)
     if herm_res > hermiticity_tol:
         raise EigensolveError(
             f"operator is not Hermitian (residual {herm_res:.3e})")
     if k is None:
         k = dim if dim <= dense_cutoff else 6
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if k > dim:
         warnings.warn(f"requested {k} eigenvalues of a dimension-{dim} "
                       "operator; clamping", stacklevel=2)
@@ -238,7 +235,7 @@ def _lanczos_lowest(mat: sp.csr_matrix, k: int, *, seed: int,
     return vals_arr, vecs_arr, residuals
 
 
-def expectation(op: Union[GlobalOperator, sp.spmatrix, np.ndarray],
+def expectation(op: Union[Operator, sp.spmatrix, np.ndarray],
                 state: np.ndarray, name: str = "observable",
                 normalized_tol: float = 1e-10) -> ObservableReport:
     """<state|op|state> with a reality check for Hermitian operators."""
@@ -251,7 +248,7 @@ def expectation(op: Union[GlobalOperator, sp.spmatrix, np.ndarray],
     if abs(norm - 1.0) > normalized_tol:
         raise ValueError(f"state is not normalized (norm {norm})")
     value = complex(np.vdot(state, mat @ state))
-    hermitian = _hermiticity_residual(mat) <= 1e-12
+    hermitian = hermiticity_residual(mat) <= 1e-12
     if hermitian and abs(value.imag) > 1e-10:
         raise ValueError(
             f"Hermitian observable produced imaginary part {value.imag:.3e}")

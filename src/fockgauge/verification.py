@@ -18,6 +18,8 @@ from .lattice_model import (
     GROUP,
     REP,
     Model,
+    _embed_factors,
+    _merge,
     gauss_generators,
     gauss_operator,
     hamiltonian_terms,
@@ -26,6 +28,7 @@ from .lattice_model import (
 )
 from .link_space import generators as link_generators, projector_rep
 from .matter_space import VertexFock, annihilation_matrix, theta_q
+from .operators import max_abs
 
 GAUSS_PROBES = 20
 COVARIANCE_SAMPLES = 20
@@ -34,14 +37,6 @@ PROJECTOR_MAX_DIM = 4096
 
 TIGHT = 1e-12
 LOOSE = 1e-10
-
-
-def _mabs(mat) -> float:
-    if sp.issparse(mat):
-        mat = mat.tocoo()
-        return float(np.abs(mat.data).max()) if mat.nnz else 0.0
-    arr = np.asarray(mat)
-    return float(np.abs(arr).max()) if arr.size else 0.0
 
 
 def verify_model(model: Model, seed: int = 0) -> ValidationReport:
@@ -79,11 +74,11 @@ def _check_theta(model: Model, report: ValidationReport, seed: int):
     thetas = [(theta_left(space, g), theta_right(space, g)) for g in elements]
     eye = np.eye(space.dim)
     for tl, tr in thetas:
-        unit = max(unit, _mabs(tl.matrix @ tl.matrix.conj().T - eye))
-        unit = max(unit, _mabs(tr.matrix @ tr.matrix.conj().T - eye))
+        unit = max(unit, max_abs(tl.matrix @ tl.matrix.conj().T - eye))
+        unit = max(unit, max_abs(tr.matrix @ tr.matrix.conj().T - eye))
         for tl2, tr2 in thetas:
-            lr_comm = max(lr_comm, _mabs(tl.matrix @ tr2.matrix
-                                         - tr2.matrix @ tl.matrix))
+            lr_comm = max(lr_comm, max_abs(tl.matrix @ tr2.matrix
+                                           - tr2.matrix @ tl.matrix))
     report.add("theta.unitary", unit, TIGHT)
     report.add("theta.left_right_commute", lr_comm, TIGHT)
 
@@ -91,7 +86,7 @@ def _check_theta(model: Model, report: ValidationReport, seed: int):
         left, right = link_generators(space)
         l2 = sum((x @ x).matrix for x in left)
         r2 = sum((x @ x).matrix for x in right)
-        report.add("theta.casimir_left_equals_right", _mabs(l2 - r2), TIGHT)
+        report.add("theta.casimir_left_equals_right", max_abs(l2 - r2), TIGHT)
         return
 
     spec = entry.spec
@@ -102,11 +97,11 @@ def _check_theta(model: Model, report: ValidationReport, seed: int):
         for h in range(spec.order):
             tlh, trh = thetas[h]
             gh = spec.mul[g, h]
-            law = max(law, _mabs(tlg.matrix @ tlh.matrix - thetas[gh][0].matrix))
-            law = max(law, _mabs(trg.matrix @ trh.matrix - thetas[gh][1].matrix))
+            law = max(law, max_abs(tlg.matrix @ tlh.matrix - thetas[gh][0].matrix))
+            law = max(law, max_abs(trg.matrix @ trh.matrix - thetas[gh][1].matrix))
         for side, rep_op in (("L", tlg), ("R", trg)):
             perm = theta_group_basis(space, g, side)
-            fourier_res = max(fourier_res, _mabs(
+            fourier_res = max(fourier_res, max_abs(
                 rep_op.to_basis(GROUP).matrix - perm.matrix))
     report.add("theta.group_law", law, TIGHT)
     report.add("theta.fourier_to_translations", fourier_res, TIGHT)
@@ -135,10 +130,10 @@ def _check_u(model: Model, report: ValidationReport, seed: int):
             for n in range(dim_j):
                 lhs_r = tr @ u.entry(m, n).matrix @ tr.conj().T
                 rhs_r = sum(u.entry(m, k).matrix * d[k, n] for k in range(dim_j))
-                cov = max(cov, _mabs(lhs_r - rhs_r))
+                cov = max(cov, max_abs(lhs_r - rhs_r))
                 lhs_l = tl @ u.entry(m, n).matrix @ tl.conj().T
                 rhs_l = sum(d_inv[m, k] * u.entry(k, n).matrix for k in range(dim_j))
-                cov = max(cov, _mabs(lhs_l - rhs_l))
+                cov = max(cov, max_abs(lhs_l - rhs_l))
     report.add("u.covariance", cov, TIGHT)
 
     if entry.is_lie:
@@ -152,19 +147,19 @@ def _check_u(model: Model, report: ValidationReport, seed: int):
                         - u.entry(m, n).matrix @ l_i.matrix
                     rhs = -sum(t_mats[i][m, k] * u.entry(k, n).matrix
                                for k in range(dim_j))
-                    comm = max(comm, _mabs(lhs - rhs))
+                    comm = max(comm, max_abs(lhs - rhs))
                     lhs = r_i.matrix @ u.entry(m, n).matrix \
                         - u.entry(m, n).matrix @ r_i.matrix
                     rhs = sum(u.entry(m, k).matrix * t_mats[i][k, n]
                               for k in range(dim_j))
-                    comm = max(comm, _mabs(lhs - rhs))
+                    comm = max(comm, max_abs(lhs - rhs))
         report.add("u.generator_commutators", comm, TIGHT)
         if entry.lie_kind == "su2" and model.magnetic_rep == "1/2":
             td = trace_diagnostic(space, "1/2")
             top = entry.irreps[-1].label
             f_def = (2 * float(entry.cutoff) + 2) / (2 * float(entry.cutoff) + 1)
             expect = 2 * np.eye(space.dim) - f_def * projector_rep(space, top).toarray()
-            report.add("u.trace_defect_closed_form", _mabs(td.toarray() - expect), TIGHT)
+            report.add("u.trace_defect_closed_form", max_abs(td.toarray() - expect), TIGHT)
         return
 
     unitarity = 0.0
@@ -174,14 +169,14 @@ def _check_u(model: Model, report: ValidationReport, seed: int):
             acc = sum((u.entry(m, k) @ u.entry(n, k).dagger()).matrix
                       for k in range(dim_j))
             expect = eye if m == n else 0.0 * eye
-            unitarity = max(unitarity, _mabs(acc - expect))
+            unitarity = max(unitarity, max_abs(acc - expect))
     report.add("u.unitarity", unitarity, TIGHT)
 
     u_grp = u_matrix(space, model.magnetic_rep, GROUP)
     agree = 0.0
     for m in range(dim_j):
         for n in range(dim_j):
-            agree = max(agree, _mabs(u.entry(m, n).to_basis(GROUP).matrix
+            agree = max(agree, max_abs(u.entry(m, n).to_basis(GROUP).matrix
                                      - u_grp.entry(m, n).matrix))
     report.add("u.rep_group_basis_agreement", agree, TIGHT)
 
@@ -200,7 +195,7 @@ def _check_cg(model: Model, report: ValidationReport):
             stacks.append(tensor.matrix())
         if not dec.dropped and stacks:
             square = np.hstack(stacks)
-            completeness = max(completeness, _mabs(
+            completeness = max(completeness, max_abs(
                 square.conj().T @ square - np.eye(square.shape[1])))
     report.add("cg.intertwiner", intertwiner, LOOSE)
     report.add("cg.completeness", completeness, LOOSE)
@@ -216,10 +211,10 @@ def _check_matter(model: Model, report: ValidationReport):
     for a in range(n):
         for b in range(n):
             anti = ops[a] @ ops[b] + ops[b] @ ops[a]
-            acar = max(acar, _mabs(anti))
+            acar = max(acar, max_abs(anti))
             anti_mixed = ops[a] @ ops[b].conj().T + ops[b].conj().T @ ops[a]
             expect = np.eye(space.dim) if a == b else 0.0
-            acar = max(acar, _mabs(anti_mixed - expect))
+            acar = max(acar, max_abs(anti_mixed - expect))
     report.add("matter.anticommutation", acar, 0.0)
 
     elements = _sample_elements(model, 0, COVARIANCE_SAMPLES)
@@ -232,19 +227,19 @@ def _check_matter(model: Model, report: ValidationReport):
             d = (np.atleast_2d(entry.fundamental_irrep.matrix_angle(g))
                  if entry.is_lie else entry.fundamental_irrep.matrix(int(g)))
             det = np.linalg.det(d)
-            unit = max(unit, _mabs(thetas[i] @ thetas[i].conj().T - np.eye(vf.dim)))
+            unit = max(unit, max_abs(thetas[i] @ thetas[i].conj().T - np.eye(vf.dim)))
             expect_ev = det * det.conjugate() ** parity
             prop2 = max(prop2, abs(thetas[i][full, full] - expect_ev))
             for a in range(n):
                 lhs = thetas[i] @ ops[a].conj().T @ thetas[i].conj().T
                 rhs = sum(ops[b].conj().T * d[b, a] for b in range(n))
-                covariance = max(covariance, _mabs(lhs - rhs))
+                covariance = max(covariance, max_abs(lhs - rhs))
         if not entry.is_lie:
             spec = entry.spec
             for g in range(spec.order):
                 for h in range(spec.order):
-                    law = max(law, _mabs(thetas[g] @ thetas[h]
-                                         - thetas[spec.mul[g, h]]))
+                    law = max(law, max_abs(thetas[g] @ thetas[h]
+                                           - thetas[spec.mul[g, h]]))
             report.add(f"matter.theta_group_law_parity{parity}", law, TIGHT)
         report.add(f"matter.theta_unitary_parity{parity}", unit, TIGHT)
         report.add(f"matter.full_state_determinant_parity{parity}", prop2, TIGHT)
@@ -305,7 +300,7 @@ def _check_hamiltonian(model: Model, report: ValidationReport, seed: int):
         if dim <= PROJECTOR_MAX_DIM:
             proj = physical_projector(model)
             report.add("model.projector_idempotent",
-                       _mabs((proj @ proj - proj).matrix), LOOSE)
+                       max_abs((proj @ proj - proj).matrix), LOOSE)
 
     if not model.entry.is_lie and dim <= BASIS_AGREEMENT_MAX_DIM:
         report.add("model.rep_group_hamiltonian_agreement",
@@ -316,29 +311,17 @@ def _basis_agreement_residual(model: Model, names) -> float:
     """Assemble H in both link bases and compare through the Fourier unitary."""
     other_tag = GROUP if model.basis_tag == REP else REP
     mirror = Model(model.entry, model.lattice, model.params, other_tag)
-    h_here = _merge_terms(model, names)
-    h_there = _merge_terms(mirror, names)
+    h_here, h_there = (
+        _merge(m.global_basis, [t.matrix for t in hamiltonian_terms(m, names=names).values()])
+        for m in (model, mirror))
     f_link = sp.csr_matrix(model.link_space.fourier)
     gb = model.global_basis
-    blocks = []
-    if model.lattice.include_matter:
-        blocks.append(sp.identity(gb.factor_dims[gb.fermion_factor],
-                                  dtype=complex, format="csr"))
-    blocks.extend([f_link] * model.lattice.n_links)
-    f_global = blocks[0]
-    for b in blocks[1:]:
-        f_global = sp.kron(f_global, b, format="csr")
+    f_global = _embed_factors(gb, {gb.link_factor(link.index): [f_link]
+                                   for link in model.lattice.links})
     # rep_op = F^dag group_op F
     if model.basis_tag == REP:
         converted = f_global.conj().T @ h_there @ f_global
     else:
         converted = f_global @ h_there @ f_global.conj().T
-    return _mabs(converted - h_here)
+    return max_abs(converted - h_here)
 
-
-def _merge_terms(model: Model, names) -> sp.csr_matrix:
-    terms = hamiltonian_terms(model, names=names)
-    total = None
-    for t in terms.values():
-        total = t.matrix if total is None else total + t.matrix
-    return total

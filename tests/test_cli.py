@@ -251,3 +251,28 @@ def test_threads_env_var_honored_and_overridden(runner, tmp_path, monkeypatch):
     assert runner.invoke(main, ["spectrum", "-c", str(cfg), "-o", str(out),
                                 "--threads", "2"]).exit_code == 0
     assert json.loads(out.read_text())["threads"] == 2
+
+
+def test_spectrum_config_errors_fail_before_assembly(runner, tmp_path, monkeypatch):
+    import fockgauge.cli as cli
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("full-space Hamiltonian built before the config check")
+
+    monkeypatch.setattr(cli, "build_hamiltonian", no_assembly)
+    # Z_3 on a 2x2 periodic lattice: 3^8 = 6561 states, over the dense sector cap
+    out = tmp_path / "out.json"
+    cfg = write_config(tmp_path / "big.yaml", group={"builtin": "Z_3"},
+                       tasks=[{"spectrum": {"k": 2, "sector": "physical"}}])
+    result = runner.invoke(main, ["spectrum", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+    assert "4096" in lines[0]
+    assert not out.exists()
+
+    cfg = write_config(tmp_path / "k0.yaml", tasks=[{"spectrum": {"k": 0}}])
+    result = runner.invoke(main, ["spectrum", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("config error:")
+    assert not out.exists()

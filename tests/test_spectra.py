@@ -42,6 +42,15 @@ def test_k_clamped_with_warning():
     assert np.allclose(result.eigenvalues, [1.0, 2.0, 3.0])
 
 
+def test_eigensolve_rejects_k_below_one():
+    mat = np.diag([3.0, 1.0, 2.0])
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            eigensolve(mat, k=k)
+        with pytest.raises(ValueError):
+            eigensolve(mat, k=k, dense_cutoff=1)
+
+
 def test_dense_iterative_agreement_degenerate():
     d3 = build_builtin("D3")
     lat = LatticeSpec(2, 2, boundary="open", include_matter=False)
