@@ -112,28 +112,28 @@ def _resolve_model(doc: dict, config_dir: Path, basis_override: Optional[str]) -
             include_matter=bool(lat_doc.get("include_matter", False)))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad lattice spec: {exc}") from exc
-    p_doc = doc.get("params") or {}
-    weights = p_doc.get("electric_weights")
-    if weights is not None:
-        weights = {str(k): float(v) for k, v in weights.items()}
-    params = ModelParams(
-        mass=float(p_doc.get("mass", 0.0)),
-        epsilon=_resolve_epsilon(p_doc.get("epsilon")),
-        coupling=float(p_doc.get("coupling", 1.0)),
-        electric_weights=weights,
-        magnetic_rep=(str(p_doc["magnetic_rep"])
-                      if "magnetic_rep" in p_doc else None),
-        staggered=bool(p_doc.get("staggered", True)),
-        terms=p_doc.get("terms"),
-        include_hc=bool(p_doc.get("include_hc", True)),
-    )
     basis = basis_override or doc.get("basis", REP)
     if basis not in (REP, GROUP):
         raise ConfigError(f"basis must be 'rep' or 'group', got {basis!r}")
+    p_doc = doc.get("params") or {}
     try:
+        weights = p_doc.get("electric_weights")
+        if weights is not None:
+            weights = {str(k): float(v) for k, v in weights.items()}
+        params = ModelParams(
+            mass=float(p_doc.get("mass", 0.0)),
+            epsilon=_resolve_epsilon(p_doc.get("epsilon")),
+            coupling=float(p_doc.get("coupling", 1.0)),
+            electric_weights=weights,
+            magnetic_rep=(str(p_doc["magnetic_rep"])
+                          if "magnetic_rep" in p_doc else None),
+            staggered=bool(p_doc.get("staggered", True)),
+            terms=p_doc.get("terms"),
+            include_hc=bool(p_doc.get("include_hc", True)),
+        )
         model = Model(entry, lattice, params, basis_tag=basis)
         model.terms  # force parameter validation
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return model
 
@@ -325,7 +325,10 @@ def verify(config_path, seed, threads, output, basis):
 
 
 def _spectrum_payload(model, opts, seed, threads):
-    k = int(opts.get("k", 6))
+    try:
+        k = int(opts.get("k", 6))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"spectrum k must be an integer: {exc}") from exc
     if k < 1:
         raise ConfigError(f"spectrum k must be at least 1, got {k}")
     basis_cols = None
@@ -461,11 +464,12 @@ def vortex_masses_cmd(config_path, seed, threads, output, basis):
     except (ConfigError, GroupFileError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-    if model.entry.is_lie:
-        click.echo("config error: vortex masses need a finite group", err=True)
+    try:
+        gaps = vortex_masses(model.entry, j=model.magnetic_rep,
+                             coupling=model.params.coupling)
+    except ValueError as exc:
+        click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-    gaps = vortex_masses(model.entry, j=model.magnetic_rep,
-                         coupling=model.params.coupling)
     payload = _result_skeleton(doc, seed, threads)
     payload["tasks"]["vortex_masses"] = gaps
     _emit(payload, output)

@@ -15,7 +15,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator, Optional, Sequence, Union
+from itertools import product
+from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,6 +29,7 @@ from .link_space import (
     LinkSpace,
     UOperator,
     generators as link_generators,
+    identity_operator,
     projector_rep,
     theta_group_basis,
     theta_left,
@@ -104,9 +106,6 @@ class LatticeSpec:
 
     def vertex_index(self, x: int, y: int) -> int:
         return x % self.lx + self.lx * (y % self.ly)
-
-    def vertex_xy(self, v: int) -> tuple[int, int]:
-        return v % self.lx, v // self.lx
 
     def neighbor(self, x: int, y: int, direction: int) -> Optional[int]:
         bx, by = self.boundary
@@ -427,59 +426,77 @@ def embed_fermion_bilinear(model: Model, vertex_a: int, vertex_b: int,
     if not (0 <= vertex_a < n_v and 0 <= vertex_b < n_v):
         raise ValueError("vertex out of range")
     coeff = np.asarray(coeff, dtype=complex)
-    total = sp.csr_matrix((gb.factor_dims[gb.fermion_factor],) * 2, dtype=complex)
-    for a in range(gb.modes_per_vertex):
-        for b in range(gb.modes_per_vertex):
-            if coeff[a, b] != 0:
-                total = total + coeff[a, b] * _hop(model, vertex_a, a, vertex_b, b)
+    modes = range(gb.modes_per_vertex)
+    total = sum((coeff[a, b] * _hop(model, vertex_a, a, vertex_b, b)
+                 for a in modes for b in modes if coeff[a, b] != 0),
+                sp.csr_matrix((gb.factor_dims[gb.fermion_factor],) * 2, dtype=complex))
     return Operator(gb, _embed_factors(gb, {gb.fermion_factor: [total]}))
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian assembly: each term yields its pieces, merged once per term
+# Hamiltonian assembly: every sum is a CSR sum in a fixed order
 # ---------------------------------------------------------------------------
 
-def _mass_pieces(model: Model) -> Iterator[sp.csr_matrix]:
+def _zero(basis: GlobalBasis) -> sp.csr_matrix:
+    """The start of a global sum, so that an empty sum keeps its dim x dim shape."""
+    return sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+
+
+def _plus_hc(model: Model, mat: sp.csr_matrix) -> sp.csr_matrix:
+    """mat + mat^dag, or mat alone when the model drops the Hermitian conjugate."""
+    return mat + mat.conj().T if model.params.include_hc else mat
+
+
+def _mass_term(model: Model) -> sp.csr_matrix:
+    """sum_v m_v n_v, vertices in index order."""
     gb = model.global_basis
     ferm = sum(model.mass_at(v) * _vertex_block(model, number_operator(space).matrix, v)
                for v, space in enumerate(model.vertex_spaces))
-    yield _embed_factors(gb, {gb.fermion_factor: [ferm]})
+    return _embed_factors(gb, {gb.fermion_factor: [ferm]})
 
 
-def _tunneling_pieces(model: Model) -> Iterator[sp.csr_matrix]:
+def _tunneling_term(model: Model) -> sp.csr_matrix:
+    """sum over links in index order of eps_l sum_ab psi^dag_a U_ab psi_b (+ h.c.).
+
+    The (a, b) pieces of a link are added row-major, then its h.c.
+    """
     gb = model.global_basis
     u = model.u_tunneling
-    for link in model.lattice.links:
-        total = None
-        for a in range(u.dim):
-            for b in range(u.dim):
-                piece = _embed_factors(gb, {
-                    gb.fermion_factor: [_hop(model, link.origin, a, link.target, b)],
-                    gb.link_factor(link.index): [u.entry(a, b).matrix],
-                })
-                total = piece if total is None else total + piece
-        total = model.epsilon[link.index] * total
-        if model.params.include_hc:
-            total = total + total.conj().T
-        yield total
+
+    def link_hop(link: Link) -> sp.csr_matrix:
+        return model.epsilon[link.index] * sum(
+            _embed_factors(gb, {
+                gb.fermion_factor: [_hop(model, link.origin, a, link.target, b)],
+                gb.link_factor(link.index): [u.entry(a, b).matrix],
+            })
+            for a in range(u.dim) for b in range(u.dim))
+
+    return sum((_plus_hc(model, link_hop(link)) for link in model.lattice.links),
+               _zero(gb))
 
 
-def _electric_pieces(model: Model) -> Iterator[sp.csr_matrix]:
+def _electric_term(model: Model) -> sp.csr_matrix:
+    """sum over links in index order of (g^2/2) sum_j w_j P_j.
+
+    The weighted projectors are added on one link first, in weight order.
+    """
     gb = model.global_basis
     g2 = model.params.coupling ** 2
-    link_op = None
-    for label, w in model.electric_weights().items():
-        if not model.entry.has_irrep(label):
-            continue
-        proj = projector_rep(model.link_space, label).to_basis(model.basis_tag)
-        term = (g2 / 2.0 * w) * proj
-        link_op = term if link_op is None else link_op + term
-    for link in model.lattice.links:
-        yield _embed_factors(gb, {gb.link_factor(link.index): [link_op.matrix]})
+    link_op = sum(
+        ((g2 / 2.0 * w)
+         * projector_rep(model.link_space, label).to_basis(model.basis_tag)
+         for label, w in model.electric_weights().items()
+         if model.entry.has_irrep(label)),
+        0 * identity_operator(model.link_space, model.basis_tag))
+    return sum((_embed_factors(gb, {gb.link_factor(link.index): [link_op.matrix]})
+                for link in model.lattice.links), _zero(gb))
 
 
 def _plaquette_trace_matrix(model: Model, plaq: Plaquette) -> sp.csr_matrix:
-    """Tr(U_1 U_2 U_3^dag U_4^dag) around one plaquette, in the model basis."""
+    """Tr(U_1 U_2 U_3^dag U_4^dag) around one plaquette, in the model basis.
+
+    In the rep basis the index loops (a, b, c, d) are added in row-major order.
+    """
     gb = model.global_basis
     l1, l2, l3, l4 = plaq.links
     if model.basis_tag == GROUP:
@@ -493,22 +510,17 @@ def _plaquette_trace_matrix(model: Model, plaq: Plaquette) -> sp.csr_matrix:
         hol = spec.mul[spec.mul[d1, d2], spec.mul[spec.inv[d3], spec.inv[d4]]]
         return sp.diags(chi[spec.class_of[hol]].astype(complex), format="csr")
     u = model.u_magnetic
-    dim_j = u.dim
-    total = None
-    for a in range(dim_j):
-        for b in range(dim_j):
-            for c in range(dim_j):
-                for d in range(dim_j):
-                    ops: dict[int, list[sp.spmatrix]] = {}
-                    for link_idx, mat in (
-                            (l1, u.entry(a, b).matrix),
-                            (l2, u.entry(b, c).matrix),
-                            (l3, u.dagger_entry(c, d).matrix),
-                            (l4, u.dagger_entry(d, a).matrix)):
-                        ops.setdefault(gb.link_factor(link_idx), []).append(mat)
-                    piece = _embed_factors(gb, ops)
-                    total = piece if total is None else total + piece
-    return total
+
+    def loop(a: int, b: int, c: int, d: int) -> sp.csr_matrix:
+        ops: dict[int, list[sp.spmatrix]] = {}
+        for link_idx, mat in ((l1, u.entry(a, b).matrix),
+                              (l2, u.entry(b, c).matrix),
+                              (l3, u.dagger_entry(c, d).matrix),
+                              (l4, u.dagger_entry(d, a).matrix)):
+            ops.setdefault(gb.link_factor(link_idx), []).append(mat)
+        return _embed_factors(gb, ops)
+
+    return sum(loop(*abcd) for abcd in product(range(u.dim), repeat=4))
 
 
 def plaquette_trace(model: Model, plaquette_index: int) -> Operator:
@@ -517,35 +529,19 @@ def plaquette_trace(model: Model, plaquette_index: int) -> Operator:
     return Operator(model.global_basis, _plaquette_trace_matrix(model, plaq))
 
 
-def _magnetic_pieces(model: Model) -> Iterator[sp.csr_matrix]:
+def _magnetic_term(model: Model) -> sp.csr_matrix:
+    """-(1/2g^2) sum over plaquettes in index order of (Tr W + h.c.)."""
     pref = -1.0 / (2.0 * model.params.coupling ** 2)
-    for plaq in model.lattice.plaquettes:
-        total = pref * _plaquette_trace_matrix(model, plaq)
-        if model.params.include_hc:
-            total = total + total.conj().T
-        yield total
+    return sum((_plus_hc(model, pref * _plaquette_trace_matrix(model, plaq))
+                for plaq in model.lattice.plaquettes), _zero(model.global_basis))
 
 
-_TERM_PIECES = {
-    "mass": _mass_pieces,
-    "tunneling": _tunneling_pieces,
-    "electric": _electric_pieces,
-    "magnetic": _magnetic_pieces,
+_TERMS = {
+    "mass": _mass_term,
+    "tunneling": _tunneling_term,
+    "electric": _electric_term,
+    "magnetic": _magnetic_term,
 }
-
-
-def _merge(basis: GlobalBasis, mats: list[sp.csr_matrix]) -> sp.csr_matrix:
-    """Sum of matrices as one sorted coordinate merge, in a fixed order."""
-    if not mats:
-        return sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    rows = np.concatenate([m.tocoo().row for m in mats])
-    cols = np.concatenate([m.tocoo().col for m in mats])
-    data = np.concatenate([m.tocoo().data.astype(complex) for m in mats])
-    merged = sp.coo_matrix((data, (rows, cols)), shape=(basis.dim, basis.dim))
-    merged.sum_duplicates()
-    out = merged.tocsr()
-    out.sort_indices()
-    return out
 
 
 def hamiltonian_terms(model: Model, threads: int = 1,
@@ -555,19 +551,18 @@ def hamiltonian_terms(model: Model, threads: int = 1,
     Assembly runs on one thread.  ``threads`` is accepted so callers can
     pass on the thread count they record; it does not change the result.
     """
-    gb = model.global_basis
-    return {name: Operator(gb, _merge(gb, list(_TERM_PIECES[name](model))))
+    return {name: Operator(model.global_basis, _TERMS[name](model))
             for name in (model.terms if names is None else names)}
 
 
 def build_hamiltonian(model: Model, threads: int = 1) -> Operator:
-    """Assemble the full Hamiltonian of the model's enabled terms.
+    """Assemble the full Hamiltonian: the enabled terms summed in model.terms order.
 
     ``threads`` is recorded only, as in hamiltonian_terms.
     """
     terms = hamiltonian_terms(model, threads=threads)
     gb = model.global_basis
-    return Operator(gb, _merge(gb, [t.matrix for t in terms.values()]))
+    return Operator(gb, sum((t.matrix for t in terms.values()), _zero(gb)))
 
 
 # ---------------------------------------------------------------------------
@@ -613,19 +608,16 @@ def gauss_generators(model: Model, vertex: int) -> list[Operator]:
         if model.lattice.include_matter:
             q = matter_charges(model.vertex_spaces[vertex], model.entry)[a]
             mats.append(embed_vertex(model, q.matrix, vertex).matrix)
-        out.append(Operator(gb, _merge(gb, mats)))
+        out.append(Operator(gb, sum(mats, _zero(gb))))
     return out
 
 
 def gauss_casimir(model: Model) -> Operator:
     """sum over vertices and components of G_a^2; physical states are its nullspace."""
     gb = model.global_basis
-    total = None
-    for v in range(model.lattice.n_vertices):
-        for g_a in gauss_generators(model, v):
-            sq = g_a.matrix @ g_a.matrix
-            total = sq if total is None else total + sq
-    return Operator(gb, total)
+    return Operator(gb, sum((g_a.matrix @ g_a.matrix
+                             for v in range(model.lattice.n_vertices)
+                             for g_a in gauss_generators(model, v)), _zero(gb)))
 
 
 def physical_projector(model: Model,
@@ -642,11 +634,9 @@ def physical_projector(model: Model,
                          "catalogs filter the nullspace of gauss_casimir")
     sector = sector or {}
     trivial = model.entry.trivial_label()
-    total = None
-    for v in range(model.lattice.n_vertices):
-        p_v = vertex_sector_average(model, v, sector.get(v, trivial))
-        total = p_v if total is None else total @ p_v
-    return total
+    return reduce(operator.matmul,
+                  (vertex_sector_average(model, v, sector.get(v, trivial))
+                   for v in range(model.lattice.n_vertices)))
 
 
 def vertex_sector_average(model: Model, vertex: int, sector_label: str) -> Operator:
@@ -655,10 +645,9 @@ def vertex_sector_average(model: Model, vertex: int, sector_label: str) -> Opera
     ir = model.entry.irrep(sector_label)
     chi = np.array([np.trace(ir.matrices[g]) for g in range(spec.order)])
     gb = model.global_basis
-    mats = [(ir.dim / spec.order) * chi[g].conjugate()
-            * gauss_operator(model, vertex, g).matrix
-            for g in range(spec.order)]
-    return Operator(gb, _merge(gb, mats))
+    return Operator(gb, sum(((ir.dim / spec.order) * chi[g].conjugate()
+                             * gauss_operator(model, vertex, g).matrix
+                             for g in range(spec.order)), _zero(gb)))
 
 
 def physical_basis(model: Model, tol: float = 1e-8,

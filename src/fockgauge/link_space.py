@@ -27,12 +27,7 @@ class LinkSpace:
         self.catalog = catalog
         self.rep_basis = rep_basis_order(catalog)
         self.dim = len(self.rep_basis)
-        if catalog.is_lie:
-            self.group_basis = None
-            self.fourier = None
-        else:
-            self.group_basis = list(range(catalog.spec.order))
-            self.fourier = fourier_matrix(catalog)
+        self.fourier = None if catalog.is_lie else fourier_matrix(catalog)
         self._block_start = {}
         offset = 0
         for ir in catalog.irreps:
@@ -43,9 +38,6 @@ class LinkSpace:
     def block_slice(self, label: str) -> slice:
         start = self._block_start[label]
         return slice(start, start + self.catalog.irrep(label).dim ** 2)
-
-    def rep_index(self, label: str, m: int, n: int) -> int:
-        return self._block_start[label] + m * self.catalog.irrep(label).dim + n
 
 
 def identity_operator(space: LinkSpace, basis_tag: str = REP) -> Operator:
@@ -231,9 +223,6 @@ def trace_diagnostic(space: LinkSpace, j: Optional[str] = None,
     j = 1/2.
     """
     u = u_matrix(space, j, basis_tag)
-    total = None
-    for m in range(u.dim):
-        for n in range(u.dim):
-            term = u.entry(m, n).dagger() @ u.entry(m, n)
-            total = term if total is None else total + term
-    return total
+    return sum((u.entry(m, n).dagger() @ u.entry(m, n)
+                for m in range(u.dim) for n in range(u.dim)),
+               0 * identity_operator(space, basis_tag))

@@ -83,14 +83,12 @@ def number_operator(space: VertexFock, mode: int = None) -> Operator:
 def bilinear(space: VertexFock, coeff: np.ndarray) -> Operator:
     """sum_ab coeff[a, b] psi_a^dag psi_b."""
     coeff = np.asarray(coeff)
-    total = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    for a in range(space.n_modes):
-        for b in range(space.n_modes):
-            if coeff[a, b] != 0:
-                total = total + coeff[a, b] * (
-                    annihilation_matrix(space.n_modes, a).conj().T
-                    @ annihilation_matrix(space.n_modes, b))
-    return Operator(space, total)
+    modes = range(space.n_modes)
+    return Operator(space, sum(
+        (coeff[a, b] * (annihilation_matrix(space.n_modes, a).conj().T
+                        @ annihilation_matrix(space.n_modes, b))
+         for a in modes for b in modes if coeff[a, b] != 0),
+        sp.csr_matrix((space.dim, space.dim), dtype=complex)))
 
 
 # ---------------------------------------------------------------------------

@@ -65,10 +65,6 @@ class ObservableReport:
     value: complex
     hermitian: bool
 
-    @property
-    def real_value(self) -> float:
-        return float(self.value.real)
-
 
 def _as_sparse(op: Union[Operator, sp.spmatrix, np.ndarray]) -> sp.csr_matrix:
     if isinstance(op, Operator):
@@ -271,14 +267,14 @@ def vortex_masses(entry: GroupCatalogEntry, j: Optional[str] = None,
     lattice = LatticeSpec(2, 2, boundary="open", include_matter=False)
     params = ModelParams(coupling=coupling, magnetic_rep=j, terms=("magnetic",))
     model = Model(entry, lattice, params, basis_tag="group")
-    ham = build_hamiltonian(model)
-    if ham.dim > DENSE_CUTOFF:
+    gb = model.global_basis
+    if gb.dim > DENSE_CUTOFF:
         raise ValueError(f"single-plaquette class spectroscopy is desk scale "
-                         f"(dim <= {DENSE_CUTOFF}), got {ham.dim}")
+                         f"(dim <= {DENSE_CUTOFF}), got {gb.dim}")
+    ham = build_hamiltonian(model)
     spectrum = eigensolve(ham, k=ham.dim, want_vectors=False)
 
     spec = entry.spec
-    gb = model.global_basis
     diag = ham.matrix.diagonal().real
     witness_link = model.lattice.plaquettes[0].links[0]
     gaps: dict[str, float] = {}

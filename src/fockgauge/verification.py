@@ -19,7 +19,6 @@ from .lattice_model import (
     REP,
     Model,
     _embed_factors,
-    _merge,
     gauss_generators,
     gauss_operator,
     hamiltonian_terms,
@@ -311,11 +310,12 @@ def _basis_agreement_residual(model: Model, names) -> float:
     """Assemble H in both link bases and compare through the Fourier unitary."""
     other_tag = GROUP if model.basis_tag == REP else REP
     mirror = Model(model.entry, model.lattice, model.params, other_tag)
+    gb = model.global_basis
     h_here, h_there = (
-        _merge(m.global_basis, [t.matrix for t in hamiltonian_terms(m, names=names).values()])
+        sum((t.matrix for t in hamiltonian_terms(m, names=names).values()),
+            sp.csr_matrix((gb.dim, gb.dim), dtype=complex))
         for m in (model, mirror))
     f_link = sp.csr_matrix(model.link_space.fourier)
-    gb = model.global_basis
     f_global = _embed_factors(gb, {gb.link_factor(link.index): [f_link]
                                    for link in model.lattice.links})
     # rep_op = F^dag group_op F

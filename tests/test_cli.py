@@ -170,6 +170,22 @@ def test_config_errors(runner, tmp_path):
     assert runner.invoke(main, ["spectrum", "-c", str(cfg)]).exit_code == 2
 
 
+@pytest.mark.parametrize("command,overrides", [
+    ("spectrum", {"tasks": [{"spectrum": {"k": "abc"}}]}),
+    ("spectrum", {"params": {"coupling": "strong", "terms": ["magnetic"]}}),
+    # the single plaquette of Z_9 has 9^4 = 6561 states, over the dense cap
+    ("vortex-masses", {"group": {"builtin": "Z_N", "params": {"N": 9}}}),
+])
+def test_bad_config_values_exit_2_with_one_line(runner, tmp_path, command, overrides):
+    cfg = write_config(tmp_path / "bad.yaml", **overrides)
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, [command, "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+    assert not out.exists()
+
+
 def test_determinism_identical_runs(runner, tmp_path):
     cfg = write_config(tmp_path / "cfg.yaml")
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

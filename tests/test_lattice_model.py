@@ -177,6 +177,30 @@ def test_full_hamiltonian_hermitian_and_gauge_invariant(z2_chain):
             assert _mabs((th @ ham - ham @ th).matrix) < 1e-12
 
 
+def test_plaquette_free_magnetic_term_keeps_full_shape(z2_chain):
+    # an empty sum over plaquettes is the zero operator on the full space,
+    # not a scalar 0 that Operator would turn into a 1x1 matrix
+    magnetic = hamiltonian_terms(z2_chain)["magnetic"]
+    assert magnetic.matrix.shape == (z2_chain.global_basis.dim,) * 2
+    assert magnetic.matrix.nnz == 0
+
+
+@pytest.mark.parametrize("group,ly,basis,weights", [
+    ("Z_2", 1, "rep", None),
+    ("D3", 2, "group", {"I": 0.0, "p": 1.0, "2": 1.0}),
+    ("D3", 2, "rep", {"I": 0.0, "p": 1.0, "2": 1.0}),
+])
+def test_hamiltonian_is_the_sum_of_its_terms(group, ly, basis, weights):
+    lat = LatticeSpec(2, ly, boundary="open", include_matter=True)
+    params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3, electric_weights=weights)
+    model = Model(build_builtin(group), lat, params, basis_tag=basis)
+    terms = hamiltonian_terms(model)
+    assert tuple(terms) == ("mass", "tunneling", "electric", "magnetic")
+    expected = sum(t.matrix for t in terms.values())
+    del terms
+    assert _mabs(build_hamiltonian(model).matrix - expected) <= 1e-14
+
+
 def test_include_hc_fault_injection():
     z2 = build_builtin("Z_2")
     lat = LatticeSpec(2, 1, boundary="open", include_matter=True)
