@@ -232,12 +232,20 @@ def _common_options(fn):
     return fn
 
 
+def _as_int(raw, name: str) -> int:
+    try:
+        return int(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from exc
+
+
 def _prepare(config_path, seed, threads, output, basis):
     doc = _load_config(config_path)
     _validate_tasks(doc)
-    seed = int(doc.get("seed", 0)) if seed is None else seed
+    if seed is None:
+        seed = _as_int(doc.get("seed", 0), "seed")
     if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
+        threads = _as_int(os.environ.get(THREADS_ENV, "1"), f"${THREADS_ENV}")
     output = output or doc.get("output")
     model = _resolve_model(doc, Path(config_path).resolve().parent, basis)
     return doc, model, seed, threads, output
@@ -325,10 +333,7 @@ def verify(config_path, seed, threads, output, basis):
 
 
 def _spectrum_payload(model, opts, seed, threads):
-    try:
-        k = int(opts.get("k", 6))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"spectrum k must be an integer: {exc}") from exc
+    k = _as_int(opts.get("k", 6), "spectrum k")
     if k < 1:
         raise ConfigError(f"spectrum k must be at least 1, got {k}")
     basis_cols = None

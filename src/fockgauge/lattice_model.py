@@ -45,6 +45,16 @@ from .matter_space import (
 )
 from .operators import Operator
 
+# Largest dimension handled with dense matrices: dense eigh, the sector
+# projector and basis, and the dense identity checks.
+DENSE_MAX_DIM = 4096
+
+
+def _check_dense_dim(model: Model, what: str) -> None:
+    dim = model.global_basis.dim
+    if dim > DENSE_MAX_DIM:
+        raise ValueError(f"{what} limited to dim {DENSE_MAX_DIM}, got {dim}")
+
 
 @dataclass(frozen=True)
 class Link:
@@ -632,6 +642,7 @@ def physical_projector(model: Model,
     if model.entry.is_lie:
         raise ValueError("character projector needs a finite group; for Lie "
                          "catalogs filter the nullspace of gauss_casimir")
+    _check_dense_dim(model, "sector projector")
     sector = sector or {}
     trivial = model.entry.trivial_label()
     return reduce(operator.matmul,
@@ -657,9 +668,7 @@ def physical_basis(model: Model, tol: float = 1e-8,
     Finite groups: eigenvectors of the sector projector with eigenvalue 1.
     Lie catalogs: null eigenvectors of the Gauss Casimir.
     """
-    dim = model.global_basis.dim
-    if dim > 4096:
-        raise ValueError(f"dense sector basis limited to dim 4096, got {dim}")
+    _check_dense_dim(model, "dense sector basis")
     if model.entry.is_lie:
         casimir = gauss_casimir(model).toarray()
         vals, vecs = np.linalg.eigh(casimir)

@@ -1,9 +1,17 @@
 """Eigensolvers and observables.
 
-Dense full diagonalization below DENSE_CUTOFF; above it a symmetric
+Dense full diagonalization up to DENSE_MAX_DIM; above it a symmetric
 Lanczos iteration with full reorthogonalization, a seeded start vector,
 and deflation restarts so degenerate levels are resolved copy by copy.
-Every reported eigenpair carries an explicit residual ||Hv - lambda v||.
+The Krylov basis and the accepted (deflation) vectors are rows of arrays
+that start at ROW_BLOCK rows and double when full, so memory follows the
+steps taken.  Each new Lanczos vector is re-orthogonalized against both
+by two unconditional classical Gram-Schmidt passes ("twice is enough",
+Daniel, Gragg, Kaufman and Stewart 1976), each pass one BLAS GEMV to
+project and one to subtract; Ritz vectors come from one GEMM on the
+basis.  Every reported eigenpair carries an explicit residual
+||Hv - lambda v||, and results count Lanczos steps, deflated runs and
+matrix-vector products.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .group_core import GroupCatalogEntry
 from .lattice_model import (
+    DENSE_MAX_DIM,
     LatticeSpec,
     Model,
     ModelParams,
@@ -25,19 +34,31 @@ from .lattice_model import (
 )
 from .operators import Operator, hermiticity_residual
 
-DENSE_CUTOFF = 4096
 LANCZOS_TOL = 1e-8
 LANCZOS_MAX_ITER = 5000
 DEGENERACY_TOL = 1e-7
 RITZ_CHECK_EVERY = 5
+ROW_BLOCK = 64          # first capacity of a row-stacked vector array
 
 
 class EigensolveError(RuntimeError):
-    def __init__(self, message: str, best_residual: Optional[float] = None):
+    def __init__(self, message: str, best_residual: Optional[float] = None,
+                 steps: int = 0, restarts: int = 0, matvecs: int = 0):
         if best_residual is not None and np.isfinite(best_residual):
             message = f"{message} (best residual {best_residual:.3e})"
         super().__init__(message)
         self.best_residual = best_residual
+        self.steps = steps
+        self.restarts = restarts
+        self.matvecs = matvecs
+
+
+@dataclass
+class _Counts:
+    """What a Lanczos solve did: steps, deflated runs, products ``mat @ x``."""
+    steps: int = 0
+    restarts: int = 0
+    matvecs: int = 0
 
 
 @dataclass
@@ -47,6 +68,11 @@ class SpectrumResult:
     residuals: np.ndarray
     method: str
     seed: int
+    # Lanczos steps, deflated runs and every ``mat @ x`` (a mat-mat product
+    # counts one per column, certificates included); 0 on the dense path
+    steps: int = 0
+    restarts: int = 0
+    matvecs: int = 0
 
     def degeneracies(self, tol: float = DEGENERACY_TOL) -> list[list[int]]:
         """Indices grouped into (numerically) degenerate levels."""
@@ -74,7 +100,7 @@ def _as_sparse(op: Union[Operator, sp.spmatrix, np.ndarray]) -> sp.csr_matrix:
 
 def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
                k: Optional[int] = None, *, seed: int = 0,
-               dense_cutoff: int = DENSE_CUTOFF,
+               dense_cutoff: int = DENSE_MAX_DIM,
                tol: float = LANCZOS_TOL,
                max_iter: int = LANCZOS_MAX_ITER,
                want_vectors: bool = True,
@@ -96,57 +122,96 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
         warnings.warn(f"requested {k} eigenvalues of a dimension-{dim} "
                       "operator; clamping", stacklevel=2)
         k = dim
+    counts = _Counts()
     if dim <= dense_cutoff:
         vals, vecs = np.linalg.eigh(mat.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
-        residuals = np.array([
-            np.linalg.norm(mat @ vecs[:, i] - vals[i] * vecs[:, i])
-            for i in range(k)])
-        return SpectrumResult(eigenvalues=vals,
-                              eigenvectors=vecs if want_vectors else None,
-                              residuals=residuals, method="dense", seed=seed)
-    vals, vecs, residuals = _lanczos_lowest(mat, k, seed=seed, tol=tol,
-                                            max_iter=max_iter)
+        method = "dense"
+    else:
+        vals, vecs = _lanczos_lowest(mat, k, seed=seed, tol=tol,
+                                     max_iter=max_iter, counts=counts)
+        counts.matvecs += k
+        method = "iterative"
     return SpectrumResult(eigenvalues=vals,
                           eigenvectors=vecs if want_vectors else None,
-                          residuals=residuals, method="iterative", seed=seed)
+                          residuals=_residuals(mat, vals, vecs),
+                          method=method, seed=seed, **vars(counts))
 
 
-def _orthogonalize(vec: np.ndarray, *bases) -> np.ndarray:
-    for basis in bases:
-        for b in basis:
-            vec = vec - b * np.vdot(b, vec)
-    return vec
+class _Rows:
+    """Row-stacked vectors in one array whose capacity doubles when full.
+
+    The array starts at ROW_BLOCK rows, so its size follows the vectors
+    actually stored, never the step budget.
+    """
+
+    def __init__(self, dim: int):
+        self._data = np.empty((ROW_BLOCK, dim), dtype=complex)
+        self.n = 0
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._data[:self.n]
+
+    def append(self, vec: np.ndarray) -> None:
+        if self.n == len(self._data):
+            grown = np.empty((2 * self.n, self._data.shape[1]), dtype=complex)
+            grown[:self.n] = self._data
+            self._data = grown
+        self._data[self.n] = vec
+        self.n += 1
 
 
-def _deflated_run(mat: sp.csr_matrix, deflate: list[np.ndarray],
-                  rng: np.random.Generator, tol: float, budget: int):
-    """One Krylov run in the orthogonal complement of ``deflate``.
+def _project_out(vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """One classical Gram-Schmidt pass: vec minus its projection on rows.
 
-    Returns (values, vectors, steps, best_residual, exhausted): the
-    residual-certified eigenpairs found (ascending, stopping at the first
-    unconverged Ritz value so nothing lower can be missed), the step count
-    consumed, and whether the complement was empty.
+    ``rows`` are orthonormal; ``(rows @ vec.conj()).conj()`` is rows^H vec
+    without copying the rows, so each product is one BLAS GEMV.
+    """
+    if not len(rows):
+        return vec
+    return vec - rows.T @ (rows @ vec.conj()).conj()
+
+
+def _residuals(mat: sp.csr_matrix, vals: np.ndarray,
+               vecs: np.ndarray) -> np.ndarray:
+    """||H v_i - lambda_i v_i|| for the columns of vecs, one sparse mat-mat."""
+    return np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
+
+
+def _deflated_run(mat: sp.csr_matrix, deflate: np.ndarray,
+                  rng: np.random.Generator, tol: float, budget: int,
+                  counts: _Counts):
+    """One Krylov run in the orthogonal complement of the rows of ``deflate``.
+
+    Returns (values, vectors, best_residual, exhausted): the residual-
+    certified eigenpairs found (ascending, vectors as rows, stopping at the
+    first unconverged Ritz value so nothing lower can be missed) and whether
+    the complement was empty.  Steps and matvecs are added to ``counts``.
     """
     dim = mat.shape[0]
     start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    start = _orthogonalize(start, deflate)
+    start = _project_out(start, deflate)
     nrm = np.linalg.norm(start)
     if nrm < 1e-12:
-        return [], [], 0, np.inf, True
-    basis = [start / nrm]
+        return [], [], np.inf, True
+    basis = _Rows(dim)
+    basis.append(start / nrm)
     alphas: list[float] = []
     betas: list[float] = []
     best_residual = np.inf
     m_cap = min(dim - len(deflate), budget)
     for step in range(m_cap):
-        w = mat @ basis[-1]
+        q = basis.rows
+        w = mat @ q[-1]
+        counts.steps += 1
+        counts.matvecs += 1
         if betas:
-            w = w - betas[-1] * basis[-2]
-        alpha = float(np.vdot(basis[-1], w).real)
-        w = w - alpha * basis[-1]
-        w = _orthogonalize(w, basis, deflate)
-        w = _orthogonalize(w, basis, deflate)   # second sweep
+            w -= betas[-1] * q[-2]
+        alpha = float(np.vdot(q[-1], w).real)
+        w -= alpha * q[-1]
+        for _ in range(2):   # twice is enough (Daniel, Gragg, Kaufman, Stewart)
+            w = _project_out(_project_out(w, q), deflate)
         alphas.append(alpha)
         beta = float(np.linalg.norm(w))
         breakdown = beta < 1e-13
@@ -154,37 +219,41 @@ def _deflated_run(mat: sp.csr_matrix, deflate: list[np.ndarray],
         if breakdown or last or (step + 1) % RITZ_CHECK_EVERY == 0:
             ritz_vals, ritz_vecs = eigh_tridiagonal(
                 np.asarray(alphas), np.asarray(betas))
-            bounds = beta * np.abs(ritz_vecs[-1, :])
-            q_mat = np.column_stack(basis)
+            order = np.argsort(ritz_vals)
+            if not breakdown:
+                # never skip an unconverged lower state
+                unconverged = beta * np.abs(ritz_vecs[-1, order]) > tol
+                if unconverged.any():
+                    order = order[:np.argmax(unconverged)]
+            candidates = ritz_vecs[:, order].T @ q   # Ritz vectors as rows
             vals: list[float] = []
-            vecs: list[np.ndarray] = []
-            for idx in np.argsort(ritz_vals):
-                if bounds[idx] > tol and not breakdown:
-                    break   # never skip an unconverged lower state
-                vec = _orthogonalize(q_mat @ ritz_vecs[:, idx], deflate, vecs)
+            for vec in candidates:
+                vec = _project_out(_project_out(vec, deflate),
+                                   candidates[:len(vals)])
                 nv = np.linalg.norm(vec)
                 if nv < 1e-8:
                     continue
                 vec = vec / nv
-                lam = float(np.vdot(vec, mat @ vec).real)
-                res = float(np.linalg.norm(mat @ vec - lam * vec))
+                hvec = mat @ vec
+                counts.matvecs += 1
+                lam = float(np.vdot(vec, hvec).real)
+                res = float(np.linalg.norm(hvec - lam * vec))
                 best_residual = min(best_residual, res)
-                if res <= tol:
-                    vals.append(lam)
-                    vecs.append(vec)
-                else:
+                if res > tol:
                     break
+                candidates[len(vals)] = vec
+                vals.append(lam)
             if vals or breakdown:
-                return vals, vecs, step + 1, best_residual, False
+                return vals, candidates[:len(vals)], best_residual, False
         if breakdown:
-            return [], [], step + 1, best_residual, False
+            break
         betas.append(beta)
         basis.append(w / beta)
-    return [], [], m_cap, best_residual, False
+    return [], [], best_residual, False
 
 
 def _lanczos_lowest(mat: sp.csr_matrix, k: int, *, seed: int,
-                    tol: float, max_iter: int):
+                    tol: float, max_iter: int, counts: _Counts):
     """Symmetric Lanczos with full reorthogonalization and deflation restarts.
 
     Each restart searches the orthogonal complement of everything accepted
@@ -196,39 +265,36 @@ def _lanczos_lowest(mat: sp.csr_matrix, k: int, *, seed: int,
     """
     rng = np.random.default_rng(seed)
     accepted_vals: list[float] = []
-    accepted_vecs: list[np.ndarray] = []
-    steps_used = 0
+    accepted = _Rows(mat.shape[0])
     best_residual = np.inf
 
+    def failure(message: str) -> EigensolveError:
+        return EigensolveError(message, best_residual=float(best_residual),
+                               **vars(counts))
+
     while True:
-        if steps_used >= max_iter:
-            raise EigensolveError(
-                f"Lanczos did not settle the {k} lowest eigenpairs within "
-                f"{max_iter} steps", best_residual=float(best_residual))
-        vals, vecs, steps, run_best, exhausted = _deflated_run(
-            mat, accepted_vecs, rng, tol, max_iter - steps_used)
-        steps_used += max(steps, 1)
+        if counts.steps >= max_iter:
+            raise failure(f"Lanczos did not settle the {k} lowest eigenpairs "
+                          f"within {max_iter} steps")
+        vals, vecs, run_best, exhausted = _deflated_run(
+            mat, accepted.rows, rng, tol, max_iter - counts.steps, counts)
+        counts.restarts += 1
         best_residual = min(best_residual, run_best)
         if exhausted:
             break
         accepted_vals.extend(vals)
-        accepted_vecs.extend(vecs)
+        for vec in vecs:
+            accepted.append(vec)
         if vals and len(accepted_vals) >= k:
             kth = np.sort(accepted_vals)[k - 1]
             if vals[0] >= kth - tol:
                 break
 
     if len(accepted_vals) < k:
-        raise EigensolveError(
-            f"Lanczos collected only {len(accepted_vals)} of {k} eigenpairs",
-            best_residual=float(best_residual))
+        raise failure(f"Lanczos collected only {len(accepted_vals)} of {k} "
+                      "eigenpairs")
     order = np.argsort(accepted_vals)[:k]
-    vals_arr = np.array([accepted_vals[i] for i in order])
-    vecs_arr = np.column_stack([accepted_vecs[i] for i in order])
-    residuals = np.array([
-        np.linalg.norm(mat @ vecs_arr[:, i] - vals_arr[i] * vecs_arr[:, i])
-        for i in range(k)])
-    return vals_arr, vecs_arr, residuals
+    return np.asarray(accepted_vals)[order], accepted.rows[order].T
 
 
 def expectation(op: Union[Operator, sp.spmatrix, np.ndarray],
@@ -268,9 +334,9 @@ def vortex_masses(entry: GroupCatalogEntry, j: Optional[str] = None,
     params = ModelParams(coupling=coupling, magnetic_rep=j, terms=("magnetic",))
     model = Model(entry, lattice, params, basis_tag="group")
     gb = model.global_basis
-    if gb.dim > DENSE_CUTOFF:
+    if gb.dim > DENSE_MAX_DIM:
         raise ValueError(f"single-plaquette class spectroscopy is desk scale "
-                         f"(dim <= {DENSE_CUTOFF}), got {gb.dim}")
+                         f"(dim <= {DENSE_MAX_DIM}), got {gb.dim}")
     ham = build_hamiltonian(model)
     spectrum = eigensolve(ham, k=ham.dim, want_vectors=False)
 

@@ -15,6 +15,7 @@ import scipy.sparse as sp
 from .clebsch_gordan import cg, decompose, verify_cg
 from .group_core import CheckResult, ValidationReport, validate
 from .lattice_model import (
+    DENSE_MAX_DIM,
     GROUP,
     REP,
     Model,
@@ -31,8 +32,6 @@ from .operators import max_abs
 
 GAUSS_PROBES = 20
 COVARIANCE_SAMPLES = 20
-BASIS_AGREEMENT_MAX_DIM = 4096
-PROJECTOR_MAX_DIM = 4096
 
 TIGHT = 1e-12
 LOOSE = 1e-10
@@ -296,12 +295,12 @@ def _check_hamiltonian(model: Model, report: ValidationReport, seed: int):
             p_v = vertex_sector_average(model, v, trivial)
             worst = max(worst, float(np.linalg.norm(p_v.matrix @ vac - vac)))
         report.add("model.vacuum_gauss_invariant", worst, LOOSE)
-        if dim <= PROJECTOR_MAX_DIM:
+        if dim <= DENSE_MAX_DIM:
             proj = physical_projector(model)
             report.add("model.projector_idempotent",
                        max_abs((proj @ proj - proj).matrix), LOOSE)
 
-    if not model.entry.is_lie and dim <= BASIS_AGREEMENT_MAX_DIM:
+    if not model.entry.is_lie and dim <= DENSE_MAX_DIM:
         report.add("model.rep_group_hamiltonian_agreement",
                    _basis_agreement_residual(model, tuple(terms)), LOOSE)
 

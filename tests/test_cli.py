@@ -186,6 +186,24 @@ def test_bad_config_values_exit_2_with_one_line(runner, tmp_path, command, overr
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "spectrum", "observables",
+                                     "vortex-masses"])
+@pytest.mark.parametrize("env,overrides", [
+    ({}, {"seed": "abc"}),
+    ({"FOCKGAUGE_THREADS": "x"}, {}),
+], ids=["seed", "threads-env"])
+def test_non_integer_seed_or_threads_exit_2_with_one_line(runner, tmp_path,
+                                                          command, env, overrides):
+    cfg = write_config(tmp_path / "bad.yaml", **overrides)
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, [command, "-c", str(cfg), "-o", str(out)],
+                           env=env)
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+    assert not out.exists()
+
+
 def test_determinism_identical_runs(runner, tmp_path):
     cfg = write_config(tmp_path / "cfg.yaml")
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -382,6 +382,25 @@ def test_physical_projector_rejects_lie():
         physical_projector(Model(su2, lat, ModelParams()))
 
 
+def test_physical_projector_over_dense_cap_raises_before_assembly(monkeypatch):
+    # D3 2x2 open with matter in the group basis: dim 331 776; the projector
+    # would be a product of 4 vertex averages of 6 full-space operators each
+    import fockgauge.lattice_model as lm
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("vertex average assembled above the dense cap")
+
+    monkeypatch.setattr(lm, "vertex_sector_average", no_assembly)
+    d3 = build_builtin("D3")
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3,
+                         electric_weights={"I": 0.0, "p": 1.0, "2": 1.0})
+    model = Model(d3, lat, params, basis_tag="group")
+    assert model.global_basis.dim > lm.DENSE_MAX_DIM
+    with pytest.raises(ValueError, match="limited to dim"):
+        physical_projector(model)
+
+
 def test_static_charge_sector():
     # a nontrivial sector at one vertex selects states transforming in it
     d3 = build_builtin("D3")

@@ -1,7 +1,11 @@
 import itertools
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import lobpcg
 
 from fockgauge.group_core import build_builtin
 from fockgauge.lattice_model import (
@@ -16,6 +20,8 @@ from fockgauge.lattice_model import (
 )
 from fockgauge.link_space import projector_rep
 from fockgauge.spectra import (
+    LANCZOS_MAX_ITER,
+    ROW_BLOCK,
     EigensolveError,
     eigensolve,
     expectation,
@@ -89,6 +95,64 @@ def test_iterative_eigenvectors_certified():
     # so all five requested states sit at the bottom energy
     assert len(result.degeneracies()[0]) == 5
     assert np.allclose(result.eigenvalues, -4.0, atol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def z2_matter_ham():
+    """Z_2 2x2 open with matter, dim 256: lowest levels 1-, 4- and 3-fold."""
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3)
+    return build_hamiltonian(Model(build_builtin("Z_2"), lat, params))
+
+
+def test_iterative_matches_dense_and_lobpcg_oracles(z2_matter_ham):
+    ham = z2_matter_ham
+    dense = eigensolve(ham, k=5)
+    iterative = eigensolve(ham, k=5, dense_cutoff=16, seed=0)
+    assert iterative.method == "iterative"
+    assert np.abs(iterative.eigenvalues - dense.eigenvalues).max() < 1e-10
+    assert [len(level) for level in iterative.degeneracies()] == [1, 4]
+    vecs = iterative.eigenvectors
+    assert np.abs(vecs.conj().T @ vecs - np.eye(5)).max() < 1e-10
+    # LOBPCG with a block of 10 spans the 1 + 4 + 3 lowest levels and more
+    start = np.random.default_rng(0).standard_normal((ham.dim, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)   # unconverged LOBPCG
+        oracle, _ = lobpcg(ham.matrix, start, largest=False, tol=1e-8,
+                           maxiter=200)
+    assert np.abs(np.sort(oracle)[:5] - iterative.eigenvalues).max() < 1e-10
+
+
+def test_solver_statistics(z2_matter_ham):
+    ham = z2_matter_ham
+    dense = eigensolve(ham, k=5)
+    assert (dense.steps, dense.restarts, dense.matvecs) == (0, 0, 0)
+    result = eigensolve(ham, k=5, dense_cutoff=16, seed=0)
+    # the 4-fold level is resolved over several deflated runs
+    assert result.restarts >= 2
+    assert result.matvecs >= result.steps > 0
+    with pytest.raises(EigensolveError) as failure:
+        eigensolve(ham, k=5, dense_cutoff=16, seed=0, max_iter=20)
+    err = failure.value
+    assert err.steps == 20 and err.restarts >= 1 and err.matvecs >= err.steps
+
+
+def test_krylov_basis_grows_with_the_steps_taken():
+    # an isolated lowest level converges in a few dozen steps; a basis sized
+    # by the step budget would be LANCZOS_MAX_ITER rows of dim 20000 (1.6 GB)
+    dim = 20000
+    diagonal = np.r_[0.0, 1.0 + np.random.default_rng(1).random(dim - 1)]
+    mat = sp.diags(diagonal).tocsr()
+    tracemalloc.start()
+    try:
+        result = eigensolve(mat, k=1, dense_cutoff=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.eigenvalues[0] == pytest.approx(0.0, abs=1e-10)
+    assert result.steps < ROW_BLOCK
+    row_bytes = dim * np.dtype(complex).itemsize
+    assert peak < 4 * ROW_BLOCK * row_bytes < LANCZOS_MAX_ITER * row_bytes
 
 
 def test_degeneracy_grouping():
