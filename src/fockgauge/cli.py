@@ -352,7 +352,7 @@ def _spectrum_payload(model, opts, seed, threads):
         "degeneracies": result.degeneracies(),
     }
     if basis_cols is not None:
-        h_red = basis_cols.conj().T @ ham.toarray() @ basis_cols
+        h_red = basis_cols.conj().T @ (ham.matrix @ basis_cols)
         vals = np.linalg.eigvalsh(h_red)
         payload["physical_sector"] = {
             "dimension": basis_cols.shape[1],

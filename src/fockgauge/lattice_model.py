@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh
 
 from .group_core import GroupCatalogEntry, character_table
 from .link_space import (
@@ -666,16 +667,17 @@ def physical_basis(model: Model, tol: float = 1e-8,
     """Dense orthonormal columns spanning the physical sector (desk scale).
 
     Finite groups: eigenvectors of the sector projector with eigenvalue 1.
-    Lie catalogs: null eigenvectors of the Gauss Casimir.
+    Lie catalogs: null eigenvectors of the Gauss Casimir.  LAPACK computes
+    only the eigenpairs in the window [centre - tol, centre + tol].
     """
     _check_dense_dim(model, "dense sector basis")
     if model.entry.is_lie:
-        casimir = gauss_casimir(model).toarray()
-        vals, vecs = np.linalg.eigh(casimir)
-        return vecs[:, np.abs(vals) <= tol]
-    proj = physical_projector(model, sector).toarray()
-    vals, vecs = np.linalg.eigh((proj + proj.conj().T) / 2.0)
-    return vecs[:, np.abs(vals - 1.0) <= tol]
+        mat, centre = gauss_casimir(model).matrix, 0.0
+    else:
+        proj = physical_projector(model, sector).matrix
+        mat, centre = (proj + proj.conj().T) / 2.0, 1.0
+    window = [np.nextafter(centre - tol, -np.inf), centre + tol]  # (lo, hi]
+    return eigh(mat.toarray(), overwrite_a=True, subset_by_value=window)[1]
 
 
 def vacuum_state(model: Model) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Eigensolvers and observables.
 
-Dense full diagonalization up to DENSE_MAX_DIM; above it a symmetric
-Lanczos iteration with full reorthogonalization, a seeded start vector,
-and deflation restarts so degenerate levels are resolved copy by copy.
+Up to DENSE_MAX_DIM a dense LAPACK solve (MRRR) computes only the k
+lowest eigenpairs; above it a symmetric Lanczos iteration with full
+reorthogonalization, a seeded start vector, and deflation restarts so
+degenerate levels are resolved copy by copy.
 The Krylov basis and the accepted (deflation) vectors are rows of arrays
 that start at ROW_BLOCK rows and double when full, so memory follows the
 steps taken.  Each new Lanczos vector is re-orthogonalized against both
@@ -22,7 +23,7 @@ from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from .group_core import GroupCatalogEntry
 from .lattice_model import (
@@ -105,7 +106,8 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
                max_iter: int = LANCZOS_MAX_ITER,
                want_vectors: bool = True,
                hermiticity_tol: float = 1e-12) -> SpectrumResult:
-    """Lowest k eigenpairs of a Hermitian operator with residual certificates."""
+    """Lowest k eigenpairs of a Hermitian operator with residual certificates
+    (up to ``dense_cutoff``, LAPACK computes only these k pairs)."""
     mat = _as_sparse(op)
     dim = mat.shape[0]
     if dim != mat.shape[1]:
@@ -124,8 +126,8 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
         k = dim
     counts = _Counts()
     if dim <= dense_cutoff:
-        vals, vecs = np.linalg.eigh(mat.toarray())
-        vals, vecs = vals[:k], vecs[:, :k]
+        vals, vecs = eigh(mat.toarray(), overwrite_a=True,
+                          subset_by_index=[0, k - 1])
         method = "dense"
     else:
         vals, vecs = _lanczos_lowest(mat, k, seed=seed, tol=tol,

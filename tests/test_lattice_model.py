@@ -375,6 +375,38 @@ def test_physical_basis_lie_nullspace():
     assert np.linalg.norm(cols @ overlap - vac) < 1e-10   # vac inside sector
 
 
+def test_physical_basis_spans_the_projector_range():
+    # D3 pure gauge 2x2 open, group basis (dim 1296): the eigenvalue-1 window
+    # must reproduce the dense character projector, not only a subspace of it
+    d3 = build_builtin("D3")
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=False)
+    model = Model(d3, lat, ModelParams(terms=("magnetic",)), basis_tag="group")
+    cols = physical_basis(model)
+    proj = physical_projector(model).toarray()
+    assert cols.shape[1] > 0
+    assert np.abs(cols @ cols.conj().T - proj).max() < 1e-10
+
+
+def test_physical_basis_lie_matches_casimir_nullity():
+    su2 = build_builtin("SU2_trunc", j_max="1/2")
+    lat = LatticeSpec(2, 1, boundary="open", include_matter=True)
+    model = Model(su2, lat, ModelParams())
+    vals = np.linalg.eigvalsh(gauss_casimir(model).toarray())
+    nullity = int(np.sum(np.abs(vals) <= 1e-8))
+    assert nullity > 0
+    assert physical_basis(model).shape[1] == nullity
+
+
+def test_physical_basis_of_an_empty_sector():
+    # one link: the trivial Gauss law at vertex 1 forces the trivial irrep,
+    # so no state carries the doublet static charge at vertex 0
+    d3 = build_builtin("D3")
+    lat = LatticeSpec(2, 1, boundary="open", include_matter=False)
+    model = Model(d3, lat, ModelParams(terms=("magnetic",)), basis_tag="group")
+    assert model.global_basis.dim == 6
+    assert physical_basis(model, sector={0: "2"}).shape == (6, 0)
+
+
 def test_physical_projector_rejects_lie():
     su2 = build_builtin("SU2_trunc", j_max="1/2")
     lat = LatticeSpec(2, 1, boundary="open", include_matter=True)

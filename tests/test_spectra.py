@@ -97,6 +97,27 @@ def test_iterative_eigenvectors_certified():
     assert np.allclose(result.eigenvalues, -4.0, atol=1e-10)
 
 
+def test_dense_branch_matches_full_eigh_oracle():
+    # D3 2x2 open pure gauge in the group basis (dim 1296); the oracle is a
+    # full np.linalg.eigvalsh, independent of the subset solve
+    d3 = build_builtin("D3")
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=False)
+    params = ModelParams(coupling=1.1,
+                         electric_weights={"I": 0.0, "p": 1.0, "2": 1.0})
+    ham = build_hamiltonian(Model(d3, lat, params, basis_tag="group"))
+    assert ham.dim == 1296
+    oracle = np.linalg.eigvalsh(ham.toarray())
+    # the smallest k whose last pair sits inside a degenerate level
+    cut = next(k for k in range(1, ham.dim) if oracle[k] - oracle[k - 1] < 1e-9)
+    for k in (cut, ham.dim):
+        result = eigensolve(ham, k=k)
+        assert result.method == "dense" and len(result.eigenvalues) == k
+        assert np.abs(result.eigenvalues - oracle[:k]).max() < 1e-12
+        vecs = result.eigenvectors
+        assert np.abs(vecs.conj().T @ vecs - np.eye(k)).max() < 1e-12
+        assert result.residuals.max() <= 1e-10
+
+
 @pytest.fixture(scope="module")
 def z2_matter_ham():
     """Z_2 2x2 open with matter, dim 256: lowest levels 1-, 4- and 3-fold."""
