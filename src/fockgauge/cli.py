@@ -5,8 +5,18 @@ are written as a JSON file whose content depends only on the configuration
 and seed, never on wall-clock; the thread count appears only in its
 ``threads`` field.  Timings go to stderr.
 
-Exit codes: 0 success, 1 task failure (failed invariant, non-convergence),
-2 configuration or input error.
+The model commands (verify, spectrum, observables, vortex-masses) share one
+runner, ``_model_command``, and one failure contract.  Exit 2 with one
+``config error:`` line: an unreadable or malformed config or group file, a
+non-integer seed, $FOCKGAUGE_THREADS or spectrum k, a section or value of
+the wrong type (``params``, ``electric_weights`` and ``group.params`` are
+mappings; ``terms`` and observable ``names`` are lists), an unknown term,
+observable or state, missing electric weights, an output path whose
+directory does not exist, and a request over a dense cap.  All of these
+are raised before any Hamiltonian is assembled.  Exit 1 with one
+``eigensolve failed:`` line: an eigensolver that does not certify its
+pairs.  Neither writes an output file.  A verify report with a failed
+check is written, then exits 1.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from .lattice_model import (
     Model,
     ModelParams,
     build_hamiltonian,
+    embed_link,
     hamiltonian_terms,
     physical_basis,
     plaquette_trace,
@@ -66,6 +77,14 @@ def _load_config(path: str) -> dict:
     return doc
 
 
+def _optional(raw, kind: type, what: str):
+    """``raw`` if it is None or a ``kind`` (dict, list or str), else a config error."""
+    if raw is not None and not isinstance(raw, kind):
+        kind_name = {dict: "mapping", list: "list", str: "string"}[kind]
+        raise ConfigError(f"{what} must be a {kind_name}, got {raw!r}")
+    return raw
+
+
 def _resolve_group(doc: dict, config_dir: Path) -> GroupCatalogEntry:
     group = doc.get("group")
     if not isinstance(group, dict):
@@ -80,10 +99,10 @@ def _resolve_group(doc: dict, config_dir: Path) -> GroupCatalogEntry:
     name = group.get("builtin")
     if not name:
         raise ConfigError("group section needs 'builtin' or 'file'")
-    params = group.get("params") or {}
+    params = _optional(group.get("params"), dict, "group params") or {}
     try:
         return build_builtin(str(name), **params)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad group spec: {exc}") from exc
 
 
@@ -110,54 +129,50 @@ def _resolve_model(doc: dict, config_dir: Path, basis_override: Optional[str]) -
             lx=int(lat_doc["lx"]), ly=int(lat_doc["ly"]),
             boundary=lat_doc.get("boundary", "open"),
             include_matter=bool(lat_doc.get("include_matter", False)))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad lattice spec: {exc}") from exc
     basis = basis_override or doc.get("basis", REP)
     if basis not in (REP, GROUP):
         raise ConfigError(f"basis must be 'rep' or 'group', got {basis!r}")
-    p_doc = doc.get("params") or {}
+    p_doc = _optional(doc.get("params"), dict, "params") or {}
+    weights = _optional(p_doc.get("electric_weights"), dict, "electric_weights")
     try:
-        weights = p_doc.get("electric_weights")
-        if weights is not None:
-            weights = {str(k): float(v) for k, v in weights.items()}
         params = ModelParams(
             mass=float(p_doc.get("mass", 0.0)),
             epsilon=_resolve_epsilon(p_doc.get("epsilon")),
             coupling=float(p_doc.get("coupling", 1.0)),
-            electric_weights=weights,
+            electric_weights=(None if weights is None else
+                              {str(k): float(v) for k, v in weights.items()}),
             magnetic_rep=(str(p_doc["magnetic_rep"])
                           if "magnetic_rep" in p_doc else None),
             staggered=bool(p_doc.get("staggered", True)),
-            terms=p_doc.get("terms"),
+            terms=_optional(p_doc.get("terms"), list, "terms"),
             include_hc=bool(p_doc.get("include_hc", True)),
         )
         model = Model(entry, lattice, params, basis_tag=basis)
-        model.terms  # force parameter validation
+        if "electric" in model.terms:  # model.terms validates the term list
+            model.electric_weights()
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return model
 
 
-def _validate_tasks(doc: dict) -> None:
+def _task_options(doc: dict, task_name: str) -> dict:
+    """Options of the config's entry for one task, {} if it has none."""
     tasks = doc.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         raise ConfigError("config needs a nonempty 'tasks' list")
-
-
-def _task_options(doc: dict, task_name: str):
-    """Options of one entry of the config tasks list, {} if not configured."""
-    tasks = doc.get("tasks")
+    opts = {}
     for item in tasks:
-        if isinstance(item, str) and item == task_name:
-            return {}
         if isinstance(item, dict) and task_name in item:
             value = item[task_name]
-            if value is None:
-                return {}
-            if isinstance(value, dict):
-                return value
-            return {"names": value}
-    return {}
+            opts = value if isinstance(value, dict) else (
+                {} if value is None else {"names": value})
+            break
+        if item == task_name:
+            break
+    _optional(opts.get("names"), list, f"{task_name} names")
+    return opts
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +197,12 @@ def _jsonify(obj):
     return obj
 
 
-def _emit(payload: dict, output: Optional[str], echo: bool = True):
+def _emit(payload: dict, output: Optional[str]):
     text = json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
     if output:
         Path(output).write_text(text)
         click.echo(f"wrote {output}", err=True)
-    elif echo:
+    else:
         click.echo(text, nl=False)
 
 
@@ -198,17 +213,6 @@ def _result_skeleton(doc: dict, seed: int, threads: int) -> dict:
         "threads": threads,
         "config": doc,
         "tasks": {},
-    }
-
-
-def _report_to_payload(report) -> dict:
-    return {
-        "passed": report.passed,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "residual": c.residual,
-             "tolerance": c.tolerance}
-            for c in report.checks
-        ],
     }
 
 
@@ -237,18 +241,6 @@ def _as_int(raw, name: str) -> int:
         return int(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be an integer, got {raw!r}") from exc
-
-
-def _prepare(config_path, seed, threads, output, basis):
-    doc = _load_config(config_path)
-    _validate_tasks(doc)
-    if seed is None:
-        seed = _as_int(doc.get("seed", 0), "seed")
-    if threads is None:
-        threads = _as_int(os.environ.get(THREADS_ENV, "1"), f"${THREADS_ENV}")
-    output = output or doc.get("output")
-    model = _resolve_model(doc, Path(config_path).resolve().parent, basis)
-    return doc, model, seed, threads, output
 
 
 @click.group()
@@ -310,29 +302,71 @@ def group_info(name, params, file_path):
                f"(max residual {report.max_residual:.3e})")
 
 
-@main.command()
-@_common_options
-def verify(config_path, seed, threads, output, basis):
+def _model_command(name: str, passed=lambda payload: True):
+    """Register ``task(model, options, seed) -> payload`` as command ``name``;
+    the payload goes under ``tasks`` with dashes in ``name`` made underscores.
+
+    The one failure contract of the model commands: a ConfigError or
+    GroupFileError exits 2 with one ``config error:`` line and an
+    EigensolveError exits 1 with one ``eigensolve failed:`` line, both
+    before any output is written.  A payload that ``passed`` rejects (a
+    failed verify report) is written and then exits 1.
+    """
+    def register(task):
+        @main.command(name, help=task.__doc__)
+        @_common_options
+        def command(config_path, seed, threads, output, basis):
+            t0 = time.time()
+            try:
+                doc = _load_config(config_path)
+                opts = _task_options(doc, name)
+                if seed is None:
+                    seed = _as_int(doc.get("seed", 0), "seed")
+                if threads is None:
+                    threads = _as_int(os.environ.get(THREADS_ENV, "1"),
+                                      f"${THREADS_ENV}")
+                output = output or _optional(doc.get("output"), str, "output")
+                if output and not Path(output).parent.is_dir():
+                    raise ConfigError(f"output directory of {output} does not exist")
+                model = _resolve_model(doc, Path(config_path).resolve().parent,
+                                       basis)
+                result = task(model, opts, seed)
+            except (ConfigError, GroupFileError) as exc:
+                click.echo(f"config error: {exc}", err=True)
+                sys.exit(2)
+            except EigensolveError as exc:
+                click.echo(f"eigensolve failed: {exc}", err=True)
+                sys.exit(1)
+            payload = _result_skeleton(doc, seed, threads)
+            payload["tasks"][name.replace("-", "_")] = result
+            _emit(payload, output)
+            ok = passed(result)
+            click.echo(f"{name}: {'done' if ok else 'FAIL'} in "
+                       f"{time.time() - t0:.2f}s", err=True)
+            sys.exit(0 if ok else 1)
+        return task
+    return register
+
+
+@_model_command("verify", passed=lambda payload: payload["passed"])
+def _verify_payload(model, opts, seed):
     """Run the full identity suite for the configured model."""
-    t0 = time.time()
-    try:
-        doc, model, seed, threads, output = _prepare(
-            config_path, seed, threads, output, basis)
-    except (ConfigError, GroupFileError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
     report = verify_model(model, seed=seed)
-    payload = _result_skeleton(doc, seed, threads)
-    payload["tasks"]["verify"] = _report_to_payload(report)
-    _emit(payload, output)
     for check in report.checks:
         click.echo(str(check), err=True)
-    click.echo(f"verify: {'PASS' if report.passed else 'FAIL'} "
-               f"({len(report.checks)} checks, {time.time() - t0:.2f}s)", err=True)
-    sys.exit(0 if report.passed else 1)
+    return {
+        "passed": report.passed,
+        "checks": [
+            {"name": c.name, "passed": c.passed, "residual": c.residual,
+             "tolerance": c.tolerance}
+            for c in report.checks
+        ],
+    }
 
 
-def _spectrum_payload(model, opts, seed, threads):
+@_model_command("spectrum")
+def _spectrum_payload(model, opts, seed):
+    """Lowest eigenvalues, degeneracy table, optional physical-sector spectrum."""
     k = _as_int(opts.get("k", 6), "spectrum k")
     if k < 1:
         raise ConfigError(f"spectrum k must be at least 1, got {k}")
@@ -343,7 +377,7 @@ def _spectrum_payload(model, opts, seed, threads):
             basis_cols = physical_basis(model)
         except ValueError as exc:
             raise ConfigError(f"physical sector: {exc}") from exc
-    ham = build_hamiltonian(model, threads=threads)
+    ham = build_hamiltonian(model)
     result = eigensolve(ham, k=k, seed=seed)
     payload = {
         "method": result.method,
@@ -361,57 +395,46 @@ def _spectrum_payload(model, opts, seed, threads):
     return payload
 
 
-@main.command()
-@_common_options
-def spectrum(config_path, seed, threads, output, basis):
-    """Lowest eigenvalues, degeneracy table, optional physical-sector spectrum."""
-    t0 = time.time()
-    try:
-        doc, model, seed, threads, output = _prepare(
-            config_path, seed, threads, output, basis)
-        opts = _task_options(doc, "spectrum")
-    except (ConfigError, GroupFileError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    payload = _result_skeleton(doc, seed, threads)
-    try:
-        payload["tasks"]["spectrum"] = _spectrum_payload(model, opts, seed, threads)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    except EigensolveError as exc:
-        click.echo(f"eigensolve failed: {exc}", err=True)
-        sys.exit(1)
-    _emit(payload, output)
-    click.echo(f"spectrum done in {time.time() - t0:.2f}s", err=True)
-
-
 OBSERVABLE_NAMES = ("electric_energy", "magnetic_energy", "mass_energy",
                     "tunneling_energy", "plaquette_trace", "trivial_rep_weight")
 
 
-def _observable_values(model, names, state, threads):
+@_model_command("observables")
+def _observables_payload(model, opts, seed):
+    """Expectation values on the ground state (or the bare vacuum)."""
+    names = opts.get("names") or ["electric_energy", "plaquette_trace"]
+    state_kind = opts.get("state", "ground")
+    for name in names:  # every check before any assembly
+        if name not in OBSERVABLE_NAMES:
+            raise ConfigError(f"unknown observable {name!r}; "
+                              f"known: {OBSERVABLE_NAMES}")
+        term = name.removesuffix("_energy")
+        if name.endswith("_energy") and term not in model.terms:
+            raise ConfigError(f"model has no {term} term")
+        if name == "plaquette_trace" and not model.lattice.plaquettes:
+            raise ConfigError("model has no plaquettes")
+    if state_kind == "vacuum":
+        state = vacuum_state(model)
+    elif state_kind == "ground":
+        state = eigensolve(build_hamiltonian(model), k=1, seed=seed).eigenvectors[:, 0]
+    else:
+        raise ConfigError(f"unknown state {state_kind!r}")
     values = {}
     terms = None
     for name in names:
         if name.endswith("_energy"):
             if terms is None:
-                terms = hamiltonian_terms(model, threads=threads)
-            term_key = name.removesuffix("_energy")
-            if term_key not in terms:
-                raise ConfigError(f"model has no {term_key} term")
-            values[name] = expectation(terms[term_key], state, name).value
+                terms = hamiltonian_terms(model)
+            values[name] = expectation(terms[name.removesuffix("_energy")],
+                                       state, name).value
         elif name == "plaquette_trace":
-            if not model.lattice.plaquettes:
-                raise ConfigError("model has no plaquettes")
             acc = 0.0
             for p in range(len(model.lattice.plaquettes)):
                 w = plaquette_trace(model, p)
                 herm = 0.5 * (w.matrix + w.matrix.conj().T)
                 acc += expectation(herm, state, name).value
             values[name] = acc / len(model.lattice.plaquettes)
-        elif name == "trivial_rep_weight":
-            from .lattice_model import embed_link
+        else:  # trivial_rep_weight
             proj = projector_rep(model.link_space, model.entry.trivial_label()
                                  ).to_basis(model.basis_tag)
             acc = 0.0
@@ -419,65 +442,17 @@ def _observable_values(model, names, state, threads):
                 acc += expectation(embed_link(model, proj, link.index),
                                    state, name).value
             values[name] = acc / max(model.lattice.n_links, 1)
-        else:
-            raise ConfigError(f"unknown observable {name!r}; "
-                              f"known: {OBSERVABLE_NAMES}")
-    return values
+    return {"state": state_kind, "values": values}
 
 
-@main.command()
-@_common_options
-def observables(config_path, seed, threads, output, basis):
-    """Expectation values on the ground state (or the bare vacuum)."""
-    try:
-        doc, model, seed, threads, output = _prepare(
-            config_path, seed, threads, output, basis)
-        opts = _task_options(doc, "observables")
-        names = opts.get("names") or ["electric_energy", "plaquette_trace"]
-        state_kind = opts.get("state", "ground")
-    except (ConfigError, GroupFileError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    try:
-        if state_kind == "vacuum":
-            state = vacuum_state(model)
-        elif state_kind == "ground":
-            ham = build_hamiltonian(model, threads=threads)
-            state = eigensolve(ham, k=1, seed=seed).eigenvectors[:, 0]
-        else:
-            click.echo(f"config error: unknown state {state_kind!r}", err=True)
-            sys.exit(2)
-        values = _observable_values(model, names, state, threads)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    except EigensolveError as exc:
-        click.echo(f"eigensolve failed: {exc}", err=True)
-        sys.exit(1)
-    payload = _result_skeleton(doc, seed, threads)
-    payload["tasks"]["observables"] = {"state": state_kind, "values": values}
-    _emit(payload, output)
-
-
-@main.command("vortex-masses")
-@_common_options
-def vortex_masses_cmd(config_path, seed, threads, output, basis):
+@_model_command("vortex-masses")
+def _vortex_masses_payload(model, opts, seed):
     """Per-conjugacy-class magnetic excitation gaps on a single plaquette."""
     try:
-        doc, model, seed, threads, output = _prepare(
-            config_path, seed, threads, output, basis)
-    except (ConfigError, GroupFileError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    try:
-        gaps = vortex_masses(model.entry, j=model.magnetic_rep,
+        return vortex_masses(model.entry, j=model.magnetic_rep,
                              coupling=model.params.coupling)
-    except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    payload = _result_skeleton(doc, seed, threads)
-    payload["tasks"]["vortex_masses"] = gaps
-    _emit(payload, output)
+    except ValueError as exc:  # Lie catalog, or over the dense cap
+        raise ConfigError(str(exc)) from exc
 
 
 if __name__ == "__main__":

@@ -49,6 +49,8 @@ from .operators import Operator
 # Largest dimension handled with dense matrices: dense eigh, the sector
 # projector and basis, and the dense identity checks.
 DENSE_MAX_DIM = 4096
+# Half-width of the eigenvalue window that physical_basis keeps.
+SECTOR_TOL = 1e-8
 
 
 def _check_dense_dim(model: Model, what: str) -> None:
@@ -559,19 +561,15 @@ def hamiltonian_terms(model: Model, threads: int = 1,
                       names: Optional[Sequence[str]] = None) -> dict[str, Operator]:
     """Each enabled Hamiltonian piece as its own global operator.
 
-    Assembly runs on one thread.  ``threads`` is accepted so callers can
-    pass on the thread count they record; it does not change the result.
+    Assembly runs on one thread; ``threads`` is ignored.
     """
     return {name: Operator(model.global_basis, _TERMS[name](model))
             for name in (model.terms if names is None else names)}
 
 
-def build_hamiltonian(model: Model, threads: int = 1) -> Operator:
-    """Assemble the full Hamiltonian: the enabled terms summed in model.terms order.
-
-    ``threads`` is recorded only, as in hamiltonian_terms.
-    """
-    terms = hamiltonian_terms(model, threads=threads)
+def build_hamiltonian(model: Model) -> Operator:
+    """Assemble the full Hamiltonian: the enabled terms summed in model.terms order."""
+    terms = hamiltonian_terms(model)
     gb = model.global_basis
     return Operator(gb, sum((t.matrix for t in terms.values()), _zero(gb)))
 
@@ -662,13 +660,13 @@ def vertex_sector_average(model: Model, vertex: int, sector_label: str) -> Opera
                              for g in range(spec.order)), _zero(gb)))
 
 
-def physical_basis(model: Model, tol: float = 1e-8,
+def physical_basis(model: Model,
                    sector: Optional[dict[int, str]] = None) -> np.ndarray:
     """Dense orthonormal columns spanning the physical sector (desk scale).
 
     Finite groups: eigenvectors of the sector projector with eigenvalue 1.
     Lie catalogs: null eigenvectors of the Gauss Casimir.  LAPACK computes
-    only the eigenpairs in the window [centre - tol, centre + tol].
+    only the eigenpairs in the window [centre - SECTOR_TOL, centre + SECTOR_TOL].
     """
     _check_dense_dim(model, "dense sector basis")
     if model.entry.is_lie:
@@ -676,7 +674,8 @@ def physical_basis(model: Model, tol: float = 1e-8,
     else:
         proj = physical_projector(model, sector).matrix
         mat, centre = (proj + proj.conj().T) / 2.0, 1.0
-    window = [np.nextafter(centre - tol, -np.inf), centre + tol]  # (lo, hi]
+    # scipy's value window is half-open, (lo, hi]
+    window = [np.nextafter(centre - SECTOR_TOL, -np.inf), centre + SECTOR_TOL]
     return eigh(mat.toarray(), overwrite_a=True, subset_by_value=window)[1]
 
 

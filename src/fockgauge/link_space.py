@@ -116,14 +116,6 @@ class UOperator:
         """(U^dag)_{mn} = (U_{nm})^dag."""
         return self.entries[n][m].dagger()
 
-    def to_basis(self, basis_tag: str) -> "UOperator":
-        if basis_tag == self.basis_tag:
-            return self
-        return UOperator(
-            space=self.space, j=self.j, basis_tag=basis_tag,
-            entries=[[op.to_basis(basis_tag) for op in row] for row in self.entries],
-            dropped=list(self.dropped))
-
 
 def u_matrix(space: LinkSpace, j: Optional[str] = None, basis_tag: str = REP) -> UOperator:
     """Build the connection U^j as a dim(j) x dim(j) matrix of link operators.

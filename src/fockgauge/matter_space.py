@@ -34,10 +34,6 @@ class VertexFock:
         self.n_modes = n_modes
         self.parity = parity
         self.dim = 1 << n_modes
-        self.basis = np.arange(self.dim)
-
-    def occupation(self, state: int) -> tuple[int, ...]:
-        return tuple((state >> a) & 1 for a in range(self.n_modes))
 
     def occupied_modes(self, state: int) -> tuple[int, ...]:
         return tuple(a for a in range(self.n_modes) if (state >> a) & 1)

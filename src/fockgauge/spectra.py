@@ -33,7 +33,7 @@ from .lattice_model import (
     ModelParams,
     build_hamiltonian,
 )
-from .operators import Operator, hermiticity_residual
+from .operators import HERMITICITY_TOL, Operator, hermiticity_residual
 
 LANCZOS_TOL = 1e-8
 LANCZOS_MAX_ITER = 5000
@@ -102,18 +102,21 @@ def _as_sparse(op: Union[Operator, sp.spmatrix, np.ndarray]) -> sp.csr_matrix:
 def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
                k: Optional[int] = None, *, seed: int = 0,
                dense_cutoff: int = DENSE_MAX_DIM,
-               tol: float = LANCZOS_TOL,
                max_iter: int = LANCZOS_MAX_ITER,
-               want_vectors: bool = True,
-               hermiticity_tol: float = 1e-12) -> SpectrumResult:
-    """Lowest k eigenpairs of a Hermitian operator with residual certificates
-    (up to ``dense_cutoff``, LAPACK computes only these k pairs)."""
+               want_vectors: bool = True) -> SpectrumResult:
+    """Lowest k eigenpairs of a Hermitian operator with residual certificates.
+
+    An operator whose Hermiticity residual exceeds HERMITICITY_TOL raises
+    EigensolveError.  Up to ``dense_cutoff`` LAPACK computes only the k
+    pairs; above it Lanczos certifies each pair to LANCZOS_TOL within
+    ``max_iter`` steps, or raises EigensolveError.
+    """
     mat = _as_sparse(op)
     dim = mat.shape[0]
     if dim != mat.shape[1]:
         raise ValueError("operator must be square")
     herm_res = hermiticity_residual(mat)
-    if herm_res > hermiticity_tol:
+    if herm_res > HERMITICITY_TOL:
         raise EigensolveError(
             f"operator is not Hermitian (residual {herm_res:.3e})")
     if k is None:
@@ -130,7 +133,7 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
                           subset_by_index=[0, k - 1])
         method = "dense"
     else:
-        vals, vecs = _lanczos_lowest(mat, k, seed=seed, tol=tol,
+        vals, vecs = _lanczos_lowest(mat, k, seed=seed, tol=LANCZOS_TOL,
                                      max_iter=max_iter, counts=counts)
         counts.matvecs += k
         method = "iterative"
@@ -312,7 +315,7 @@ def expectation(op: Union[Operator, sp.spmatrix, np.ndarray],
     if abs(norm - 1.0) > normalized_tol:
         raise ValueError(f"state is not normalized (norm {norm})")
     value = complex(np.vdot(state, mat @ state))
-    hermitian = hermiticity_residual(mat) <= 1e-12
+    hermitian = hermiticity_residual(mat) <= HERMITICITY_TOL
     if hermitian and abs(value.imag) > 1e-10:
         raise ValueError(
             f"Hermitian observable produced imaginary part {value.imag:.3e}")

@@ -52,7 +52,7 @@ def verify_model(model: Model, seed: int = 0) -> ValidationReport:
 
 # ---------------------------------------------------------------------------
 
-def _sample_elements(model: Model, seed: int, count: int):
+def _sample_elements(model: Model, seed: int):
     """Group elements to probe with: all of them (finite) or random angles (Lie)."""
     if not model.entry.is_lie:
         return list(range(model.entry.spec.order))
@@ -66,7 +66,7 @@ def _check_theta(model: Model, report: ValidationReport, seed: int):
     entry = model.entry
     from .link_space import theta_left, theta_right, theta_group_basis
 
-    elements = _sample_elements(model, seed, COVARIANCE_SAMPLES)
+    elements = _sample_elements(model, seed)
     unit = 0.0
     lr_comm = 0.0
     thetas = [(theta_left(space, g), theta_right(space, g)) for g in elements]
@@ -113,7 +113,7 @@ def _check_u(model: Model, report: ValidationReport, seed: int):
     u = u_matrix(space, model.magnetic_rep, REP)
     dim_j = u.dim
     dmats = entry.irrep(model.magnetic_rep)
-    elements = _sample_elements(model, seed + 1, COVARIANCE_SAMPLES)
+    elements = _sample_elements(model, seed + 1)
 
     cov = 0.0
     for g in elements:
@@ -215,7 +215,7 @@ def _check_matter(model: Model, report: ValidationReport):
             acar = max(acar, max_abs(anti_mixed - expect))
     report.add("matter.anticommutation", acar, 0.0)
 
-    elements = _sample_elements(model, 0, COVARIANCE_SAMPLES)
+    elements = _sample_elements(model, 0)
     for parity in (0, 1):
         vf = VertexFock(n, parity)
         thetas = [theta_q(vf, entry, g).toarray() for g in elements]

@@ -175,6 +175,22 @@ def test_config_errors(runner, tmp_path):
     ("spectrum", {"params": {"coupling": "strong", "terms": ["magnetic"]}}),
     # the single plaquette of Z_9 has 9^4 = 6561 states, over the dense cap
     ("vortex-masses", {"group": {"builtin": "Z_N", "params": {"N": 9}}}),
+    # D3 has no default electric weights
+    *[(command, {"group": {"builtin": "D3"},
+                 "lattice": {"lx": 2, "ly": 1, "boundary": "open",
+                             "include_matter": False},
+                 "params": {"coupling": 1.0, "terms": ["electric"]}})
+      for command in ("spectrum", "observables", "verify")],
+    *[(command, {"params": {"coupling": 1.0, "electric_weights": [1, 2]}})
+      for command in ("spectrum", "observables", "verify", "vortex-masses")],
+    ("spectrum", {"params": {"coupling": 1.0, "terms": "magnetic"}}),
+    ("observables", {"tasks": [{"observables": {"names": "electric_energy"}}]}),
+    ("observables", {"tasks": [{"observables": "magnetic_energy"}]}),
+    ("observables", {"tasks": [{"observables": {"state": "excited"}}]}),
+    ("observables", {"tasks": [{"observables": {"names": ["mass_energy"]}}]}),
+    ("spectrum", {"params": [1.0]}),
+    ("spectrum", {"group": {"builtin": "Z_N", "params": [3]}}),
+    ("spectrum", {"lattice": {"lx": [2], "ly": 1}}),
 ])
 def test_bad_config_values_exit_2_with_one_line(runner, tmp_path, command, overrides):
     cfg = write_config(tmp_path / "bad.yaml", **overrides)
@@ -184,6 +200,27 @@ def test_bad_config_values_exit_2_with_one_line(runner, tmp_path, command, overr
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), lines
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,overrides,message", [
+    ("spectrum", {"params": {"coupling": 1.0, "terms": "magnetic"}},
+     "terms must be a list"),
+    ("observables", {"tasks": [{"observables": {"names": "electric_energy"}}]},
+     "observables names must be a list"),
+    ("spectrum", {"output": "no_such_dir/out.json"}, "does not exist"),
+])
+def test_config_error_names_the_bad_value(runner, tmp_path, monkeypatch, command,
+                                          overrides, message):
+    # a bare string is rejected, not read character by character as a list of
+    # unknown names; the output directory is checked before the task runs
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "bad.yaml", **overrides)
+    result = runner.invoke(main, [command, "-c", str(cfg)])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+    assert message in lines[0], lines[0]
+    assert not (tmp_path / "no_such_dir").exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum", "observables",
@@ -309,4 +346,48 @@ def test_spectrum_config_errors_fail_before_assembly(runner, tmp_path, monkeypat
     result = runner.invoke(main, ["spectrum", "-c", str(cfg), "-o", str(out)])
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("config error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("basis", ["rep", "group"])
+def test_observables_on_the_vacuum_take_closed_form_values(runner, tmp_path, basis):
+    # the strong-coupling vacuum carries the trivial irrep on every link: its
+    # projector reads 1, and every Wilson loop and Z_3 electric weight reads 0
+    names = ["trivial_rep_weight", "plaquette_trace", "electric_energy",
+             "magnetic_energy"]
+    cfg = write_config(tmp_path / "vac.yaml", group={"builtin": "Z_3"},
+                       lattice={"lx": 2, "ly": 2, "boundary": "open",
+                                "include_matter": False},
+                       params={"coupling": 1.0}, basis=basis,
+                       tasks=[{"observables": {"names": names, "state": "vacuum"}}])
+    out = tmp_path / "vac.json"
+    result = runner.invoke(main, ["observables", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    task = json.loads(out.read_text())["tasks"]["observables"]
+    assert task["state"] == "vacuum"
+    values = {name: complex(*value) for name, value in task["values"].items()}
+    assert set(values) == set(names)
+    expected = {"trivial_rep_weight": 1.0, "plaquette_trace": 0.0,
+                "electric_energy": 0.0, "magnetic_energy": 0.0}
+    for name, value in expected.items():
+        assert abs(values[name] - value) <= 1e-12, (name, values[name])
+
+
+@pytest.mark.parametrize("command", ["spectrum", "observables"])
+def test_eigensolve_failure_exits_1_with_one_line(runner, tmp_path, monkeypatch,
+                                                  command):
+    import fockgauge.cli as cli
+
+    def no_convergence(*args, **kwargs):
+        raise cli.EigensolveError("Lanczos collected only 0 of 1 eigenpairs",
+                                  best_residual=1e-3)
+
+    monkeypatch.setattr(cli, "eigensolve", no_convergence)
+    cfg = write_config(tmp_path / "cfg.yaml")
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, [command, "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 1, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("eigensolve failed:"), lines
+    assert "best residual" in lines[0]
     assert not out.exists()
