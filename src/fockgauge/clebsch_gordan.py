@@ -20,7 +20,8 @@ from .group_core import GroupCatalogEntry, format_j, parse_j_label
 
 INTEGRALITY_TOL = 1e-9
 PHASE_PICK_TOL = 1e-9
-LIE_SAMPLE_COUNT = 50
+LIE_SAMPLE_COUNT = 50       # rotations probed by verify_cg
+NUMERIC_SAMPLE_COUNT = 24   # rotations stacked by cg_numeric
 LIE_SAMPLE_SEED = 2203
 
 
@@ -89,12 +90,11 @@ def decompose(entry: GroupCatalogEntry, J: str, j: Optional[str] = None) -> Prod
         return ProductDecomposition(J=J, j=j, terms=[], dropped=[str(k)])
 
     spec = entry.spec
-    chi_J = np.einsum("gii->g", entry.irrep(J).matrices)
-    chi_j = np.einsum("gii->g", entry.irrep(j).matrices)
+    chi_J = entry.irrep(J).characters
+    chi_j = entry.irrep(j).characters
     terms = []
     for ir in entry.irreps:
-        chi_K = np.einsum("gii->g", ir.matrices)
-        mult = np.sum(chi_K.conj() * chi_J * chi_j) / spec.order
+        mult = np.sum(ir.characters.conj() * chi_J * chi_j) / spec.order
         rounded = int(round(mult.real))
         if abs(mult - rounded) > INTEGRALITY_TOL:
             raise ValueError(
@@ -190,37 +190,20 @@ def _fix_phase(coeffs: np.ndarray) -> None:
             return
 
 
-def verify_cg(entry: GroupCatalogEntry, tensor: CGTensor,
-              n_samples: int = LIE_SAMPLE_COUNT, seed: int = LIE_SAMPLE_SEED) -> float:
+def verify_cg(entry: GroupCatalogEntry, tensor: CGTensor) -> float:
     """Max intertwiner residual over all elements (finite) or sampled rotations (Lie)."""
     a = tensor.matrix()
     ir_J, ir_j, ir_K = (entry.irrep(tensor.J), entry.irrep(tensor.j),
                         entry.irrep(tensor.K))
     worst = 0.0
-    for d_J, d_j, d_K in _representation_samples(entry, ir_J, ir_j, ir_K,
-                                                 n_samples, seed):
-        lhs = np.kron(d_J, d_j) @ a
-        rhs = a @ d_K
+    for g in entry.elements(LIE_SAMPLE_COUNT, LIE_SAMPLE_SEED):
+        lhs = np.kron(ir_J.matrix(g), ir_j.matrix(g)) @ a
+        rhs = a @ ir_K.matrix(g)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
 
-def _representation_samples(entry, ir_J, ir_j, ir_K, n_samples, seed):
-    if not entry.is_lie:
-        for g in range(entry.spec.order):
-            yield ir_J.matrix(g), ir_j.matrix(g), ir_K.matrix(g)
-        return
-    rng = np.random.default_rng(seed)
-    n_angles = entry.n_generator_components
-    for _ in range(n_samples):
-        alpha = rng.uniform(-np.pi, np.pi, size=n_angles)
-        yield (np.atleast_2d(ir_J.matrix_angle(alpha)),
-               np.atleast_2d(ir_j.matrix_angle(alpha)),
-               np.atleast_2d(ir_K.matrix_angle(alpha)))
-
-
-def cg_numeric(entry: GroupCatalogEntry, J: str, j: str, K: str,
-               n_samples: int = 24, seed: int = LIE_SAMPLE_SEED) -> CGTensor:
+def cg_numeric(entry: GroupCatalogEntry, J: str, j: str, K: str) -> CGTensor:
     """Coefficients from the invariance constraints at sampled rotations.
 
     Independent construction used to cross-check the closed forms: stack the
@@ -231,11 +214,10 @@ def cg_numeric(entry: GroupCatalogEntry, J: str, j: str, K: str,
     ir_J, ir_j, ir_K = entry.irrep(J), entry.irrep(j), entry.irrep(K)
     rows = ir_J.dim * ir_j.dim
     blocks = []
-    for d_J, d_j, d_K in _representation_samples(entry, ir_J, ir_j, ir_K,
-                                                 n_samples, seed):
-        big = np.kron(d_J, d_j)
+    for g in entry.elements(NUMERIC_SAMPLE_COUNT, LIE_SAMPLE_SEED):
+        big = np.kron(ir_J.matrix(g), ir_j.matrix(g))
         blocks.append(np.kron(big, np.eye(ir_K.dim)) -
-                      np.kron(np.eye(rows), d_K.T))
+                      np.kron(np.eye(rows), ir_K.matrix(g).T))
     system = np.vstack(blocks)
     _, svals, vh = np.linalg.svd(system)
     null_dim = int(np.sum(svals < 1e-8 * svals[0]))

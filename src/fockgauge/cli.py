@@ -8,15 +8,18 @@ and seed, never on wall-clock; the thread count appears only in its
 The model commands (verify, spectrum, observables, vortex-masses) share one
 runner, ``_model_command``, and one failure contract.  Exit 2 with one
 ``config error:`` line: an unreadable or malformed config or group file, a
-non-integer seed, $FOCKGAUGE_THREADS or spectrum k, a section or value of
-the wrong type (``params``, ``electric_weights`` and ``group.params`` are
-mappings; ``terms`` and observable ``names`` are lists), an unknown term,
-observable or state, missing electric weights, an output path whose
-directory does not exist, and a request over a dense cap.  All of these
-are raised before any Hamiltonian is assembled.  Exit 1 with one
-``eigensolve failed:`` line: an eigensolver that does not certify its
-pairs.  Neither writes an output file.  A verify report with a failed
-check is written, then exits 1.
+group file that fails a ``validate`` invariant (named with its residual),
+a seed, $FOCKGAUGE_THREADS, spectrum k or lattice size that is not an
+integer (bools and non-integral numbers are rejected, not truncated), an
+``include_matter``, ``staggered`` or ``include_hc`` that is not a YAML
+boolean, a section or value of the wrong type (``params``,
+``electric_weights`` and ``group.params`` are mappings; ``terms`` and
+observable ``names`` are lists), an unknown term, observable or state,
+missing electric weights, an output path whose directory does not exist,
+and a request over a dense cap.  All of these are raised before any
+Hamiltonian is assembled.  Exit 1 with one ``eigensolve failed:`` line:
+an eigensolver that does not certify its pairs.  Neither writes an output
+file.  A verify report with a failed check is written, then exits 1.
 """
 
 from __future__ import annotations
@@ -85,6 +88,23 @@ def _optional(raw, kind: type, what: str):
     return raw
 
 
+def _as_int(raw, name: str) -> int:
+    """An int, integral float or integer string; never a bool, never truncated."""
+    try:
+        value = int(raw)
+        if isinstance(raw, bool) or (not isinstance(raw, str) and value != raw):
+            raise ValueError(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from exc
+    return value
+
+
+def _as_bool(raw, name: str) -> bool:
+    if not isinstance(raw, bool):
+        raise ConfigError(f"{name} must be true or false, got {raw!r}")
+    return raw
+
+
 def _resolve_group(doc: dict, config_dir: Path) -> GroupCatalogEntry:
     group = doc.get("group")
     if not isinstance(group, dict):
@@ -95,7 +115,12 @@ def _resolve_group(doc: dict, config_dir: Path) -> GroupCatalogEntry:
             path = config_dir / path
         if not path.exists():
             raise ConfigError(f"group file {path} does not exist")
-        return load_group_file(path)
+        entry = load_group_file(path)
+        first = validate(entry).first_failure()
+        if first is not None:
+            raise ConfigError(f"group file {path} fails invariant {first.name} "
+                              f"(residual {first.residual:.3e})")
+        return entry
     name = group.get("builtin")
     if not name:
         raise ConfigError("group section needs 'builtin' or 'file'")
@@ -126,9 +151,11 @@ def _resolve_model(doc: dict, config_dir: Path, basis_override: Optional[str]) -
         raise ConfigError("config needs a 'lattice' section")
     try:
         lattice = LatticeSpec(
-            lx=int(lat_doc["lx"]), ly=int(lat_doc["ly"]),
+            lx=_as_int(lat_doc["lx"], "lattice.lx"),
+            ly=_as_int(lat_doc["ly"], "lattice.ly"),
             boundary=lat_doc.get("boundary", "open"),
-            include_matter=bool(lat_doc.get("include_matter", False)))
+            include_matter=_as_bool(lat_doc.get("include_matter", False),
+                                    "lattice.include_matter"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad lattice spec: {exc}") from exc
     basis = basis_override or doc.get("basis", REP)
@@ -145,9 +172,9 @@ def _resolve_model(doc: dict, config_dir: Path, basis_override: Optional[str]) -
                               {str(k): float(v) for k, v in weights.items()}),
             magnetic_rep=(str(p_doc["magnetic_rep"])
                           if "magnetic_rep" in p_doc else None),
-            staggered=bool(p_doc.get("staggered", True)),
+            staggered=_as_bool(p_doc.get("staggered", True), "params.staggered"),
             terms=_optional(p_doc.get("terms"), list, "terms"),
-            include_hc=bool(p_doc.get("include_hc", True)),
+            include_hc=_as_bool(p_doc.get("include_hc", True), "params.include_hc"),
         )
         model = Model(entry, lattice, params, basis_tag=basis)
         if "electric" in model.terms:  # model.terms validates the term list
@@ -234,13 +261,6 @@ def _common_options(fn):
     fn = click.option("--basis", type=click.Choice([REP, GROUP]), default=None,
                       help="override the config link basis")(fn)
     return fn
-
-
-def _as_int(raw, name: str) -> int:
-    try:
-        return int(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be an integer, got {raw!r}") from exc
 
 
 @click.group()

@@ -3,7 +3,8 @@
 Finite groups are stored as a multiplication table over element indices
 0..|G|-1 plus one explicit matrix per element and irrep.  Truncated Lie
 groups (SU(2) up to j_max, U(1) up to charge P) are stored through their
-generator matrices instead.
+generator matrices instead.  So a group element g is an element index or an
+angle vector; Irrep.matrix(g) takes either, entry.elements draws probes.
 
 Canonical state ordering used by every other module: irreps appear in
 catalog order, and within an irrep the (m, n) pairs are row-major, with
@@ -87,10 +88,17 @@ class Irrep:
     generators: Optional[list[np.ndarray]] = None
     casimir: Optional[float] = None
 
-    def matrix(self, g: int) -> np.ndarray:
+    def matrix(self, g) -> np.ndarray:
+        """D(g) as a dim x dim array; ``g`` is an element index (finite
+        groups) or an angle vector (Lie groups), as from ``elements``."""
         if self.matrices is None:
-            raise ValueError(f"irrep {self.label} has no per-element matrices")
+            return np.atleast_2d(self.matrix_angle(g))
         return self.matrices[g]
+
+    @property
+    def characters(self) -> np.ndarray:
+        """Tr D(g) per element index (finite groups only)."""
+        return np.einsum("gii->g", self.matrices)
 
     def matrix_angle(self, alpha) -> np.ndarray:
         """exp(i alpha . T) for Lie irreps; alpha is scalar or length-3."""
@@ -137,6 +145,15 @@ class GroupCatalogEntry:
     @property
     def n_generator_components(self) -> int:
         return 3 if self.lie_kind == "su2" else 1
+
+    def elements(self, count: int, seed: int) -> list:
+        """Group elements to probe with: every element index (finite), or
+        ``count`` angle vectors uniform in [-pi, pi) from ``default_rng(seed)``."""
+        if not self.is_lie:
+            return list(range(self.spec.order))
+        rng = np.random.default_rng(seed)
+        return [rng.uniform(-np.pi, np.pi, self.n_generator_components)
+                for _ in range(count)]
 
     def irrep(self, label: str) -> Irrep:
         for ir in self.irreps:
@@ -206,7 +223,7 @@ def _derive_structure(mul: np.ndarray):
             if len(hits):
                 inv[g] = hits[0]
     class_of = np.full(order, -1, dtype=np.int64)
-    if identity is not None and (inv >= 0).all():
+    if identity is not None and (inv >= 0).all() and mul.max() < order:
         next_class = 0
         for g in range(order):
             if class_of[g] >= 0:
@@ -424,7 +441,7 @@ def _check_associativity(mul: np.ndarray) -> float:
     return float(np.count_nonzero(mul[mul[a, b], c] != mul[a, mul[b, c]]))
 
 
-def validate(entry: GroupCatalogEntry, tolerance: float = DEFAULT_TOL) -> ValidationReport:
+def validate(entry: GroupCatalogEntry) -> ValidationReport:
     """Run every structural and representation invariant; report residuals.
 
     Failures are reported, never raised.  Combinatorial checks use a count
@@ -432,7 +449,7 @@ def validate(entry: GroupCatalogEntry, tolerance: float = DEFAULT_TOL) -> Valida
     """
     report = ValidationReport()
     if entry.is_lie:
-        _validate_lie(entry, report, tolerance)
+        _validate_lie(entry, report)
         return report
 
     spec = entry.spec
@@ -452,7 +469,7 @@ def validate(entry: GroupCatalogEntry, tolerance: float = DEFAULT_TOL) -> Valida
     report.add("mul.inverse", float(inv_bad))
 
     class_bad = 0
-    if (spec.inv >= 0).all():
+    if (spec.inv >= 0).all() and mul.max() < order:
         for h in range(order):
             conj = mul[mul[spec.inv[h], np.arange(order)], h]
             class_bad += np.count_nonzero(spec.class_of[conj] != spec.class_of)
@@ -474,14 +491,13 @@ def validate(entry: GroupCatalogEntry, tolerance: float = DEFAULT_TOL) -> Valida
             max_abs(d[spec.inv[g]] - d[g].conj().T) for g in range(order)))
         prod = np.einsum("gab,hbc->ghac", d, d)
         hom_res = max(hom_res, max_abs(prod - d[mul]))
-    report.add("irreps.identity_matrix", eye_res, tolerance)
-    report.add("irreps.unitary", unit_res, tolerance)
-    report.add("irreps.inverse_is_dagger", invdag_res, tolerance)
-    report.add("irreps.homomorphism", hom_res, tolerance)
+    report.add("irreps.identity_matrix", eye_res)
+    report.add("irreps.unitary", unit_res)
+    report.add("irreps.inverse_is_dagger", invdag_res)
+    report.add("irreps.homomorphism", hom_res)
 
     report.add("irreps.dim_sum_equals_order", float(abs(entry.dim_sum() - order)))
-    report.add("irreps.great_orthogonality",
-               great_orthogonality_residual(entry), tolerance)
+    report.add("irreps.great_orthogonality", great_orthogonality_residual(entry))
 
     fund = entry.fundamental_irrep.matrices
     dup = 0
@@ -497,16 +513,16 @@ def validate(entry: GroupCatalogEntry, tolerance: float = DEFAULT_TOL) -> Valida
     reg = dims @ table.chi
     expected = np.zeros(spec.n_classes)
     expected[spec.class_of[e]] = order
-    report.add("characters.regular_representation", max_abs(reg - expected), tolerance)
+    report.add("characters.regular_representation", max_abs(reg - expected))
     return report
 
 
-def _validate_lie(entry: GroupCatalogEntry, report: ValidationReport, tolerance: float):
+def _validate_lie(entry: GroupCatalogEntry, report: ValidationReport):
     herm = 0.0
     for ir in entry.irreps:
         for t in ir.generators:
             herm = max(herm, max_abs(t - t.conj().T))
-    report.add("generators.hermitian", herm, tolerance)
+    report.add("generators.hermitian", herm)
 
     if entry.lie_kind == "su2":
         eps = np.zeros((3, 3, 3))
@@ -522,8 +538,8 @@ def _validate_lie(entry: GroupCatalogEntry, report: ValidationReport, tolerance:
                     alg = max(alg, max_abs(comm - expect))
             total = sum(x @ x for x in t)
             cas = max(cas, max_abs(total - ir.casimir * np.eye(ir.dim)))
-        report.add("su2.algebra_structure_constants", alg, tolerance)
-        report.add("su2.casimir_diagonal", cas, tolerance)
+        report.add("su2.algebra_structure_constants", alg)
+        report.add("su2.casimir_diagonal", cas)
         two_js = sorted(int(2 * parse_j_label(ir.label)) for ir in entry.irreps)
         complete = two_js == list(range(len(two_js)))
         report.add("su2.representation_series_complete", 0.0 if complete else 1.0)
@@ -533,7 +549,7 @@ def _validate_lie(entry: GroupCatalogEntry, report: ValidationReport, tolerance:
         complete = ps == list(range(-p_max, p_max + 1))
         report.add("u1.charge_series_complete", 0.0 if complete else 1.0)
         diag = max(max_abs(ir.generators[0] - float(ir.label)) for ir in entry.irreps)
-        report.add("u1.generator_is_charge", diag, tolerance)
+        report.add("u1.generator_is_charge", diag)
 
     report.add("fundamental.present",
                0.0 if entry.has_irrep(entry.fundamental) else 1.0)
@@ -565,7 +581,7 @@ def character_table(entry: GroupCatalogEntry) -> CharacterTable:
                          "for finite group entries here")
     spec = entry.spec
     reps = spec.class_representatives()
-    chi = np.array([[np.trace(ir.matrices[g]) for g in reps] for ir in entry.irreps])
+    chi = np.array([ir.characters[reps] for ir in entry.irreps])
     sizes = np.array([len(spec.class_members(c)) for c in range(spec.n_classes)])
     labels = [spec.element_labels[g] for g in reps]
     return CharacterTable(chi=chi, class_sizes=sizes,
@@ -618,9 +634,9 @@ Group definition file (JSON):
 def load_group_file(path: Union[str, Path]) -> GroupCatalogEntry:
     """Load a finite group with explicit irrep matrices from a JSON file.
 
-    Structural problems (wrong sizes, missing keys, bad numbers) raise
-    GroupFileError; algebraic problems (bad table, non-irrep matrices) are
-    left for validate() to report.
+    Structural problems (wrong sizes, missing keys, bad numbers, an order
+    below 1) raise GroupFileError; algebraic problems (bad table, non-irrep
+    matrices) are left for validate() to report.
     """
     path = Path(path)
     try:
@@ -630,6 +646,8 @@ def load_group_file(path: Union[str, Path]) -> GroupCatalogEntry:
     try:
         name = str(doc["name"])
         order = int(doc["order"])
+        if order < 1:
+            raise GroupFileError(f"order must be at least 1, got {order}")
         mul_flat = doc["mul"]
         if len(mul_flat) != order * order:
             raise GroupFileError(

@@ -653,7 +653,7 @@ def vertex_sector_average(model: Model, vertex: int, sector_label: str) -> Opera
     """(dim(s)/|G|) sum_g chi_s(g)* Theta_{g, vertex} for one vertex."""
     spec = model.entry.spec
     ir = model.entry.irrep(sector_label)
-    chi = np.array([np.trace(ir.matrices[g]) for g in range(spec.order)])
+    chi = ir.characters
     gb = model.global_basis
     return Operator(gb, sum(((ir.dim / spec.order) * chi[g].conjugate()
                              * gauss_operator(model, vertex, g).matrix

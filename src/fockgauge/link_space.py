@@ -48,29 +48,21 @@ def identity_operator(space: LinkSpace, basis_tag: str = REP) -> Operator:
 # transformation operators
 # ---------------------------------------------------------------------------
 
-def _element_matrices(space: LinkSpace, g) -> dict[str, np.ndarray]:
-    """D^j(g) per irrep, for a finite element index or a Lie angle vector."""
-    if space.catalog.is_lie:
-        return {ir.label: np.atleast_2d(ir.matrix_angle(g))
-                for ir in space.catalog.irreps}
-    return {ir.label: ir.matrix(int(g)) for ir in space.catalog.irreps}
-
-
 def theta_left(space: LinkSpace, g) -> Operator:
     """Left transformation in the rep basis: D^{j*}(g) on the m index, blockwise.
 
     ``g`` is an element index for finite groups, or the angle vector of
     exp(i alpha . L) for Lie catalogs.
     """
-    blocks = [np.kron(d.conj(), np.eye(d.shape[0]))
-              for d in _element_matrices(space, g).values()]
+    blocks = [np.kron(ir.matrix(g).conj(), np.eye(ir.dim))
+              for ir in space.catalog.irreps]
     return Operator(space, sp.block_diag(blocks, format="csr"), REP)
 
 
 def theta_right(space: LinkSpace, g) -> Operator:
     """Right transformation in the rep basis: D^j(g) on the n index, blockwise."""
-    blocks = [np.kron(np.eye(d.shape[0]), d)
-              for d in _element_matrices(space, g).values()]
+    blocks = [np.kron(np.eye(ir.dim), ir.matrix(g))
+              for ir in space.catalog.irreps]
     return Operator(space, sp.block_diag(blocks, format="csr"), REP)
 
 

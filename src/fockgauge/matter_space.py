@@ -97,9 +97,7 @@ def _resolve_dmatrix(space: VertexFock, entry: GroupCatalogEntry, g) -> np.ndarr
         raise ValueError(
             f"vertex has {space.n_modes} modes but the fundamental irrep "
             f"has dimension {ir.dim}")
-    if entry.is_lie:
-        return np.atleast_2d(ir.matrix_angle(g))
-    return ir.matrix(int(g))
+    return ir.matrix(g)
 
 
 def theta_q(space: VertexFock, entry: GroupCatalogEntry, g) -> Operator:
@@ -112,12 +110,7 @@ def theta_q(space: VertexFock, entry: GroupCatalogEntry, g) -> Operator:
 
     ``g`` is an element index (finite groups) or angle vector (Lie).
     """
-    dmat = _resolve_dmatrix(space, entry, g)
-    return theta_q_from_matrix(space, dmat)
-
-
-def theta_q_from_matrix(space: VertexFock, dmat: np.ndarray) -> Operator:
-    dmat = np.asarray(dmat, dtype=complex)
+    dmat = np.asarray(_resolve_dmatrix(space, entry, g), dtype=complex)
     dim = space.dim
     out = np.zeros((dim, dim), dtype=complex)
     by_count: dict[int, list[int]] = {}

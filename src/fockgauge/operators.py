@@ -118,5 +118,5 @@ class Operator:
     def hermiticity_residual(self) -> float:
         return hermiticity_residual(self.matrix)
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return self.hermiticity_residual() <= tol
+    def is_hermitian(self) -> bool:
+        return self.hermiticity_residual() <= HERMITICITY_TOL

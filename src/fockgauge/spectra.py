@@ -38,6 +38,7 @@ from .operators import HERMITICITY_TOL, Operator, hermiticity_residual
 LANCZOS_TOL = 1e-8
 LANCZOS_MAX_ITER = 5000
 DEGENERACY_TOL = 1e-7
+NORMALIZATION_TOL = 1e-10   # |norm - 1| allowed for an expectation state
 RITZ_CHECK_EVERY = 5
 ROW_BLOCK = 64          # first capacity of a row-stacked vector array
 
@@ -303,8 +304,7 @@ def _lanczos_lowest(mat: sp.csr_matrix, k: int, *, seed: int,
 
 
 def expectation(op: Union[Operator, sp.spmatrix, np.ndarray],
-                state: np.ndarray, name: str = "observable",
-                normalized_tol: float = 1e-10) -> ObservableReport:
+                state: np.ndarray, name: str = "observable") -> ObservableReport:
     """<state|op|state> with a reality check for Hermitian operators."""
     mat = _as_sparse(op)
     state = np.asarray(state, dtype=complex)
@@ -312,7 +312,7 @@ def expectation(op: Union[Operator, sp.spmatrix, np.ndarray],
         raise ValueError(
             f"dimension mismatch: operator {mat.shape}, state {state.shape}")
     norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > normalized_tol:
+    if abs(norm - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"state is not normalized (norm {norm})")
     value = complex(np.vdot(state, mat @ state))
     hermitian = hermiticity_residual(mat) <= HERMITICITY_TOL

@@ -52,13 +52,16 @@ def verify_model(model: Model, seed: int = 0) -> ValidationReport:
 
 # ---------------------------------------------------------------------------
 
-def _sample_elements(model: Model, seed: int):
-    """Group elements to probe with: all of them (finite) or random angles (Lie)."""
-    if not model.entry.is_lie:
-        return list(range(model.entry.spec.order))
-    rng = np.random.default_rng(seed)
-    n = model.entry.n_generator_components
-    return [rng.uniform(-np.pi, np.pi, n) for _ in range(COVARIANCE_SAMPLES)]
+def _unitarity(mats) -> float:
+    """max over the matrices M of |M M^dag - 1|."""
+    eye = np.eye(mats[0].shape[0])
+    return max(max_abs(m @ m.conj().T - eye) for m in mats)
+
+
+def _group_law(mats, spec) -> float:
+    """max over element pairs of |M(g) M(h) - M(gh)|, ``mats`` indexed by element."""
+    return max(max_abs(mats[g] @ mats[h] - mats[spec.mul[g, h]])
+               for g in range(spec.order) for h in range(spec.order))
 
 
 def _check_theta(model: Model, report: ValidationReport, seed: int):
@@ -66,19 +69,13 @@ def _check_theta(model: Model, report: ValidationReport, seed: int):
     entry = model.entry
     from .link_space import theta_left, theta_right, theta_group_basis
 
-    elements = _sample_elements(model, seed)
-    unit = 0.0
-    lr_comm = 0.0
-    thetas = [(theta_left(space, g), theta_right(space, g)) for g in elements]
-    eye = np.eye(space.dim)
-    for tl, tr in thetas:
-        unit = max(unit, max_abs(tl.matrix @ tl.matrix.conj().T - eye))
-        unit = max(unit, max_abs(tr.matrix @ tr.matrix.conj().T - eye))
-        for tl2, tr2 in thetas:
-            lr_comm = max(lr_comm, max_abs(tl.matrix @ tr2.matrix
-                                           - tr2.matrix @ tl.matrix))
-    report.add("theta.unitary", unit, TIGHT)
-    report.add("theta.left_right_commute", lr_comm, TIGHT)
+    elements = entry.elements(COVARIANCE_SAMPLES, seed)
+    lefts = [theta_left(space, g) for g in elements]
+    rights = [theta_right(space, g) for g in elements]
+    mats = [[t.matrix for t in side] for side in (lefts, rights)]
+    report.add("theta.unitary", max(map(_unitarity, mats)), TIGHT)
+    report.add("theta.left_right_commute", max(
+        max_abs(tl @ tr - tr @ tl) for tl in mats[0] for tr in mats[1]), TIGHT)
 
     if entry.is_lie:
         left, right = link_generators(space)
@@ -87,22 +84,13 @@ def _check_theta(model: Model, report: ValidationReport, seed: int):
         report.add("theta.casimir_left_equals_right", max_abs(l2 - r2), TIGHT)
         return
 
-    spec = entry.spec
-    law = 0.0
-    fourier_res = 0.0
-    for g in range(spec.order):
-        tlg, trg = thetas[g]
-        for h in range(spec.order):
-            tlh, trh = thetas[h]
-            gh = spec.mul[g, h]
-            law = max(law, max_abs(tlg.matrix @ tlh.matrix - thetas[gh][0].matrix))
-            law = max(law, max_abs(trg.matrix @ trh.matrix - thetas[gh][1].matrix))
-        for side, rep_op in (("L", tlg), ("R", trg)):
-            perm = theta_group_basis(space, g, side)
-            fourier_res = max(fourier_res, max_abs(
-                rep_op.to_basis(GROUP).matrix - perm.matrix))
-    report.add("theta.group_law", law, TIGHT)
-    report.add("theta.fourier_to_translations", fourier_res, TIGHT)
+    report.add("theta.group_law",
+               max(_group_law(side, entry.spec) for side in mats), TIGHT)
+    report.add("theta.fourier_to_translations", max(
+        max_abs(rep_op.to_basis(GROUP).matrix
+                - theta_group_basis(space, g, side).matrix)
+        for g in elements
+        for side, rep_op in (("L", lefts[g]), ("R", rights[g]))), TIGHT)
 
 
 def _check_u(model: Model, report: ValidationReport, seed: int):
@@ -113,14 +101,9 @@ def _check_u(model: Model, report: ValidationReport, seed: int):
     u = u_matrix(space, model.magnetic_rep, REP)
     dim_j = u.dim
     dmats = entry.irrep(model.magnetic_rep)
-    elements = _sample_elements(model, seed + 1)
-
     cov = 0.0
-    for g in elements:
-        if entry.is_lie:
-            d = np.atleast_2d(dmats.matrix_angle(g))
-        else:
-            d = dmats.matrix(int(g))
+    for g in entry.elements(COVARIANCE_SAMPLES, seed + 1):
+        d = dmats.matrix(g)
         tl = theta_left(space, g).matrix
         tr = theta_right(space, g).matrix
         d_inv = d.conj().T
@@ -215,31 +198,24 @@ def _check_matter(model: Model, report: ValidationReport):
             acar = max(acar, max_abs(anti_mixed - expect))
     report.add("matter.anticommutation", acar, 0.0)
 
-    elements = _sample_elements(model, 0)
+    elements = entry.elements(COVARIANCE_SAMPLES, 0)
     for parity in (0, 1):
         vf = VertexFock(n, parity)
         thetas = [theta_q(vf, entry, g).toarray() for g in elements]
-        law = unit = prop2 = covariance = 0.0
-        full = vf.full_state
-        for i, g in enumerate(elements):
-            d = (np.atleast_2d(entry.fundamental_irrep.matrix_angle(g))
-                 if entry.is_lie else entry.fundamental_irrep.matrix(int(g)))
+        prop2 = covariance = 0.0
+        for theta, g in zip(thetas, elements):
+            d = entry.fundamental_irrep.matrix(g)
             det = np.linalg.det(d)
-            unit = max(unit, max_abs(thetas[i] @ thetas[i].conj().T - np.eye(vf.dim)))
             expect_ev = det * det.conjugate() ** parity
-            prop2 = max(prop2, abs(thetas[i][full, full] - expect_ev))
+            prop2 = max(prop2, abs(theta[vf.full_state, vf.full_state] - expect_ev))
             for a in range(n):
-                lhs = thetas[i] @ ops[a].conj().T @ thetas[i].conj().T
+                lhs = theta @ ops[a].conj().T @ theta.conj().T
                 rhs = sum(ops[b].conj().T * d[b, a] for b in range(n))
                 covariance = max(covariance, max_abs(lhs - rhs))
         if not entry.is_lie:
-            spec = entry.spec
-            for g in range(spec.order):
-                for h in range(spec.order):
-                    law = max(law, max_abs(thetas[g] @ thetas[h]
-                                           - thetas[spec.mul[g, h]]))
-            report.add(f"matter.theta_group_law_parity{parity}", law, TIGHT)
-        report.add(f"matter.theta_unitary_parity{parity}", unit, TIGHT)
+            report.add(f"matter.theta_group_law_parity{parity}",
+                       _group_law(thetas, entry.spec), TIGHT)
+        report.add(f"matter.theta_unitary_parity{parity}", _unitarity(thetas), TIGHT)
         report.add(f"matter.full_state_determinant_parity{parity}", prop2, TIGHT)
         report.add(f"matter.covariance_parity{parity}", covariance, TIGHT)
 

@@ -65,6 +65,43 @@ def test_group_info_malformed_file_names_first_invariant(runner, tmp_path):
     assert "mul.latin_square" in result.output
 
 
+def _write_d3_file(path, **changes):
+    """D3 in the group file format, with top-level keys replaced by ``changes``."""
+    dump_group_file(build_builtin("D3"), path)
+    doc = json.loads(path.read_text())
+    doc.update(changes)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_group_info_order_zero_file_exits_2_with_one_line(runner, tmp_path):
+    empty = [{"label": "I", "dim": 1, "matrices": []}]
+    path = _write_d3_file(tmp_path / "d3.json", order=0, mul=[],
+                          element_labels=[], irreps=empty, fundamental="I")
+    result = runner.invoke(main, ["group-info", "--file", str(path)])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum", "observables",
+                                     "vortex-masses"])
+def test_group_file_with_invalid_algebra_exits_2_before_assembly(
+        runner, tmp_path, command):
+    _write_d3_file(tmp_path / "d3.json", mul=[99] * 36)
+    cfg = write_config(tmp_path / "cfg.yaml", group={"file": "d3.json"},
+                       params={"coupling": 1.0,
+                               "electric_weights": {"I": 0.0, "p": 1.0, "2": 1.0}})
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, [command, "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+    assert "mul.latin_square" in lines[0] and "residual 3.600e+01" in lines[0]
+    assert not out.exists()
+
+
 def test_group_info_unknown(runner):
     result = runner.invoke(main, ["group-info", "E8"])
     assert result.exit_code == 2
@@ -191,6 +228,18 @@ def test_config_errors(runner, tmp_path):
     ("spectrum", {"params": [1.0]}),
     ("spectrum", {"group": {"builtin": "Z_N", "params": [3]}}),
     ("spectrum", {"lattice": {"lx": [2], "ly": 1}}),
+    # rejected, not coerced: no truncation to an int, no truthy strings
+    ("spectrum", {"seed": 1.5}),
+    ("spectrum", {"seed": True}),
+    ("spectrum", {"tasks": [{"spectrum": {"k": 2.5}}]}),
+    ("spectrum", {"lattice": {"lx": 2.5, "ly": 2, "boundary": "periodic"}}),
+    ("spectrum", {"lattice": {"lx": 2, "ly": True, "boundary": "periodic"}}),
+    ("spectrum", {"lattice": {"lx": 2, "ly": 2, "boundary": "periodic",
+                              "include_matter": "no"}}),
+    ("spectrum", {"params": {"coupling": 1.0, "terms": ["magnetic"],
+                             "staggered": "no"}}),
+    ("spectrum", {"params": {"coupling": 1.0, "terms": ["magnetic"],
+                             "include_hc": "no"}}),
 ])
 def test_bad_config_values_exit_2_with_one_line(runner, tmp_path, command, overrides):
     cfg = write_config(tmp_path / "bad.yaml", **overrides)

@@ -212,3 +212,65 @@ def test_fourier_requires_complete_irreps():
     d3.irreps = d3.irreps[:2]
     with pytest.raises(ValueError):
         fourier_matrix(d3)
+
+
+@pytest.mark.parametrize("name,params,label", [
+    ("SU2_trunc", {"j_max": "1"}, "1"),
+    ("U1_trunc", {"P": 2}, "-2"),
+])
+def test_irrep_matrix_takes_an_angle_vector_for_lie_groups(name, params, label):
+    entry = build_builtin(name, **params)
+    ir = entry.irrep(label)
+    for angles in entry.elements(5, seed=11):
+        mat = ir.matrix(angles)
+        assert mat.shape == (ir.dim, ir.dim)
+        assert np.array_equal(mat, np.atleast_2d(ir.matrix_angle(angles)))
+
+
+def test_elements_finite_are_every_index_whatever_the_count():
+    d3 = build_builtin("D3")
+    for count, seed in ((0, 0), (3, 1), (50, 2)):
+        assert d3.elements(count, seed) == list(range(6))
+
+
+def test_elements_lie_are_seeded_angle_vectors():
+    su2 = build_builtin("SU2_trunc", j_max="1/2")
+    first, again, other = (su2.elements(7, seed=s) for s in (4, 4, 5))
+    assert len(first) == 7
+    assert all(a.shape == (3,) and np.all(np.abs(a) <= np.pi) for a in first)
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert not np.array_equal(first[0], other[0])
+
+
+@pytest.mark.parametrize("name,params", [("D3", {}), ("Z_N", {"N": 4})])
+def test_irrep_characters_match_the_character_table(name, params):
+    entry = build_builtin(name, **params)
+    spec = entry.spec
+    table = character_table(entry)
+    for ir in entry.irreps:
+        chi = ir.characters
+        assert chi.shape == (spec.order,)
+        for g in range(spec.order):
+            assert abs(chi[g] - np.trace(ir.matrix(g))) < 1e-15
+            assert abs(chi[g] - table.row(ir.label)[spec.class_of[g]]) < 1e-12
+
+
+def test_group_file_order_below_one_is_malformed(tmp_path):
+    path = tmp_path / "d3.json"
+    dump_group_file(build_builtin("D3"), path)
+    doc = json.loads(path.read_text())
+    doc["order"] = 0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GroupFileError, match="order"):
+        load_group_file(path)
+
+
+def test_out_of_range_table_entry_is_reported_not_raised(tmp_path):
+    # an entry past the order with identity row and column intact
+    path = tmp_path / "d3.json"
+    dump_group_file(build_builtin("D3"), path)
+    doc = json.loads(path.read_text())
+    doc["mul"][7] = 99
+    path.write_text(json.dumps(doc))
+    report = validate(load_group_file(path))
+    assert report.first_failure().name == "mul.latin_square"
