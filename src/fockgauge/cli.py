@@ -10,7 +10,8 @@ runner, ``_model_command``, and one failure contract.  Exit 2 with one
 ``config error:`` line: an unreadable or malformed config or group file, a
 group file that fails a ``validate`` invariant (named with its residual),
 a seed, $FOCKGAUGE_THREADS, spectrum k or lattice size that is not an
-integer (bools and non-integral numbers are rejected, not truncated), an
+integer (bools, quoted numbers in the config and non-integral numbers are
+rejected, not coerced), an
 ``include_matter``, ``staggered`` or ``include_hc`` that is not a YAML
 boolean, a section or value of the wrong type (``params``,
 ``electric_weights`` and ``group.params`` are mappings; ``terms`` and
@@ -88,11 +89,13 @@ def _optional(raw, kind: type, what: str):
     return raw
 
 
-def _as_int(raw, name: str) -> int:
-    """An int, integral float or integer string; never a bool, never truncated."""
+def _as_int(raw, name: str, text: bool = False) -> int:
+    """An int or integral float, or with ``text`` an integer string; never a bool."""
     try:
+        if isinstance(raw, bool) or (isinstance(raw, str) and not text):
+            raise TypeError(raw)
         value = int(raw)
-        if isinstance(raw, bool) or (not isinstance(raw, str) and value != raw):
+        if not isinstance(raw, str) and value != raw:
             raise ValueError(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be an integer, got {raw!r}") from exc
@@ -294,6 +297,11 @@ def group_info(name, params, file_path):
         sys.exit(2)
 
     report = validate(entry)
+    if not report.passed:
+        first = report.first_failure()
+        click.echo(f"INVALID GROUP: first failing invariant {first.name} "
+                   f"(residual {first.residual:.3e})", err=True)
+        sys.exit(2)
     if entry.is_lie:
         click.echo(f"group: {entry.name} (truncated Lie)")
         click.echo(f"irreps: {[ir.label for ir in entry.irreps]}")
@@ -313,11 +321,6 @@ def group_info(name, params, file_path):
         for label, row in zip(table.irrep_labels, table.chi):
             cells = ", ".join(f"{z.real:+.4f}{z.imag:+.4f}i" for z in row)
             click.echo(f"  {label}: {cells}")
-    if not report.passed:
-        first = report.first_failure()
-        click.echo(f"INVALID GROUP: first failing invariant {first.name} "
-                   f"(residual {first.residual:.3e})", err=True)
-        sys.exit(2)
     click.echo("all group invariants pass "
                f"(max residual {report.max_residual:.3e})")
 
@@ -344,7 +347,7 @@ def _model_command(name: str, passed=lambda payload: True):
                     seed = _as_int(doc.get("seed", 0), "seed")
                 if threads is None:
                     threads = _as_int(os.environ.get(THREADS_ENV, "1"),
-                                      f"${THREADS_ENV}")
+                                      f"${THREADS_ENV}", text=True)
                 output = output or _optional(doc.get("output"), str, "output")
                 if output and not Path(output).parent.is_dir():
                     raise ConfigError(f"output directory of {output} does not exist")

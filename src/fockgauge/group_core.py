@@ -77,6 +77,29 @@ class GroupSpec:
     def class_representatives(self) -> list[int]:
         return [int(self.class_members(c)[0]) for c in range(self.n_classes)]
 
+    def generating_set(self) -> list[int]:
+        """Element indices whose products give every element (valid tables only).
+
+        Greedy: in index order, each element outside the subgroup generated
+        so far joins the set, and that subgroup is closed again under ``mul``.
+        D3 gives [r, s], Z_N gives [1].
+        """
+        gens: list[int] = []
+        reached = {self.identity}
+        for g in range(self.order):
+            if g in reached:
+                continue
+            gens.append(g)
+            frontier = list(reached)
+            while frontier:
+                x = frontier.pop()
+                for s in gens:
+                    y = int(self.mul[x, s])
+                    if y not in reached:
+                        reached.add(y)
+                        frontier.append(y)
+        return gens
+
 
 @dataclass
 class Irrep:

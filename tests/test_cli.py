@@ -74,6 +74,17 @@ def _write_d3_file(path, **changes):
     return path
 
 
+def test_group_info_invalid_table_prints_only_the_failing_invariant(runner, tmp_path):
+    path = _write_d3_file(tmp_path / "d3.json", mul=[99] * 36)
+    result = runner.invoke(main, ["group-info", "--file", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "classes:" not in result.output
+    assert result.stdout == ""
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("INVALID GROUP:"), lines
+    assert "mul.latin_square" in lines[0]
+
+
 def test_group_info_order_zero_file_exits_2_with_one_line(runner, tmp_path):
     empty = [{"label": "I", "dim": 1, "matrices": []}]
     path = _write_d3_file(tmp_path / "d3.json", order=0, mul=[],
@@ -240,6 +251,10 @@ def test_config_errors(runner, tmp_path):
                              "staggered": "no"}}),
     ("spectrum", {"params": {"coupling": 1.0, "terms": ["magnetic"],
                              "include_hc": "no"}}),
+    # a quoted number is a string, not an integer
+    ("spectrum", {"seed": "7"}),
+    ("spectrum", {"lattice": {"lx": "2", "ly": 2, "boundary": "periodic"}}),
+    ("spectrum", {"tasks": [{"spectrum": {"k": "3"}}]}),
 ])
 def test_bad_config_values_exit_2_with_one_line(runner, tmp_path, command, overrides):
     cfg = write_config(tmp_path / "bad.yaml", **overrides)

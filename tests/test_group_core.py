@@ -184,6 +184,24 @@ def test_group_file_roundtrip(tmp_path):
     assert np.abs(fourier_matrix(loaded) - fourier_matrix(d3)).max() < 1e-15
 
 
+@pytest.mark.parametrize("name,params,size", [
+    ("D3", {}, 2), *[("Z_N", {"N": n}, 1) for n in (2, 3, 5, 8)]])
+def test_generating_set_closes_to_the_whole_group(tmp_path, name, params, size):
+    entry = build_builtin(name, **params)
+    path = tmp_path / "group.json"
+    dump_group_file(entry, path)
+    for spec in (entry.spec, load_group_file(path).spec):
+        gens = spec.generating_set()
+        assert len(gens) == size and spec.identity not in gens
+        reached = {spec.identity}
+        while True:
+            grown = reached | {int(spec.mul[x, s]) for x in reached for s in gens}
+            if grown == reached:
+                break
+            reached = grown
+        assert reached == set(range(spec.order))
+
+
 def test_group_file_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json {")

@@ -1,7 +1,18 @@
-import numpy as np
+import json
 
-from fockgauge.group_core import build_builtin
-from fockgauge.lattice_model import LatticeSpec, Model, ModelParams
+import numpy as np
+import pytest
+
+from fockgauge import lattice_model, verification
+from fockgauge.group_core import build_builtin, dump_group_file, load_group_file
+from fockgauge.lattice_model import (
+    LatticeSpec,
+    Model,
+    ModelParams,
+    gauss_operator,
+    hamiltonian_terms,
+)
+from fockgauge.operators import max_abs
 from fockgauge.spectra import vortex_masses
 from fockgauge.verification import verify_model
 
@@ -54,3 +65,110 @@ def test_vortex_masses_alternate_representation():
     assert abs(gaps["e"]) < 1e-12
     assert abs(gaps["r"]) < 1e-10
     assert abs(gaps["s"] - 2.0) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the Gauss commutator check against test-side oracles
+
+def _d3_chain(basis):
+    lat = LatticeSpec(2, 1, boundary="open", include_matter=True)
+    params = ModelParams(mass=1.0, epsilon=0.4, coupling=1.2, staggered=True,
+                         electric_weights={"I": 0.0, "p": 1.0, "2": 1.0})
+    return Model(build_builtin("D3"), lat, params, basis_tag=basis)
+
+
+def _z3_square():
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    return Model(build_builtin("Z_N", N=3), lat,
+                 ModelParams(mass=0.8, epsilon=0.6, coupling=1.1), basis_tag="group")
+
+
+def _all_gauss_operators(model):
+    return [gauss_operator(model, v, g).matrix
+            for v in range(model.lattice.n_vertices)
+            for g in range(model.entry.spec.order)]
+
+
+def _probe_residual(term, symmetry_ops, seed, probes=20):
+    """max over random unit probes p of |S T p - T S p|_2 (a sampled check)."""
+    rng = np.random.default_rng(seed + 17)
+    dim = term.shape[0]
+    worst = 0.0
+    for _ in range(probes):
+        p = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        p /= np.linalg.norm(p)
+        tp = term @ p
+        for s_op in symmetry_ops:
+            worst = max(worst, float(np.linalg.norm(s_op @ tp - term @ (s_op @ p))))
+    return worst
+
+
+@pytest.mark.parametrize("make_model", [lambda: _d3_chain("group"),
+                                        lambda: _d3_chain("rep"), _z3_square],
+                         ids=["d3-group", "d3-rep", "z3-square"])
+def test_gauss_commutators_agree_with_all_elements_and_probes(make_model):
+    model = make_model()
+    report = verify_model(model, seed=4)
+    assert report.passed, str(report.first_failure())
+    residuals = {c.name: c.residual for c in report.checks}
+    symmetry_ops = _all_gauss_operators(model)
+    for name, term in hamiltonian_terms(model).items():
+        assert residuals[f"model.gauss_commutes_with_{name}"] <= 1e-10
+        exact = max(max_abs(s_op @ term.matrix - term.matrix @ s_op)
+                    for s_op in symmetry_ops)
+        assert exact <= 1e-10, (name, exact)
+        assert _probe_residual(term.matrix, symmetry_ops, seed=4) <= 1e-10
+
+
+def _sign_flipped_tunneling(model):
+    """The tunneling term with the (0, 0) piece of link 0 and its h.c. negated."""
+    gb = model.global_basis
+    link = model.lattice.links[0]
+    piece = model.epsilon[link.index] * lattice_model._embed_factors(gb, {
+        gb.fermion_factor: [lattice_model._hop(model, link.origin, 0, link.target, 0)],
+        gb.link_factor(link.index): [model.u_tunneling.entry(0, 0).matrix]})
+    return lattice_model._tunneling_term(model) - 2 * (piece + piece.conj().T)
+
+
+@pytest.mark.parametrize("name,params,basis", [
+    ("D3", {}, "group"), ("D3", {}, "rep"),
+    ("SU2_trunc", {"j_max": "1/2"}, "rep")])
+def test_fault_injections_fail_the_report(monkeypatch, name, params, basis):
+    lat = LatticeSpec(2, 1, boundary="open", include_matter=True)
+
+    def failing(include_hc):
+        model = Model(build_builtin(name, **params), lat,
+                      ModelParams(epsilon=0.5, include_hc=include_hc,
+                                  terms=("mass", "tunneling")), basis_tag=basis)
+        return {c.name: c.residual for c in verify_model(model).checks
+                if not c.passed}
+
+    assert "model.terms_hermitian" in failing(include_hc=False)
+    monkeypatch.setitem(lattice_model._TERMS, "tunneling", _sign_flipped_tunneling)
+    failed = failing(include_hc=True)
+    assert failed["model.gauss_commutes_with_tunneling"] > 0.1, failed
+    assert "model.gauss_commutes_with_mass" not in failed
+
+
+def test_verify_model_stops_at_a_corrupt_table(tmp_path):
+    path = tmp_path / "d3.json"
+    dump_group_file(build_builtin("D3"), path)
+    doc = json.loads(path.read_text())
+    doc["mul"] = [99] * len(doc["mul"])
+    path.write_text(json.dumps(doc))
+    lat = LatticeSpec(2, 1, boundary="open", include_matter=True)
+    report = verify_model(Model(load_group_file(path), lat,
+                                ModelParams(terms=("magnetic",))))
+    assert not report.passed
+    assert report.first_failure().name == "group.mul.latin_square"
+    assert all(c.name.startswith("group.") for c in report.checks)
+
+
+def test_row_sliced_commutator_equals_the_unsliced_one(monkeypatch):
+    model = _d3_chain("rep")
+    term = _sign_flipped_tunneling(model)
+    ops = [gauss_operator(model, v, g).matrix for v in range(model.lattice.n_vertices)
+           for g in model.entry.spec.generating_set()]
+    whole = max(max_abs(s_op @ term - term @ s_op) for s_op in ops)
+    monkeypatch.setattr(verification, "COMMUTATOR_ROWS", 7)   # 96 rows: 14 slices
+    assert verification._commutator_residual(term, ops) == whole > 0.1
