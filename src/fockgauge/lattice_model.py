@@ -8,10 +8,16 @@ significant digit of the mixed-radix global index.
 Plaquette orientation: the plaquette anchored at vertex (x, y) multiplies
 U on the bottom x-link, then U on the right y-link, then U-dagger on the
 top x-link, then U-dagger on the left y-link (counterclockwise circulation).
+
+Placement: ``_embed_factors`` sums the per-factor products of one local
+piece on the span of factors they touch, applies the piece's coefficient
+and h.c. there, and pads with identities once; the pieces of a term are
+summed on the full space.  The plaquette is one piece in both link bases.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -22,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
 
-from .group_core import GroupCatalogEntry, character_table
+from .group_core import GroupCatalogEntry
 from .link_space import (
     GROUP,
     REP,
@@ -204,7 +210,7 @@ class GlobalBasis:
         self.n_vertices = n_vertices
         self.modes_per_vertex = modes_per_vertex
         self.n_fermion_modes = n_vertices * modes_per_vertex if has_matter else 0
-        self.dim = int(np.prod([1] + self.factor_dims))
+        self.dim = math.prod(self.factor_dims)
         strides = [1] * len(self.factor_dims)
         for i in range(len(self.factor_dims) - 2, -1, -1):
             strides[i] = strides[i + 1] * self.factor_dims[i + 1]
@@ -371,24 +377,46 @@ def build_model(entry: GroupCatalogEntry, lattice: LatticeSpec,
 # ---------------------------------------------------------------------------
 
 def _embed_factors(basis: GlobalBasis,
-                   ops: dict[int, list[sp.spmatrix]]) -> sp.csr_matrix:
-    """Kronecker placement of per-factor operator products, identity elsewhere.
+                   products: Union[dict[int, list[sp.spmatrix]],
+                                   Sequence[dict[int, list[sp.spmatrix]]]],
+                   coeff: complex = 1.0, hc: bool = False) -> sp.csr_matrix:
+    """coeff * (sum of per-factor operator products), plus its h.c. if ``hc``.
 
-    Runs of untouched factors become one identity block each.
+    ``products`` is one ``{factor: [matrices]}`` dict or a sequence of them.
+    The products are summed, in order, on the span of factors from the first
+    to the last one any of them touches; the coefficient and the h.c. are
+    applied there, and only then is the result padded with one identity
+    block on each side.  An empty sequence is the zero operator.
     """
-    blocks = []
-    pending_identity = 1
-    for factor, dim in enumerate(basis.factor_dims):
-        if factor not in ops:
-            pending_identity *= dim
-            continue
-        if pending_identity > 1:
-            blocks.append(sp.identity(pending_identity, dtype=complex, format="csr"))
-            pending_identity = 1
-        blocks.append(reduce(operator.matmul, ops[factor]))
-    if pending_identity > 1 or not blocks:
-        blocks.append(sp.identity(pending_identity, dtype=complex, format="csr"))
-    return sp.csr_matrix(reduce(lambda a, b: sp.kron(a, b, format="csr"), blocks))
+    if isinstance(products, dict):
+        products = [products]
+    if not products:
+        return _zero(basis)
+    dims = basis.factor_dims
+    touched = {factor for ops in products for factor in ops}
+    lo, hi = min(touched, default=0), max(touched, default=-1) + 1
+
+    def on_span(ops: dict[int, list[sp.spmatrix]]) -> sp.csr_matrix:
+        blocks = [reduce(operator.matmul, ops[factor]) if factor in ops
+                  else _identity(dims[factor]) for factor in range(lo, hi)]
+        return sp.csr_matrix(reduce(lambda a, b: sp.kron(a, b, format="csr"),
+                                    blocks or [_identity(1)]))
+
+    local = sum(on_span(ops) for ops in products)
+    if coeff != 1:
+        local = coeff * local
+    if hc:
+        local = local + local.conj().T
+    before, after = math.prod(dims[:lo]), math.prod(dims[hi:])
+    if before > 1:
+        local = sp.kron(_identity(before), local, format="csr")
+    if after > 1:
+        local = sp.kron(local, _identity(after), format="csr")
+    return local.astype(complex, copy=False)
+
+
+def _identity(dim: int) -> sp.csr_matrix:
+    return sp.identity(dim, dtype=complex, format="csr")
 
 
 def _vertex_block(model: Model, matrix: sp.spmatrix, vertex: int) -> sp.csr_matrix:
@@ -400,9 +428,8 @@ def _vertex_block(model: Model, matrix: sp.spmatrix, vertex: int) -> sp.csr_matr
     """
     gb = model.global_basis
     mm = gb.modes_per_vertex
-    before = sp.identity(1 << (mm * vertex), dtype=complex, format="csr")
-    after = sp.identity(1 << (mm * (gb.n_vertices - vertex - 1)),
-                        dtype=complex, format="csr")
+    before = _identity(1 << (mm * vertex))
+    after = _identity(1 << (mm * (gb.n_vertices - vertex - 1)))
     return sp.kron(after, sp.kron(sp.csr_matrix(matrix), before), format="csr")
 
 
@@ -424,13 +451,6 @@ def embed_link(model: Model, op: Operator, link_index: int) -> Operator:
     return Operator(gb, _embed_factors(gb, {gb.link_factor(link_index): [op.matrix]}))
 
 
-def embed_vertex(model: Model, matrix: sp.spmatrix, vertex: int) -> Operator:
-    """Embed a parity-even vertex Fock operator into the global fermion factor."""
-    gb = model.global_basis
-    return Operator(gb, _embed_factors(
-        gb, {gb.fermion_factor: [_vertex_block(model, matrix, vertex)]}))
-
-
 def embed_fermion_bilinear(model: Model, vertex_a: int, vertex_b: int,
                            coeff: np.ndarray) -> Operator:
     """sum_ab coeff[a, b] psi^dag_(vertex_a, a) psi_(vertex_b, b), strings included."""
@@ -440,10 +460,9 @@ def embed_fermion_bilinear(model: Model, vertex_a: int, vertex_b: int,
         raise ValueError("vertex out of range")
     coeff = np.asarray(coeff, dtype=complex)
     modes = range(gb.modes_per_vertex)
-    total = sum((coeff[a, b] * _hop(model, vertex_a, a, vertex_b, b)
-                 for a in modes for b in modes if coeff[a, b] != 0),
-                sp.csr_matrix((gb.factor_dims[gb.fermion_factor],) * 2, dtype=complex))
-    return Operator(gb, _embed_factors(gb, {gb.fermion_factor: [total]}))
+    return Operator(gb, _embed_factors(gb, [
+        {gb.fermion_factor: [coeff[a, b] * _hop(model, vertex_a, a, vertex_b, b)]}
+        for a in modes for b in modes if coeff[a, b] != 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -455,37 +474,31 @@ def _zero(basis: GlobalBasis) -> sp.csr_matrix:
     return sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
 
 
-def _plus_hc(model: Model, mat: sp.csr_matrix) -> sp.csr_matrix:
-    """mat + mat^dag, or mat alone when the model drops the Hermitian conjugate."""
-    return mat + mat.conj().T if model.params.include_hc else mat
-
-
 def _mass_term(model: Model) -> sp.csr_matrix:
     """sum_v m_v n_v, vertices in index order."""
     gb = model.global_basis
-    ferm = sum(model.mass_at(v) * _vertex_block(model, number_operator(space).matrix, v)
-               for v, space in enumerate(model.vertex_spaces))
-    return _embed_factors(gb, {gb.fermion_factor: [ferm]})
+    return _embed_factors(gb, [
+        {gb.fermion_factor: [model.mass_at(v)
+                             * _vertex_block(model, number_operator(space).matrix, v)]}
+        for v, space in enumerate(model.vertex_spaces)])
 
 
 def _tunneling_term(model: Model) -> sp.csr_matrix:
     """sum over links in index order of eps_l sum_ab psi^dag_a U_ab psi_b (+ h.c.).
 
-    The (a, b) pieces of a link are added row-major, then its h.c.
+    The (a, b) products of a link are added row-major on its span, then its h.c.
     """
     gb = model.global_basis
     u = model.u_tunneling
 
     def link_hop(link: Link) -> sp.csr_matrix:
-        return model.epsilon[link.index] * sum(
-            _embed_factors(gb, {
-                gb.fermion_factor: [_hop(model, link.origin, a, link.target, b)],
-                gb.link_factor(link.index): [u.entry(a, b).matrix],
-            })
-            for a in range(u.dim) for b in range(u.dim))
+        return _embed_factors(gb, [
+            {gb.fermion_factor: [_hop(model, link.origin, a, link.target, b)],
+             gb.link_factor(link.index): [u.entry(a, b).matrix]}
+            for a in range(u.dim) for b in range(u.dim)],
+            model.epsilon[link.index], hc=model.params.include_hc)
 
-    return sum((_plus_hc(model, link_hop(link)) for link in model.lattice.links),
-               _zero(gb))
+    return sum((link_hop(link) for link in model.lattice.links), _zero(gb))
 
 
 def _electric_term(model: Model) -> sp.csr_matrix:
@@ -501,39 +514,34 @@ def _electric_term(model: Model) -> sp.csr_matrix:
          for label, w in model.electric_weights().items()
          if model.entry.has_irrep(label)),
         0 * identity_operator(model.link_space, model.basis_tag))
-    return sum((_embed_factors(gb, {gb.link_factor(link.index): [link_op.matrix]})
-                for link in model.lattice.links), _zero(gb))
+    return _embed_factors(gb, [{gb.link_factor(link.index): [link_op.matrix]}
+                               for link in model.lattice.links])
 
 
-def _plaquette_trace_matrix(model: Model, plaq: Plaquette) -> sp.csr_matrix:
-    """Tr(U_1 U_2 U_3^dag U_4^dag) around one plaquette, in the model basis.
+def _plaquette_trace_matrix(model: Model, plaq: Plaquette, coeff: complex = 1.0,
+                            hc: bool = False) -> sp.csr_matrix:
+    """coeff * Tr(U_1 U_2 U_3^dag U_4^dag) around one plaquette (+ h.c. if ``hc``).
 
-    In the rep basis the index loops (a, b, c, d) are added in row-major order.
+    One path for both link bases: the index loops (a, b, c, d) are added in
+    row-major order on the span of the plaquette's link factors, where the
+    U entries are Clebsch-Gordan matrices (rep basis) or diagonal D(g)
+    entries (group basis).  A link met twice multiplies its two entries.
     """
     gb = model.global_basis
     l1, l2, l3, l4 = plaq.links
-    if model.basis_tag == GROUP:
-        spec = model.entry.spec
-        table = character_table(model.entry)
-        chi = table.chi[model.entry.irrep_index(model.magnetic_rep)]
-        d1 = gb.digit_array(gb.link_factor(l1))
-        d2 = gb.digit_array(gb.link_factor(l2))
-        d3 = gb.digit_array(gb.link_factor(l3))
-        d4 = gb.digit_array(gb.link_factor(l4))
-        hol = spec.mul[spec.mul[d1, d2], spec.mul[spec.inv[d3], spec.inv[d4]]]
-        return sp.diags(chi[spec.class_of[hol]].astype(complex), format="csr")
     u = model.u_magnetic
 
-    def loop(a: int, b: int, c: int, d: int) -> sp.csr_matrix:
+    def loop(a: int, b: int, c: int, d: int) -> dict[int, list[sp.spmatrix]]:
         ops: dict[int, list[sp.spmatrix]] = {}
         for link_idx, mat in ((l1, u.entry(a, b).matrix),
                               (l2, u.entry(b, c).matrix),
                               (l3, u.dagger_entry(c, d).matrix),
                               (l4, u.dagger_entry(d, a).matrix)):
             ops.setdefault(gb.link_factor(link_idx), []).append(mat)
-        return _embed_factors(gb, ops)
+        return ops
 
-    return sum(loop(*abcd) for abcd in product(range(u.dim), repeat=4))
+    return _embed_factors(gb, [loop(*abcd) for abcd in product(range(u.dim), repeat=4)],
+                          coeff, hc)
 
 
 def plaquette_trace(model: Model, plaquette_index: int) -> Operator:
@@ -545,7 +553,7 @@ def plaquette_trace(model: Model, plaquette_index: int) -> Operator:
 def _magnetic_term(model: Model) -> sp.csr_matrix:
     """-(1/2g^2) sum over plaquettes in index order of (Tr W + h.c.)."""
     pref = -1.0 / (2.0 * model.params.coupling ** 2)
-    return sum((_plus_hc(model, pref * _plaquette_trace_matrix(model, plaq))
+    return sum((_plaquette_trace_matrix(model, plaq, pref, hc=model.params.include_hc)
                 for plaq in model.lattice.plaquettes), _zero(model.global_basis))
 
 
@@ -609,15 +617,13 @@ def gauss_generators(model: Model, vertex: int) -> list[Operator]:
     left, right = link_generators(model.link_space)
     out = []
     for a in range(model.entry.n_generator_components):
-        mats = []
-        for link, role in model.lattice.links_at_vertex(vertex):
-            op = left[a] if role == "out" else right[a]
-            mats.append(_embed_factors(
-                gb, {gb.link_factor(link.index): [op.matrix]}))
+        pieces = [{gb.link_factor(link.index):
+                   [(left[a] if role == "out" else right[a]).matrix]}
+                  for link, role in model.lattice.links_at_vertex(vertex)]
         if model.lattice.include_matter:
             q = matter_charges(model.vertex_spaces[vertex], model.entry)[a]
-            mats.append(embed_vertex(model, q.matrix, vertex).matrix)
-        out.append(Operator(gb, sum(mats, _zero(gb))))
+            pieces.append({gb.fermion_factor: [_vertex_block(model, q.matrix, vertex)]})
+        out.append(Operator(gb, _embed_factors(gb, pieces)))
     return out
 
 

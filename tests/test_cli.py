@@ -413,6 +413,27 @@ def test_spectrum_config_errors_fail_before_assembly(runner, tmp_path, monkeypat
     assert not out.exists()
 
 
+def test_physical_sector_past_int64_dim_exits_2_at_the_cap(runner, tmp_path, monkeypatch):
+    import fockgauge.cli as cli
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("full-space Hamiltonian built before the dim cap")
+
+    monkeypatch.setattr(cli, "build_hamiltonian", no_assembly)
+    # D3 5x4 open pure gauge: 6**31 states, more than int64 holds
+    out = tmp_path / "out.json"
+    cfg = write_config(tmp_path / "huge.yaml", group={"builtin": "D3"},
+                       lattice={"lx": 5, "ly": 4, "boundary": "open",
+                                "include_matter": False},
+                       tasks=[{"spectrum": {"k": 2, "sector": "physical"}}])
+    result = runner.invoke(main, ["spectrum", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+    assert "limited to dim 4096" in lines[0] and str(6 ** 31) in lines[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("basis", ["rep", "group"])
 def test_observables_on_the_vacuum_take_closed_form_values(runner, tmp_path, basis):
     # the strong-coupling vacuum carries the trivial irrep on every link: its

@@ -556,3 +556,21 @@ def test_magnetic_rep_independent_of_tunneling_rep():
             for term in terms.values():
                 r = th.apply(term.apply(vec)) - term.apply(th.apply(vec))
                 assert np.linalg.norm(r) < 1e-10
+
+
+def test_global_dim_is_exact_past_int64(monkeypatch):
+    # D3 5x4 open pure gauge has 31 links: 6**31 states, beyond int64
+    import fockgauge.lattice_model as lm
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled above the dense cap")
+
+    monkeypatch.setattr(lm, "_embed_factors", no_assembly)
+    monkeypatch.setattr(lm, "physical_projector", no_assembly)
+    lat = LatticeSpec(5, 4, boundary="open", include_matter=False)
+    model = Model(build_builtin("D3"), lat, ModelParams(terms=("magnetic",)),
+                  basis_tag="group")
+    assert lat.n_links == 31
+    assert model.global_basis.dim == 6 ** 31
+    with pytest.raises(ValueError, match=f"limited to dim {lm.DENSE_MAX_DIM}"):
+        physical_basis(model)

@@ -1,0 +1,241 @@
+"""Oracles for the placement of local pieces.
+
+Every term is built as a sum of per-factor products formed on the span of
+the factors they touch and padded with identities once.  The references
+here place each product on the full space and sum there, in the same
+order, and the group-basis plaquette is also checked against its closed
+form in characters of the plaquette holonomy.
+"""
+
+from functools import reduce
+from itertools import product
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from fockgauge import lattice_model as lm
+from fockgauge.group_core import build_builtin, character_table
+from fockgauge.lattice_model import (
+    LatticeSpec,
+    Model,
+    ModelParams,
+    gauss_generators,
+    hamiltonian_terms,
+    plaquette_trace,
+)
+from fockgauge.link_space import generators as link_generators
+from fockgauge.link_space import identity_operator, projector_rep
+from fockgauge.matter_space import charges as matter_charges
+from fockgauge.matter_space import number_operator
+
+
+def _identity(dim):
+    return sp.identity(dim, dtype=complex, format="csr")
+
+
+def _full_kron(gb, ops):
+    """One product placed on the full space: a kron over every factor."""
+    blocks, pending = [], 1
+    for factor, dim in enumerate(gb.factor_dims):
+        if factor not in ops:
+            pending *= dim
+            continue
+        if pending > 1:
+            blocks.append(_identity(pending))
+            pending = 1
+        blocks.append(reduce(lambda a, b: a @ b, ops[factor]))
+    if pending > 1 or not blocks:
+        blocks.append(_identity(pending))
+    return sp.csr_matrix(reduce(lambda a, b: sp.kron(a, b, format="csr"), blocks))
+
+
+def _zero(gb):
+    return sp.csr_matrix((gb.dim, gb.dim), dtype=complex)
+
+
+def _plus_hc(model, mat):
+    return mat + mat.conj().T if model.params.include_hc else mat
+
+
+def _ref_mass(model):
+    gb = model.global_basis
+    ferm = sum(model.mass_at(v) * lm._vertex_block(model, number_operator(space).matrix, v)
+               for v, space in enumerate(model.vertex_spaces))
+    return _full_kron(gb, {gb.fermion_factor: [ferm]})
+
+
+def _ref_tunneling(model):
+    gb = model.global_basis
+    u = model.u_tunneling
+    total = _zero(gb)
+    for link in model.lattice.links:
+        hop = model.epsilon[link.index] * sum(
+            _full_kron(gb, {
+                gb.fermion_factor: [lm._hop(model, link.origin, a, link.target, b)],
+                gb.link_factor(link.index): [u.entry(a, b).matrix]})
+            for a in range(u.dim) for b in range(u.dim))
+        total = total + _plus_hc(model, hop)
+    return total
+
+
+def _ref_electric(model):
+    gb = model.global_basis
+    g2 = model.params.coupling ** 2
+    link_op = sum(
+        ((g2 / 2.0 * w)
+         * projector_rep(model.link_space, label).to_basis(model.basis_tag)
+         for label, w in model.electric_weights().items()),
+        0 * identity_operator(model.link_space, model.basis_tag))
+    return sum((_full_kron(gb, {gb.link_factor(link.index): [link_op.matrix]})
+                for link in model.lattice.links), _zero(gb))
+
+
+def _ref_trace(model, plaq):
+    gb = model.global_basis
+    u = model.u_magnetic
+    l1, l2, l3, l4 = plaq.links
+
+    def loop(a, b, c, d):
+        ops = {}
+        for link_idx, mat in ((l1, u.entry(a, b).matrix),
+                              (l2, u.entry(b, c).matrix),
+                              (l3, u.dagger_entry(c, d).matrix),
+                              (l4, u.dagger_entry(d, a).matrix)):
+            ops.setdefault(gb.link_factor(link_idx), []).append(mat)
+        return _full_kron(gb, ops)
+
+    return sum(loop(*abcd) for abcd in product(range(u.dim), repeat=4))
+
+
+def _ref_magnetic(model):
+    pref = -1.0 / (2.0 * model.params.coupling ** 2)
+    return sum((_plus_hc(model, pref * _ref_trace(model, plaq))
+                for plaq in model.lattice.plaquettes), _zero(model.global_basis))
+
+
+def _ref_generators(model, vertex):
+    gb = model.global_basis
+    left, right = link_generators(model.link_space)
+    out = []
+    for a in range(model.entry.n_generator_components):
+        mats = [_full_kron(gb, {gb.link_factor(link.index):
+                                [(left[a] if role == "out" else right[a]).matrix]})
+                for link, role in model.lattice.links_at_vertex(vertex)]
+        if model.lattice.include_matter:
+            q = matter_charges(model.vertex_spaces[vertex], model.entry)[a]
+            mats.append(_full_kron(gb, {gb.fermion_factor: [
+                lm._vertex_block(model, q.matrix, vertex)]}))
+        out.append(sum(mats, _zero(gb)))
+    return out
+
+
+_REFERENCES = {"mass": _ref_mass, "tunneling": _ref_tunneling,
+               "electric": _ref_electric, "magnetic": _ref_magnetic}
+
+
+def _assert_bit_identical(got, ref, what, signed_zeros=True):
+    got, ref = sp.csr_matrix(got), sp.csr_matrix(ref)
+    assert got.dtype == ref.dtype, what
+    assert got.indptr.tobytes() == ref.indptr.tobytes(), what
+    assert got.indices.tobytes() == ref.indices.tobytes(), what
+    if signed_zeros:
+        assert got.data.tobytes() == ref.data.tobytes(), what
+    else:
+        assert np.array_equal(got.data, ref.data), what
+
+
+def _z2_matter(basis):
+    lat = LatticeSpec(3, 2, boundary="open", include_matter=True)
+    eps = [0.7 + 0.1j * k for k in range(lat.n_links)]
+    return Model(build_builtin("Z_2"), lat,
+                 ModelParams(mass=0.8, epsilon=eps, coupling=1.3), basis_tag=basis)
+
+
+def _u1_pure():
+    lat = LatticeSpec(3, 2, boundary="open", include_matter=False)
+    return Model(build_builtin("U1_trunc", P=1), lat, ModelParams(coupling=1.3))
+
+
+@pytest.mark.parametrize("make_model", [lambda: _z2_matter("group"),
+                                        lambda: _z2_matter("rep"), _u1_pure],
+                         ids=["z2-group", "z2-rep", "u1-pure"])
+def test_terms_match_full_space_placement_bit_for_bit(make_model):
+    model = make_model()
+    gb = model.global_basis
+    # the spans have gaps: plaquette (0, 0) runs over links 0, 1, 3 and 5
+    assert sorted(model.lattice.plaquettes[0].links) == [0, 1, 3, 5]
+    terms = hamiltonian_terms(model)
+    assert set(terms) == set(model.terms)
+    for name, term in terms.items():
+        _assert_bit_identical(term.matrix, _REFERENCES[name](model), name)
+    for plaq in model.lattice.plaquettes:
+        _assert_bit_identical(plaquette_trace(model, plaq.index).matrix,
+                              _ref_trace(model, plaq), f"plaquette {plaq.index}")
+    if model.entry.is_lie:
+        # the reference sum starts at an explicit zero, which turns a -0.0
+        # imaginary part into +0.0, so the generators agree in value only
+        for v in range(gb.n_vertices):
+            for a, (got, ref) in enumerate(zip(gauss_generators(model, v),
+                                               _ref_generators(model, v))):
+                _assert_bit_identical(got.matrix, ref, f"G_{a} at vertex {v}",
+                                      signed_zeros=False)
+
+
+def _closed_form_trace(model, plaq):
+    """diag chi(class(g1 g2 g3^-1 g4^-1)) over the group-basis digits."""
+    gb = model.global_basis
+    spec = model.entry.spec
+    chi = character_table(model.entry).chi[model.entry.irrep_index(model.magnetic_rep)]
+    d1, d2, d3, d4 = (gb.digit_array(gb.link_factor(l)) for l in plaq.links)
+    hol = spec.mul[spec.mul[d1, d2], spec.mul[spec.inv[d3], spec.inv[d4]]]
+    return sp.diags(chi[spec.class_of[hol]].astype(complex), format="csr")
+
+
+def _closed_form_magnetic(model):
+    pref = -1.0 / (2.0 * model.params.coupling ** 2)
+    total = _zero(model.global_basis)
+    for plaq in model.lattice.plaquettes:
+        piece = pref * _closed_form_trace(model, plaq)
+        total = total + piece + piece.conj().T
+    return total
+
+
+def _assert_same_sparsity_close(got, ref, what):
+    got, ref = sp.csr_matrix(got), sp.csr_matrix(ref)
+    assert np.array_equal(got.indptr, ref.indptr), what
+    assert np.array_equal(got.indices, ref.indices), what
+    assert np.abs(got.data - ref.data).max() <= 1e-14, what
+
+
+@pytest.mark.parametrize("name,lx,ly,boundary,matter", [
+    ("D3", 2, 2, "open", True),
+    ("D3", 2, 1, "periodic", False),     # the plaquette passes link 0 twice
+    ("Z_3", 1, 1, "periodic", False),    # both links twice
+])
+def test_group_basis_plaquette_matches_character_closed_form(name, lx, ly, boundary,
+                                                            matter):
+    lat = LatticeSpec(lx, ly, boundary=boundary, include_matter=matter)
+    model = Model(build_builtin(name), lat,
+                  ModelParams(mass=1.0, epsilon=0.7, coupling=1.3, terms=("magnetic",)),
+                  basis_tag="group")
+    assert lat.plaquettes
+    magnetic = hamiltonian_terms(model)["magnetic"].matrix
+    _assert_same_sparsity_close(magnetic, _closed_form_magnetic(model), "magnetic")
+    for plaq in lat.plaquettes:
+        _assert_same_sparsity_close(plaquette_trace(model, plaq.index).matrix,
+                                    _closed_form_trace(model, plaq), plaq.index)
+
+
+def test_embed_factors_sums_pieces_on_their_span():
+    # a coefficient and the h.c. applied on the span equal the full-space sum
+    model = _z2_matter("rep")
+    gb = model.global_basis
+    u = model.u_magnetic.entry(0, 0).matrix
+    x = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    pieces = [{gb.link_factor(1): [u, x]}, {gb.link_factor(4): [x]}]
+    got = lm._embed_factors(gb, pieces, 0.5j, hc=True)
+    full = 0.5j * (_full_kron(gb, pieces[0]) + _full_kron(gb, pieces[1]))
+    assert abs(got - (full + full.conj().T)).max() == 0
+    assert lm._embed_factors(gb, []).nnz == 0
+    assert lm._embed_factors(gb, {}).nnz == gb.dim

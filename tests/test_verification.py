@@ -150,6 +150,22 @@ def test_fault_injections_fail_the_report(monkeypatch, name, params, basis):
     assert "model.gauss_commutes_with_mass" not in failed
 
 
+@pytest.mark.parametrize("name,params,check", [
+    ("D3", {}, "model.vacuum_gauss_invariant"),
+    ("SU2_trunc", {"j_max": "1/2"}, "model.vacuum_gauss_neutral")])
+def test_non_invariant_vacuum_fails_the_report(monkeypatch, name, params, check):
+    lat = LatticeSpec(2, 1, boundary="open", include_matter=True)
+    model = Model(build_builtin(name, **params), lat,
+                  ModelParams(epsilon=0.5, terms=("mass", "tunneling")))
+    rng = np.random.default_rng(11)
+    vec = rng.normal(size=model.global_basis.dim) \
+        + 1j * rng.normal(size=model.global_basis.dim)
+    monkeypatch.setattr(verification, "vacuum_state",
+                        lambda _model: vec / np.linalg.norm(vec))
+    failed = {c.name for c in verify_model(model).checks if not c.passed}
+    assert failed == {check}, failed
+
+
 def test_verify_model_stops_at_a_corrupt_table(tmp_path):
     path = tmp_path / "d3.json"
     dump_group_file(build_builtin("D3"), path)
