@@ -40,7 +40,6 @@ from .matter_space import (
     psi_dagger,
     number_operator,
     theta_q,
-    theta_q_exponential,
     charge_su2,
     charge_u1,
 )

@@ -21,7 +21,6 @@ from .group_core import GroupCatalogEntry, format_j, parse_j_label
 INTEGRALITY_TOL = 1e-9
 PHASE_PICK_TOL = 1e-9
 LIE_SAMPLE_COUNT = 50       # rotations probed by verify_cg
-NUMERIC_SAMPLE_COUNT = 24   # rotations stacked by cg_numeric
 LIE_SAMPLE_SEED = 2203
 
 
@@ -201,34 +200,3 @@ def verify_cg(entry: GroupCatalogEntry, tensor: CGTensor) -> float:
         rhs = a @ ir_K.matrix(g)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
-
-
-def cg_numeric(entry: GroupCatalogEntry, J: str, j: str, K: str) -> CGTensor:
-    """Coefficients from the invariance constraints at sampled rotations.
-
-    Independent construction used to cross-check the closed forms: stack the
-    linear conditions (D^{J(x)j}(g) (x) 1 - 1 (x) D^K(g)^T) vec(A) = 0 for
-    seeded random group elements and take the nullspace by SVD.  Only valid
-    for multiplicity-free channels (one-dimensional nullspace).
-    """
-    ir_J, ir_j, ir_K = entry.irrep(J), entry.irrep(j), entry.irrep(K)
-    rows = ir_J.dim * ir_j.dim
-    blocks = []
-    for g in entry.elements(NUMERIC_SAMPLE_COUNT, LIE_SAMPLE_SEED):
-        big = np.kron(ir_J.matrix(g), ir_j.matrix(g))
-        blocks.append(np.kron(big, np.eye(ir_K.dim)) -
-                      np.kron(np.eye(rows), ir_K.matrix(g).T))
-    system = np.vstack(blocks)
-    _, svals, vh = np.linalg.svd(system)
-    null_dim = int(np.sum(svals < 1e-8 * svals[0]))
-    if system.shape[0] < system.shape[1]:
-        null_dim += system.shape[1] - system.shape[0]
-    if null_dim != 1:
-        raise MultiplicityError(
-            f"nullspace dimension {null_dim} for {J} (x) {j} -> {K}")
-    vec = vh[-1].conj()
-    a = vec.reshape(rows, ir_K.dim)
-    a /= np.sqrt((np.trace(a.conj().T @ a) / ir_K.dim).real)
-    tensor = CGTensor(J=J, j=j, K=K, coeffs=a.reshape(ir_J.dim, ir_j.dim, ir_K.dim))
-    _fix_phase(tensor.coeffs)
-    return tensor

@@ -26,7 +26,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
 
 from .group_core import GroupCatalogEntry
 from .link_space import (
@@ -50,7 +49,7 @@ from .matter_space import (
     number_operator,
     theta_q,
 )
-from .operators import Operator
+from .operators import Operator, eigh_by_components
 
 # Largest dimension handled with dense matrices: dense eigh, the sector
 # projector and basis, and the dense identity checks.
@@ -227,14 +226,6 @@ class GlobalBasis:
 
     def encode(self, digits: Sequence[int]) -> int:
         return int(sum(d * s for d, s in zip(digits, self.strides)))
-
-    def decode(self, index: int) -> list[int]:
-        return [(index // s) % d for s, d in zip(self.strides, self.factor_dims)]
-
-    def digit_array(self, factor: int) -> np.ndarray:
-        """The digit of every global index at one factor, vectorized."""
-        idx = np.arange(self.dim)
-        return (idx // self.strides[factor]) % self.factor_dims[factor]
 
 
 class Model:
@@ -648,20 +639,22 @@ def physical_projector(model: Model,
         raise ValueError("character projector needs a finite group; for Lie "
                          "catalogs filter the nullspace of gauss_casimir")
     _check_dense_dim(model, "sector projector")
-    sector = sector or {}
+    return reduce(operator.matmul, _sector_averages(model, sector))
+
+
+def _sector_averages(model: Model, sector: Optional[dict[int, str]]) -> list[Operator]:
+    """The vertex averages whose product is the sector projector."""
     trivial = model.entry.trivial_label()
-    return reduce(operator.matmul,
-                  (vertex_sector_average(model, v, sector.get(v, trivial))
-                   for v in range(model.lattice.n_vertices)))
+    return [vertex_sector_average(model, v, (sector or {}).get(v, trivial))
+            for v in range(model.lattice.n_vertices)]
 
 
 def vertex_sector_average(model: Model, vertex: int, sector_label: str) -> Operator:
     """(dim(s)/|G|) sum_g chi_s(g)* Theta_{g, vertex} for one vertex."""
     spec = model.entry.spec
     ir = model.entry.irrep(sector_label)
-    chi = ir.characters
     gb = model.global_basis
-    return Operator(gb, sum(((ir.dim / spec.order) * chi[g].conjugate()
+    return Operator(gb, sum(((ir.dim / spec.order) * ir.characters[g].conjugate()
                              * gauss_operator(model, vertex, g).matrix
                              for g in range(spec.order)), _zero(gb)))
 
@@ -671,18 +664,20 @@ def physical_basis(model: Model,
     """Dense orthonormal columns spanning the physical sector (desk scale).
 
     Finite groups: eigenvectors of the sector projector with eigenvalue 1.
-    Lie catalogs: null eigenvectors of the Gauss Casimir.  LAPACK computes
-    only the eigenpairs in the window [centre - SECTOR_TOL, centre + SECTOR_TOL].
+    Lie catalogs: null eigenvectors of the Gauss Casimir.  LAPACK runs once
+    per connected component of the sparsity graph (for the projector, a
+    gauge orbit: the vertex averages are multiplied block by block and the
+    whole projector is never formed), keeping the eigenpairs in the window
+    [centre - SECTOR_TOL, centre + SECTOR_TOL].
     """
     _check_dense_dim(model, "dense sector basis")
     if model.entry.is_lie:
-        mat, centre = gauss_casimir(model).matrix, 0.0
+        factors, centre = [gauss_casimir(model).matrix], 0.0
     else:
-        proj = physical_projector(model, sector).matrix
-        mat, centre = (proj + proj.conj().T) / 2.0, 1.0
+        factors, centre = [a.matrix for a in _sector_averages(model, sector)], 1.0
     # scipy's value window is half-open, (lo, hi]
     window = [np.nextafter(centre - SECTOR_TOL, -np.inf), centre + SECTOR_TOL]
-    return eigh(mat.toarray(), overwrite_a=True, subset_by_value=window)[1]
+    return eigh_by_components(factors, window=window)[1]
 
 
 def vacuum_state(model: Model) -> np.ndarray:

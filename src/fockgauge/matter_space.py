@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm, logm
 
 from .group_core import GroupCatalogEntry
 from .operators import Operator
@@ -127,19 +126,6 @@ def theta_q(space: VertexFock, entry: GroupCatalogEntry, g) -> Operator:
                     out[s_row, s_col] = np.linalg.det(dmat[np.ix_(rows, cols)])
     det_phase = np.linalg.det(dmat).conj() ** space.parity
     return Operator(space, sp.csr_matrix(out * det_phase))
-
-
-def theta_q_exponential(space: VertexFock, entry: GroupCatalogEntry, g) -> Operator:
-    """Same transformation through exp(i psi^dag q psi) with q = -i log D(g).
-
-    Kept as a cross-check of theta_q; the principal logarithm is ambiguous
-    when D(g) has an eigenphase at pi, so prefer theta_q for production use.
-    """
-    dmat = _resolve_dmatrix(space, entry, g)
-    q = -1j * logm(np.asarray(dmat, dtype=complex))
-    exponent = bilinear(space, q).toarray()
-    det_phase = np.linalg.det(dmat).conj() ** space.parity
-    return Operator(space, sp.csr_matrix(expm(1j * exponent) * det_phase))
 
 
 PAULI = (

@@ -10,10 +10,14 @@ duplicates summed, entries with |x| <= DROP_TOL dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from functools import reduce
+from operator import matmul
+from typing import Any, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh
+from scipy.sparse.csgraph import connected_components
 
 DROP_TOL = 1e-14
 HERMITICITY_TOL = 1e-12
@@ -38,6 +42,54 @@ def max_abs(mat) -> float:
 def hermiticity_residual(mat: sp.spmatrix) -> float:
     """max |M - M^dag| over the entries of a sparse matrix."""
     return max_abs(mat - mat.conj().T)
+
+
+def eigh_by_components(factors: Sequence[sp.csr_matrix], *,
+                       k: Optional[int] = None,
+                       window: Optional[Sequence[float]] = None):
+    """Eigenpairs of the Hermitian product of CSR ``factors``, block by block.
+
+    Blocks are the connected components of the union of the factors'
+    sparsity patterns, read with unit weights so that no value (a purely
+    imaginary coupling too) hides an edge; each factor maps every block into
+    itself, so the blocks' spectra are the product's.  A product of several
+    commuting Hermitian factors is symmetrized per block; 1x1 blocks are read
+    off the diagonal.  Returns the k lowest pairs, or those in the half-open
+    ``window`` (lo, hi], stably sorted, vectors as full-dim columns.
+    """
+    graph = sum(sp.csr_matrix((np.ones(len(f.indices)), f.indices, f.indptr),
+                              shape=f.shape) for f in factors)
+    n_comp, labels = connected_components(graph, directed=False)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(n_comp + 1))
+    blocks = [f[order][:, order] for f in factors]
+    ones = bounds[:-1][np.diff(bounds) == 1]
+    found = [(np.prod([b.diagonal()[ones] for b in blocks], 0).real, order[ones], None)]
+    for c in np.flatnonzero(np.diff(bounds) > 1):
+        lo, hi = bounds[c], bounds[c + 1]
+        mat = reduce(matmul, (b[lo:hi, lo:hi] for b in blocks)).toarray()
+        if len(blocks) > 1:
+            mat = (mat + mat.conj().T) / 2.0
+        subset = ({"subset_by_value": window} if window is not None
+                  else {"subset_by_index": [0, min(k, hi - lo) - 1]})
+        vals, vecs = eigh(mat, overwrite_a=True, **subset)
+        found.append((vals, order[lo:hi], vecs))
+    values = np.concatenate([f[0] for f in found])
+    pick = np.argsort(values, kind="stable")
+    if window is not None:
+        pick = pick[(values[pick] > window[0]) & (values[pick] <= window[1])]
+    pick = pick[:k]
+    out = np.zeros((len(labels), len(pick)),
+                   dtype=np.result_type(*(f.dtype for f in factors), float))
+    starts = np.cumsum([0] + [len(f[0]) for f in found])
+    for (vals, rows, vecs), start in zip(found, starts):
+        cols = np.flatnonzero((pick >= start) & (pick < start + len(vals)))
+        local = pick[cols] - start
+        if vecs is None:    # the 1x1 blocks, one row each
+            out[rows[local], cols] = 1.0
+        else:
+            out[rows[:, None], cols] = vecs[:, local]
+    return values[pick], out
 
 
 @dataclass(eq=False)

@@ -1,16 +1,16 @@
 """Eigensolvers and observables.
 
-Up to DENSE_MAX_DIM a dense LAPACK solve (MRRR) computes only the k
-lowest eigenpairs; above it a symmetric Lanczos iteration with full
-reorthogonalization, a seeded start vector, and deflation restarts so
-degenerate levels are resolved copy by copy.
-The Krylov basis and the accepted (deflation) vectors are rows of arrays
-that start at ROW_BLOCK rows and double when full, so memory follows the
-steps taken.  Each new Lanczos vector is re-orthogonalized against both
-by two unconditional classical Gram-Schmidt passes ("twice is enough",
-Daniel, Gragg, Kaufman and Stewart 1976), each pass one BLAS GEMV to
-project and one to subtract; Ritz vectors come from one GEMM on the
-basis.  Every reported eigenpair carries an explicit residual
+Up to DENSE_MAX_DIM the matrix is split into the connected components of
+its sparsity graph and LAPACK (MRRR) computes only the k lowest eigenpairs
+of each dense block, once per component; above it a symmetric Lanczos
+iteration with full reorthogonalization, a seeded start vector, and
+deflation restarts resolves degenerate levels copy by copy.  Its Krylov
+basis and accepted (deflation) vectors are rows of arrays that start at
+ROW_BLOCK rows and double when full.  Each new Lanczos vector is
+re-orthogonalized against both by two classical Gram-Schmidt passes
+("twice is enough", Daniel, Gragg, Kaufman and Stewart 1976), each one
+BLAS GEMV to project and one to subtract; Ritz vectors come from one GEMM
+on the basis.  Every reported eigenpair carries an explicit residual
 ||Hv - lambda v||, and results count Lanczos steps, deflated runs and
 matrix-vector products.
 """
@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 from .group_core import GroupCatalogEntry
 from .lattice_model import (
@@ -33,7 +33,7 @@ from .lattice_model import (
     ModelParams,
     build_hamiltonian,
 )
-from .operators import HERMITICITY_TOL, Operator, hermiticity_residual
+from .operators import HERMITICITY_TOL, Operator, eigh_by_components, hermiticity_residual
 
 LANCZOS_TOL = 1e-8
 LANCZOS_MAX_ITER = 5000
@@ -109,8 +109,9 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
 
     An operator whose Hermiticity residual exceeds HERMITICITY_TOL raises
     EigensolveError.  Up to ``dense_cutoff`` LAPACK computes only the k
-    pairs; above it Lanczos certifies each pair to LANCZOS_TOL within
-    ``max_iter`` steps, or raises EigensolveError.
+    lowest pairs of each connected component of the sparsity graph and the
+    k lowest of all are kept; above it Lanczos certifies each pair to
+    LANCZOS_TOL within ``max_iter`` steps, or raises EigensolveError.
     """
     mat = _as_sparse(op)
     dim = mat.shape[0]
@@ -130,8 +131,7 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
         k = dim
     counts = _Counts()
     if dim <= dense_cutoff:
-        vals, vecs = eigh(mat.toarray(), overwrite_a=True,
-                          subset_by_index=[0, k - 1])
+        vals, vecs = eigh_by_components([mat], k=k)
         method = "dense"
     else:
         vals, vecs = _lanczos_lowest(mat, k, seed=seed, tol=LANCZOS_TOL,

@@ -5,11 +5,11 @@ from fockgauge.clebsch_gordan import (
     CGTensor,
     MultiplicityError,
     cg,
-    cg_numeric,
     decompose,
     verify_cg,
 )
 from fockgauge.group_core import build_builtin
+from oracles import cg_numeric
 
 EPS2 = np.array([[0, 1], [-1, 0]], dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,6 +26,7 @@ from fockgauge.lattice_model import (
 )
 from fockgauge.link_space import identity_operator, projector_rep
 from fockgauge.matter_space import theta_q
+from oracles import decode, digit_array
 
 
 def _mabs(mat):
@@ -81,13 +84,13 @@ def test_mixed_radix_roundtrip():
                         modes_per_vertex=2)
     rng = np.random.default_rng(123)
     for idx in rng.integers(0, basis.dim, size=1000):
-        digits = basis.decode(int(idx))
+        digits = decode(basis, int(idx))
         assert basis.encode(digits) == idx
     # digit arrays agree with scalar decode
     for f in range(4):
-        arr = basis.digit_array(f)
+        arr = digit_array(basis, f)
         for idx in rng.integers(0, basis.dim, size=50):
-            assert arr[idx] == basis.decode(int(idx))[f]
+            assert arr[idx] == decode(basis, int(idx))[f]
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +134,7 @@ def test_fermion_bilinear_number_operator(z2_chain):
     assert num.matrix.nnz == len(arr[arr != 0])     # diagonal
     # vertex 0 occupies bit 0 of the fermion factor (most significant digit)
     gb = z2_chain.global_basis
-    ferm_digits = gb.digit_array(gb.fermion_factor)
+    ferm_digits = digit_array(gb, gb.fermion_factor)
     expected = (ferm_digits & 1).astype(complex)
     assert np.abs(num.matrix.diagonal() - expected).max() == 0.0
 
@@ -385,6 +388,53 @@ def test_physical_basis_spans_the_projector_range():
     proj = physical_projector(model).toarray()
     assert cols.shape[1] > 0
     assert np.abs(cols @ cols.conj().T - proj).max() < 1e-10
+
+
+def test_physical_basis_spans_a_static_charge_projector():
+    # Z_3 2x2 open with matter, group basis (dim 1296): the Gauss law splits
+    # the space into orbits, solved one by one; the oracle is the dense
+    # projector onto the sector with charges 1 at vertex 0 and 2 at vertex 3
+    z3 = build_builtin("Z_3")
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3)
+    model = Model(z3, lat, params, basis_tag="group")
+    sector = {0: "1", 3: "2"}
+    cols = physical_basis(model, sector=sector)
+    proj = physical_projector(model, sector=sector).toarray()
+    assert cols.shape[1] > 0
+    assert np.abs(cols @ cols.conj().T - proj).max() < 1e-10
+
+
+def test_physical_basis_of_a_diagonal_casimir():
+    # U(1) P=1 2x2 open with matter: in the rep basis the Casimir is
+    # diagonal, so every basis state is its own 1x1 block
+    u1 = build_builtin("U1_trunc", P=1)
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    model = Model(u1, lat, ModelParams(mass=1.0, epsilon=0.7, coupling=1.3))
+    cas = gauss_casimir(model).toarray()
+    diag = np.diag(cas)
+    assert np.abs(cas - np.diag(diag)).max() == 0.0
+    cols = physical_basis(model)
+    assert cols.shape[1] == int(np.sum(np.abs(diag) <= 1e-8)) > 0
+    assert np.abs(cols.conj().T @ cas @ cols).max() < 1e-10
+
+
+def test_physical_basis_never_forms_a_dense_projector():
+    # Z_3 3x2 open pure gauge, group basis (dim 2187): the dense projector
+    # alone would take dim^2 * 16 B = 76 MB
+    z3 = build_builtin("Z_3")
+    lat = LatticeSpec(3, 2, boundary="open", include_matter=False)
+    model = Model(z3, lat, ModelParams(coupling=1.3), basis_tag="group")
+    dim = model.global_basis.dim
+    assert dim == 2187
+    tracemalloc.start()
+    try:
+        cols = physical_basis(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cols.shape == (dim, 9)
+    assert peak < dim * dim * np.dtype(complex).itemsize / 4
 
 
 def test_physical_basis_lie_matches_casimir_nullity():

@@ -28,6 +28,7 @@ from fockgauge.link_space import generators as link_generators
 from fockgauge.link_space import identity_operator, projector_rep
 from fockgauge.matter_space import charges as matter_charges
 from fockgauge.matter_space import number_operator
+from oracles import digit_array
 
 
 def _identity(dim):
@@ -187,7 +188,7 @@ def _closed_form_trace(model, plaq):
     gb = model.global_basis
     spec = model.entry.spec
     chi = character_table(model.entry).chi[model.entry.irrep_index(model.magnetic_rep)]
-    d1, d2, d3, d4 = (gb.digit_array(gb.link_factor(l)) for l in plaq.links)
+    d1, d2, d3, d4 = (digit_array(gb, gb.link_factor(l)) for l in plaq.links)
     hol = spec.mul[spec.mul[d1, d2], spec.mul[spec.inv[d3], spec.inv[d4]]]
     return sp.diags(chi[spec.class_of[hol]].astype(complex), format="csr")
 

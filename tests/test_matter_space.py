@@ -13,8 +13,8 @@ from fockgauge.matter_space import (
     psi,
     psi_dagger,
     theta_q,
-    theta_q_exponential,
 )
+from oracles import theta_q_exponential
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import lobpcg
 
 from fockgauge.group_core import build_builtin
@@ -116,6 +117,60 @@ def test_dense_branch_matches_full_eigh_oracle():
         vecs = result.eigenvectors
         assert np.abs(vecs.conj().T @ vecs - np.eye(k)).max() < 1e-12
         assert result.residuals.max() <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def u1_matter_ham():
+    """U(1) P=1 2x2 open with matter, rep basis (dim 1296): a split H."""
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3)
+    return build_hamiltonian(Model(build_builtin("U1_trunc", P=1), lat, params))
+
+
+def test_dense_branch_over_many_components_matches_full_eigh(u1_matter_ham):
+    # the oracle is one full np.linalg.eigvalsh; the dense branch solves
+    # each of the 472 connected components of the sparsity graph alone
+    ham = u1_matter_ham
+    pattern = sp.csr_matrix((np.ones(ham.matrix.nnz), ham.matrix.indices,
+                             ham.matrix.indptr), shape=ham.matrix.shape)
+    assert connected_components(pattern, directed=False)[0] == 472
+    oracle = np.linalg.eigvalsh(ham.toarray())
+    levels = [-2.637148] + [-1.914649] * 4 + [-1.655011] * 4
+    assert np.abs(oracle[:9] - levels).max() < 1e-6
+    for k in (3, ham.dim):    # k = 3 cuts the 4-fold level
+        result = eigensolve(ham, k=k)
+        assert result.method == "dense" and len(result.eigenvalues) == k
+        assert (result.steps, result.restarts, result.matvecs) == (0, 0, 0)
+        assert np.abs(result.eigenvalues - oracle[:k]).max() < 1e-12
+        vecs = result.eigenvectors
+        assert np.abs(vecs.conj().T @ vecs - np.eye(k)).max() < 1e-10
+        assert result.residuals.max() <= 1e-10
+    # the two copies kept at k = 3 come from different components
+    support = np.abs(eigensolve(ham, k=3).eigenvectors[:, 1:]) > 1e-12
+    assert not (support[:, 0] & support[:, 1]).any()
+
+
+def test_dense_components_come_from_the_pattern_not_the_values():
+    # sigma_y couplings are purely imaginary: a graph that kept only the
+    # real part of the values would split every pair into two 1x1 blocks
+    rng = np.random.default_rng(5)
+    dim, n_pairs = 14, 6
+    sites = rng.permutation(dim)
+    pairs = [sites[2 * b:2 * b + 2] for b in range(n_pairs)]
+    mat = sp.lil_matrix((dim, dim), dtype=complex)
+    mat.setdiag(rng.standard_normal(dim))
+    for b, (i, j) in enumerate(pairs):
+        mat[i, j], mat[j, i] = -1j * (b + 1), 1j * (b + 1)
+    mat = mat.tocsr()
+    oracle = np.linalg.eigvalsh(mat.toarray())
+    blocks = [set(p) for p in pairs] + [{s} for s in sites[2 * n_pairs:]]
+    for k in (3, dim):
+        result = eigensolve(mat, k=k)
+        assert np.abs(result.eigenvalues - oracle[:k]).max() < 1e-12
+        assert result.residuals.max() <= 1e-10
+        # one component per coupled pair: each vector fills exactly one block
+        for vec in result.eigenvectors.T:
+            assert set(np.flatnonzero(np.abs(vec) > 1e-12)) in blocks
 
 
 @pytest.fixture(scope="module")
