@@ -17,15 +17,19 @@ boolean, a section or value of the wrong type (``params``,
 ``electric_weights`` and ``group.params`` are mappings; ``terms`` and
 observable ``names`` are lists), an unknown term, observable or state,
 missing electric weights, an output path whose directory does not exist,
-and a request over a dense cap.  All of these are raised before any
-Hamiltonian is assembled.  Exit 1 with one ``eigensolve failed:`` line:
-an eigensolver that does not certify its pairs.  Neither writes an output
-file.  A verify report with a failed check is written, then exits 1.
+a request over a dense cap, and a model whose full space could not fit in
+the machine's physical memory (``BYTES_PER_ROW`` per basis state; the
+vortex-masses task never builds the configured model).  All of these are
+raised before any Hamiltonian is assembled.  Exit 1 with one ``eigensolve
+failed:`` line: an eigensolver that does not certify its pairs.  Neither
+writes an output file.  A verify report with a failed check is written,
+then exits 1.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import time
@@ -61,6 +65,9 @@ from .spectra import EigensolveError, eigensolve, expectation, vortex_masses
 from .verification import verify_model
 
 THREADS_ENV = "FOCKGAUGE_THREADS"
+# the least a full-space sparse Hamiltonian holds per row: one float64 value,
+# one index and one indptr slot, so a model that could fit is never refused
+BYTES_PER_ROW = 24
 
 
 class ConfigError(ValueError):
@@ -185,6 +192,16 @@ def _resolve_model(doc: dict, config_dir: Path, basis_override: Optional[str]) -
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return model
+
+
+def _check_fits_memory(model: Model) -> None:
+    """ConfigError when the full space needs more than the physical memory."""
+    dim = model.global_basis.dim
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if dim * BYTES_PER_ROW > memory:
+        raise ConfigError(
+            f"full space of dim 10^{math.log10(dim):.1f} at {BYTES_PER_ROW} B "
+            f"per state exceeds the {memory / 2 ** 30:.1f} GiB of physical memory")
 
 
 def _task_options(doc: dict, task_name: str) -> dict:
@@ -374,6 +391,7 @@ def _model_command(name: str, passed=lambda payload: True):
 @_model_command("verify", passed=lambda payload: payload["passed"])
 def _verify_payload(model, opts, seed):
     """Run the full identity suite for the configured model."""
+    _check_fits_memory(model)
     report = verify_model(model, seed=seed)
     for check in report.checks:
         click.echo(str(check), err=True)
@@ -400,6 +418,7 @@ def _spectrum_payload(model, opts, seed):
             basis_cols = physical_basis(model)
         except ValueError as exc:
             raise ConfigError(f"physical sector: {exc}") from exc
+    _check_fits_memory(model)
     ham = build_hamiltonian(model)
     result = eigensolve(ham, k=k, seed=seed)
     payload = {
@@ -436,6 +455,7 @@ def _observables_payload(model, opts, seed):
             raise ConfigError(f"model has no {term} term")
         if name == "plaquette_trace" and not model.lattice.plaquettes:
             raise ConfigError("model has no plaquettes")
+    _check_fits_memory(model)
     if state_kind == "vacuum":
         state = vacuum_state(model)
     elif state_kind == "ground":

@@ -4,7 +4,9 @@ An operator is a CSR matrix over one space object (a LinkSpace, a
 VertexFock or a GlobalBasis), plus a basis tag for link operators (rep or
 group basis).  Two operators combine only when they share the space object
 and the tag.  Every matrix is normalized the same way on construction:
-duplicates summed, entries with |x| <= DROP_TOL dropped.
+duplicates summed, entries with |x| <= DROP_TOL dropped.  The eigensolvers
+work on ``real_if_close`` of a matrix: float64 when no imaginary part
+exceeds DROP_TOL.
 """
 
 from __future__ import annotations
@@ -44,6 +46,22 @@ def hermiticity_residual(mat: sp.spmatrix) -> float:
     return max_abs(mat - mat.conj().T)
 
 
+def real_if_close(mat: sp.csr_matrix) -> sp.csr_matrix:
+    """``mat`` in float64 when no imaginary part exceeds DROP_TOL, else ``mat``.
+
+    A complex matrix with only rounding-noise imaginary parts gets a CSR copy
+    whose values are a contiguous float64 array (a strided ``.real`` view runs
+    no faster than the complex matrix); it shares ``indices`` and ``indptr``.
+    A real matrix comes back as float64, itself when it already is.
+    """
+    if not np.iscomplexobj(mat):
+        return mat.astype(np.float64, copy=False)
+    if mat.nnz and np.abs(mat.data.imag).max() > DROP_TOL:
+        return mat
+    return sp.csr_matrix((np.ascontiguousarray(mat.data.real), mat.indices,
+                          mat.indptr), shape=mat.shape)
+
+
 def eigh_by_components(factors: Sequence[sp.csr_matrix], *,
                        k: Optional[int] = None,
                        window: Optional[Sequence[float]] = None):
@@ -52,11 +70,15 @@ def eigh_by_components(factors: Sequence[sp.csr_matrix], *,
     Blocks are the connected components of the union of the factors'
     sparsity patterns, read with unit weights so that no value (a purely
     imaginary coupling too) hides an edge; each factor maps every block into
-    itself, so the blocks' spectra are the product's.  A product of several
-    commuting Hermitian factors is symmetrized per block; 1x1 blocks are read
-    off the diagonal.  Returns the k lowest pairs, or those in the half-open
-    ``window`` (lo, hi], stably sorted, vectors as full-dim columns.
+    itself, so the blocks' spectra are the product's.  Each factor goes
+    through ``real_if_close`` first, so LAPACK runs in real arithmetic and
+    the vectors are float64 unless some factor has an imaginary part above
+    DROP_TOL.  A product of several commuting Hermitian factors is
+    symmetrized per block; 1x1 blocks are read off the diagonal.  Returns
+    the k lowest pairs, or those in the half-open ``window`` (lo, hi],
+    stably sorted, vectors as full-dim columns.
     """
+    factors = [real_if_close(f) for f in factors]
     graph = sum(sp.csr_matrix((np.ones(len(f.indices)), f.indices, f.indptr),
                               shape=f.shape) for f in factors)
     n_comp, labels = connected_components(graph, directed=False)

@@ -10,9 +10,12 @@ ROW_BLOCK rows and double when full.  Each new Lanczos vector is
 re-orthogonalized against both by two classical Gram-Schmidt passes
 ("twice is enough", Daniel, Gragg, Kaufman and Stewart 1976), each one
 BLAS GEMV to project and one to subtract; Ritz vectors come from one GEMM
-on the basis.  Every reported eigenpair carries an explicit residual
-||Hv - lambda v||, and results count Lanczos steps, deflated runs and
-matrix-vector products.
+on the basis.  Both paths work in the field of the operator: when no
+entry has an imaginary part above DROP_TOL they run on a float64 copy
+(real LAPACK, real Krylov vectors, real eigenvectors), otherwise in
+complex128.  Every reported eigenpair carries an explicit residual
+||Hv - lambda v|| computed with the operator as given, and results count
+Lanczos steps, deflated runs and matrix-vector products.
 """
 
 from __future__ import annotations
@@ -33,7 +36,13 @@ from .lattice_model import (
     ModelParams,
     build_hamiltonian,
 )
-from .operators import HERMITICITY_TOL, Operator, eigh_by_components, hermiticity_residual
+from .operators import (
+    HERMITICITY_TOL,
+    Operator,
+    eigh_by_components,
+    hermiticity_residual,
+    real_if_close,
+)
 
 LANCZOS_TOL = 1e-8
 LANCZOS_MAX_ITER = 5000
@@ -66,7 +75,9 @@ class _Counts:
 @dataclass
 class SpectrumResult:
     eigenvalues: np.ndarray
-    eigenvectors: Optional[np.ndarray]      # columns, aligned with eigenvalues
+    # columns, aligned with eigenvalues; float64 when the operator has no
+    # imaginary part above DROP_TOL, complex otherwise
+    eigenvectors: Optional[np.ndarray]
     residuals: np.ndarray
     method: str
     seed: int
@@ -112,6 +123,9 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
     lowest pairs of each connected component of the sparsity graph and the
     k lowest of all are kept; above it Lanczos certifies each pair to
     LANCZOS_TOL within ``max_iter`` steps, or raises EigensolveError.
+    After the Hermiticity check both paths run on ``real_if_close`` of the
+    matrix, in float64 when its imaginary parts are all at most DROP_TOL;
+    the residuals are taken against the operator as given.
     """
     mat = _as_sparse(op)
     dim = mat.shape[0]
@@ -129,12 +143,13 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
         warnings.warn(f"requested {k} eigenvalues of a dimension-{dim} "
                       "operator; clamping", stacklevel=2)
         k = dim
+    work = real_if_close(mat)
     counts = _Counts()
     if dim <= dense_cutoff:
-        vals, vecs = eigh_by_components([mat], k=k)
+        vals, vecs = eigh_by_components([work], k=k)
         method = "dense"
     else:
-        vals, vecs = _lanczos_lowest(mat, k, seed=seed, tol=LANCZOS_TOL,
+        vals, vecs = _lanczos_lowest(work, k, seed=seed, tol=LANCZOS_TOL,
                                      max_iter=max_iter, counts=counts)
         counts.matvecs += k
         method = "iterative"
@@ -151,8 +166,8 @@ class _Rows:
     actually stored, never the step budget.
     """
 
-    def __init__(self, dim: int):
-        self._data = np.empty((ROW_BLOCK, dim), dtype=complex)
+    def __init__(self, dim: int, dtype):
+        self._data = np.empty((ROW_BLOCK, dim), dtype=dtype)
         self.n = 0
 
     @property
@@ -161,7 +176,8 @@ class _Rows:
 
     def append(self, vec: np.ndarray) -> None:
         if self.n == len(self._data):
-            grown = np.empty((2 * self.n, self._data.shape[1]), dtype=complex)
+            grown = np.empty((2 * self.n, self._data.shape[1]),
+                             dtype=self._data.dtype)
             grown[:self.n] = self._data
             self._data = grown
         self._data[self.n] = vec
@@ -172,7 +188,8 @@ def _project_out(vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """One classical Gram-Schmidt pass: vec minus its projection on rows.
 
     ``rows`` are orthonormal; ``(rows @ vec.conj()).conj()`` is rows^H vec
-    without copying the rows, so each product is one BLAS GEMV.
+    without copying the rows, so each product is one BLAS GEMV (for real
+    arrays ``conj`` returns the array itself).
     """
     if not len(rows):
         return vec
@@ -196,12 +213,14 @@ def _deflated_run(mat: sp.csr_matrix, deflate: np.ndarray,
     the complement was empty.  Steps and matvecs are added to ``counts``.
     """
     dim = mat.shape[0]
-    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    start = rng.standard_normal(dim)
+    if np.iscomplexobj(mat):
+        start = start + 1j * rng.standard_normal(dim)
     start = _project_out(start, deflate)
     nrm = np.linalg.norm(start)
     if nrm < 1e-12:
         return [], [], np.inf, True
-    basis = _Rows(dim)
+    basis = _Rows(dim, mat.dtype)
     basis.append(start / nrm)
     alphas: list[float] = []
     betas: list[float] = []
@@ -271,7 +290,7 @@ def _lanczos_lowest(mat: sp.csr_matrix, k: int, *, seed: int,
     """
     rng = np.random.default_rng(seed)
     accepted_vals: list[float] = []
-    accepted = _Rows(mat.shape[0])
+    accepted = _Rows(mat.shape[0], mat.dtype)
     best_residual = np.inf
 
     def failure(message: str) -> EigensolveError:

@@ -476,3 +476,29 @@ def test_eigensolve_failure_exits_1_with_one_line(runner, tmp_path, monkeypatch,
     assert len(lines) == 1 and lines[0].startswith("eigensolve failed:"), lines
     assert "best residual" in lines[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum", "observables"])
+def test_model_past_physical_memory_exits_2_before_assembly(runner, tmp_path,
+                                                            monkeypatch, command):
+    import fockgauge.cli as cli
+
+    def no_full_space(*args, **kwargs):
+        raise AssertionError("full space touched before the memory preflight")
+
+    for name in ("build_hamiltonian", "verify_model", "vacuum_state"):
+        monkeypatch.setattr(cli, name, no_full_space)
+    # D3 5x4 open pure gauge: 6**31 states, 24 B each is about 3e25 B
+    out = tmp_path / "out.json"
+    cfg = write_config(tmp_path / "huge.yaml", group={"builtin": "D3"},
+                       lattice={"lx": 5, "ly": 4, "boundary": "open",
+                                "include_matter": False},
+                       tasks=[{"spectrum": {"k": 2}}, "verify",
+                              {"observables": {"names": ["magnetic_energy"],
+                                               "state": "vacuum"}}])
+    result = runner.invoke(main, [command, "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+    assert "physical memory" in lines[0] and "10^24.1" in lines[0]
+    assert not out.exists()

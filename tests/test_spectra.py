@@ -20,6 +20,7 @@ from fockgauge.lattice_model import (
     vacuum_state,
 )
 from fockgauge.link_space import projector_rep
+from fockgauge.operators import DROP_TOL, real_if_close
 from fockgauge.spectra import (
     LANCZOS_MAX_ITER,
     ROW_BLOCK,
@@ -229,6 +230,97 @@ def test_krylov_basis_grows_with_the_steps_taken():
     assert result.steps < ROW_BLOCK
     row_bytes = dim * np.dtype(complex).itemsize
     assert peak < 4 * ROW_BLOCK * row_bytes < LANCZOS_MAX_ITER * row_bytes
+
+
+def test_real_krylov_basis_holds_float64_rows():
+    # a real operator keeps its Krylov basis and accepted vectors in float64,
+    # so the peak stays under the float64 row bytes of 4 * ROW_BLOCK rows
+    dim = 20000
+    diagonal = np.r_[0.0, 1.0 + np.random.default_rng(1).random(dim - 1)]
+    mat = sp.diags(diagonal).tocsr()
+    tracemalloc.start()
+    try:
+        result = eigensolve(mat, k=1, dense_cutoff=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.eigenvalues[0] == pytest.approx(0.0, abs=1e-10)
+    assert result.eigenvectors.dtype == np.float64
+    assert peak < 4 * ROW_BLOCK * dim * np.dtype(np.float64).itemsize
+
+
+# ---------------------------------------------------------------------------
+# working field: real operators are solved in float64, complex ones in complex
+# ---------------------------------------------------------------------------
+
+def _phased(mat, seed):
+    """D H D^dag for a random diagonal unitary D: complex, same spectrum."""
+    phases = np.exp(2j * np.pi * np.random.default_rng(seed).random(mat.shape[0]))
+    return (sp.diags(phases) @ mat @ sp.diags(phases.conj())).tocsr()
+
+
+@pytest.fixture(scope="module")
+def d3_pure_ham():
+    """D3 2x2 open pure gauge, group basis (dim 1296): a real H."""
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=False)
+    params = ModelParams(coupling=1.1,
+                         electric_weights={"I": 0.0, "p": 1.0, "2": 1.0})
+    return build_hamiltonian(Model(build_builtin("D3"), lat, params,
+                                   basis_tag="group"))
+
+
+@pytest.mark.parametrize("ham_name,k,dense_cutoff", [
+    ("d3_pure_ham", 12, None),
+    ("u1_matter_ham", 12, None),
+    ("z2_matter_ham", 5, 16),
+])
+def test_phased_operator_has_the_real_operators_spectrum(request, ham_name, k,
+                                                         dense_cutoff):
+    ham = request.getfixturevalue(ham_name).matrix
+    phased = _phased(ham, seed=11)
+    assert np.abs(phased.data.imag).max() > 1e-3
+    opts = {} if dense_cutoff is None else {"dense_cutoff": dense_cutoff}
+    real = eigensolve(ham, k=k, seed=0, **opts)
+    cplx = eigensolve(phased, k=k, seed=0, **opts)
+    assert real.method == cplx.method == ("dense" if dense_cutoff is None
+                                          else "iterative")
+    assert real.eigenvectors.dtype == np.float64
+    assert cplx.eigenvectors.dtype == np.complex128
+    assert np.abs(real.eigenvalues - cplx.eigenvalues).max() < 1e-10
+    assert max(real.residuals.max(), cplx.residuals.max()) <= 1e-8
+
+
+def test_one_imaginary_part_above_drop_tol_keeps_the_operator_complex():
+    mat = sp.lil_matrix((3, 3), dtype=complex)
+    mat.setdiag([1.0, 2.0, 3.0])
+    mat[0, 1], mat[1, 0] = 0.5 + 10j * DROP_TOL, 0.5 - 10j * DROP_TOL
+    mat = mat.tocsr()
+    assert real_if_close(mat) is mat
+    result = eigensolve(mat)
+    assert result.eigenvectors.dtype == np.complex128
+    oracle = np.linalg.eigvalsh(mat.toarray())
+    assert np.abs(result.eigenvalues - oracle).max() < 1e-12
+
+
+@pytest.mark.parametrize("dense_cutoff", [None, 16])
+def test_noise_below_drop_tol_is_solved_real_and_certified_complex(
+        z2_matter_ham, dense_cutoff):
+    # every off-diagonal entry gets a Hermitian imaginary part of DROP_TOL;
+    # the solve runs on the real part, the certificates use the matrix given
+    ham = z2_matter_ham.matrix
+    noise = sp.triu(ham, k=1).tocsr()
+    noise.data[:] = DROP_TOL
+    mat = (ham + 1j * (noise - noise.T)).tocsr()
+    assert np.abs(mat.data.imag).max() == DROP_TOL
+    work = real_if_close(mat)
+    assert work.dtype == np.float64 and work.data.flags.c_contiguous
+    opts = {} if dense_cutoff is None else {"dense_cutoff": dense_cutoff}
+    result = eigensolve(mat, k=5, seed=0, **opts)
+    vecs = result.eigenvectors
+    assert vecs.dtype == np.float64
+    recomputed = np.linalg.norm(mat @ vecs - vecs * result.eigenvalues, axis=0)
+    assert np.array_equal(result.residuals, recomputed)
+    assert result.residuals.max() <= 1e-8
 
 
 def test_degeneracy_grouping():
