@@ -9,10 +9,15 @@ Plaquette orientation: the plaquette anchored at vertex (x, y) multiplies
 U on the bottom x-link, then U on the right y-link, then U-dagger on the
 top x-link, then U-dagger on the left y-link (counterclockwise circulation).
 
-Placement: ``_embed_factors`` sums the per-factor products of one local
-piece on the span of factors they touch, applies the piece's coefficient
-and h.c. there, and pads with identities once; the pieces of a term are
-summed on the full space.  The plaquette is one piece in both link bases.
+Placement: ``_sum_on_span`` sums the per-factor products of one local
+piece on the span of factors they touch and applies the piece's
+coefficient and h.c. there, giving a block (lo, hi, local); ``_place`` pads
+a block with identities once.  The mass, electric and magnetic builders
+return their term as one block (the magnetic one sums its plaquettes on
+the union of their spans), so the verification suite can take their Gauss
+commutators on the span; the tunneling term spans every factor and is
+summed link by link on the full space.  The plaquette is one piece in both
+link bases.
 """
 
 from __future__ import annotations
@@ -56,6 +61,10 @@ from .operators import Operator, eigh_by_components
 DENSE_MAX_DIM = 4096
 # Half-width of the eigenvalue window that physical_basis keeps.
 SECTOR_TOL = 1e-8
+
+# (lo, hi, local): an operator as its matrix on the factors [lo, hi) of the
+# global basis, identity on every other factor
+Block = tuple[int, int, sp.csr_matrix]
 
 
 def _check_dense_dim(model: Model, what: str) -> None:
@@ -374,16 +383,27 @@ def _embed_factors(basis: GlobalBasis,
     """coeff * (sum of per-factor operator products), plus its h.c. if ``hc``.
 
     ``products`` is one ``{factor: [matrices]}`` dict or a sequence of them.
-    The products are summed, in order, on the span of factors from the first
-    to the last one any of them touches; the coefficient and the h.c. are
-    applied there, and only then is the result padded with one identity
-    block on each side.  An empty sequence is the zero operator.
+    ``_sum_on_span`` sums them on the span of factors they touch and
+    ``_place`` pads that block with one identity on each side.  An empty
+    sequence is the zero operator.
+    """
+    return _place(basis.factor_dims, *_sum_on_span(basis.factor_dims, products, coeff, hc))
+
+
+def _sum_on_span(dims: Sequence[int],
+                 products: Union[dict[int, list[sp.spmatrix]],
+                                 Sequence[dict[int, list[sp.spmatrix]]]],
+                 coeff: complex = 1.0, hc: bool = False) -> Block:
+    """(lo, hi, local): coeff * (sum of the products) + h.c. on factors [lo, hi).
+
+    The span runs from the first to the last factor any product touches;
+    the products are summed there in order, then the coefficient and the
+    h.c. are applied.  An empty sequence is a zero block on no factor.
     """
     if isinstance(products, dict):
         products = [products]
     if not products:
-        return _zero(basis)
-    dims = basis.factor_dims
+        return 0, 0, sp.csr_matrix((1, 1), dtype=complex)
     touched = {factor for ops in products for factor in ops}
     lo, hi = min(touched, default=0), max(touched, default=-1) + 1
 
@@ -398,6 +418,11 @@ def _embed_factors(basis: GlobalBasis,
         local = coeff * local
     if hc:
         local = local + local.conj().T
+    return lo, hi, local
+
+
+def _place(dims: Sequence[int], lo: int, hi: int, local: sp.spmatrix) -> sp.csr_matrix:
+    """A block on factors [lo, hi) of ``dims``, padded with one identity on each side."""
     before, after = math.prod(dims[:lo]), math.prod(dims[hi:])
     if before > 1:
         local = sp.kron(_identity(before), local, format="csr")
@@ -465,10 +490,10 @@ def _zero(basis: GlobalBasis) -> sp.csr_matrix:
     return sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
 
 
-def _mass_term(model: Model) -> sp.csr_matrix:
-    """sum_v m_v n_v, vertices in index order."""
+def _mass_term(model: Model) -> Block:
+    """sum_v m_v n_v, vertices in index order, on the fermion factor."""
     gb = model.global_basis
-    return _embed_factors(gb, [
+    return _sum_on_span(gb.factor_dims, [
         {gb.fermion_factor: [model.mass_at(v)
                              * _vertex_block(model, number_operator(space).matrix, v)]}
         for v, space in enumerate(model.vertex_spaces)])
@@ -492,8 +517,8 @@ def _tunneling_term(model: Model) -> sp.csr_matrix:
     return sum((link_hop(link) for link in model.lattice.links), _zero(gb))
 
 
-def _electric_term(model: Model) -> sp.csr_matrix:
-    """sum over links in index order of (g^2/2) sum_j w_j P_j.
+def _electric_term(model: Model) -> Block:
+    """sum over links in index order of (g^2/2) sum_j w_j P_j, on the link factors.
 
     The weighted projectors are added on one link first, in weight order.
     """
@@ -505,12 +530,12 @@ def _electric_term(model: Model) -> sp.csr_matrix:
          for label, w in model.electric_weights().items()
          if model.entry.has_irrep(label)),
         0 * identity_operator(model.link_space, model.basis_tag))
-    return _embed_factors(gb, [{gb.link_factor(link.index): [link_op.matrix]}
-                               for link in model.lattice.links])
+    return _sum_on_span(gb.factor_dims, [{gb.link_factor(link.index): [link_op.matrix]}
+                                         for link in model.lattice.links])
 
 
-def _plaquette_trace_matrix(model: Model, plaq: Plaquette, coeff: complex = 1.0,
-                            hc: bool = False) -> sp.csr_matrix:
+def _plaquette_block(model: Model, plaq: Plaquette, coeff: complex = 1.0,
+                     hc: bool = False) -> Block:
     """coeff * Tr(U_1 U_2 U_3^dag U_4^dag) around one plaquette (+ h.c. if ``hc``).
 
     One path for both link bases: the index loops (a, b, c, d) are added in
@@ -531,21 +556,33 @@ def _plaquette_trace_matrix(model: Model, plaq: Plaquette, coeff: complex = 1.0,
             ops.setdefault(gb.link_factor(link_idx), []).append(mat)
         return ops
 
-    return _embed_factors(gb, [loop(*abcd) for abcd in product(range(u.dim), repeat=4)],
-                          coeff, hc)
+    return _sum_on_span(gb.factor_dims,
+                        [loop(*abcd) for abcd in product(range(u.dim), repeat=4)], coeff, hc)
 
 
 def plaquette_trace(model: Model, plaquette_index: int) -> Operator:
     """The (in general non-Hermitian) Wilson plaquette operator Tr W."""
     plaq = model.lattice.plaquettes[plaquette_index]
-    return Operator(model.global_basis, _plaquette_trace_matrix(model, plaq))
+    gb = model.global_basis
+    return Operator(gb, _place(gb.factor_dims, *_plaquette_block(model, plaq)))
 
 
-def _magnetic_term(model: Model) -> sp.csr_matrix:
-    """-(1/2g^2) sum over plaquettes in index order of (Tr W + h.c.)."""
+def _magnetic_term(model: Model) -> Block:
+    """-(1/2g^2) sum over plaquettes in index order of (Tr W + h.c.).
+
+    Each plaquette is summed on its own span, padded to the union of the
+    plaquette spans and added there to a zero start.
+    """
+    dims = model.global_basis.factor_dims
     pref = -1.0 / (2.0 * model.params.coupling ** 2)
-    return sum((_plaquette_trace_matrix(model, plaq, pref, hc=model.params.include_hc)
-                for plaq in model.lattice.plaquettes), _zero(model.global_basis))
+    blocks = [_plaquette_block(model, plaq, pref, hc=model.params.include_hc)
+              for plaq in model.lattice.plaquettes]
+    lo = min((b_lo for b_lo, _, _ in blocks), default=0)
+    hi = max((b_hi for _, b_hi, _ in blocks), default=0)
+    span = dims[lo:hi]
+    zero = sp.csr_matrix((math.prod(span),) * 2, dtype=complex)
+    return lo, hi, sum((_place(span, b_lo - lo, b_hi - lo, local)
+                        for b_lo, b_hi, local in blocks), zero)
 
 
 _TERMS = {
@@ -556,13 +593,29 @@ _TERMS = {
 }
 
 
+def _term_block(model: Model, name: str) -> Block:
+    """(lo, hi, local): one Hamiltonian term as its matrix on factors [lo, hi).
+
+    The builders in ``_TERMS`` return such a block; the term is the block
+    padded with identities outside the span.  A builder that returns a bare
+    full-space matrix (tunneling, which spans every factor) gives the block
+    over all factors.
+    """
+    block = _TERMS[name](model)
+    if sp.issparse(block):
+        return 0, len(model.global_basis.factor_dims), block
+    return block
+
+
 def hamiltonian_terms(model: Model, threads: int = 1,
                       names: Optional[Sequence[str]] = None) -> dict[str, Operator]:
     """Each enabled Hamiltonian piece as its own global operator.
 
-    Assembly runs on one thread; ``threads`` is ignored.
+    Each term's ``_term_block`` is placed on the full space once.  Assembly
+    runs on one thread; ``threads`` is ignored.
     """
-    return {name: Operator(model.global_basis, _TERMS[name](model))
+    gb = model.global_basis
+    return {name: Operator(gb, _place(gb.factor_dims, *_term_block(model, name)))
             for name in (model.terms if names is None else names)}
 
 
@@ -588,15 +641,35 @@ def gauss_operator(model: Model, vertex: int, g) -> Operator:
     if not 0 <= vertex < model.lattice.n_vertices:
         raise ValueError(f"vertex {vertex} out of range")
     gb = model.global_basis
+    return Operator(gb, _embed_factors(gb, _gauss_factors(model, vertex, g)))
+
+
+def _gauss_factors(model: Model, vertex: int, g=None,
+                   component: Optional[int] = None) -> dict[int, list[sp.spmatrix]]:
+    """The star of a vertex as ``{factor: [matrices]}``, incident links in order.
+
+    For a group element ``g``: Theta^L(g) on each outgoing link, Theta^R(g)
+    on each ingoing one and the matter transformation on the vertex's Fock
+    modes; the Gauss operator is their product.  For a Lie generator
+    ``component`` a: L_a, R_a and the charge Q_a in the same places; the
+    generator is their sum (``_generator_pieces``).
+    """
+    gb = model.global_basis
+    if component is None:
+        sides = {side: model.link_theta(g, side).matrix for side in ("L", "R")}
+    else:
+        left, right = link_generators(model.link_space)
+        sides = {"L": left[component].matrix, "R": right[component].matrix}
     ops: dict[int, list[sp.spmatrix]] = {}
     for link, role in model.lattice.links_at_vertex(vertex):
-        side = "L" if role == "out" else "R"
         ops.setdefault(gb.link_factor(link.index), []).append(
-            model.link_theta(g, side).matrix)
+            sides["L" if role == "out" else "R"])
     if model.lattice.include_matter:
-        tq = theta_q(model.vertex_spaces[vertex], model.entry, g).matrix
-        ops[gb.fermion_factor] = [_vertex_block(model, tq, vertex)]
-    return Operator(gb, _embed_factors(gb, ops))
+        space = model.vertex_spaces[vertex]
+        matter = (theta_q(space, model.entry, g) if component is None
+                  else matter_charges(space, model.entry)[component])
+        ops[gb.fermion_factor] = [_vertex_block(model, matter.matrix, vertex)]
+    return ops
 
 
 def gauss_generators(model: Model, vertex: int) -> list[Operator]:
@@ -605,17 +678,14 @@ def gauss_generators(model: Model, vertex: int) -> list[Operator]:
         raise ValueError("generator form of the Gauss law requires a Lie catalog; "
                          "use gauss_operator / physical_projector for finite groups")
     gb = model.global_basis
-    left, right = link_generators(model.link_space)
-    out = []
-    for a in range(model.entry.n_generator_components):
-        pieces = [{gb.link_factor(link.index):
-                   [(left[a] if role == "out" else right[a]).matrix]}
-                  for link, role in model.lattice.links_at_vertex(vertex)]
-        if model.lattice.include_matter:
-            q = matter_charges(model.vertex_spaces[vertex], model.entry)[a]
-            pieces.append({gb.fermion_factor: [_vertex_block(model, q.matrix, vertex)]})
-        out.append(Operator(gb, _embed_factors(gb, pieces)))
-    return out
+    return [Operator(gb, _embed_factors(
+        gb, _generator_pieces(_gauss_factors(model, vertex, component=a))))
+            for a in range(model.entry.n_generator_components)]
+
+
+def _generator_pieces(factors: dict[int, list[sp.spmatrix]]) -> list[dict[int, list]]:
+    """A sum over a star's factors as single-factor products, one per matrix."""
+    return [{factor: [mat]} for factor, mats in factors.items() for mat in mats]
 
 
 def gauss_casimir(model: Model) -> Operator:

@@ -8,11 +8,25 @@ identities module by module.
 
 Gauge invariance of each term T is the exact entrywise residual max |S T - T S|
 over the Gauss operators S of a generating set of G (the Theta group-law
-checks extend it to every element) or over the Lie Gauss generators; the
-vacuum checks apply the same operators to the strong-coupling vacuum.
+checks extend it to every element) or over the Lie Gauss generators.  It is
+taken on the span [lo, hi) of factors the term touches, where T is a block
+T_A, and it is still the full-space value, not a bound.  A Gauss operator is
+a product over its star, S = S_before (x) S_A (x) S_after, so S T - T S =
+S_before (x) [S_A, T_A] (x) S_after; the largest entry of a Kronecker product
+is the product of its parts' largest entries, so the residual is
+max |[S_A, T_A]| times the largest entry of each factor of S outside the
+span.  A Lie generator is a sum of one-factor pieces, and the pieces outside
+the span commute with T exactly and are dropped.  max |T - T^dag| on the span
+is the full-space value.  Only the tunneling term spans every factor.  The
+vacuum checks apply the full-space Gauss operators to the strong-coupling
+vacuum.
 """
 
 from __future__ import annotations
+
+import math
+from functools import reduce
+from operator import matmul
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,8 +39,11 @@ from .lattice_model import (
     REP,
     Model,
     _embed_factors,
-    gauss_generators,
-    gauss_operator,
+    _gauss_factors,
+    _generator_pieces,
+    _place,
+    _sum_on_span,
+    _term_block,
     hamiltonian_terms,
     physical_projector,
     vacuum_state,
@@ -237,25 +254,47 @@ def _commutator_residual(term: sp.csr_matrix, symmetry_ops) -> float:
     return worst
 
 
+def _on_span(dims, lo: int, hi: int, pieces) -> sp.csr_matrix:
+    """S on the factors [lo, hi), scaled so that its commutator with a block
+    there has the largest entry of the full-space commutator.
+
+    S is the sum of the ``{factor: [matrices]}`` products in ``pieces``.  A
+    piece with no factor in the span commutes with the block and is dropped.
+    The factors a kept piece has outside the span scale S by their largest
+    entries, since max |A (x) B| = max |A| max |B|: exact for one product, as
+    a group element's Gauss operator is; a Lie generator's pieces have one
+    factor each.
+    """
+    sub = dims[lo:hi]
+    kept = [ops for ops in pieces if any(lo <= f < hi for f in ops)]
+    outside = math.prod(max_abs(reduce(matmul, mats)) for ops in kept
+                        for f, mats in ops.items() if not lo <= f < hi)
+    return outside * _place(sub, *_sum_on_span(
+        sub, [{f - lo: mats for f, mats in ops.items() if lo <= f < hi} for ops in kept]))
+
+
 def _check_hamiltonian(model: Model, report: ValidationReport):
+    dims = model.global_basis.factor_dims
     vertices = range(model.lattice.n_vertices)
     if model.entry.is_lie:
-        symmetry_ops = [g.matrix for v in vertices for g in gauss_generators(model, v)]
+        symmetry = [_generator_pieces(_gauss_factors(model, v, component=a))
+                    for v in vertices for a in range(model.entry.n_generator_components)]
     else:
-        symmetry_ops = [gauss_operator(model, v, g).matrix for v in vertices
-                        for g in model.entry.spec.generating_set()]
+        symmetry = [[_gauss_factors(model, v, g)] for v in vertices
+                    for g in model.entry.spec.generating_set()]
     herm, commutes = 0.0, {}
     for name in model.terms:
         try:
-            term = hamiltonian_terms(model, names=(name,))[name].matrix
+            lo, hi, local = _term_block(model, name)
         except ValueError as exc:
             # a term that cannot be assembled is a failed check, not a crash
             report.checks.append(CheckResult(
                 f"model.term_build_{name} ({exc})", float("inf"), LOOSE))
             continue
-        herm = max(herm, hermiticity_residual(term))
-        commutes[name] = _commutator_residual(term, symmetry_ops)
-        del term
+        herm = max(herm, hermiticity_residual(local))
+        commutes[name] = _commutator_residual(
+            local, [_on_span(dims, lo, hi, pieces) for pieces in symmetry])
+        del local
     if not commutes:
         return
     report.add("model.terms_hermitian", herm, TIGHT)
@@ -264,8 +303,10 @@ def _check_hamiltonian(model: Model, report: ValidationReport):
 
     # sum G^2 vac = 0 iff G vac = 0 for each Hermitian generator G, and
     # P_v vac = vac iff Theta_v(s) vac = vac for each element s of a generating set
-    dim = model.global_basis.dim
+    gb = model.global_basis
+    dim = gb.dim
     vac = vacuum_state(model)
+    symmetry_ops = (_embed_factors(gb, pieces) for pieces in symmetry)
     if model.entry.is_lie:
         report.add("model.vacuum_gauss_neutral", max(
             float(np.linalg.norm(s_op @ vac)) for s_op in symmetry_ops), LOOSE)

@@ -1,7 +1,9 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fockgauge import lattice_model, verification
 from fockgauge.group_core import build_builtin, dump_group_file, load_group_file
@@ -9,9 +11,11 @@ from fockgauge.lattice_model import (
     LatticeSpec,
     Model,
     ModelParams,
+    gauss_generators,
     gauss_operator,
     hamiltonian_terms,
 )
+from fockgauge.link_space import theta_group_basis
 from fockgauge.operators import max_abs
 from fockgauge.spectra import vortex_masses
 from fockgauge.verification import verify_model
@@ -188,3 +192,131 @@ def test_row_sliced_commutator_equals_the_unsliced_one(monkeypatch):
     whole = max(max_abs(s_op @ term - term @ s_op) for s_op in ops)
     monkeypatch.setattr(verification, "COMMUTATOR_ROWS", 7)   # 96 rows: 14 slices
     assert verification._commutator_residual(term, ops) == whole > 0.1
+
+
+# ---------------------------------------------------------------------------
+# Gauss commutators on each term's span against full-space oracles
+
+def _su2_chain():
+    lat = LatticeSpec(2, 1, boundary="open", include_matter=True)
+    return Model(build_builtin("SU2_trunc", j_max="1/2"), lat,
+                 ModelParams(mass=0.6, epsilon=0.9, coupling=1.1))
+
+
+def _full_space_symmetry(model, every_element):
+    """Full-space Gauss generators (Lie), or Gauss operators of every element
+    or of the generating set the report uses (finite)."""
+    vertices = range(model.lattice.n_vertices)
+    if model.entry.is_lie:
+        return [g.matrix for v in vertices for g in gauss_generators(model, v)]
+    spec = model.entry.spec
+    elements = range(spec.order) if every_element else spec.generating_set()
+    return [gauss_operator(model, v, g).matrix for v in vertices for g in elements]
+
+
+def _full_commutator(term, symmetry_ops):
+    return max(max_abs(s_op @ term - term @ s_op) for s_op in symmetry_ops)
+
+
+@pytest.mark.parametrize("make_model", [lambda: _d3_chain("group"),
+                                        lambda: _d3_chain("rep"), _z3_square, _su2_chain],
+                         ids=["d3-group", "d3-rep", "z3-square", "su2-chain"])
+def test_span_residuals_equal_the_full_space_ones(make_model):
+    model = make_model()
+    report = verify_model(model, seed=2)
+    assert report.passed, str(report.first_failure())
+    residuals = {c.name: c.residual for c in report.checks}
+    symmetry_ops = _full_space_symmetry(model, every_element=True)
+    herm = 0.0
+    for name, term in hamiltonian_terms(model).items():
+        full = _full_commutator(term.matrix, symmetry_ops)
+        assert abs(residuals[f"model.gauss_commutes_with_{name}"] - full) <= 1e-13, name
+        herm = max(herm, max_abs(term.matrix - term.matrix.conj().T))
+    assert abs(residuals["model.terms_hermitian"] - herm) <= 1e-13
+
+
+def _reflection_on_every_link(model):
+    """sum over links of Theta^R(s) for a reflection s: a Hermitian link-only
+    block whose kernel delta_s is not a class function, so not gauge invariant."""
+    s = model.entry.spec.generating_set()[1]
+    assert model.entry.spec.mul[s, s] == 0 and s != 0
+    gb = model.global_basis
+    theta = theta_group_basis(model.link_space, s, "R").matrix
+    return lattice_model._sum_on_span(gb.factor_dims, [
+        {gb.link_factor(link.index): [theta]} for link in model.lattice.links])
+
+
+def _one_mode_number(model):
+    """n of mode 0 at vertex 0: a fermion-only block that the vertex's
+    transformation mixes with mode 1."""
+    gb = model.global_basis
+    psi = model.fermion_annihilation(0, 0)
+    return lattice_model._sum_on_span(gb.factor_dims,
+                                      {gb.fermion_factor: [psi.conj().T @ psi]})
+
+
+@pytest.mark.parametrize("term,builder,make_model", [
+    ("electric", _reflection_on_every_link, lambda: _d3_chain("group")),
+    ("mass", _one_mode_number, lambda: _d3_chain("group")),
+    ("mass", _one_mode_number, lambda: _d3_chain("rep")),
+    ("mass", _one_mode_number, _su2_chain),
+], ids=["link-only-d3-group", "fermion-only-d3-group", "fermion-only-d3-rep",
+        "fermion-only-su2"])
+def test_injected_block_faults_match_the_full_space_residual(monkeypatch, term, builder,
+                                                             make_model):
+    monkeypatch.setitem(lattice_model._TERMS, term, builder)
+    model = make_model()
+    report = verify_model(model, seed=2)
+    failed = {c.name: c.residual for c in report.checks if not c.passed}
+    # a fault built in one link basis also breaks the rep/group agreement
+    model_checks = {name for name in failed
+                    if name != "model.rep_group_hamiltonian_agreement"}
+    assert model_checks == {f"model.gauss_commutes_with_{term}"}, failed
+    reported = failed[f"model.gauss_commutes_with_{term}"]
+    placed = hamiltonian_terms(model, names=(term,))[term].matrix
+    full = _full_commutator(placed, _full_space_symmetry(model, every_element=False))
+    assert reported > 0.1
+    assert abs(reported - full) <= 1e-12 * full, (reported, full)
+
+
+def test_verify_never_forms_the_full_space_local_terms():
+    # L1: D3 2x2 open with matter in the group basis, dim 331 776.  Its
+    # full-space electric term has 21 * 331 776 = 6 967 296 nonzeros (6 a row
+    # on each of the 4 links, the diagonal shared), about 133 MiB of
+    # complex128 values and int32 indices.
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3,
+                         electric_weights={"I": 0.0, "p": 1.0, "2": 1.0},
+                         terms=("mass", "electric", "magnetic"))
+    model = Model(build_builtin("D3"), lat, params, basis_tag="group")
+    electric_csr_bytes = 6_967_296 * (16 + 4)
+    tracemalloc.start()
+    try:
+        report = verify_model(model, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed, str(report.first_failure())
+    assert peak < electric_csr_bytes, peak
+
+
+def test_span_commutator_equals_the_full_space_one_for_any_product():
+    # Gauss operators here have largest entry 1 on every factor, so this
+    # checks the Kronecker-maximum scaling with random factors instead
+    rng = np.random.default_rng(3)
+    dims = [2, 3, 2, 3]
+
+    def rand(n):
+        return sp.csr_matrix(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+    lo, hi = 1, 3
+    block = rand(dims[1] * dims[2])
+    full_term = lattice_model._place(dims, lo, hi, block)
+    product_op = [{0: [rand(2)], 2: [rand(2), rand(2)], 3: [rand(3)]}]
+    generator = [{f: [rand(n)]} for f, n in enumerate(dims)]
+    for pieces in (product_op, generator):
+        full_op = lattice_model._place(dims, *lattice_model._sum_on_span(dims, pieces))
+        full = max_abs(full_op @ full_term - full_term @ full_op)
+        on_span = verification._on_span(dims, lo, hi, pieces)
+        got = verification._commutator_residual(block, [on_span])
+        assert abs(got - full) <= 1e-13 * full, (got, full)
