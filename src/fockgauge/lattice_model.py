@@ -11,13 +11,13 @@ top x-link, then U-dagger on the left y-link (counterclockwise circulation).
 
 Placement: ``_sum_on_span`` sums the per-factor products of one local
 piece on the span of factors they touch and applies the piece's
-coefficient and h.c. there, giving a block (lo, hi, local); ``_place`` pads
-a block with identities once.  The mass, electric and magnetic builders
-return their term as one block (the magnetic one sums its plaquettes on
-the union of their spans), so the verification suite can take their Gauss
-commutators on the span; the tunneling term spans every factor and is
-summed link by link on the full space.  The plaquette is one piece in both
-link bases.
+coefficient and h.c. there, giving a block (lo, hi, local); ``_sum_blocks``
+adds blocks on the union of their spans; ``_place`` pads a block with
+identities once.  All four Hamiltonian builders return a block (tunneling
+sums its links, magnetic its plaquettes with ``_sum_blocks``), so the
+verification suite takes their Gauss commutators on the span; a vertex's
+sector average is summed on its star's span and placed once.  The
+plaquette is one piece in both link bases.
 """
 
 from __future__ import annotations
@@ -403,7 +403,7 @@ def _sum_on_span(dims: Sequence[int],
     if isinstance(products, dict):
         products = [products]
     if not products:
-        return 0, 0, sp.csr_matrix((1, 1), dtype=complex)
+        return _sum_blocks(dims, [])
     touched = {factor for ops in products for factor in ops}
     lo, hi = min(touched, default=0), max(touched, default=-1) + 1
 
@@ -419,6 +419,16 @@ def _sum_on_span(dims: Sequence[int],
     if hc:
         local = local + local.conj().T
     return lo, hi, local
+
+
+def _sum_blocks(dims: Sequence[int], blocks: Sequence[Block]) -> Block:
+    """(lo, hi, local): the blocks added in order on the union of their spans."""
+    lo = min((b_lo for b_lo, _, _ in blocks), default=0)
+    hi = max((b_hi for _, b_hi, _ in blocks), default=0)
+    span = dims[lo:hi]
+    zero = sp.csr_matrix((math.prod(span),) * 2, dtype=complex)
+    return lo, hi, sum((_place(span, b_lo - lo, b_hi - lo, local)
+                        for b_lo, b_hi, local in blocks), zero)
 
 
 def _place(dims: Sequence[int], lo: int, hi: int, local: sp.spmatrix) -> sp.csr_matrix:
@@ -499,22 +509,23 @@ def _mass_term(model: Model) -> Block:
         for v, space in enumerate(model.vertex_spaces)])
 
 
-def _tunneling_term(model: Model) -> sp.csr_matrix:
+def _tunneling_term(model: Model) -> Block:
     """sum over links in index order of eps_l sum_ab psi^dag_a U_ab psi_b (+ h.c.).
 
-    The (a, b) products of a link are added row-major on its span, then its h.c.
+    The (a, b) products of a link are added row-major on its span, then its
+    h.c.; ``_sum_blocks`` adds the links on the union of their spans.
     """
     gb = model.global_basis
     u = model.u_tunneling
 
-    def link_hop(link: Link) -> sp.csr_matrix:
-        return _embed_factors(gb, [
+    def link_hop(link: Link) -> Block:
+        return _sum_on_span(gb.factor_dims, [
             {gb.fermion_factor: [_hop(model, link.origin, a, link.target, b)],
              gb.link_factor(link.index): [u.entry(a, b).matrix]}
             for a in range(u.dim) for b in range(u.dim)],
             model.epsilon[link.index], hc=model.params.include_hc)
 
-    return sum((link_hop(link) for link in model.lattice.links), _zero(gb))
+    return _sum_blocks(gb.factor_dims, [link_hop(link) for link in model.lattice.links])
 
 
 def _electric_term(model: Model) -> Block:
@@ -570,19 +581,13 @@ def plaquette_trace(model: Model, plaquette_index: int) -> Operator:
 def _magnetic_term(model: Model) -> Block:
     """-(1/2g^2) sum over plaquettes in index order of (Tr W + h.c.).
 
-    Each plaquette is summed on its own span, padded to the union of the
-    plaquette spans and added there to a zero start.
+    Each plaquette is summed on its own span; ``_sum_blocks`` adds them on
+    the union of the plaquette spans.
     """
-    dims = model.global_basis.factor_dims
     pref = -1.0 / (2.0 * model.params.coupling ** 2)
-    blocks = [_plaquette_block(model, plaq, pref, hc=model.params.include_hc)
-              for plaq in model.lattice.plaquettes]
-    lo = min((b_lo for b_lo, _, _ in blocks), default=0)
-    hi = max((b_hi for _, b_hi, _ in blocks), default=0)
-    span = dims[lo:hi]
-    zero = sp.csr_matrix((math.prod(span),) * 2, dtype=complex)
-    return lo, hi, sum((_place(span, b_lo - lo, b_hi - lo, local)
-                        for b_lo, b_hi, local in blocks), zero)
+    return _sum_blocks(model.global_basis.factor_dims, [
+        _plaquette_block(model, plaq, pref, hc=model.params.include_hc)
+        for plaq in model.lattice.plaquettes])
 
 
 _TERMS = {
@@ -593,29 +598,15 @@ _TERMS = {
 }
 
 
-def _term_block(model: Model, name: str) -> Block:
-    """(lo, hi, local): one Hamiltonian term as its matrix on factors [lo, hi).
-
-    The builders in ``_TERMS`` return such a block; the term is the block
-    padded with identities outside the span.  A builder that returns a bare
-    full-space matrix (tunneling, which spans every factor) gives the block
-    over all factors.
-    """
-    block = _TERMS[name](model)
-    if sp.issparse(block):
-        return 0, len(model.global_basis.factor_dims), block
-    return block
-
-
 def hamiltonian_terms(model: Model, threads: int = 1,
                       names: Optional[Sequence[str]] = None) -> dict[str, Operator]:
     """Each enabled Hamiltonian piece as its own global operator.
 
-    Each term's ``_term_block`` is placed on the full space once.  Assembly
-    runs on one thread; ``threads`` is ignored.
+    Each term's block from ``_TERMS`` is placed on the full space once.
+    Assembly runs on one thread; ``threads`` is ignored.
     """
     gb = model.global_basis
-    return {name: Operator(gb, _place(gb.factor_dims, *_term_block(model, name)))
+    return {name: Operator(gb, _place(gb.factor_dims, *_TERMS[name](model)))
             for name in (model.terms if names is None else names)}
 
 
@@ -638,8 +629,6 @@ def gauss_operator(model: Model, vertex: int, g) -> Operator:
     catalogs.  The three kinds of factors act on disjoint parts of the
     global space, so their ordering is immaterial.
     """
-    if not 0 <= vertex < model.lattice.n_vertices:
-        raise ValueError(f"vertex {vertex} out of range")
     gb = model.global_basis
     return Operator(gb, _embed_factors(gb, _gauss_factors(model, vertex, g)))
 
@@ -654,6 +643,8 @@ def _gauss_factors(model: Model, vertex: int, g=None,
     ``component`` a: L_a, R_a and the charge Q_a in the same places; the
     generator is their sum (``_generator_pieces``).
     """
+    if not 0 <= vertex < model.lattice.n_vertices:
+        raise ValueError(f"vertex {vertex} out of range")
     gb = model.global_basis
     if component is None:
         sides = {side: model.link_theta(g, side).matrix for side in ("L", "R")}
@@ -714,19 +705,24 @@ def physical_projector(model: Model,
 
 def _sector_averages(model: Model, sector: Optional[dict[int, str]]) -> list[Operator]:
     """The vertex averages whose product is the sector projector."""
+    sector = sector or {}
+    stray = set(sector) - set(range(model.lattice.n_vertices))
+    if stray:
+        raise ValueError(f"sector names vertices off the lattice: {sorted(stray, key=str)}")
     trivial = model.entry.trivial_label()
-    return [vertex_sector_average(model, v, (sector or {}).get(v, trivial))
+    return [vertex_sector_average(model, v, sector.get(v, trivial))
             for v in range(model.lattice.n_vertices)]
 
 
 def vertex_sector_average(model: Model, vertex: int, sector_label: str) -> Operator:
-    """(dim(s)/|G|) sum_g chi_s(g)* Theta_{g, vertex} for one vertex."""
+    """(dim(s)/|G|) sum_g chi_s(g)* Theta_{g, vertex}, summed on the star's span."""
     spec = model.entry.spec
     ir = model.entry.irrep(sector_label)
     gb = model.global_basis
-    return Operator(gb, sum(((ir.dim / spec.order) * ir.characters[g].conjugate()
-                             * gauss_operator(model, vertex, g).matrix
-                             for g in range(spec.order)), _zero(gb)))
+    return Operator(gb, _place(gb.factor_dims, *_sum_blocks(gb.factor_dims, [
+        _sum_on_span(gb.factor_dims, _gauss_factors(model, vertex, g),
+                     (ir.dim / spec.order) * ir.characters[g].conjugate())
+        for g in range(spec.order)])))
 
 
 def physical_basis(model: Model,
@@ -734,13 +730,15 @@ def physical_basis(model: Model,
     """Dense orthonormal columns spanning the physical sector (desk scale).
 
     Finite groups: eigenvectors of the sector projector with eigenvalue 1.
-    Lie catalogs: null eigenvectors of the Gauss Casimir.  LAPACK runs once
-    per connected component of the sparsity graph (for the projector, a
-    gauge orbit: the vertex averages are multiplied block by block and the
-    whole projector is never formed), keeping the eigenpairs in the window
-    [centre - SECTOR_TOL, centre + SECTOR_TOL].
+    Lie catalogs: null eigenvectors of the Gauss Casimir, the neutral sector
+    only.  LAPACK runs once per connected component of the sparsity graph
+    (for the projector, a gauge orbit: the vertex averages are multiplied
+    block by block and the whole projector is never formed), keeping the
+    eigenpairs in the window [centre - SECTOR_TOL, centre + SECTOR_TOL].
     """
     _check_dense_dim(model, "dense sector basis")
+    if model.entry.is_lie and sector:
+        raise ValueError("a Lie catalog has only the Gauss-neutral sector here")
     if model.entry.is_lie:
         factors, centre = [gauss_casimir(model).matrix], 0.0
     else:

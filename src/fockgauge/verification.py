@@ -19,7 +19,8 @@ span.  A Lie generator is a sum of one-factor pieces, and the pieces outside
 the span commute with T exactly and are dropped.  max |T - T^dag| on the span
 is the full-space value.  Only the tunneling term spans every factor.  The
 vacuum checks apply the full-space Gauss operators to the strong-coupling
-vacuum.
+vacuum.  The rep/group agreement converts the mirror model's H one link
+factor at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .lattice_model import (
     _generator_pieces,
     _place,
     _sum_on_span,
-    _term_block,
+    _TERMS,
     hamiltonian_terms,
     physical_projector,
     vacuum_state,
@@ -285,7 +286,7 @@ def _check_hamiltonian(model: Model, report: ValidationReport):
     herm, commutes = 0.0, {}
     for name in model.terms:
         try:
-            lo, hi, local = _term_block(model, name)
+            lo, hi, local = _TERMS[name](model)
         except ValueError as exc:
             # a term that cannot be assembled is a failed check, not a crash
             report.checks.append(CheckResult(
@@ -324,21 +325,22 @@ def _check_hamiltonian(model: Model, report: ValidationReport):
 
 
 def _basis_agreement_residual(model: Model, names) -> float:
-    """Assemble H in both link bases and compare through the Fourier unitary."""
+    """Assemble H in both link bases and compare through the Fourier unitary,
+    applied one link factor at a time: the dense kron over all links is never
+    formed."""
     other_tag = GROUP if model.basis_tag == REP else REP
     mirror = Model(model.entry, model.lattice, model.params, other_tag)
     gb = model.global_basis
-    h_here, h_there = (
+    h_here, converted = (
         sum((t.matrix for t in hamiltonian_terms(m, names=names).values()),
             sp.csr_matrix((gb.dim, gb.dim), dtype=complex))
         for m in (model, mirror))
-    f_link = sp.csr_matrix(model.link_space.fourier)
-    f_global = _embed_factors(gb, {gb.link_factor(link.index): [f_link]
-                                   for link in model.lattice.links})
     # rep_op = F^dag group_op F
-    if model.basis_tag == REP:
-        converted = f_global.conj().T @ h_there @ f_global
-    else:
-        converted = f_global @ h_there @ f_global.conj().T
+    f_link = sp.csr_matrix(model.link_space.fourier)
+    if model.basis_tag == GROUP:
+        f_link = f_link.conj().T
+    for k in map(gb.link_factor, range(model.lattice.n_links)):
+        f_k = _place(gb.factor_dims, k, k + 1, f_link)
+        converted = f_k.conj().T @ converted @ f_k
     return max_abs(converted - h_here)
 

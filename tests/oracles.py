@@ -16,9 +16,10 @@ from fockgauge.clebsch_gordan import (
     _fix_phase,
 )
 from fockgauge.group_core import GroupCatalogEntry
-from fockgauge.lattice_model import GlobalBasis
+from fockgauge.lattice_model import (GROUP, REP, GlobalBasis, Model, _embed_factors,
+                                     hamiltonian_terms)
 from fockgauge.matter_space import VertexFock, _resolve_dmatrix, bilinear
-from fockgauge.operators import Operator
+from fockgauge.operators import Operator, max_abs
 
 NUMERIC_SAMPLE_COUNT = 24   # rotations stacked by cg_numeric
 
@@ -76,3 +77,24 @@ def digit_array(basis: GlobalBasis, factor: int) -> np.ndarray:
     """The digit of every global index at one factor, vectorized."""
     idx = np.arange(basis.dim)
     return (idx // basis.strides[factor]) % basis.factor_dims[factor]
+
+
+def basis_agreement_dense(model: Model, names) -> float:
+    """max |converted - H| between the two link bases through the global Fourier
+    unitary, formed densely as the kron of every link's Fourier matrix."""
+    mirror = Model(model.entry, model.lattice, model.params,
+                   GROUP if model.basis_tag == REP else REP)
+    gb = model.global_basis
+    h_here, h_there = (
+        sum((t.matrix for t in hamiltonian_terms(m, names=names).values()),
+            sp.csr_matrix((gb.dim, gb.dim), dtype=complex))
+        for m in (model, mirror))
+    f_global = _embed_factors(gb, {gb.link_factor(link.index):
+                                   [sp.csr_matrix(model.link_space.fourier)]
+                                   for link in model.lattice.links})
+    # rep_op = F^dag group_op F
+    if model.basis_tag == REP:
+        converted = f_global.conj().T @ h_there @ f_global
+    else:
+        converted = f_global @ h_there @ f_global.conj().T
+    return max_abs(converted - h_here)

@@ -23,6 +23,7 @@ from fockgauge.lattice_model import (
     physical_projector,
     plaquette_trace,
     vacuum_state,
+    vertex_sector_average,
 )
 from fockgauge.link_space import identity_operator, projector_rep
 from fockgauge.matter_space import theta_q
@@ -481,6 +482,40 @@ def test_physical_projector_over_dense_cap_raises_before_assembly(monkeypatch):
     assert model.global_basis.dim > lm.DENSE_MAX_DIM
     with pytest.raises(ValueError, match="limited to dim"):
         physical_projector(model)
+
+
+@pytest.mark.parametrize("matter", [False, True], ids=["pure", "matter"])
+def test_vertex_out_of_range_is_refused_by_every_star_builder(matter):
+    lat = LatticeSpec(2, 1, boundary="open", include_matter=matter)
+    d3 = Model(build_builtin("D3"), lat, ModelParams())
+    su2 = Model(build_builtin("SU2_trunc", j_max="1/2"), lat, ModelParams())
+    for vertex in (-1, lat.n_vertices):
+        with pytest.raises(ValueError, match="out of range"):
+            gauss_operator(d3, vertex, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            vertex_sector_average(d3, vertex, "2")
+        with pytest.raises(ValueError, match="out of range"):
+            gauss_generators(su2, vertex)
+
+
+def test_sector_on_a_vertex_off_the_lattice_is_refused():
+    # D3 2x1 has vertices 0 and 1; vertex 99 must not fall back to trivial
+    lat = LatticeSpec(2, 1, boundary="open", include_matter=True)
+    model = Model(build_builtin("D3"), lat, ModelParams(terms=("mass",)))
+    for build in (physical_projector, physical_basis):
+        with pytest.raises(ValueError, match="off the lattice"):
+            build(model, sector={99: "2"})
+
+
+def test_lie_physical_basis_refuses_a_sector():
+    # the Casimir nullspace is the neutral sector only: a charged sector
+    # must not return its 5 states
+    su2 = build_builtin("SU2_trunc", j_max="1/2")
+    lat = LatticeSpec(2, 1, boundary="open", include_matter=True)
+    model = Model(su2, lat, ModelParams())
+    assert physical_basis(model).shape[1] == 5
+    with pytest.raises(ValueError, match="neutral sector"):
+        physical_basis(model, sector={0: "1/2"})
 
 
 def test_static_charge_sector():

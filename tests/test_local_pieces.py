@@ -7,6 +7,7 @@ order, and the group-basis plaquette is also checked against its closed
 form in characters of the plaquette holonomy.
 """
 
+import math
 from functools import reduce
 from itertools import product
 
@@ -21,13 +22,16 @@ from fockgauge.lattice_model import (
     Model,
     ModelParams,
     gauss_generators,
+    gauss_operator,
     hamiltonian_terms,
     plaquette_trace,
+    vertex_sector_average,
 )
 from fockgauge.link_space import generators as link_generators
 from fockgauge.link_space import identity_operator, projector_rep
 from fockgauge.matter_space import charges as matter_charges
 from fockgauge.matter_space import number_operator
+from fockgauge.operators import Operator
 from oracles import digit_array
 
 
@@ -181,6 +185,38 @@ def test_terms_match_full_space_placement_bit_for_bit(make_model):
                                                _ref_generators(model, v))):
                 _assert_bit_identical(got.matrix, ref, f"G_{a} at vertex {v}",
                                       signed_zeros=False)
+
+
+def _d3_periodic():
+    # 2x1 periodic pure gauge: the plaquette passes link 0 twice
+    lat = LatticeSpec(2, 1, boundary="periodic", include_matter=False)
+    return Model(build_builtin("D3"), lat,
+                 ModelParams(coupling=1.3, electric_weights={"I": 0.0, "p": 1.0, "2": 1.0}),
+                 basis_tag="group")
+
+
+@pytest.mark.parametrize("make_model", [lambda: _z2_matter("group"),
+                                        lambda: _z2_matter("rep"), _u1_pure, _d3_periodic],
+                         ids=["z2-group", "z2-rep", "u1-pure", "d3-periodic"])
+def test_builders_return_blocks_and_vertex_averages_match_full_space(make_model):
+    model = make_model()
+    gb = model.global_basis
+    dims = gb.factor_dims
+    for name in model.terms:
+        lo, hi, local = lm._TERMS[name](model)
+        assert 0 <= lo <= hi <= len(dims), name
+        assert sp.issparse(local) and local.shape == (math.prod(dims[lo:hi]),) * 2, name
+    if model.entry.is_lie:
+        return
+    spec = model.entry.spec
+    for v in range(gb.n_vertices):
+        for ir in model.entry.irreps:
+            # an Operator, as the library returns it: entries <= DROP_TOL dropped
+            ref = Operator(gb, sum(((ir.dim / spec.order) * ir.characters[g].conjugate()
+                                    * gauss_operator(model, v, g).matrix
+                                    for g in range(spec.order)), _zero(gb)))
+            _assert_bit_identical(vertex_sector_average(model, v, ir.label).matrix, ref.matrix,
+                                  f"vertex {v}, sector {ir.label}")
 
 
 def _closed_form_trace(model, plaq):

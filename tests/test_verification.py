@@ -19,6 +19,7 @@ from fockgauge.link_space import theta_group_basis
 from fockgauge.operators import max_abs
 from fockgauge.spectra import vortex_masses
 from fockgauge.verification import verify_model
+from oracles import basis_agreement_dense
 
 
 def test_verify_model_d3_matter_chain():
@@ -125,13 +126,14 @@ def test_gauss_commutators_agree_with_all_elements_and_probes(make_model):
 
 
 def _sign_flipped_tunneling(model):
-    """The tunneling term with the (0, 0) piece of link 0 and its h.c. negated."""
+    """The tunneling block with the (0, 0) piece of link 0 and its h.c. negated."""
     gb = model.global_basis
     link = model.lattice.links[0]
     piece = model.epsilon[link.index] * lattice_model._embed_factors(gb, {
         gb.fermion_factor: [lattice_model._hop(model, link.origin, 0, link.target, 0)],
         gb.link_factor(link.index): [model.u_tunneling.entry(0, 0).matrix]})
-    return lattice_model._tunneling_term(model) - 2 * (piece + piece.conj().T)
+    lo, hi, local = lattice_model._tunneling_term(model)
+    return lo, hi, local - 2 * (piece + piece.conj().T)
 
 
 @pytest.mark.parametrize("name,params,basis", [
@@ -186,7 +188,7 @@ def test_verify_model_stops_at_a_corrupt_table(tmp_path):
 
 def test_row_sliced_commutator_equals_the_unsliced_one(monkeypatch):
     model = _d3_chain("rep")
-    term = _sign_flipped_tunneling(model)
+    term = _sign_flipped_tunneling(model)[2]
     ops = [gauss_operator(model, v, g).matrix for v in range(model.lattice.n_vertices)
            for g in model.entry.spec.generating_set()]
     whole = max(max_abs(s_op @ term - term @ s_op) for s_op in ops)
@@ -244,6 +246,20 @@ def _reflection_on_every_link(model):
     theta = theta_group_basis(model.link_space, s, "R").matrix
     return lattice_model._sum_on_span(gb.factor_dims, [
         {gb.link_factor(link.index): [theta]} for link in model.lattice.links])
+
+
+@pytest.mark.parametrize("basis", ["group", "rep"])
+def test_link_by_link_basis_agreement_equals_the_dense_unitary(monkeypatch, basis):
+    model = _d3_chain(basis)
+    names = model.terms
+    got = verification._basis_agreement_residual(model, names)
+    assert abs(got - basis_agreement_dense(model, names)) <= 1e-13, got
+    # a term built in the group basis in both models: the bases disagree
+    monkeypatch.setitem(lattice_model._TERMS, "electric", _reflection_on_every_link)
+    got = verification._basis_agreement_residual(model, names)
+    ref = basis_agreement_dense(model, names)
+    assert got > 0.1 and ref > 0.1, (got, ref)
+    assert abs(got - ref) <= 1e-12 * ref, (got, ref)
 
 
 def _one_mode_number(model):
