@@ -12,12 +12,17 @@ top x-link, then U-dagger on the left y-link (counterclockwise circulation).
 Placement: ``_sum_on_span`` sums the per-factor products of one local
 piece on the span of factors they touch and applies the piece's
 coefficient and h.c. there, giving a block (lo, hi, local); ``_sum_blocks``
-adds blocks on the union of their spans; ``_place`` pads a block with
-identities once.  All four Hamiltonian builders return a block (tunneling
-sums its links, magnetic its plaquettes with ``_sum_blocks``), so the
-verification suite takes their Gauss commutators on the span; a vertex's
-sector average is summed on its star's span and placed once.  The
-plaquette is one piece in both link bases.
+adds blocks on a given span, placing each as it is produced; ``_place``
+pads a block with identities once, writing I (x) local (x) I straight into
+canonical CSR (offsets on the local's indices, tiled values, int32 indices
+when they fit) with the bits a Kronecker product with complex identities
+gives.  All four Hamiltonian builders return a block (tunneling sums its
+links, magnetic its plaquettes with ``_sum_blocks``), so the verification
+suite takes their Gauss commutators on the span; a vertex's sector average
+is summed on its star's span and placed once.  The plaquette is one piece
+in both link bases.  ``build_hamiltonian`` places and adds one term at a
+time, in float64 when the term is real, and hands a real sum out as one
+complex CSR matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,7 +59,7 @@ from .matter_space import (
     number_operator,
     theta_q,
 )
-from .operators import Operator, eigh_by_components
+from .operators import Operator, eigh_by_components, normalize, real_if_close
 
 # Largest dimension handled with dense matrices: dense eigh, the sector
 # projector and basis, and the dense identity checks.
@@ -403,9 +408,8 @@ def _sum_on_span(dims: Sequence[int],
     if isinstance(products, dict):
         products = [products]
     if not products:
-        return _sum_blocks(dims, [])
-    touched = {factor for ops in products for factor in ops}
-    lo, hi = min(touched, default=0), max(touched, default=-1) + 1
+        return _sum_blocks(dims, 0, 0, [])
+    lo, hi = _span(factor for ops in products for factor in ops)
 
     def on_span(ops: dict[int, list[sp.spmatrix]]) -> sp.csr_matrix:
         blocks = [reduce(operator.matmul, ops[factor]) if factor in ops
@@ -421,10 +425,18 @@ def _sum_on_span(dims: Sequence[int],
     return lo, hi, local
 
 
-def _sum_blocks(dims: Sequence[int], blocks: Sequence[Block]) -> Block:
-    """(lo, hi, local): the blocks added in order on the union of their spans."""
-    lo = min((b_lo for b_lo, _, _ in blocks), default=0)
-    hi = max((b_hi for _, b_hi, _ in blocks), default=0)
+def _span(factors: Iterable[int]) -> tuple[int, int]:
+    """(lo, hi): the factors [lo, hi) from the first to the last of ``factors``."""
+    factors = list(factors)
+    return min(factors, default=0), max(factors, default=-1) + 1
+
+
+def _sum_blocks(dims: Sequence[int], lo: int, hi: int, blocks: Iterable[Block]) -> Block:
+    """(lo, hi, local): blocks inside the factors [lo, hi) added there in order.
+
+    ``blocks`` is consumed one at a time: each block is placed on the span
+    and added before the next one is built.
+    """
     span = dims[lo:hi]
     zero = sp.csr_matrix((math.prod(span),) * 2, dtype=complex)
     return lo, hi, sum((_place(span, b_lo - lo, b_hi - lo, local)
@@ -432,13 +444,46 @@ def _sum_blocks(dims: Sequence[int], blocks: Sequence[Block]) -> Block:
 
 
 def _place(dims: Sequence[int], lo: int, hi: int, local: sp.spmatrix) -> sp.csr_matrix:
-    """A block on factors [lo, hi) of ``dims``, padded with one identity on each side."""
+    """A block on factors [lo, hi) of ``dims``, padded with one identity on each side.
+
+    I_before (x) local (x) I_after is written straight into canonical CSR,
+    with int32 indices when the dim and the nnz fit: each local row is
+    repeated ``after`` times with its columns spread by ``after``, and that
+    band is tiled ``before`` times down the diagonal.  A complex local is
+    multiplied by 1+0j once per padded side, as a Kronecker product with a
+    complex identity does, so even signed zeros come out the same; a real
+    local stays float64.
+    """
+    local = sp.csr_matrix(local)
+    dtype = np.complex128 if np.iscomplexobj(local.data) else np.float64
     before, after = math.prod(dims[:lo]), math.prod(dims[hi:])
+    if before == after == 1:
+        return local.astype(dtype, copy=False)
+    if not local.has_canonical_format:
+        local = local.copy()
+        local.sum_duplicates()
+    values = local.data.astype(dtype)
+    if dtype is np.complex128:
+        for _ in range((before > 1) + (after > 1)):
+            values *= 1 + 0j
+    n = local.shape[0]
+    dim, nnz = before * n * after, before * local.nnz * after
+    index = np.int32 if max(dim, nnz) <= np.iinfo(np.int32).max else np.int64
+    band = sp.csr_matrix((values, local.indices, local.indptr),
+                         shape=local.shape)[np.repeat(np.arange(n), after)]
+    indices = band.indices.astype(index, copy=False)
+    indices *= after
+    indices += np.repeat(np.tile(np.arange(after, dtype=index), n),
+                         np.repeat(np.diff(local.indptr), after))
+    indptr, data = band.indptr.astype(index, copy=False), band.data
     if before > 1:
-        local = sp.kron(_identity(before), local, format="csr")
-    if after > 1:
-        local = sp.kron(local, _identity(after), format="csr")
-    return local.astype(complex, copy=False)
+        steps = np.arange(before, dtype=index)[:, None]
+        indices = (indices + steps * (n * after)).ravel()
+        indptr = np.append((indptr[:-1] + steps * indptr[-1]).ravel(), index(nnz))
+        data = np.tile(data, before)
+    placed = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    placed.has_canonical_format = True
+    return placed
 
 
 def _identity(dim: int) -> sp.csr_matrix:
@@ -513,10 +558,12 @@ def _tunneling_term(model: Model) -> Block:
     """sum over links in index order of eps_l sum_ab psi^dag_a U_ab psi_b (+ h.c.).
 
     The (a, b) products of a link are added row-major on its span, then its
-    h.c.; ``_sum_blocks`` adds the links on the union of their spans.
+    h.c.; ``_sum_blocks`` adds the links on the union of their spans, one
+    link block alive at a time.
     """
     gb = model.global_basis
     u = model.u_tunneling
+    links = model.lattice.links
 
     def link_hop(link: Link) -> Block:
         return _sum_on_span(gb.factor_dims, [
@@ -525,7 +572,9 @@ def _tunneling_term(model: Model) -> Block:
             for a in range(u.dim) for b in range(u.dim)],
             model.epsilon[link.index], hc=model.params.include_hc)
 
-    return _sum_blocks(gb.factor_dims, [link_hop(link) for link in model.lattice.links])
+    return _sum_blocks(gb.factor_dims, *_span(
+        factor for link in links for factor in (gb.fermion_factor, gb.link_factor(link.index))),
+        map(link_hop, links))
 
 
 def _electric_term(model: Model) -> Block:
@@ -584,10 +633,13 @@ def _magnetic_term(model: Model) -> Block:
     Each plaquette is summed on its own span; ``_sum_blocks`` adds them on
     the union of the plaquette spans.
     """
+    gb = model.global_basis
     pref = -1.0 / (2.0 * model.params.coupling ** 2)
-    return _sum_blocks(model.global_basis.factor_dims, [
+    plaquettes = model.lattice.plaquettes
+    return _sum_blocks(gb.factor_dims, *_span(
+        gb.link_factor(link) for plaq in plaquettes for link in plaq.links), (
         _plaquette_block(model, plaq, pref, hc=model.params.include_hc)
-        for plaq in model.lattice.plaquettes])
+        for plaq in plaquettes))
 
 
 _TERMS = {
@@ -611,10 +663,24 @@ def hamiltonian_terms(model: Model, threads: int = 1,
 
 
 def build_hamiltonian(model: Model) -> Operator:
-    """Assemble the full Hamiltonian: the enabled terms summed in model.terms order."""
-    terms = hamiltonian_terms(model)
+    """Assemble the full Hamiltonian: the enabled terms summed in model.terms order.
+
+    One term at a time: its block is normalized as an ``Operator`` would be,
+    taken in float64 when it is real (``real_if_close``), placed and added to
+    the running sum before the next term is built.  A real sum is handed out
+    as one complex128 data array on the sum's own ``indices`` and ``indptr``.
+    """
     gb = model.global_basis
-    return Operator(gb, sum((t.matrix for t in terms.values()), _zero(gb)))
+
+    def placed(name: str) -> sp.csr_matrix:
+        lo, hi, local = _TERMS[name](model)
+        return _place(gb.factor_dims, lo, hi, real_if_close(normalize(local)))
+
+    total = sum(map(placed, model.terms), sp.csr_matrix((gb.dim, gb.dim)))
+    if not np.iscomplexobj(total):
+        total = sp.csr_matrix((total.data.astype(complex), total.indices, total.indptr),
+                              shape=total.shape)
+    return Operator(gb, total)
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +785,12 @@ def vertex_sector_average(model: Model, vertex: int, sector_label: str) -> Opera
     spec = model.entry.spec
     ir = model.entry.irrep(sector_label)
     gb = model.global_basis
-    return Operator(gb, _place(gb.factor_dims, *_sum_blocks(gb.factor_dims, [
-        _sum_on_span(gb.factor_dims, _gauss_factors(model, vertex, g),
-                     (ir.dim / spec.order) * ir.characters[g].conjugate())
-        for g in range(spec.order)])))
+    stars = [_gauss_factors(model, vertex, g) for g in range(spec.order)]
+    return Operator(gb, _place(gb.factor_dims, *_sum_blocks(
+        gb.factor_dims, *_span(stars[0]), (
+            _sum_on_span(gb.factor_dims, star,
+                         (ir.dim / spec.order) * ir.characters[g].conjugate())
+            for g, star in enumerate(stars)))))
 
 
 def physical_basis(model: Model,

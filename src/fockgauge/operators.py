@@ -3,8 +3,10 @@
 An operator is a CSR matrix over one space object (a LinkSpace, a
 VertexFock or a GlobalBasis), plus a basis tag for link operators (rep or
 group basis).  Two operators combine only when they share the space object
-and the tag.  Every matrix is normalized the same way on construction:
-duplicates summed, entries with |x| <= DROP_TOL dropped.  The eigensolvers
+and the tag.  Every matrix is normalized the same way on construction
+(``normalize``): duplicates summed, entries with |x| <= DROP_TOL dropped;
+Hamiltonian assembly normalizes each term's local block the same way
+before placing it.  The eigensolvers
 work on ``real_if_close`` of a matrix: float64 when no imaginary part
 exceeds DROP_TOL.
 """
@@ -44,6 +46,18 @@ def max_abs(mat) -> float:
 def hermiticity_residual(mat: sp.spmatrix) -> float:
     """max |M - M^dag| over the entries of a sparse matrix."""
     return max_abs(mat - mat.conj().T)
+
+
+def normalize(mat: sp.spmatrix) -> sp.csr_matrix:
+    """``mat`` as CSR with duplicates summed and entries |x| <= DROP_TOL dropped.
+
+    A CSR matrix is normalized in place, not copied.
+    """
+    mat = sp.csr_matrix(mat)
+    mat.sum_duplicates()
+    mat.data[np.abs(mat.data) <= DROP_TOL] = 0.0
+    mat.eliminate_zeros()
+    return mat
 
 
 def real_if_close(mat: sp.csr_matrix) -> sp.csr_matrix:
@@ -118,7 +132,8 @@ def eigh_by_components(factors: Sequence[sp.csr_matrix], *,
 class Operator:
     """Sparse operator on ``space``, tagged with the basis it lives in.
 
-    A CSR ``matrix`` is normalized in place, not copied.
+    The ``matrix`` goes through ``normalize``: a CSR matrix is normalized in
+    place, not copied.
     """
 
     space: Any
@@ -126,11 +141,7 @@ class Operator:
     basis_tag: Optional[str] = None
 
     def __post_init__(self):
-        mat = sp.csr_matrix(self.matrix)
-        mat.sum_duplicates()
-        mat.data[np.abs(mat.data) <= DROP_TOL] = 0.0
-        mat.eliminate_zeros()
-        self.matrix = mat
+        self.matrix = normalize(self.matrix)
 
     def _compatible(self, other: "Operator"):
         if self.space is not other.space:

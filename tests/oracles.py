@@ -2,8 +2,10 @@
 
 None of these is used by the library itself: each rebuilds a quantity by
 another route (a matrix exponential, a sampled nullspace, scalar digit
-arithmetic) so that a test can check the production construction.
+arithmetic, scipy Kronecker products) so that a test can check the production construction.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,3 +100,14 @@ def basis_agreement_dense(model: Model, names) -> float:
     else:
         converted = f_global @ h_there @ f_global.conj().T
     return max_abs(converted - h_here)
+
+
+def place_by_kron(dims, lo: int, hi: int, local: sp.spmatrix) -> sp.csr_matrix:
+    """A block on factors [lo, hi) of ``dims`` padded by scipy Kronecker
+    products with complex identities, through COO, always complex."""
+    before, after = math.prod(dims[:lo]), math.prod(dims[hi:])
+    if before > 1:
+        local = sp.kron(sp.identity(before, dtype=complex, format="csr"), local, format="csr")
+    if after > 1:
+        local = sp.kron(local, sp.identity(after, dtype=complex, format="csr"), format="csr")
+    return local.astype(complex, copy=False)

@@ -205,6 +205,26 @@ def test_hamiltonian_is_the_sum_of_its_terms(group, ly, basis, weights):
     assert _mabs(build_hamiltonian(model).matrix - expected) <= 1e-14
 
 
+def test_build_hamiltonian_keeps_one_placed_term_alive():
+    # L1: D3 2x2 open with matter in the group basis, dim 331 776.  H has
+    # 9 179 136 nonzeros, 20 B each as complex128 values and int32 indices.
+    # Holding every full-space complex term while summing them peaks above
+    # 3x that; summing one real term at a time stays below 2x.
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3,
+                         electric_weights={"I": 0.0, "p": 1.0, "2": 1.0})
+    model = Model(build_builtin("D3"), lat, params, basis_tag="group")
+    tracemalloc.start()
+    try:
+        ham = build_hamiltonian(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ham.matrix.dtype == np.complex128
+    assert ham.matrix.indices.dtype == np.int32
+    assert peak < 2 * ham.matrix.nnz * (16 + 4), (peak, ham.matrix.nnz)
+
+
 def test_include_hc_fault_injection():
     z2 = build_builtin("Z_2")
     lat = LatticeSpec(2, 1, boundary="open", include_matter=True)

@@ -21,6 +21,7 @@ from fockgauge.lattice_model import (
     LatticeSpec,
     Model,
     ModelParams,
+    build_hamiltonian,
     gauss_generators,
     gauss_operator,
     hamiltonian_terms,
@@ -31,8 +32,8 @@ from fockgauge.link_space import generators as link_generators
 from fockgauge.link_space import identity_operator, projector_rep
 from fockgauge.matter_space import charges as matter_charges
 from fockgauge.matter_space import number_operator
-from fockgauge.operators import Operator
-from oracles import digit_array
+from fockgauge.operators import Operator, real_if_close
+from oracles import digit_array, place_by_kron
 
 
 def _identity(dim):
@@ -276,3 +277,74 @@ def test_embed_factors_sums_pieces_on_their_span():
     assert abs(got - (full + full.conj().T)).max() == 0
     assert lm._embed_factors(gb, []).nnz == 0
     assert lm._embed_factors(gb, {}).nnz == gb.dim
+
+
+def _local(n, kind, rng):
+    """An n x n CSR local with explicit entries, zeros of either sign kept."""
+    if kind == "empty":
+        return sp.csr_matrix((n, n), dtype=complex)
+    mask = np.ones((n, n), bool) if kind == "signed-zeros" else rng.random((n, n)) < 0.4
+    nnz = int(mask.sum())
+    if kind == "real":
+        data = rng.standard_normal(nnz)
+        data[::5] = -0.0
+    elif kind == "complex":
+        data = rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz)
+    else:
+        # every sign pairing of zero and nonzero real and imaginary parts
+        parts = np.array([-0.0, 0.0, 1.5, -2.0])
+        data = np.empty(nnz, complex)
+        data.real = np.resize(np.repeat(parts, 4), nnz)
+        data.imag = np.resize(np.tile(parts, 4), nnz)
+    indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+    return sp.csr_matrix((data, np.nonzero(mask)[1], indptr), shape=(n, n))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "empty", "signed-zeros"])
+@pytest.mark.parametrize("lo,hi", [(0, 2), (2, 4), (1, 3), (1, 2), (0, 4)],
+                         ids=["lo=0", "hi=len", "both-sides", "one-factor", "no-padding"])
+def test_place_matches_kron_with_complex_identities(lo, hi, kind):
+    dims = [2, 5, 4, 3]
+    local = _local(math.prod(dims[lo:hi]), kind, np.random.default_rng([lo, hi]))
+    assert kind != "signed-zeros" or local.nnz >= 16
+    got = lm._place(dims, lo, hi, local)
+    ref = place_by_kron(dims, lo, hi, local)
+    assert got.shape == ref.shape == (math.prod(dims),) * 2
+    # a real local stays float64; its values are the reference's real parts
+    # and the reference's imaginary parts are all +0.0
+    assert got.dtype == (np.float64 if kind == "real" else np.complex128)
+    assert got.indptr.dtype == got.indices.dtype == np.int32
+    assert got.has_canonical_format
+    _assert_bit_identical(got.astype(complex), ref, (lo, hi, kind))
+
+
+def _d3_matter_group(lx, boundary):
+    lat = LatticeSpec(lx, 1, boundary=boundary, include_matter=True)
+    return Model(build_builtin("D3"), lat,
+                 ModelParams(mass=0.8, epsilon=0.7, coupling=1.3, staggered=False,
+                             electric_weights={"I": 0.0, "p": 1.0, "2": 1.0}),
+                 basis_tag="group")
+
+
+@pytest.mark.parametrize("make_model", [
+    lambda: _z2_matter("rep"),
+    lambda: _d3_matter_group(2, "open"),
+    lambda: _d3_matter_group(1, "periodic"),
+], ids=["z2-complex-epsilon", "d3-group-real", "d3-group-plaquette"])
+def test_hamiltonian_is_its_terms_summed_in_order(make_model):
+    # the complex per-link epsilon keeps the sum complex; the D3 group-basis
+    # models are real, so their terms are summed in float64 and handed out
+    # complex.  On the 1x1 torus the plaquette block carries +-3e-17 diagonal
+    # entries that each term drops before the sum, as an Operator would.
+    model = make_model()
+    gb = model.global_basis
+    terms = hamiltonian_terms(model)
+    assert tuple(terms) == model.terms
+    ref = Operator(gb, sum((t.matrix for t in terms.values()), _zero(gb))).matrix
+    del terms
+    got = build_hamiltonian(model).matrix
+    assert got.dtype == np.complex128
+    assert np.iscomplexobj(real_if_close(got)) == bool(model.epsilon.imag.any())
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data, ref.data)
