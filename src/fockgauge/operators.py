@@ -25,6 +25,7 @@ from scipy.sparse.csgraph import connected_components
 
 DROP_TOL = 1e-14
 HERMITICITY_TOL = 1e-12
+HERMITICITY_NNZ = 1 << 17   # stored entries of M and M^T per slice in hermiticity_residual
 
 REP = "rep"
 GROUP = "group"
@@ -43,9 +44,30 @@ def max_abs(mat) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
+def _row_view(mat: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
+    """Rows [lo, hi) of a CSR matrix, sharing its data and indices."""
+    start, stop = mat.indptr[lo], mat.indptr[hi]
+    return sp.csr_matrix((mat.data[start:stop], mat.indices[start:stop],
+                          mat.indptr[lo:hi + 1] - start),
+                         shape=(hi - lo, mat.shape[1]))
+
+
 def hermiticity_residual(mat: sp.spmatrix) -> float:
-    """max |M - M^dag| over the entries of a sparse matrix."""
-    return max_abs(mat - mat.conj().T)
+    """max |M - M^dag| over the entries of a sparse matrix.
+
+    Taken one row slice at a time against one transposed CSR copy, which
+    is conjugated slice by slice, so beyond that copy only slices holding
+    about HERMITICITY_NNZ stored entries of M and M^T are alive at once.
+    """
+    mat = sp.csr_matrix(mat)
+    transposed = mat.T.tocsr()
+    load = mat.indptr + transposed.indptr
+    cuts = np.searchsorted(load, np.arange(HERMITICITY_NNZ, load[-1],
+                                           HERMITICITY_NNZ))
+    bounds = np.unique(np.r_[0, cuts, mat.shape[0]])
+    return max((max_abs(_row_view(mat, lo, hi)
+                        - _row_view(transposed, lo, hi).conj(copy=False))
+                for lo, hi in zip(bounds[:-1], bounds[1:])), default=0.0)
 
 
 def normalize(mat: sp.spmatrix) -> sp.csr_matrix:

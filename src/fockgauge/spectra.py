@@ -3,19 +3,24 @@
 Up to DENSE_MAX_DIM the matrix is split into the connected components of
 its sparsity graph and LAPACK (MRRR) computes only the k lowest eigenpairs
 of each dense block, once per component; above it a symmetric Lanczos
-iteration with full reorthogonalization, a seeded start vector, and
+iteration with partial reorthogonalization, a seeded start vector, and
 deflation restarts resolves degenerate levels copy by copy.  Its Krylov
 basis and accepted (deflation) vectors are rows of arrays that start at
-ROW_BLOCK rows and double when full.  Each new Lanczos vector is
-re-orthogonalized against both by two classical Gram-Schmidt passes
-("twice is enough", Daniel, Gragg, Kaufman and Stewart 1976), each one
-BLAS GEMV to project and one to subtract; Ritz vectors come from one GEMM
-on the basis.  Both paths work in the field of the operator: when no
-entry has an imaginary part above DROP_TOL they run on a float64 copy
-(real LAPACK, real Krylov vectors, real eigenvectors), otherwise in
-complex128.  Every reported eigenpair carries an explicit residual
-||Hv - lambda v|| computed with the operator as given, and results count
-Lanczos steps, deflated runs and matrix-vector products.
+ROW_BLOCK rows and double when full.  Every new Lanczos vector is projected
+off the accepted vectors by two classical Gram-Schmidt passes.  Against
+the Krylov basis it gets the same two passes ("twice is enough", Daniel,
+Gragg, Kaufman and Stewart 1976) only on the steps where Simon's
+recurrence for the overlaps q_j . q_k (H. D. Simon, Math. Comp. 42, 115
+(1984)) predicts one above SEMI_ORTHOGONAL = sqrt(eps), and on the step
+after; a semi-orthogonal basis gives Ritz values to machine precision.
+Each pass is one BLAS GEMV to project and one to subtract; Ritz vectors
+come from one GEMM on the basis.  Both paths work in the field of the
+operator: when no entry has an imaginary part above DROP_TOL they run on a
+float64 copy (real LAPACK, real Krylov vectors, real eigenvectors),
+otherwise in complex128.  Every reported eigenpair carries an explicit
+residual ||Hv - lambda v|| computed with the operator as given, and results
+count Lanczos steps, deflated runs, matrix-vector products and the steps
+that reorthogonalized against the whole basis.
 """
 
 from __future__ import annotations
@@ -50,11 +55,14 @@ DEGENERACY_TOL = 1e-7
 NORMALIZATION_TOL = 1e-10   # |norm - 1| allowed for an expectation state
 RITZ_CHECK_EVERY = 5
 ROW_BLOCK = 64          # first capacity of a row-stacked vector array
+EPS = np.finfo(np.float64).eps
+SEMI_ORTHOGONAL = np.sqrt(EPS)   # largest |q_j . q_k| a Lanczos basis keeps
 
 
 class EigensolveError(RuntimeError):
     def __init__(self, message: str, best_residual: Optional[float] = None,
-                 steps: int = 0, restarts: int = 0, matvecs: int = 0):
+                 steps: int = 0, restarts: int = 0, matvecs: int = 0,
+                 reorthogonalizations: int = 0):
         if best_residual is not None and np.isfinite(best_residual):
             message = f"{message} (best residual {best_residual:.3e})"
         super().__init__(message)
@@ -62,14 +70,17 @@ class EigensolveError(RuntimeError):
         self.steps = steps
         self.restarts = restarts
         self.matvecs = matvecs
+        self.reorthogonalizations = reorthogonalizations
 
 
 @dataclass
 class _Counts:
-    """What a Lanczos solve did: steps, deflated runs, products ``mat @ x``."""
+    """What a Lanczos solve did: steps, deflated runs, products ``mat @ x``
+    and the steps that reorthogonalized against the whole Krylov basis."""
     steps: int = 0
     restarts: int = 0
     matvecs: int = 0
+    reorthogonalizations: int = 0
 
 
 @dataclass
@@ -81,11 +92,13 @@ class SpectrumResult:
     residuals: np.ndarray
     method: str
     seed: int
-    # Lanczos steps, deflated runs and every ``mat @ x`` (a mat-mat product
-    # counts one per column, certificates included); 0 on the dense path
+    # Lanczos steps, deflated runs, every ``mat @ x`` (a mat-mat product
+    # counts one per column, certificates included) and the steps that
+    # reorthogonalized against the whole Krylov basis; 0 on the dense path
     steps: int = 0
     restarts: int = 0
     matvecs: int = 0
+    reorthogonalizations: int = 0
 
     def degeneracies(self, tol: float = DEGENERACY_TOL) -> list[list[int]]:
         """Indices grouped into (numerically) degenerate levels."""
@@ -202,6 +215,31 @@ def _residuals(mat: sp.csr_matrix, vals: np.ndarray,
     return np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
 
 
+def _omega_step(cur: np.ndarray, prev: np.ndarray, alphas: np.ndarray,
+                betas: np.ndarray, beta: float, dim: int) -> np.ndarray:
+    """Simon's estimate of the overlaps q_{j+1} . q_k, k = 0 .. j+1.
+
+    ``cur`` and ``prev`` estimate q_j . q_k and q_{j-1} . q_k (lengths j+1
+    and j, each ending in its own 1), ``alphas`` is a_0 .. a_j and ``betas``
+    b_0 .. b_{j-1} with H q_i = b_{i-1} q_{i-1} + a_i q_i + b_i q_{i+1}, and
+    ``beta`` is b_j.  For k < j, with o_{i,k} the estimate of q_i . q_k,
+    b_j o_{j+1,k} = b_k o_{j,k+1} + (a_k - a_j) o_{j,k} + b_{k-1} o_{j,k-1}
+    - b_{j-1} o_{j-1,k}, widened by the rounding of one step,
+    eps (|a_j| + b_j), away from zero; o_{j+1,j} = eps sqrt(dim).
+    """
+    j = len(alphas) - 1
+    grown = (alphas[:j] - alphas[j]) * cur[:j]
+    if j:
+        grown += betas * cur[1:] - betas[-1] * prev
+        grown[1:] += betas[:-1] * cur[:j - 1]
+    rounding = EPS * (abs(alphas[j]) + beta)
+    out = np.empty(j + 2)
+    out[:j] = (grown + np.copysign(rounding, grown)) / beta
+    out[j] = EPS * np.sqrt(dim)
+    out[j + 1] = 1.0
+    return out
+
+
 def _deflated_run(mat: sp.csr_matrix, deflate: np.ndarray,
                   rng: np.random.Generator, tol: float, budget: int,
                   counts: _Counts):
@@ -210,7 +248,11 @@ def _deflated_run(mat: sp.csr_matrix, deflate: np.ndarray,
     Returns (values, vectors, best_residual, exhausted): the residual-
     certified eigenpairs found (ascending, vectors as rows, stopping at the
     first unconverged Ritz value so nothing lower can be missed) and whether
-    the complement was empty.  Steps and matvecs are added to ``counts``.
+    the complement was empty.  Every step projects the new vector off
+    ``deflate``; it reorthogonalizes against the whole basis only when
+    ``_omega_step`` predicts an overlap above SEMI_ORTHOGONAL, and then on
+    the next step too, since the recurrence carries both rows forward.
+    Steps, matvecs and those reorthogonalizations are added to ``counts``.
     """
     dim = mat.shape[0]
     start = rng.standard_normal(dim)
@@ -224,6 +266,8 @@ def _deflated_run(mat: sp.csr_matrix, deflate: np.ndarray,
     basis.append(start / nrm)
     alphas: list[float] = []
     betas: list[float] = []
+    omega, omega_prev = np.ones(1), np.empty(0)
+    force = False       # the step after a reorthogonalization repeats it
     best_residual = np.inf
     m_cap = min(dim - len(deflate), budget)
     for step in range(m_cap):
@@ -235,10 +279,21 @@ def _deflated_run(mat: sp.csr_matrix, deflate: np.ndarray,
             w -= betas[-1] * q[-2]
         alpha = float(np.vdot(q[-1], w).real)
         w -= alpha * q[-1]
-        for _ in range(2):   # twice is enough (Daniel, Gragg, Kaufman, Stewart)
-            w = _project_out(_project_out(w, q), deflate)
+        for _ in range(2):
+            w = _project_out(w, deflate)
         alphas.append(alpha)
         beta = float(np.linalg.norm(w))
+        if beta >= 1e-13:
+            omega_next = _omega_step(omega, omega_prev, np.asarray(alphas),
+                                     np.asarray(betas), beta, dim)
+            if force or np.abs(omega_next[:-1]).max() > SEMI_ORTHOGONAL:
+                for _ in range(2):   # twice is enough
+                    w = _project_out(_project_out(w, q), deflate)
+                beta = float(np.linalg.norm(w))
+                omega_next[:-1] = EPS
+                counts.reorthogonalizations += 1
+                force = not force
+            omega, omega_prev = omega_next, omega
         breakdown = beta < 1e-13
         last = step == m_cap - 1
         if breakdown or last or (step + 1) % RITZ_CHECK_EVERY == 0:
@@ -279,7 +334,7 @@ def _deflated_run(mat: sp.csr_matrix, deflate: np.ndarray,
 
 def _lanczos_lowest(mat: sp.csr_matrix, k: int, *, seed: int,
                     tol: float, max_iter: int, counts: _Counts):
-    """Symmetric Lanczos with full reorthogonalization and deflation restarts.
+    """Symmetric Lanczos with partial reorthogonalization and deflation restarts.
 
     Each restart searches the orthogonal complement of everything accepted
     so far, which is what resolves degeneracies: a run converges one copy

@@ -2,14 +2,16 @@
 
 None of these is used by the library itself: each rebuilds a quantity by
 another route (a matrix exponential, a sampled nullspace, scalar digit
-arithmetic, scipy Kronecker products) so that a test can check the production construction.
+arithmetic, scipy Kronecker products, whole-matrix formulas, Lanczos with
+full reorthogonalization) so that a test can check the production
+construction.
 """
 
 import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm, logm
+from scipy.linalg import eigh_tridiagonal, expm, logm
 
 from fockgauge.clebsch_gordan import (
     LIE_SAMPLE_SEED,
@@ -22,6 +24,8 @@ from fockgauge.lattice_model import (GROUP, REP, GlobalBasis, Model, _embed_fact
                                      hamiltonian_terms)
 from fockgauge.matter_space import VertexFock, _resolve_dmatrix, bilinear
 from fockgauge.operators import Operator, max_abs
+from fockgauge.spectra import (LANCZOS_MAX_ITER, LANCZOS_TOL, RITZ_CHECK_EVERY,
+                               _Counts, _project_out, _Rows)
 
 NUMERIC_SAMPLE_COUNT = 24   # rotations stacked by cg_numeric
 
@@ -111,3 +115,100 @@ def place_by_kron(dims, lo: int, hi: int, local: sp.spmatrix) -> sp.csr_matrix:
     if after > 1:
         local = sp.kron(local, sp.identity(after, dtype=complex, format="csr"), format="csr")
     return local.astype(complex, copy=False)
+
+
+def hermiticity_residual_whole(mat: sp.spmatrix) -> float:
+    """max |M - M^dag| from the whole difference, conjugate transpose copied."""
+    return max_abs(mat - mat.conj().T)
+
+
+def _full_reorth_run(mat, deflate, rng, tol, budget, counts):
+    """One deflated Krylov run that reorthogonalizes every new vector against
+    the whole basis and the deflation rows by two classical Gram-Schmidt
+    passes; otherwise the run of ``spectra._deflated_run``."""
+    dim = mat.shape[0]
+    start = rng.standard_normal(dim)
+    if np.iscomplexobj(mat):
+        start = start + 1j * rng.standard_normal(dim)
+    start = _project_out(start, deflate)
+    nrm = np.linalg.norm(start)
+    if nrm < 1e-12:
+        return [], [], True
+    basis = _Rows(dim, mat.dtype)
+    basis.append(start / nrm)
+    alphas, betas = [], []
+    m_cap = min(dim - len(deflate), budget)
+    for step in range(m_cap):
+        q = basis.rows
+        w = mat @ q[-1]
+        counts.steps += 1
+        if betas:
+            w -= betas[-1] * q[-2]
+        alpha = float(np.vdot(q[-1], w).real)
+        w -= alpha * q[-1]
+        for _ in range(2):
+            w = _project_out(_project_out(w, q), deflate)
+        alphas.append(alpha)
+        beta = float(np.linalg.norm(w))
+        breakdown = beta < 1e-13
+        if breakdown or step == m_cap - 1 or (step + 1) % RITZ_CHECK_EVERY == 0:
+            ritz_vals, ritz_vecs = eigh_tridiagonal(np.asarray(alphas),
+                                                    np.asarray(betas))
+            order = np.argsort(ritz_vals)
+            if not breakdown:
+                unconverged = beta * np.abs(ritz_vecs[-1, order]) > tol
+                if unconverged.any():
+                    order = order[:np.argmax(unconverged)]
+            candidates = ritz_vecs[:, order].T @ q
+            vals = []
+            for vec in candidates:
+                vec = _project_out(_project_out(vec, deflate),
+                                   candidates[:len(vals)])
+                nv = np.linalg.norm(vec)
+                if nv < 1e-8:
+                    continue
+                vec = vec / nv
+                hvec = mat @ vec
+                lam = float(np.vdot(vec, hvec).real)
+                if np.linalg.norm(hvec - lam * vec) > tol:
+                    break
+                candidates[len(vals)] = vec
+                vals.append(lam)
+            if vals or breakdown:
+                return vals, candidates[:len(vals)], False
+        if breakdown:
+            break
+        betas.append(beta)
+        basis.append(w / beta)
+    return [], [], False
+
+
+def lanczos_full_reorth(mat: sp.csr_matrix, k: int, *, seed: int,
+                        tol: float = LANCZOS_TOL,
+                        max_iter: int = LANCZOS_MAX_ITER):
+    """The k lowest eigenpairs of ``mat`` by Lanczos with full
+    reorthogonalization and the deflation restarts of ``eigensolve``, from
+    the same seeded start vectors.  Returns (values, vectors as columns,
+    counts); only ``counts.steps`` and ``counts.restarts`` are kept."""
+    rng = np.random.default_rng(seed)
+    accepted_vals = []
+    accepted = _Rows(mat.shape[0], mat.dtype)
+    counts = _Counts()
+    while True:
+        if counts.steps >= max_iter:
+            raise RuntimeError(f"no {k} lowest eigenpairs within {max_iter} steps")
+        vals, vecs, exhausted = _full_reorth_run(
+            mat, accepted.rows, rng, tol, max_iter - counts.steps, counts)
+        counts.restarts += 1
+        if exhausted:
+            break
+        accepted_vals.extend(vals)
+        for vec in vecs:
+            accepted.append(vec)
+        if vals and len(accepted_vals) >= k:
+            if vals[0] >= np.sort(accepted_vals)[k - 1] - tol:
+                break
+    if len(accepted_vals) < k:
+        raise RuntimeError(f"only {len(accepted_vals)} of {k} eigenpairs")
+    order = np.argsort(accepted_vals)[:k]
+    return np.asarray(accepted_vals)[order], accepted.rows[order].T, counts

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,7 +8,8 @@ from fockgauge.group_core import build_builtin
 from fockgauge.lattice_model import LatticeSpec, Model, ModelParams, embed_link
 from fockgauge.link_space import BasisMismatchError, theta_left
 from fockgauge.matter_space import VertexFock, number_operator, psi
-from fockgauge.operators import Operator
+from fockgauge.operators import Operator, hermiticity_residual
+from oracles import hermiticity_residual_whole
 
 
 def test_combination_needs_the_same_space():
@@ -36,3 +39,37 @@ def test_construction_normalizes():
     op = Operator(VertexFock(1), mat)
     assert op.matrix.nnz == 1
     assert op.matrix[0, 0] == 3.0
+
+
+def _random_sparse(dim: int, nnz: int, seed: int, dtype=complex) -> sp.csr_matrix:
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(nnz)
+    if dtype is complex:
+        values = values + 1j * rng.standard_normal(nnz)
+    return sp.csr_matrix((values, (rng.integers(0, dim, nnz),
+                                   rng.integers(0, dim, nnz))), shape=(dim, dim))
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_hermiticity_residual_matches_the_whole_difference(dtype):
+    mat = _random_sparse(300, 4000, seed=3, dtype=dtype)
+    hermitian = (mat + mat.conj().T).tocsr()
+    noisy = hermitian.copy()
+    noisy.data[::7] += 1e-9
+    for case in (mat, hermitian, noisy, sp.csr_matrix((300, 300), dtype=dtype)):
+        assert hermiticity_residual(case) == hermiticity_residual_whole(case)
+    assert hermiticity_residual(hermitian) == 0.0
+
+
+def test_hermiticity_residual_holds_one_transposed_copy():
+    mat = _random_sparse(200_000, 1_200_000, seed=5)
+    mat_bytes = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    assert mat.nnz >= 1_000_000 and mat.dtype == complex
+    tracemalloc.start()
+    try:
+        value = hermiticity_residual(mat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * mat_bytes
+    assert value == hermiticity_residual_whole(mat)

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import lobpcg
 
+from fockgauge import spectra
 from fockgauge.group_core import build_builtin
 from fockgauge.lattice_model import (
     LatticeSpec,
@@ -22,13 +23,18 @@ from fockgauge.lattice_model import (
 from fockgauge.link_space import projector_rep
 from fockgauge.operators import DROP_TOL, real_if_close
 from fockgauge.spectra import (
+    EPS,
     LANCZOS_MAX_ITER,
     ROW_BLOCK,
+    SEMI_ORTHOGONAL,
     EigensolveError,
+    SpectrumResult,
+    _omega_step,
     eigensolve,
     expectation,
     vortex_masses,
 )
+from oracles import lanczos_full_reorth
 
 
 def test_eigensolve_diagonal():
@@ -212,6 +218,98 @@ def test_solver_statistics(z2_matter_ham):
         eigensolve(ham, k=5, dense_cutoff=16, seed=0, max_iter=20)
     err = failure.value
     assert err.steps == 20 and err.restarts >= 1 and err.matvecs >= err.steps
+
+
+def test_solver_counts_reorthogonalizations(z2_matter_ham):
+    ham = z2_matter_ham
+    assert eigensolve(ham, k=5).reorthogonalizations == 0
+    result = eigensolve(ham, k=5, dense_cutoff=16, seed=0)
+    # the full passes against the basis run on some steps, not on all
+    assert 0 < result.reorthogonalizations < result.steps
+    with pytest.raises(EigensolveError) as failure:
+        eigensolve(ham, k=5, dense_cutoff=16, seed=0, max_iter=90)
+    err = failure.value
+    assert err.steps == 90 and 0 < err.reorthogonalizations < err.steps
+
+
+def test_omega_estimate_tracks_the_overlaps_of_plain_lanczos():
+    # Lanczos with no reorthogonalization on a spectrum with isolated top
+    # values loses orthogonality within a few dozen steps; the estimate must
+    # stay above the measured overlaps, close to them, and cross
+    # SEMI_ORTHOGONAL no later than they do
+    dim = 3000
+    diagonal = np.r_[np.linspace(0.0, 1.0, dim - 5), [1.5, 2.0, 3.0, 4.0, 6.0]]
+    start = np.random.default_rng(0).standard_normal(dim)
+    basis = [start / np.linalg.norm(start)]
+    alphas, betas = [], []
+    omega, omega_prev = np.ones(1), np.empty(0)
+    flagged = None
+    for j in range(40):
+        w = diagonal * basis[-1]
+        if betas:
+            w -= betas[-1] * basis[-2]
+        alphas.append(basis[-1] @ w)
+        w -= alphas[-1] * basis[-1]
+        beta = np.linalg.norm(w)
+        omega, omega_prev = _omega_step(omega, omega_prev, np.asarray(alphas),
+                                        np.asarray(betas), beta, dim), omega
+        betas.append(beta)
+        basis.append(w / beta)
+        overlaps = np.array(basis[:-1]) @ basis[-1]
+        estimate, measured = np.abs(omega[:-1]), np.abs(overlaps)
+        if flagged is None and estimate.max() > SEMI_ORTHOGONAL:
+            flagged = j
+        if measured.max() > SEMI_ORTHOGONAL:
+            break
+        assert measured.max() <= estimate.max() <= 1e3 * max(measured.max(), EPS)
+    assert j < 39 and flagged is not None and flagged <= j
+
+
+def test_krylov_basis_stays_semi_orthogonal(z2_matter_ham, monkeypatch):
+    # every row array the solve makes: the accepted vectors and each run's basis
+    made = []
+
+    class Recorded(spectra._Rows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(spectra, "_Rows", Recorded)
+    for seed in range(3):
+        made.clear()
+        result = eigensolve(z2_matter_ham, k=5, dense_cutoff=16, seed=seed)
+        assert result.reorthogonalizations > 0
+        bases = [rows.rows for rows in made[1:]]
+        assert sum(len(q) for q in bases) >= result.steps
+        for q in bases:
+            assert np.abs(q.conj() @ q.T - np.eye(len(q))).max() <= SEMI_ORTHOGONAL
+
+
+@pytest.fixture(scope="module")
+def d3_magnetic_ham():
+    """D3 2x2 open pure gauge, magnetic term only, group basis (dim 1296)."""
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=False)
+    params = ModelParams(coupling=1.0, terms=("magnetic",))
+    return build_hamiltonian(Model(build_builtin("D3"), lat, params,
+                                   basis_tag="group"))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("ham_name,k", [("z2_matter_ham", 5),
+                                        ("d3_magnetic_ham", 8)])
+def test_partial_reorthogonalization_matches_full_reorthogonalization(
+        request, ham_name, k, seed):
+    ham = request.getfixturevalue(ham_name)
+    result = eigensolve(ham, k=k, dense_cutoff=16, seed=seed)
+    vals, _, counts = lanczos_full_reorth(real_if_close(ham.matrix), k,
+                                          seed=seed)
+    assert np.abs(result.eigenvalues - vals).max() < 1e-12
+    oracle = SpectrumResult(eigenvalues=vals, eigenvectors=None,
+                            residuals=np.zeros(k), method="oracle", seed=seed)
+    assert result.degeneracies() == oracle.degeneracies()
+    assert result.steps <= counts.steps
+    vecs = result.eigenvectors
+    assert np.abs(vecs.conj().T @ vecs - np.eye(k)).max() < 1e-10
 
 
 def test_krylov_basis_grows_with_the_steps_taken():
