@@ -50,17 +50,16 @@ from .group_core import (
     validate,
 )
 from .lattice_model import (
+    OBSERVABLE_NAMES,
     LatticeSpec,
     Model,
     ModelParams,
     build_hamiltonian,
-    embed_link,
-    hamiltonian_terms,
+    observable,
     physical_basis,
-    plaquette_trace,
     vacuum_state,
 )
-from .link_space import GROUP, REP, projector_rep
+from .link_space import GROUP, REP
 from .spectra import EigensolveError, eigensolve, expectation, vortex_masses
 from .verification import verify_model
 
@@ -437,10 +436,6 @@ def _spectrum_payload(model, opts, seed):
     return payload
 
 
-OBSERVABLE_NAMES = ("electric_energy", "magnetic_energy", "mass_energy",
-                    "tunneling_energy", "plaquette_trace", "trivial_rep_weight")
-
-
 @_model_command("observables")
 def _observables_payload(model, opts, seed):
     """Expectation values on the ground state (or the bare vacuum)."""
@@ -462,29 +457,8 @@ def _observables_payload(model, opts, seed):
         state = eigensolve(build_hamiltonian(model), k=1, seed=seed).eigenvectors[:, 0]
     else:
         raise ConfigError(f"unknown state {state_kind!r}")
-    values = {}
-    terms = None
-    for name in names:
-        if name.endswith("_energy"):
-            if terms is None:
-                terms = hamiltonian_terms(model)
-            values[name] = expectation(terms[name.removesuffix("_energy")],
-                                       state, name).value
-        elif name == "plaquette_trace":
-            acc = 0.0
-            for p in range(len(model.lattice.plaquettes)):
-                w = plaquette_trace(model, p)
-                herm = 0.5 * (w.matrix + w.matrix.conj().T)
-                acc += expectation(herm, state, name).value
-            values[name] = acc / len(model.lattice.plaquettes)
-        else:  # trivial_rep_weight
-            proj = projector_rep(model.link_space, model.entry.trivial_label()
-                                 ).to_basis(model.basis_tag)
-            acc = 0.0
-            for link in model.lattice.links:
-                acc += expectation(embed_link(model, proj, link.index),
-                                   state, name).value
-            values[name] = acc / max(model.lattice.n_links, 1)
+    values = {name: expectation(observable(model, name), state, name).value
+              for name in names}
     return {"state": state_kind, "values": values}
 
 

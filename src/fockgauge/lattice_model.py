@@ -9,20 +9,19 @@ Plaquette orientation: the plaquette anchored at vertex (x, y) multiplies
 U on the bottom x-link, then U on the right y-link, then U-dagger on the
 top x-link, then U-dagger on the left y-link (counterclockwise circulation).
 
-Placement: ``_sum_on_span`` sums the per-factor products of one local
-piece on the span of factors they touch and applies the piece's
-coefficient and h.c. there, giving a block (lo, hi, local); ``_sum_blocks``
-adds blocks on a given span, placing each as it is produced; ``_place``
-pads a block with identities once, writing I (x) local (x) I straight into
-canonical CSR (offsets on the local's indices, tiled values, int32 indices
-when they fit) with the bits a Kronecker product with complex identities
-gives.  All four Hamiltonian builders return a block (tunneling sums its
-links, magnetic its plaquettes with ``_sum_blocks``), so the verification
-suite takes their Gauss commutators on the span; a vertex's sector average
-is summed on its star's span and placed once.  The plaquette is one piece
-in both link bases.  ``build_hamiltonian`` places and adds one term at a
-time, in float64 when the term is real, and hands a real sum out as one
-complex CSR matrix.
+Placement: every operator reaches the full space one way.  ``_sum_on_span``
+sums the per-factor products of one local piece on the span of factors
+they touch and applies its coefficient and h.c. there, giving a block (lo,
+hi, local); ``_sum_blocks`` adds blocks on a given span, placing each as it
+is produced; ``_place`` pads a block with identities once, writing I (x)
+local (x) I straight into canonical CSR with the bits a Kronecker product
+with complex identities gives.  The four Hamiltonian builders return
+blocks, so the verification suite takes their Gauss commutators on the
+span; a vertex's sector average and its Gauss Casimir sum_a G_a^2 are
+summed on its star's span; a vertex Fock matrix is placed on the fermion
+factor's per-vertex digits; each observable is one block built by the
+Hamiltonian's own builders.  ``build_hamiltonian`` places and adds one term
+at a time, in float64 when the term is real.
 """
 
 from __future__ import annotations
@@ -381,41 +380,24 @@ def build_model(entry: GroupCatalogEntry, lattice: LatticeSpec,
 # operator embedding
 # ---------------------------------------------------------------------------
 
-def _embed_factors(basis: GlobalBasis,
-                   products: Union[dict[int, list[sp.spmatrix]],
-                                   Sequence[dict[int, list[sp.spmatrix]]]],
-                   coeff: complex = 1.0, hc: bool = False) -> sp.csr_matrix:
-    """coeff * (sum of per-factor operator products), plus its h.c. if ``hc``.
-
-    ``products`` is one ``{factor: [matrices]}`` dict or a sequence of them.
-    ``_sum_on_span`` sums them on the span of factors they touch and
-    ``_place`` pads that block with one identity on each side.  An empty
-    sequence is the zero operator.
-    """
-    return _place(basis.factor_dims, *_sum_on_span(basis.factor_dims, products, coeff, hc))
-
-
-def _sum_on_span(dims: Sequence[int],
-                 products: Union[dict[int, list[sp.spmatrix]],
-                                 Sequence[dict[int, list[sp.spmatrix]]]],
+def _sum_on_span(dims: Sequence[int], products: Sequence[dict[int, list[sp.spmatrix]]],
                  coeff: complex = 1.0, hc: bool = False) -> Block:
     """(lo, hi, local): coeff * (sum of the products) + h.c. on factors [lo, hi).
 
-    The span runs from the first to the last factor any product touches;
-    the products are summed there in order, then the coefficient and the
-    h.c. are applied.  An empty sequence is a zero block on no factor.
+    The span runs from the first to the last factor any ``{factor:
+    [matrices]}`` product touches; the products are summed there in order,
+    then the coefficient and the h.c. are applied.  No product: a zero block.
     """
-    if isinstance(products, dict):
-        products = [products]
     if not products:
         return _sum_blocks(dims, 0, 0, [])
     lo, hi = _span(factor for ops in products for factor in ops)
 
     def on_span(ops: dict[int, list[sp.spmatrix]]) -> sp.csr_matrix:
         blocks = [reduce(operator.matmul, ops[factor]) if factor in ops
-                  else _identity(dims[factor]) for factor in range(lo, hi)]
+                  else sp.identity(dims[factor], dtype=complex, format="csr")
+                  for factor in range(lo, hi)]
         return sp.csr_matrix(reduce(lambda a, b: sp.kron(a, b, format="csr"),
-                                    blocks or [_identity(1)]))
+                                    blocks or [sp.identity(1, dtype=complex)]))
 
     local = sum(on_span(ops) for ops in products)
     if coeff != 1:
@@ -486,22 +468,17 @@ def _place(dims: Sequence[int], lo: int, hi: int, local: sp.spmatrix) -> sp.csr_
     return placed
 
 
-def _identity(dim: int) -> sp.csr_matrix:
-    return sp.identity(dim, dtype=complex, format="csr")
-
-
 def _vertex_block(model: Model, matrix: sp.spmatrix, vertex: int) -> sp.csr_matrix:
-    """A parity-even vertex Fock matrix over the whole fermion factor.
+    """A parity-even vertex Fock matrix on the fermion factor's vertex digits, complex.
 
     Only valid for operators commuting with the vertex fermion parity
     (every gauge transformation, charge and number operator here does), so
     no string factors are needed across the other vertices.
     """
     gb = model.global_basis
-    mm = gb.modes_per_vertex
-    before = _identity(1 << (mm * vertex))
-    after = _identity(1 << (mm * (gb.n_vertices - vertex - 1)))
-    return sp.kron(after, sp.kron(sp.csr_matrix(matrix), before), format="csr")
+    n = gb.n_vertices     # vertex n-1 is the leading digit
+    return _place([1 << gb.modes_per_vertex] * n, n - 1 - vertex, n - vertex,
+                  sp.csr_matrix(matrix, dtype=complex))
 
 
 def _hop(model: Model, vertex_a: int, a: int, vertex_b: int, b: int) -> sp.csr_matrix:
@@ -519,7 +496,8 @@ def embed_link(model: Model, op: Operator, link_index: int) -> Operator:
     if not 0 <= link_index < model.lattice.n_links:
         raise ValueError(f"link {link_index} out of range")
     gb = model.global_basis
-    return Operator(gb, _embed_factors(gb, {gb.link_factor(link_index): [op.matrix]}))
+    return Operator(gb, _place(gb.factor_dims, *_sum_on_span(
+        gb.factor_dims, [{gb.link_factor(link_index): [op.matrix]}])))
 
 
 def embed_fermion_bilinear(model: Model, vertex_a: int, vertex_b: int,
@@ -531,19 +509,14 @@ def embed_fermion_bilinear(model: Model, vertex_a: int, vertex_b: int,
         raise ValueError("vertex out of range")
     coeff = np.asarray(coeff, dtype=complex)
     modes = range(gb.modes_per_vertex)
-    return Operator(gb, _embed_factors(gb, [
+    return Operator(gb, _place(gb.factor_dims, *_sum_on_span(gb.factor_dims, [
         {gb.fermion_factor: [coeff[a, b] * _hop(model, vertex_a, a, vertex_b, b)]}
-        for a in modes for b in modes if coeff[a, b] != 0]))
+        for a in modes for b in modes if coeff[a, b] != 0])))
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonian assembly: every sum is a CSR sum in a fixed order
 # ---------------------------------------------------------------------------
-
-def _zero(basis: GlobalBasis) -> sp.csr_matrix:
-    """The start of a global sum, so that an empty sum keeps its dim x dim shape."""
-    return sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-
 
 def _mass_term(model: Model) -> Block:
     """sum_v m_v n_v, vertices in index order, on the fermion factor."""
@@ -582,7 +555,6 @@ def _electric_term(model: Model) -> Block:
 
     The weighted projectors are added on one link first, in weight order.
     """
-    gb = model.global_basis
     g2 = model.params.coupling ** 2
     link_op = sum(
         ((g2 / 2.0 * w)
@@ -590,7 +562,13 @@ def _electric_term(model: Model) -> Block:
          for label, w in model.electric_weights().items()
          if model.entry.has_irrep(label)),
         0 * identity_operator(model.link_space, model.basis_tag))
-    return _sum_on_span(gb.factor_dims, [{gb.link_factor(link.index): [link_op.matrix]}
+    return _on_every_link(model, link_op.matrix)
+
+
+def _on_every_link(model: Model, link_matrix: sp.spmatrix) -> Block:
+    """sum over links in index order of one link matrix, on the link factors."""
+    gb = model.global_basis
+    return _sum_on_span(gb.factor_dims, [{gb.link_factor(link.index): [link_matrix]}
                                          for link in model.lattice.links])
 
 
@@ -628,18 +606,22 @@ def plaquette_trace(model: Model, plaquette_index: int) -> Operator:
 
 
 def _magnetic_term(model: Model) -> Block:
-    """-(1/2g^2) sum over plaquettes in index order of (Tr W + h.c.).
+    """-(1/2g^2) sum over plaquettes in index order of (Tr W + h.c.)."""
+    return _plaquette_sum(model, -1.0 / (2.0 * model.params.coupling ** 2),
+                          hc=model.params.include_hc)
+
+
+def _plaquette_sum(model: Model, coeff: float, hc: bool) -> Block:
+    """coeff * sum over plaquettes in index order of Tr W (+ h.c. if ``hc``).
 
     Each plaquette is summed on its own span; ``_sum_blocks`` adds them on
     the union of the plaquette spans.
     """
     gb = model.global_basis
-    pref = -1.0 / (2.0 * model.params.coupling ** 2)
     plaquettes = model.lattice.plaquettes
     return _sum_blocks(gb.factor_dims, *_span(
         gb.link_factor(link) for plaq in plaquettes for link in plaq.links), (
-        _plaquette_block(model, plaq, pref, hc=model.params.include_hc)
-        for plaq in plaquettes))
+        _plaquette_block(model, plaq, coeff, hc) for plaq in plaquettes))
 
 
 _TERMS = {
@@ -660,6 +642,29 @@ def hamiltonian_terms(model: Model, threads: int = 1,
     gb = model.global_basis
     return {name: Operator(gb, _place(gb.factor_dims, *_TERMS[name](model)))
             for name in (model.terms if names is None else names)}
+
+
+OBSERVABLE_NAMES = ("electric_energy", "magnetic_energy", "mass_energy",
+                    "tunneling_energy", "plaquette_trace", "trivial_rep_weight")
+
+
+def observable(model: Model, name: str) -> Operator:
+    """One of ``OBSERVABLE_NAMES``, one block placed once: ``<term>_energy`` is
+    the term, ``plaquette_trace`` the mean over plaquettes of (Tr W + h.c.)/2,
+    ``trivial_rep_weight`` the mean over links of the trivial-irrep projector.
+    """
+    term = name.removesuffix("_energy")
+    if name.endswith("_energy") and term in _TERMS:
+        block = _TERMS[term](model)
+    elif name == "plaquette_trace":
+        block = _plaquette_sum(model, 0.5 / max(len(model.lattice.plaquettes), 1), hc=True)
+    elif name == "trivial_rep_weight":
+        trivial = projector_rep(model.link_space, model.entry.trivial_label())
+        block = _on_every_link(model, trivial.to_basis(model.basis_tag).matrix
+                               / max(model.lattice.n_links, 1))
+    else:
+        raise ValueError(f"unknown observable {name!r}; known: {OBSERVABLE_NAMES}")
+    return Operator(model.global_basis, _place(model.global_basis.factor_dims, *block))
 
 
 def build_hamiltonian(model: Model) -> Operator:
@@ -696,7 +701,8 @@ def gauss_operator(model: Model, vertex: int, g) -> Operator:
     global space, so their ordering is immaterial.
     """
     gb = model.global_basis
-    return Operator(gb, _embed_factors(gb, _gauss_factors(model, vertex, g)))
+    return Operator(gb, _place(gb.factor_dims, *_sum_on_span(
+        gb.factor_dims, [_gauss_factors(model, vertex, g)])))
 
 
 def _gauss_factors(model: Model, vertex: int, g=None,
@@ -735,9 +741,15 @@ def gauss_generators(model: Model, vertex: int) -> list[Operator]:
         raise ValueError("generator form of the Gauss law requires a Lie catalog; "
                          "use gauss_operator / physical_projector for finite groups")
     gb = model.global_basis
-    return [Operator(gb, _embed_factors(
-        gb, _generator_pieces(_gauss_factors(model, vertex, component=a))))
+    return [Operator(gb, _place(gb.factor_dims, *_generator_block(model, vertex, a)))
             for a in range(model.entry.n_generator_components)]
+
+
+def _generator_block(model: Model, vertex: int, component: int) -> Block:
+    """The Gauss generator G_a of one vertex on its star's span, normalized."""
+    lo, hi, local = _sum_on_span(model.global_basis.factor_dims, _generator_pieces(
+        _gauss_factors(model, vertex, component=component)))
+    return lo, hi, normalize(local)
 
 
 def _generator_pieces(factors: dict[int, list[sp.spmatrix]]) -> list[dict[int, list]]:
@@ -746,11 +758,19 @@ def _generator_pieces(factors: dict[int, list[sp.spmatrix]]) -> list[dict[int, l
 
 
 def gauss_casimir(model: Model) -> Operator:
-    """sum over vertices and components of G_a^2; physical states are its nullspace."""
-    gb = model.global_basis
-    return Operator(gb, sum((g_a.matrix @ g_a.matrix
-                             for v in range(model.lattice.n_vertices)
-                             for g_a in gauss_generators(model, v)), _zero(gb)))
+    """sum over vertices and components of G_a^2; physical states are its nullspace.
+
+    A vertex's squares G_a^2 are summed on its star's span; ``_sum_blocks``
+    adds the vertices on every factor, as ``vertex_sector_average`` does."""
+    dims = model.global_basis.factor_dims
+
+    def vertex_sum(vertex: int) -> Block:
+        gens = [_generator_block(model, vertex, a)
+                for a in range(model.entry.n_generator_components)]
+        return _sum_blocks(dims, *gens[0][:2], ((lo, hi, g @ g) for lo, hi, g in gens))
+
+    return Operator(model.global_basis, _place(dims, *_sum_blocks(
+        dims, 0, len(dims), map(vertex_sum, range(model.lattice.n_vertices)))))
 
 
 def physical_projector(model: Model,
@@ -788,7 +808,7 @@ def vertex_sector_average(model: Model, vertex: int, sector_label: str) -> Opera
     stars = [_gauss_factors(model, vertex, g) for g in range(spec.order)]
     return Operator(gb, _place(gb.factor_dims, *_sum_blocks(
         gb.factor_dims, *_span(stars[0]), (
-            _sum_on_span(gb.factor_dims, star,
+            _sum_on_span(gb.factor_dims, [star],
                          (ir.dim / spec.order) * ir.characters[g].conjugate())
             for g, star in enumerate(stars)))))
 

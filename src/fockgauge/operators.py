@@ -25,7 +25,7 @@ from scipy.sparse.csgraph import connected_components
 
 DROP_TOL = 1e-14
 HERMITICITY_TOL = 1e-12
-HERMITICITY_NNZ = 1 << 17   # stored entries of M and M^T per slice in hermiticity_residual
+SLICE_NNZ = 1 << 17   # stored entries per row slice of the sparse residuals
 
 REP = "rep"
 GROUP = "group"
@@ -52,22 +52,26 @@ def _row_view(mat: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
                          shape=(hi - lo, mat.shape[1]))
 
 
+def _row_slices(load: np.ndarray):
+    """Row ranges [lo, hi) holding about SLICE_NNZ stored entries each, cut
+    from ``load``, the running count of entries per row (an indptr)."""
+    cuts = np.searchsorted(load, np.arange(SLICE_NNZ, load[-1], SLICE_NNZ))
+    bounds = np.unique(np.r_[0, cuts, len(load) - 1])
+    return zip(bounds[:-1], bounds[1:])
+
+
 def hermiticity_residual(mat: sp.spmatrix) -> float:
     """max |M - M^dag| over the entries of a sparse matrix.
 
     Taken one row slice at a time against one transposed CSR copy, which
     is conjugated slice by slice, so beyond that copy only slices holding
-    about HERMITICITY_NNZ stored entries of M and M^T are alive at once.
+    about SLICE_NNZ stored entries of M and M^T together are alive at once.
     """
     mat = sp.csr_matrix(mat)
     transposed = mat.T.tocsr()
-    load = mat.indptr + transposed.indptr
-    cuts = np.searchsorted(load, np.arange(HERMITICITY_NNZ, load[-1],
-                                           HERMITICITY_NNZ))
-    bounds = np.unique(np.r_[0, cuts, mat.shape[0]])
     return max((max_abs(_row_view(mat, lo, hi)
                         - _row_view(transposed, lo, hi).conj(copy=False))
-                for lo, hi in zip(bounds[:-1], bounds[1:])), default=0.0)
+                for lo, hi in _row_slices(mat.indptr + transposed.indptr)), default=0.0)
 
 
 def normalize(mat: sp.spmatrix) -> sp.csr_matrix:

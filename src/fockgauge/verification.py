@@ -39,7 +39,6 @@ from .lattice_model import (
     GROUP,
     REP,
     Model,
-    _embed_factors,
     _gauss_factors,
     _generator_pieces,
     _place,
@@ -52,11 +51,9 @@ from .lattice_model import (
 from .link_space import (generators as link_generators, projector_rep, theta_group_basis,
                          theta_left, theta_right, trace_diagnostic, u_matrix)
 from .matter_space import VertexFock, annihilation_matrix, theta_q
-from .operators import hermiticity_residual, max_abs
+from .operators import _row_slices, _row_view, hermiticity_residual, max_abs
 
 COVARIANCE_SAMPLES = 20
-# rows of each commutator slice: bounds the memory of S T - T S on large models
-COMMUTATOR_ROWS = 1 << 15
 
 TIGHT = 1e-12
 LOOSE = 1e-10
@@ -245,13 +242,15 @@ def _check_matter(model: Model, report: ValidationReport):
 
 
 def _commutator_residual(term: sp.csr_matrix, symmetry_ops) -> float:
-    """max |S T - T S| over the operators S and entries, COMMUTATOR_ROWS rows at a time."""
+    """max |S T - T S| over the CSR operators S and entries, one row slice at a
+    time: about SLICE_NNZ stored entries of T, cut as ``hermiticity_residual``
+    cuts, with the rows of S and T read as views of their arrays."""
+    term = sp.csr_matrix(term)
     worst = 0.0
-    for r in range(0, term.shape[0], COMMUTATOR_ROWS):
-        rows = slice(r, r + COMMUTATOR_ROWS)
-        t_rows = term[rows]
+    for lo, hi in _row_slices(term.indptr):
+        t_rows = _row_view(term, lo, hi)
         for s_op in symmetry_ops:
-            worst = max(worst, max_abs(s_op[rows] @ term - t_rows @ s_op))
+            worst = max(worst, max_abs(_row_view(s_op, lo, hi) @ term - t_rows @ s_op))
     return worst
 
 
@@ -307,7 +306,8 @@ def _check_hamiltonian(model: Model, report: ValidationReport):
     gb = model.global_basis
     dim = gb.dim
     vac = vacuum_state(model)
-    symmetry_ops = (_embed_factors(gb, pieces) for pieces in symmetry)
+    symmetry_ops = (_place(gb.factor_dims, *_sum_on_span(gb.factor_dims, pieces))
+                    for pieces in symmetry)
     if model.entry.is_lie:
         report.add("model.vacuum_gauss_neutral", max(
             float(np.linalg.norm(s_op @ vac)) for s_op in symmetry_ops), LOOSE)

@@ -3,7 +3,8 @@
 None of these is used by the library itself: each rebuilds a quantity by
 another route (a matrix exponential, a sampled nullspace, scalar digit
 arithmetic, scipy Kronecker products, whole-matrix formulas, Lanczos with
-full reorthogonalization) so that a test can check the production
+full reorthogonalization, full-space sums over generators, plaquettes and
+links) so that a test can check the production
 construction.
 """
 
@@ -20,12 +21,14 @@ from fockgauge.clebsch_gordan import (
     _fix_phase,
 )
 from fockgauge.group_core import GroupCatalogEntry
-from fockgauge.lattice_model import (GROUP, REP, GlobalBasis, Model, _embed_factors,
-                                     hamiltonian_terms)
+from fockgauge.lattice_model import (GROUP, REP, GlobalBasis, Model, _place, _sum_on_span,
+                                     embed_link, gauss_generators, hamiltonian_terms,
+                                     plaquette_trace)
+from fockgauge.link_space import projector_rep
 from fockgauge.matter_space import VertexFock, _resolve_dmatrix, bilinear
 from fockgauge.operators import Operator, max_abs
 from fockgauge.spectra import (LANCZOS_MAX_ITER, LANCZOS_TOL, RITZ_CHECK_EVERY,
-                               _Counts, _project_out, _Rows)
+                               _Counts, _project_out, _Rows, expectation)
 
 NUMERIC_SAMPLE_COUNT = 24   # rotations stacked by cg_numeric
 
@@ -95,9 +98,9 @@ def basis_agreement_dense(model: Model, names) -> float:
         sum((t.matrix for t in hamiltonian_terms(m, names=names).values()),
             sp.csr_matrix((gb.dim, gb.dim), dtype=complex))
         for m in (model, mirror))
-    f_global = _embed_factors(gb, {gb.link_factor(link.index):
-                                   [sp.csr_matrix(model.link_space.fourier)]
-                                   for link in model.lattice.links})
+    f_global = _place(gb.factor_dims, *_sum_on_span(gb.factor_dims, [
+        {gb.link_factor(link.index): [sp.csr_matrix(model.link_space.fourier)]
+         for link in model.lattice.links}]))
     # rep_op = F^dag group_op F
     if model.basis_tag == REP:
         converted = f_global.conj().T @ h_there @ f_global
@@ -115,6 +118,50 @@ def place_by_kron(dims, lo: int, hi: int, local: sp.spmatrix) -> sp.csr_matrix:
     if after > 1:
         local = sp.kron(local, sp.identity(after, dtype=complex, format="csr"), format="csr")
     return local.astype(complex, copy=False)
+
+
+def vertex_block_by_kron(model: Model, matrix: sp.spmatrix, vertex: int) -> sp.csr_matrix:
+    """A vertex Fock matrix over the fermion factor as I_after (x) (M (x) I_before),
+    nested scipy Kronecker products with complex identities."""
+    gb = model.global_basis
+    mm = gb.modes_per_vertex
+    before = sp.identity(1 << (mm * vertex), dtype=complex, format="csr")
+    after = sp.identity(1 << (mm * (gb.n_vertices - vertex - 1)), dtype=complex, format="csr")
+    return sp.kron(after, sp.kron(sp.csr_matrix(matrix), before), format="csr")
+
+
+def gauss_casimir_by_generators(model: Model) -> Operator:
+    """sum over vertices and components of G_a^2, each full-space generator
+    from ``gauss_generators`` squared, summed in order from a zero start."""
+    gb = model.global_basis
+    return Operator(gb, sum((g_a.matrix @ g_a.matrix
+                             for v in range(model.lattice.n_vertices)
+                             for g_a in gauss_generators(model, v)),
+                            sp.csr_matrix((gb.dim, gb.dim), dtype=complex)))
+
+
+def observables_by_loops(model: Model, names, state: np.ndarray) -> dict:
+    """Command-line observables summed outside the operator: <term> from every
+    term placed at once, the mean over plaquettes of <(W + W^dag)/2> and the
+    mean over links of <P_trivial>, one full-space operator each."""
+    values, terms = {}, hamiltonian_terms(model)
+    for name in names:
+        if name.endswith("_energy"):
+            values[name] = expectation(terms[name.removesuffix("_energy")], state).value
+        elif name == "plaquette_trace":
+            acc = 0.0
+            for p in range(len(model.lattice.plaquettes)):
+                w = plaquette_trace(model, p)
+                acc += expectation(0.5 * (w.matrix + w.matrix.conj().T), state).value
+            values[name] = acc / len(model.lattice.plaquettes)
+        else:
+            proj = projector_rep(model.link_space, model.entry.trivial_label()
+                                 ).to_basis(model.basis_tag)
+            acc = 0.0
+            for link in model.lattice.links:
+                acc += expectation(embed_link(model, proj, link.index), state).value
+            values[name] = acc / max(model.lattice.n_links, 1)
+    return values
 
 
 def hermiticity_residual_whole(mat: sp.spmatrix) -> float:

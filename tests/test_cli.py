@@ -458,6 +458,31 @@ def test_observables_on_the_vacuum_take_closed_form_values(runner, tmp_path, bas
         assert abs(values[name] - value) <= 1e-12, (name, values[name])
 
 
+def test_observables_build_only_the_terms_they_name(runner, tmp_path, monkeypatch):
+    # Z_2 2x2 open with matter: mass, tunneling, electric and magnetic terms,
+    # of which only the magnetic one is asked for
+    import fockgauge.lattice_model as lm
+
+    def unbuildable(model):
+        raise AssertionError("built a term that no observable names")
+
+    monkeypatch.setitem(lm._TERMS, "tunneling", unbuildable)
+    monkeypatch.setitem(lm._TERMS, "electric", unbuildable)
+    cfg = write_config(tmp_path / "one.yaml",
+                       lattice={"lx": 2, "ly": 2, "boundary": "open",
+                                "include_matter": True},
+                       params={"mass": 1.0, "epsilon": 0.5, "coupling": 1.0},
+                       tasks=[{"observables": {"names": ["magnetic_energy"],
+                                               "state": "vacuum"}}])
+    out = tmp_path / "one.json"
+    result = runner.invoke(main, ["observables", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    values = json.loads(out.read_text())["tasks"]["observables"]["values"]
+    assert set(values) == {"magnetic_energy"}
+    # the group-basis vacuum is uniform over Z_2: every Wilson loop averages to 0
+    assert abs(complex(*values["magnetic_energy"])) <= 1e-12, values
+
+
 @pytest.mark.parametrize("command", ["spectrum", "observables"])
 def test_eigensolve_failure_exits_1_with_one_line(runner, tmp_path, monkeypatch,
                                                   command):

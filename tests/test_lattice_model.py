@@ -670,7 +670,7 @@ def test_global_dim_is_exact_past_int64(monkeypatch):
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled above the dense cap")
 
-    monkeypatch.setattr(lm, "_embed_factors", no_assembly)
+    monkeypatch.setattr(lm, "_place", no_assembly)
     monkeypatch.setattr(lm, "physical_projector", no_assembly)
     lat = LatticeSpec(5, 4, boundary="open", include_matter=False)
     model = Model(build_builtin("D3"), lat, ModelParams(terms=("magnetic",)),

@@ -21,19 +21,25 @@ from fockgauge.lattice_model import (
     LatticeSpec,
     Model,
     ModelParams,
+    OBSERVABLE_NAMES,
     build_hamiltonian,
+    gauss_casimir,
     gauss_generators,
     gauss_operator,
     hamiltonian_terms,
+    observable,
     plaquette_trace,
+    vacuum_state,
     vertex_sector_average,
 )
 from fockgauge.link_space import generators as link_generators
 from fockgauge.link_space import identity_operator, projector_rep
 from fockgauge.matter_space import charges as matter_charges
-from fockgauge.matter_space import number_operator
+from fockgauge.matter_space import number_operator, theta_q
 from fockgauge.operators import Operator, real_if_close
-from oracles import digit_array, place_by_kron
+from fockgauge.spectra import eigensolve, expectation
+from oracles import (digit_array, gauss_casimir_by_generators, observables_by_loops,
+                     place_by_kron, vertex_block_by_kron)
 
 
 def _identity(dim):
@@ -272,11 +278,12 @@ def test_embed_factors_sums_pieces_on_their_span():
     u = model.u_magnetic.entry(0, 0).matrix
     x = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     pieces = [{gb.link_factor(1): [u, x]}, {gb.link_factor(4): [x]}]
-    got = lm._embed_factors(gb, pieces, 0.5j, hc=True)
+    dims = gb.factor_dims
+    got = lm._place(dims, *lm._sum_on_span(dims, pieces, 0.5j, hc=True))
     full = 0.5j * (_full_kron(gb, pieces[0]) + _full_kron(gb, pieces[1]))
     assert abs(got - (full + full.conj().T)).max() == 0
-    assert lm._embed_factors(gb, []).nnz == 0
-    assert lm._embed_factors(gb, {}).nnz == gb.dim
+    assert lm._place(dims, *lm._sum_on_span(dims, [])).nnz == 0
+    assert lm._place(dims, *lm._sum_on_span(dims, [{}])).nnz == gb.dim
 
 
 def _local(n, kind, rng):
@@ -348,3 +355,50 @@ def test_hamiltonian_is_its_terms_summed_in_order(make_model):
     assert np.array_equal(got.indptr, ref.indptr)
     assert np.array_equal(got.indices, ref.indices)
     assert np.array_equal(got.data, ref.data)
+
+
+@pytest.mark.parametrize("name,params", [("D3", {}), ("SU2_trunc", {"j_max": "1/2"})])
+def test_vertex_block_matches_nested_kron(name, params):
+    # D3 2x2 and SU(2) 2x2 with matter: the number operator, the matter
+    # transformation of sampled elements and (Lie) every charge, at every vertex
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    model = Model(build_builtin(name, **params), lat, ModelParams())
+    entry = model.entry
+    for v, space in enumerate(model.vertex_spaces):
+        mats = [number_operator(space).matrix]
+        mats += [theta_q(space, entry, g).matrix for g in entry.elements(4, v)]
+        if entry.is_lie:
+            mats += [q.matrix for q in matter_charges(space, entry)]
+        for k, mat in enumerate(mats):
+            _assert_bit_identical(lm._vertex_block(model, mat, v),
+                                  vertex_block_by_kron(model, mat, v), (v, k))
+
+
+@pytest.mark.parametrize("name,params,lx,ly", [
+    ("SU2_trunc", {"j_max": "1/2"}, 2, 1),
+    ("U1_trunc", {"P": 1}, 2, 2),
+])
+def test_gauss_casimir_is_the_sum_of_squared_generators(name, params, lx, ly):
+    lat = LatticeSpec(lx, ly, boundary="open", include_matter=True)
+    model = Model(build_builtin(name, **params), lat,
+                  ModelParams(mass=0.6, epsilon=0.9, coupling=1.1))
+    _assert_bit_identical(gauss_casimir(model).matrix,
+                          gauss_casimir_by_generators(model).matrix, name)
+
+
+@pytest.mark.parametrize("basis", ["group", "rep"])
+def test_observables_match_the_per_plaquette_and_per_link_sums(basis):
+    # D3 2x1 periodic with matter, unstaggered: two plaquettes, each passing
+    # its x-link twice, four links (dim 16 * 6**4 = 20 736)
+    lat = LatticeSpec(2, 1, boundary="periodic", include_matter=True)
+    model = Model(build_builtin("D3"), lat,
+                  ModelParams(mass=0.8, epsilon=0.7, coupling=1.3, staggered=False,
+                              electric_weights={"I": 0.0, "p": 1.0, "2": 1.0}),
+                  basis_tag=basis)
+    assert len(lat.plaquettes) == 2 and set(model.terms) == set(lm._TERMS)
+    ground = eigensolve(build_hamiltonian(model), k=1, seed=3).eigenvectors[:, 0]
+    for state in (vacuum_state(model), ground):
+        refs = observables_by_loops(model, OBSERVABLE_NAMES, state)
+        for name in OBSERVABLE_NAMES:
+            got = expectation(observable(model, name), state).value
+            assert abs(got - refs[name]) <= 1e-12, (name, got, refs[name])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fockgauge import lattice_model, verification
+from fockgauge import lattice_model, operators, verification
 from fockgauge.group_core import build_builtin, dump_group_file, load_group_file
 from fockgauge.lattice_model import (
     LatticeSpec,
@@ -129,9 +129,10 @@ def _sign_flipped_tunneling(model):
     """The tunneling block with the (0, 0) piece of link 0 and its h.c. negated."""
     gb = model.global_basis
     link = model.lattice.links[0]
-    piece = model.epsilon[link.index] * lattice_model._embed_factors(gb, {
-        gb.fermion_factor: [lattice_model._hop(model, link.origin, 0, link.target, 0)],
-        gb.link_factor(link.index): [model.u_tunneling.entry(0, 0).matrix]})
+    piece = model.epsilon[link.index] * lattice_model._place(
+        gb.factor_dims, *lattice_model._sum_on_span(gb.factor_dims, [{
+            gb.fermion_factor: [lattice_model._hop(model, link.origin, 0, link.target, 0)],
+            gb.link_factor(link.index): [model.u_tunneling.entry(0, 0).matrix]}]))
     lo, hi, local = lattice_model._tunneling_term(model)
     return lo, hi, local - 2 * (piece + piece.conj().T)
 
@@ -192,8 +193,15 @@ def test_row_sliced_commutator_equals_the_unsliced_one(monkeypatch):
     ops = [gauss_operator(model, v, g).matrix for v in range(model.lattice.n_vertices)
            for g in model.entry.spec.generating_set()]
     whole = max(max_abs(s_op @ term - term @ s_op) for s_op in ops)
-    monkeypatch.setattr(verification, "COMMUTATOR_ROWS", 7)   # 96 rows: 14 slices
+    # 256 stored entries in 96 rows: 16 slices
+    monkeypatch.setattr(operators, "SLICE_NNZ", 16)
+    assert len(list(operators._row_slices(term.indptr))) == 16
     assert verification._commutator_residual(term, ops) == whole > 0.1
+    # one large entry in the last row (the filled Fock state, which every
+    # Gauss operator keeps): the largest residual entries lie in the last slice
+    spiked = term + sp.csr_matrix(([10.0], ([95], [0])), shape=term.shape)
+    whole = max(max_abs(s_op @ spiked - spiked @ s_op) for s_op in ops)
+    assert verification._commutator_residual(spiked, ops) == whole > 1
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +276,7 @@ def _one_mode_number(model):
     gb = model.global_basis
     psi = model.fermion_annihilation(0, 0)
     return lattice_model._sum_on_span(gb.factor_dims,
-                                      {gb.fermion_factor: [psi.conj().T @ psi]})
+                                      [{gb.fermion_factor: [psi.conj().T @ psi]}])
 
 
 @pytest.mark.parametrize("term,builder,make_model", [
