@@ -427,12 +427,13 @@ def _spectrum_payload(model, opts, seed):
         "degeneracies": result.degeneracies(),
     }
     if basis_cols is not None:
-        h_red = basis_cols.conj().T @ (ham.matrix @ basis_cols)
-        vals = np.linalg.eigvalsh(h_red)
-        payload["physical_sector"] = {
-            "dimension": basis_cols.shape[1],
-            "eigenvalues": vals[:min(k, len(vals))],
-        }
+        dim = basis_cols.shape[1]
+        sector = {"dimension": dim, "eigenvalues": [], "residuals": []}
+        if dim:
+            h_red = basis_cols.conj().T @ (ham.matrix @ basis_cols)
+            reduced = eigensolve(h_red, k=min(k, dim), seed=seed)
+            sector.update(eigenvalues=reduced.eigenvalues, residuals=reduced.residuals)
+        payload["physical_sector"] = sector
     return payload
 
 

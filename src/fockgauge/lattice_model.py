@@ -17,11 +17,16 @@ is produced; ``_place`` pads a block with identities once, writing I (x)
 local (x) I straight into canonical CSR with the bits a Kronecker product
 with complex identities gives.  The four Hamiltonian builders return
 blocks, so the verification suite takes their Gauss commutators on the
-span; a vertex's sector average and its Gauss Casimir sum_a G_a^2 are
-summed on its star's span; a vertex Fock matrix is placed on the fermion
-factor's per-vertex digits; each observable is one block built by the
-Hamiltonian's own builders.  ``build_hamiltonian`` places and adds one term
-at a time, in float64 when the term is real.
+span; a vertex Fock matrix is placed on the fermion factor's per-vertex
+digits; each observable is one block built by the Hamiltonian's own
+builders.  ``build_hamiltonian`` places and adds one term at a time, in
+float64 when the term is real.
+
+Gauss law: one star builder, ``_gauss_products``, serves every group (one
+product per element, one single-factor product per generator piece).  Each
+vertex adds one positive semidefinite block C_v on its star's span, sum_a
+G_a^2 for a Lie catalog or 1 - A_v^s (the sector average) for a finite
+group; the physical sector is the nullspace of their sum.
 """
 
 from __future__ import annotations
@@ -632,13 +637,9 @@ _TERMS = {
 }
 
 
-def hamiltonian_terms(model: Model, threads: int = 1,
-                      names: Optional[Sequence[str]] = None) -> dict[str, Operator]:
-    """Each enabled Hamiltonian piece as its own global operator.
-
-    Each term's block from ``_TERMS`` is placed on the full space once.
-    Assembly runs on one thread; ``threads`` is ignored.
-    """
+def hamiltonian_terms(model: Model, names: Optional[Sequence[str]] = None) -> dict[str, Operator]:
+    """Each enabled Hamiltonian piece as its own global operator, its block
+    from ``_TERMS`` placed on the full space once."""
     gb = model.global_basis
     return {name: Operator(gb, _place(gb.factor_dims, *_TERMS[name](model)))
             for name in (model.terms if names is None else names)}
@@ -702,18 +703,18 @@ def gauss_operator(model: Model, vertex: int, g) -> Operator:
     """
     gb = model.global_basis
     return Operator(gb, _place(gb.factor_dims, *_sum_on_span(
-        gb.factor_dims, [_gauss_factors(model, vertex, g)])))
+        gb.factor_dims, _gauss_products(model, vertex, g))))
 
 
-def _gauss_factors(model: Model, vertex: int, g=None,
-                   component: Optional[int] = None) -> dict[int, list[sp.spmatrix]]:
-    """The star of a vertex as ``{factor: [matrices]}``, incident links in order.
+def _gauss_products(model: Model, vertex: int, g=None,
+                    component: Optional[int] = None) -> list[dict[int, list[sp.spmatrix]]]:
+    """The star of a vertex as ``_sum_on_span`` products, incident links in order.
 
-    For a group element ``g``: Theta^L(g) on each outgoing link, Theta^R(g)
-    on each ingoing one and the matter transformation on the vertex's Fock
-    modes; the Gauss operator is their product.  For a Lie generator
-    ``component`` a: L_a, R_a and the charge Q_a in the same places; the
-    generator is their sum (``_generator_pieces``).
+    For a group element ``g``: one product of Theta^L(g) on each outgoing
+    link, Theta^R(g) on each ingoing one and the matter transformation on
+    the vertex's Fock modes, the Gauss operator.  For a Lie generator
+    ``component`` a: one single-factor product per L_a, R_a and charge Q_a
+    in the same places, whose sum is the generator G_a.
     """
     if not 0 <= vertex < model.lattice.n_vertices:
         raise ValueError(f"vertex {vertex} out of range")
@@ -732,7 +733,8 @@ def _gauss_factors(model: Model, vertex: int, g=None,
         matter = (theta_q(space, model.entry, g) if component is None
                   else matter_charges(space, model.entry)[component])
         ops[gb.fermion_factor] = [_vertex_block(model, matter.matrix, vertex)]
-    return ops
+    return [ops] if component is None else [
+        {factor: [mat]} for factor, mats in ops.items() for mat in mats]
 
 
 def gauss_generators(model: Model, vertex: int) -> list[Operator]:
@@ -747,30 +749,40 @@ def gauss_generators(model: Model, vertex: int) -> list[Operator]:
 
 def _generator_block(model: Model, vertex: int, component: int) -> Block:
     """The Gauss generator G_a of one vertex on its star's span, normalized."""
-    lo, hi, local = _sum_on_span(model.global_basis.factor_dims, _generator_pieces(
-        _gauss_factors(model, vertex, component=component)))
+    lo, hi, local = _sum_on_span(model.global_basis.factor_dims,
+                                 _gauss_products(model, vertex, component=component))
     return lo, hi, normalize(local)
 
 
-def _generator_pieces(factors: dict[int, list[sp.spmatrix]]) -> list[dict[int, list]]:
-    """A sum over a star's factors as single-factor products, one per matrix."""
-    return [{factor: [mat]} for factor, mats in factors.items() for mat in mats]
+def _gauss_block(model: Model, vertex: int, sector_label: str) -> Block:
+    """C_v >= 0 on the vertex's star, null exactly on its sector: sum_a G_a^2
+    for a Lie catalog (the neutral sector), 1 - A_v^s for a finite group,
+    where the vertex's sector average A_v^s for the irrep s is a projector."""
+    dims = model.global_basis.factor_dims
+    if model.entry.is_lie:
+        gens = [_generator_block(model, vertex, a)
+                for a in range(model.entry.n_generator_components)]
+        return _sum_blocks(dims, *gens[0][:2], ((lo, hi, g @ g) for lo, hi, g in gens))
+    lo, hi, average = _average_block(model, vertex, sector_label)
+    return lo, hi, sp.identity(average.shape[0], dtype=complex, format="csr") - average
+
+
+def _gauss_penalty(model: Model, sector: Optional[dict[int, str]] = None) -> Operator:
+    """sum over vertices of C_v; the sector is its nullspace (integer spectrum
+    0..V for a finite group, whose vertex averages commute)."""
+    dims = model.global_basis.factor_dims
+    return Operator(model.global_basis, _place(dims, *_sum_blocks(
+        dims, 0, len(dims), (_gauss_block(model, v, label)
+                             for v, label in enumerate(_sector_labels(model, sector))))))
 
 
 def gauss_casimir(model: Model) -> Operator:
     """sum over vertices and components of G_a^2; physical states are its nullspace.
 
-    A vertex's squares G_a^2 are summed on its star's span; ``_sum_blocks``
-    adds the vertices on every factor, as ``vertex_sector_average`` does."""
-    dims = model.global_basis.factor_dims
-
-    def vertex_sum(vertex: int) -> Block:
-        gens = [_generator_block(model, vertex, a)
-                for a in range(model.entry.n_generator_components)]
-        return _sum_blocks(dims, *gens[0][:2], ((lo, hi, g @ g) for lo, hi, g in gens))
-
-    return Operator(model.global_basis, _place(dims, *_sum_blocks(
-        dims, 0, len(dims), map(vertex_sum, range(model.lattice.n_vertices)))))
+    The Lie case of ``_gauss_penalty``; a finite group has no generators."""
+    if not model.entry.is_lie:
+        raise BasisMismatchError("the Gauss Casimir needs a Lie catalog")
+    return _gauss_penalty(model)
 
 
 def physical_projector(model: Model,
@@ -786,54 +798,53 @@ def physical_projector(model: Model,
         raise ValueError("character projector needs a finite group; for Lie "
                          "catalogs filter the nullspace of gauss_casimir")
     _check_dense_dim(model, "sector projector")
-    return reduce(operator.matmul, _sector_averages(model, sector))
+    return reduce(operator.matmul, (vertex_sector_average(model, v, label)
+                                    for v, label in enumerate(_sector_labels(model, sector))))
 
 
-def _sector_averages(model: Model, sector: Optional[dict[int, str]]) -> list[Operator]:
-    """The vertex averages whose product is the sector projector."""
+def _sector_labels(model: Model, sector: Optional[dict[int, str]]) -> list[str]:
+    """The irrep label of every vertex: ``sector``'s, else the trivial one."""
     sector = sector or {}
     stray = set(sector) - set(range(model.lattice.n_vertices))
     if stray:
         raise ValueError(f"sector names vertices off the lattice: {sorted(stray, key=str)}")
+    if model.entry.is_lie and sector:
+        raise ValueError("a Lie catalog has only the Gauss-neutral sector here")
     trivial = model.entry.trivial_label()
-    return [vertex_sector_average(model, v, sector.get(v, trivial))
-            for v in range(model.lattice.n_vertices)]
+    return [sector.get(v, trivial) for v in range(model.lattice.n_vertices)]
 
 
 def vertex_sector_average(model: Model, vertex: int, sector_label: str) -> Operator:
     """(dim(s)/|G|) sum_g chi_s(g)* Theta_{g, vertex}, summed on the star's span."""
+    gb = model.global_basis
+    return Operator(gb, _place(gb.factor_dims, *_average_block(model, vertex, sector_label)))
+
+
+def _average_block(model: Model, vertex: int, sector_label: str) -> Block:
+    """A_v^s on the vertex's star: each element's Gauss product, weighted."""
     spec = model.entry.spec
     ir = model.entry.irrep(sector_label)
-    gb = model.global_basis
-    stars = [_gauss_factors(model, vertex, g) for g in range(spec.order)]
-    return Operator(gb, _place(gb.factor_dims, *_sum_blocks(
-        gb.factor_dims, *_span(stars[0]), (
-            _sum_on_span(gb.factor_dims, [star],
-                         (ir.dim / spec.order) * ir.characters[g].conjugate())
-            for g, star in enumerate(stars)))))
+    dims = model.global_basis.factor_dims
+    stars = [_gauss_products(model, vertex, g) for g in range(spec.order)]
+    return _sum_blocks(dims, *_span(factor for ops in stars[0] for factor in ops), (
+        _sum_on_span(dims, star, (ir.dim / spec.order) * ir.characters[g].conjugate())
+        for g, star in enumerate(stars)))
 
 
 def physical_basis(model: Model,
                    sector: Optional[dict[int, str]] = None) -> np.ndarray:
     """Dense orthonormal columns spanning the physical sector (desk scale).
 
-    Finite groups: eigenvectors of the sector projector with eigenvalue 1.
-    Lie catalogs: null eigenvectors of the Gauss Casimir, the neutral sector
-    only.  LAPACK runs once per connected component of the sparsity graph
-    (for the projector, a gauge orbit: the vertex averages are multiplied
-    block by block and the whole projector is never formed), keeping the
-    eigenpairs in the window [centre - SECTOR_TOL, centre + SECTOR_TOL].
+    The null eigenvectors of the Gauss penalty sum_v C_v, for every group:
+    C_v is sum_a G_a^2 for a Lie catalog (the neutral sector only) and
+    1 - A_v^s for a finite group.  LAPACK runs once per connected component
+    of the penalty's sparsity graph (a gauge orbit), keeping the eigenpairs
+    in the window [-SECTOR_TOL, SECTOR_TOL].
     """
     _check_dense_dim(model, "dense sector basis")
-    if model.entry.is_lie and sector:
-        raise ValueError("a Lie catalog has only the Gauss-neutral sector here")
-    if model.entry.is_lie:
-        factors, centre = [gauss_casimir(model).matrix], 0.0
-    else:
-        factors, centre = [a.matrix for a in _sector_averages(model, sector)], 1.0
     # scipy's value window is half-open, (lo, hi]
-    window = [np.nextafter(centre - SECTOR_TOL, -np.inf), centre + SECTOR_TOL]
-    return eigh_by_components(factors, window=window)[1]
+    window = [np.nextafter(-SECTOR_TOL, -np.inf), SECTOR_TOL]
+    return eigh_by_components(_gauss_penalty(model, sector).matrix, window=window)[1]
 
 
 def vacuum_state(model: Model) -> np.ndarray:

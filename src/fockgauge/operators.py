@@ -14,8 +14,6 @@ exceeds DROP_TOL.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import matmul
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -102,47 +100,40 @@ def real_if_close(mat: sp.csr_matrix) -> sp.csr_matrix:
                           mat.indptr), shape=mat.shape)
 
 
-def eigh_by_components(factors: Sequence[sp.csr_matrix], *,
-                       k: Optional[int] = None,
+def eigh_by_components(mat: sp.csr_matrix, *, k: Optional[int] = None,
                        window: Optional[Sequence[float]] = None):
-    """Eigenpairs of the Hermitian product of CSR ``factors``, block by block.
+    """Eigenpairs of a Hermitian CSR matrix, one connected component at a time.
 
-    Blocks are the connected components of the union of the factors'
-    sparsity patterns, read with unit weights so that no value (a purely
-    imaginary coupling too) hides an edge; each factor maps every block into
-    itself, so the blocks' spectra are the product's.  Each factor goes
-    through ``real_if_close`` first, so LAPACK runs in real arithmetic and
-    the vectors are float64 unless some factor has an imaginary part above
-    DROP_TOL.  A product of several commuting Hermitian factors is
-    symmetrized per block; 1x1 blocks are read off the diagonal.  Returns
-    the k lowest pairs, or those in the half-open ``window`` (lo, hi],
-    stably sorted, vectors as full-dim columns.
+    The components are those of the sparsity pattern, read with unit
+    weights so that no value (a purely imaginary coupling too) hides an
+    edge; the blocks' spectra are the matrix's.  The matrix goes through
+    ``real_if_close`` first, so LAPACK runs in real arithmetic and the
+    vectors are float64 unless it has an imaginary part above DROP_TOL.
+    1x1 blocks are read off the diagonal.  Returns the k lowest pairs, or
+    those in the half-open ``window`` (lo, hi], stably sorted, vectors as
+    full-dim columns.
     """
-    factors = [real_if_close(f) for f in factors]
-    graph = sum(sp.csr_matrix((np.ones(len(f.indices)), f.indices, f.indptr),
-                              shape=f.shape) for f in factors)
+    mat = real_if_close(mat)
+    graph = sp.csr_matrix((np.ones(len(mat.indices)), mat.indices, mat.indptr),
+                          shape=mat.shape)
     n_comp, labels = connected_components(graph, directed=False)
     order = np.argsort(labels, kind="stable")
     bounds = np.searchsorted(labels[order], np.arange(n_comp + 1))
-    blocks = [f[order][:, order] for f in factors]
+    block = mat[order][:, order]
     ones = bounds[:-1][np.diff(bounds) == 1]
-    found = [(np.prod([b.diagonal()[ones] for b in blocks], 0).real, order[ones], None)]
+    found = [(block.diagonal()[ones].real, order[ones], None)]
     for c in np.flatnonzero(np.diff(bounds) > 1):
         lo, hi = bounds[c], bounds[c + 1]
-        mat = reduce(matmul, (b[lo:hi, lo:hi] for b in blocks)).toarray()
-        if len(blocks) > 1:
-            mat = (mat + mat.conj().T) / 2.0
         subset = ({"subset_by_value": window} if window is not None
                   else {"subset_by_index": [0, min(k, hi - lo) - 1]})
-        vals, vecs = eigh(mat, overwrite_a=True, **subset)
+        vals, vecs = eigh(block[lo:hi, lo:hi].toarray(), overwrite_a=True, **subset)
         found.append((vals, order[lo:hi], vecs))
     values = np.concatenate([f[0] for f in found])
     pick = np.argsort(values, kind="stable")
     if window is not None:
         pick = pick[(values[pick] > window[0]) & (values[pick] <= window[1])]
     pick = pick[:k]
-    out = np.zeros((len(labels), len(pick)),
-                   dtype=np.result_type(*(f.dtype for f in factors), float))
+    out = np.zeros((len(labels), len(pick)), dtype=np.result_type(mat.dtype, float))
     starts = np.cumsum([0] + [len(f[0]) for f in found])
     for (vals, rows, vecs), start in zip(found, starts):
         cols = np.flatnonzero((pick >= start) & (pick < start + len(vals)))

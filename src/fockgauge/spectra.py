@@ -159,7 +159,7 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
     work = real_if_close(mat)
     counts = _Counts()
     if dim <= dense_cutoff:
-        vals, vecs = eigh_by_components([work], k=k)
+        vals, vecs = eigh_by_components(work, k=k)
         method = "dense"
     else:
         vals, vecs = _lanczos_lowest(work, k, seed=seed, tol=LANCZOS_TOL,

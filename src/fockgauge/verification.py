@@ -26,6 +26,7 @@ factor at a time.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import reduce
 from operator import matmul
 
@@ -39,12 +40,11 @@ from .lattice_model import (
     GROUP,
     REP,
     Model,
-    _gauss_factors,
-    _generator_pieces,
+    _gauss_products,
     _place,
     _sum_on_span,
     _TERMS,
-    hamiltonian_terms,
+    build_hamiltonian,
     physical_projector,
     vacuum_state,
 )
@@ -275,13 +275,11 @@ def _on_span(dims, lo: int, hi: int, pieces) -> sp.csr_matrix:
 
 def _check_hamiltonian(model: Model, report: ValidationReport):
     dims = model.global_basis.factor_dims
-    vertices = range(model.lattice.n_vertices)
-    if model.entry.is_lie:
-        symmetry = [_generator_pieces(_gauss_factors(model, v, component=a))
-                    for v in vertices for a in range(model.entry.n_generator_components)]
-    else:
-        symmetry = [[_gauss_factors(model, v, g)] for v in vertices
-                    for g in model.entry.spec.generating_set()]
+    probes = ([{"component": a} for a in range(model.entry.n_generator_components)]
+              if model.entry.is_lie else
+              [{"g": g} for g in model.entry.spec.generating_set()])
+    symmetry = [_gauss_products(model, v, **probe)
+                for v in range(model.lattice.n_vertices) for probe in probes]
     herm, commutes = 0.0, {}
     for name in model.terms:
         try:
@@ -328,13 +326,10 @@ def _basis_agreement_residual(model: Model, names) -> float:
     """Assemble H in both link bases and compare through the Fourier unitary,
     applied one link factor at a time: the dense kron over all links is never
     formed."""
-    other_tag = GROUP if model.basis_tag == REP else REP
-    mirror = Model(model.entry, model.lattice, model.params, other_tag)
+    only = replace(model.params, terms=tuple(names))
+    h_here, converted = (build_hamiltonian(Model(model.entry, model.lattice, only, tag)).matrix
+                         for tag in (model.basis_tag, GROUP if model.basis_tag == REP else REP))
     gb = model.global_basis
-    h_here, converted = (
-        sum((t.matrix for t in hamiltonian_terms(m, names=names).values()),
-            sp.csr_matrix((gb.dim, gb.dim), dtype=complex))
-        for m in (model, mirror))
     # rep_op = F^dag group_op F
     f_link = sp.csr_matrix(model.link_space.fourier)
     if model.basis_tag == GROUP:
@@ -343,4 +338,3 @@ def _basis_agreement_residual(model: Model, names) -> float:
         f_k = _place(gb.factor_dims, k, k + 1, f_link)
         converted = f_k.conj().T @ converted @ f_k
     return max_abs(converted - h_here)
-

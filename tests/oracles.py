@@ -4,15 +4,18 @@ None of these is used by the library itself: each rebuilds a quantity by
 another route (a matrix exponential, a sampled nullspace, scalar digit
 arithmetic, scipy Kronecker products, whole-matrix formulas, Lanczos with
 full reorthogonalization, full-space sums over generators, plaquettes and
-links) so that a test can check the production
+links, the product of the vertex averages) so that a test can check the production
 construction.
 """
 
 import math
+from functools import reduce
+from operator import matmul
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal, expm, logm
+from scipy.sparse.csgraph import connected_components
 
 from fockgauge.clebsch_gordan import (
     LIE_SAMPLE_SEED,
@@ -21,12 +24,12 @@ from fockgauge.clebsch_gordan import (
     _fix_phase,
 )
 from fockgauge.group_core import GroupCatalogEntry
-from fockgauge.lattice_model import (GROUP, REP, GlobalBasis, Model, _place, _sum_on_span,
-                                     embed_link, gauss_generators, hamiltonian_terms,
-                                     plaquette_trace)
+from fockgauge.lattice_model import (GROUP, REP, SECTOR_TOL, GlobalBasis, Model, _place,
+                                     _sum_on_span, embed_link, gauss_generators,
+                                     hamiltonian_terms, plaquette_trace, vertex_sector_average)
 from fockgauge.link_space import projector_rep
 from fockgauge.matter_space import VertexFock, _resolve_dmatrix, bilinear
-from fockgauge.operators import Operator, max_abs
+from fockgauge.operators import Operator, max_abs, real_if_close
 from fockgauge.spectra import (LANCZOS_MAX_ITER, LANCZOS_TOL, RITZ_CHECK_EVERY,
                                _Counts, _project_out, _Rows, expectation)
 
@@ -138,6 +141,30 @@ def gauss_casimir_by_generators(model: Model) -> Operator:
                              for v in range(model.lattice.n_vertices)
                              for g_a in gauss_generators(model, v)),
                             sp.csr_matrix((gb.dim, gb.dim), dtype=complex)))
+
+
+def physical_basis_by_average_product(model: Model, sector=None) -> np.ndarray:
+    """Columns spanning a finite group's Gauss sector from the product of the
+    placed vertex averages: one connected component of the union of their
+    sparsity patterns at a time, each block the product of the averages'
+    blocks, symmetrized, its eigenvectors at eigenvalue 1 kept."""
+    sector = sector or {}
+    trivial = model.entry.trivial_label()
+    averages = [real_if_close(vertex_sector_average(model, v, sector.get(v, trivial)).matrix)
+                for v in range(model.lattice.n_vertices)]
+    graph = sum(abs(a) for a in averages)
+    n_comp, labels = connected_components(graph, directed=False)
+    dim = model.global_basis.dim
+    cols = [np.zeros((dim, 0), dtype=np.result_type(*(a.dtype for a in averages)))]
+    for c in range(n_comp):
+        rows = np.flatnonzero(labels == c)
+        block = reduce(matmul, (a[rows][:, rows] for a in averages)).toarray()
+        vals, vecs = np.linalg.eigh((block + block.conj().T) / 2.0)
+        keep = np.abs(vals - 1.0) <= SECTOR_TOL
+        found = np.zeros((dim, keep.sum()), dtype=cols[0].dtype)
+        found[rows] = vecs[:, keep]
+        cols.append(found)
+    return np.hstack(cols)
 
 
 def observables_by_loops(model: Model, names, state: np.ndarray) -> dict:

@@ -156,6 +156,27 @@ def test_spectrum_toric_ground_degeneracy(runner, tmp_path):
     assert vals[4] > vals[0] + 1e-6
 
 
+@pytest.mark.parametrize("group,matter,lx,ly,params,dim", [
+    ({"builtin": "D3"}, False, 2, 2,
+     {"coupling": 1.3, "electric_weights": {"I": 0.0, "p": 1.0, "2": 1.0}}, 3),
+    ({"builtin": "SU2_trunc", "params": {"j_max": "1/2"}}, True, 2, 1,
+     {"mass": 1.0, "epsilon": 0.7, "coupling": 1.3}, 5),
+], ids=["d3", "su2"])
+def test_physical_sector_levels_carry_residuals(runner, tmp_path, group, matter, lx, ly,
+                                                params, dim):
+    cfg = write_config(
+        tmp_path / "cfg.yaml", group=group, params=params, basis="rep",
+        lattice={"lx": lx, "ly": ly, "boundary": "open", "include_matter": matter},
+        tasks=[{"spectrum": {"k": 6, "sector": "physical"}}])
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, ["spectrum", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    sector = json.loads(out.read_text())["tasks"]["spectrum"]["physical_sector"]
+    assert sector["dimension"] == dim
+    assert len(sector["eigenvalues"]) == len(sector["residuals"]) == min(6, dim)
+    assert max(sector["residuals"]) <= 1e-8
+
+
 def test_spectrum_z3_cosine_levels(runner, tmp_path):
     cfg = write_config(
         tmp_path / "z3.yaml",

@@ -25,9 +25,9 @@ from fockgauge.lattice_model import (
     vacuum_state,
     vertex_sector_average,
 )
-from fockgauge.link_space import identity_operator, projector_rep
+from fockgauge.link_space import BasisMismatchError, identity_operator, projector_rep
 from fockgauge.matter_space import theta_q
-from oracles import decode, digit_array
+from oracles import decode, digit_array, physical_basis_by_average_product
 
 
 def _mabs(mat):
@@ -476,6 +476,59 @@ def test_physical_basis_of_an_empty_sector():
     model = Model(d3, lat, ModelParams(terms=("magnetic",)), basis_tag="group")
     assert model.global_basis.dim == 6
     assert physical_basis(model, sector={0: "2"}).shape == (6, 0)
+
+
+def _projector_gap(a, b, rows=512):
+    """max |a a^dag - b b^dag|, formed a row slice at a time."""
+    return max((np.abs(a[i:i + rows] @ a.conj().T - b[i:i + rows] @ b.conj().T).max()
+                for i in range(0, len(a), rows)), default=0.0)
+
+
+D3_WEIGHTS = {"I": 0.0, "p": 1.0, "2": 1.0}
+
+
+@pytest.mark.parametrize("group,lx,ly,matter,params,basis,sector", [
+    ("D3", 2, 2, False, {"coupling": 1.3, "electric_weights": D3_WEIGHTS}, "group", None),
+    ("D3", 2, 2, False, {"coupling": 1.3, "electric_weights": D3_WEIGHTS}, "rep", None),
+    ("Z_3", 3, 2, False, {"coupling": 1.3}, "group", None),
+    ("Z_3", 2, 2, True, {"mass": 1.0, "epsilon": 0.7, "coupling": 1.3}, "group",
+     {0: "1", 3: "2"}),
+    ("D3", 2, 1, True, {"mass": 1.0, "epsilon": 0.7, "electric_weights": D3_WEIGHTS},
+     "rep", None),
+    ("D3", 2, 1, False, {"terms": ("magnetic",)}, "group", {0: "2"}),
+], ids=["d3-pure-group", "d3-pure-rep", "z3-3x2", "z3-matter-charged", "d3-matter",
+        "d3-empty"])
+def test_penalty_nullspace_matches_the_average_product(group, lx, ly, matter, params,
+                                                       basis, sector):
+    # the nullspace of sum_v (1 - A_v^s) against the eigenvalue-1 space of
+    # prod_v A_v^s, the product taken block by block
+    lat = LatticeSpec(lx, ly, boundary="open", include_matter=matter)
+    model = Model(build_builtin(group), lat, ModelParams(**params), basis_tag=basis)
+    cols = physical_basis(model, sector=sector)
+    ref = physical_basis_by_average_product(model, sector=sector)
+    assert cols.shape == ref.shape
+    assert _projector_gap(cols, ref) < 1e-10
+
+
+@pytest.mark.parametrize("lx,ly,matter,basis", [(2, 2, False, "group"),
+                                                (2, 1, True, "rep")])
+def test_finite_penalty_spectrum_is_the_integers_up_to_the_vertex_count(lx, ly, matter,
+                                                                       basis):
+    # the vertex averages are commuting projectors, so sum_v (1 - A_v)
+    # counts the vertices whose Gauss law a joint eigenvector breaks
+    import fockgauge.lattice_model as lm
+
+    lat = LatticeSpec(lx, ly, boundary="open", include_matter=matter)
+    model = Model(build_builtin("D3"), lat,
+                  ModelParams(mass=1.0, electric_weights=D3_WEIGHTS), basis_tag=basis)
+    vals = np.linalg.eigvalsh(lm._gauss_penalty(model).toarray())
+    assert np.abs(vals - np.round(vals)).max() < 1e-12
+    assert set(np.round(vals).astype(int)) == set(range(lat.n_vertices + 1))
+
+
+def test_gauss_casimir_rejects_a_finite_group(z2_chain):
+    with pytest.raises(BasisMismatchError):
+        gauss_casimir(z2_chain)
 
 
 def test_physical_projector_rejects_lie():
