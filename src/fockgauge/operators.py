@@ -36,8 +36,8 @@ class BasisMismatchError(ValueError):
 def max_abs(mat) -> float:
     """Largest entry modulus of a dense or sparse array, 0 when empty."""
     if sp.issparse(mat):
-        mat = mat.tocoo()
-        return float(np.abs(mat.data).max()) if mat.nnz else 0.0
+        mat = mat if mat.format in ("csr", "csc", "coo") else mat.tocoo()
+        return float(np.abs(mat.data[:mat.nnz]).max()) if mat.nnz else 0.0
     arr = np.asarray(mat)
     return float(np.abs(arr).max()) if arr.size else 0.0
 

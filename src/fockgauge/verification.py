@@ -17,10 +17,11 @@ is the product of its parts' largest entries, so the residual is
 max |[S_A, T_A]| times the largest entry of each factor of S outside the
 span.  A Lie generator is a sum of one-factor pieces, and the pieces outside
 the span commute with T exactly and are dropped.  max |T - T^dag| on the span
-is the full-space value.  Only the tunneling term spans every factor.  The
-vacuum checks apply the full-space Gauss operators to the strong-coupling
-vacuum.  The rep/group agreement converts the mirror model's H one link
-factor at a time.
+is the full-space value.  The Gauss operators are taken in one pass, one
+alive at a time: each S is built on every span the terms need and on the
+full space, where the tunneling term (the only one spanning every factor)
+and the vacuum check S vac = vac (G vac = 0 for a generator) share it.  The
+rep/group agreement converts the mirror model's H one link factor at a time.
 """
 
 from __future__ import annotations
@@ -242,15 +243,18 @@ def _check_matter(model: Model, report: ValidationReport):
 
 
 def _commutator_residual(term: sp.csr_matrix, symmetry_ops) -> float:
-    """max |S T - T S| over the CSR operators S and entries, one row slice at a
-    time: about SLICE_NNZ stored entries of T, cut as ``hermiticity_residual``
-    cuts, with the rows of S and T read as views of their arrays."""
+    """max |S T - T S| over the CSR operators S, consumed one at a time, and
+    entries: each S meets T one row slice at a time, about SLICE_NNZ stored
+    entries of T cut as ``hermiticity_residual`` cuts, the rows of S and T read
+    as views.  The one pass of ``_check_hamiltonian`` hands in one S per call, a
+    full-space S shared by a term spanning every factor and the vacuum probe."""
     term = sp.csr_matrix(term)
+    slices = list(_row_slices(term.indptr))
     worst = 0.0
-    for lo, hi in _row_slices(term.indptr):
-        t_rows = _row_view(term, lo, hi)
-        for s_op in symmetry_ops:
-            worst = max(worst, max_abs(_row_view(s_op, lo, hi) @ term - t_rows @ s_op))
+    for s_op in symmetry_ops:
+        for lo, hi in slices:
+            worst = max(worst, max_abs(_row_view(s_op, lo, hi) @ term
+                                       - _row_view(term, lo, hi) @ s_op))
     return worst
 
 
@@ -275,49 +279,50 @@ def _on_span(dims, lo: int, hi: int, pieces) -> sp.csr_matrix:
 
 def _check_hamiltonian(model: Model, report: ValidationReport):
     dims = model.global_basis.factor_dims
+    lie = model.entry.is_lie
     probes = ([{"component": a} for a in range(model.entry.n_generator_components)]
-              if model.entry.is_lie else
-              [{"g": g} for g in model.entry.spec.generating_set()])
+              if lie else [{"g": g} for g in model.entry.spec.generating_set()])
     symmetry = [_gauss_products(model, v, **probe)
                 for v in range(model.lattice.n_vertices) for probe in probes]
-    herm, commutes = 0.0, {}
+    herm, blocks = 0.0, {}
     for name in model.terms:
         try:
-            lo, hi, local = _TERMS[name](model)
+            blocks[name] = _TERMS[name](model)
         except ValueError as exc:
             # a term that cannot be assembled is a failed check, not a crash
             report.checks.append(CheckResult(
                 f"model.term_build_{name} ({exc})", float("inf"), LOOSE))
             continue
-        herm = max(herm, hermiticity_residual(local))
-        commutes[name] = _commutator_residual(
-            local, [_on_span(dims, lo, hi, pieces) for pieces in symmetry])
-        del local
-    if not commutes:
+        herm = max(herm, hermiticity_residual(blocks[name][2]))
+    if not blocks:
         return
+
+    # one pass over the Gauss operators: each S on every span the blocks need
+    # and on the full space, which the vacuum probe shares, dropped before the next
+    # sum G^2 vac = 0 iff G vac = 0 for each Hermitian generator G, and
+    # P_v vac = vac iff Theta_v(s) vac = vac for each element s of a generating set
+    full = (0, len(dims))
+    spans = {span: [name for name, block in blocks.items() if block[:2] == span]
+             for span in [*(block[:2] for block in blocks.values()), full]}
+    vac = vacuum_state(model)
+    commutes, vacuum = dict.fromkeys(blocks, 0.0), 0.0
+    for pieces in symmetry:
+        for span, names in spans.items():
+            s_op = _on_span(dims, *span, pieces)
+            for name in names:
+                commutes[name] = max(commutes[name],
+                                     _commutator_residual(blocks[name][2], [s_op]))
+            if span == full:
+                vacuum = max(vacuum, float(np.linalg.norm(s_op @ vac - (0 if lie else vac))))
+            del s_op
     report.add("model.terms_hermitian", herm, TIGHT)
     for name, residual in commutes.items():
         report.add(f"model.gauss_commutes_with_{name}", residual, LOOSE)
-
-    # sum G^2 vac = 0 iff G vac = 0 for each Hermitian generator G, and
-    # P_v vac = vac iff Theta_v(s) vac = vac for each element s of a generating set
-    gb = model.global_basis
-    dim = gb.dim
-    vac = vacuum_state(model)
-    symmetry_ops = (_place(gb.factor_dims, *_sum_on_span(gb.factor_dims, pieces))
-                    for pieces in symmetry)
-    if model.entry.is_lie:
-        report.add("model.vacuum_gauss_neutral", max(
-            float(np.linalg.norm(s_op @ vac)) for s_op in symmetry_ops), LOOSE)
-    else:
-        report.add("model.vacuum_gauss_invariant", max(
-            float(np.linalg.norm(s_op @ vac - vac)) for s_op in symmetry_ops), LOOSE)
-        if dim <= DENSE_MAX_DIM:
-            proj = physical_projector(model)
-            report.add("model.projector_idempotent",
-                       max_abs((proj @ proj - proj).matrix), LOOSE)
-
-    if not model.entry.is_lie and dim <= DENSE_MAX_DIM:
+    report.add("model.vacuum_gauss_neutral" if lie else "model.vacuum_gauss_invariant",
+               vacuum, LOOSE)
+    if not lie and model.global_basis.dim <= DENSE_MAX_DIM:
+        proj = physical_projector(model)
+        report.add("model.projector_idempotent", max_abs((proj @ proj - proj).matrix), LOOSE)
         report.add("model.rep_group_hamiltonian_agreement",
                    _basis_agreement_residual(model, tuple(commutes)), LOOSE)
 

@@ -8,7 +8,7 @@ from fockgauge.group_core import build_builtin
 from fockgauge.lattice_model import LatticeSpec, Model, ModelParams, embed_link
 from fockgauge.link_space import BasisMismatchError, theta_left
 from fockgauge.matter_space import VertexFock, number_operator, psi
-from fockgauge.operators import Operator, hermiticity_residual
+from fockgauge.operators import Operator, hermiticity_residual, max_abs
 from oracles import hermiticity_residual_whole
 
 
@@ -73,3 +73,12 @@ def test_hermiticity_residual_holds_one_transposed_copy():
         tracemalloc.stop()
     assert peak < 2 * mat_bytes
     assert value == hermiticity_residual_whole(mat)
+
+
+@pytest.mark.parametrize("fmt", ["csr", "csc", "coo", "lil", "dok", "bsr", "dia"])
+def test_max_abs_is_the_same_in_every_sparse_format(fmt):
+    rng = np.random.default_rng(2)
+    dense = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    dense[rng.random((6, 6)) < 0.5] = 0.0
+    assert max_abs(sp.csr_matrix(dense).asformat(fmt)) == max_abs(dense) > 0
+    assert max_abs(sp.csr_matrix((6, 6)).asformat(fmt)) == 0.0

@@ -14,6 +14,7 @@ from fockgauge.lattice_model import (
     gauss_generators,
     gauss_operator,
     hamiltonian_terms,
+    vacuum_state,
 )
 from fockgauge.link_space import theta_group_basis
 from fockgauge.operators import max_abs
@@ -204,6 +205,21 @@ def test_row_sliced_commutator_equals_the_unsliced_one(monkeypatch):
     assert verification._commutator_residual(spiked, ops) == whole > 1
 
 
+def test_commutator_residual_consumes_a_generator(monkeypatch):
+    model = _d3_chain("rep")
+    term = _sign_flipped_tunneling(model)[2]
+    # the largest residual entries in the last of 16 row slices, as above:
+    # every operator the generator yields must meet every slice
+    term = term + sp.csr_matrix(([10.0], ([95], [0])), shape=term.shape)
+    monkeypatch.setattr(operators, "SLICE_NNZ", 16)
+    pairs = [(v, g) for v in range(model.lattice.n_vertices)
+             for g in model.entry.spec.generating_set()]
+    ops = [gauss_operator(model, v, g).matrix for v, g in pairs]
+    lazy = (gauss_operator(model, v, g).matrix for v, g in pairs)
+    assert verification._commutator_residual(term, lazy) \
+        == verification._commutator_residual(term, ops) > 1
+
+
 # ---------------------------------------------------------------------------
 # Gauss commutators on each term's span against full-space oracles
 
@@ -344,3 +360,78 @@ def test_span_commutator_equals_the_full_space_one_for_any_product():
         on_span = verification._on_span(dims, lo, hi, pieces)
         got = verification._commutator_residual(block, [on_span])
         assert abs(got - full) <= 1e-13 * full, (got, full)
+
+
+def test_verify_holds_one_full_space_gauss_operator_at_a_time():
+    # L1: D3 2x2 open with matter in the group basis, every term.  Its
+    # tunneling block spans every factor: 2 211 840 nonzeros, 42.2 MiB of
+    # complex128 values and int32 indices.  Each of the 12 full-space Gauss
+    # operators it is checked against is about as large, so holding them all
+    # at once, or building them a second time for the vacuum probe while one
+    # is held, would exceed this bound.
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3,
+                         electric_weights={"I": 0.0, "p": 1.0, "2": 1.0})
+    model = Model(build_builtin("D3"), lat, params, basis_tag="group")
+    tunneling_csr_bytes = 2_211_840 * (16 + 4)
+    tracemalloc.start()
+    try:
+        report = verify_model(model, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed, str(report.first_failure())
+    assert peak < 2.5 * tunneling_csr_bytes, peak
+
+
+# ---------------------------------------------------------------------------
+# the vacuum probes against test-side oracles
+
+def _z3_pure_square():
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=False)
+    return Model(build_builtin("Z_N", N=3), lat, ModelParams(coupling=1.1),
+                 basis_tag="group")
+
+
+def _vacuum_residual(model, vac):
+    """max |G_a vac| over the Lie Gauss generators, or max |Theta_v(s) vac - vac|
+    over the vertices and the generating set, each operator on the full space."""
+    vertices = range(model.lattice.n_vertices)
+    if model.entry.is_lie:
+        return max(float(np.linalg.norm(gen.matrix @ vac))
+                   for v in vertices for gen in gauss_generators(model, v))
+    return max(float(np.linalg.norm(gauss_operator(model, v, g).matrix @ vac - vac))
+               for v in vertices for g in model.entry.spec.generating_set())
+
+
+def _product_state(dims, seed):
+    """A normalized product of random complex vectors, one per factor."""
+    rng = np.random.default_rng(seed)
+    state = np.ones(1)
+    for dim in dims:
+        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state = np.kron(state, vec / np.linalg.norm(vec))
+    return state
+
+
+@pytest.mark.parametrize("make_model,check", [
+    (lambda: _d3_chain("group"), "model.vacuum_gauss_invariant"),
+    (lambda: _d3_chain("rep"), "model.vacuum_gauss_invariant"),
+    (_z3_pure_square, "model.vacuum_gauss_invariant"),
+    (_su2_chain, "model.vacuum_gauss_neutral"),
+], ids=["d3-group", "d3-rep", "z3-pure-square", "su2-chain"])
+def test_vacuum_probe_equals_the_full_space_oracle(monkeypatch, make_model, check):
+    model = make_model()
+    residuals = {c.name: c.residual for c in verify_model(model, seed=2).checks}
+    expected = _vacuum_residual(model, vacuum_state(model))
+    assert expected <= 1e-12
+    assert abs(residuals[check] - expected) <= 1e-13, (residuals[check], expected)
+    # a product state that no Gauss operator leaves alone
+    state = _product_state(model.global_basis.factor_dims, seed=5)
+    monkeypatch.setattr(verification, "vacuum_state", lambda _model: state)
+    report = verify_model(model, seed=2)
+    failed = {c.name: c.residual for c in report.checks if not c.passed}
+    assert set(failed) == {check}, failed
+    expected = _vacuum_residual(model, state)
+    assert expected > 0.1
+    assert abs(failed[check] - expected) <= 1e-12 * expected, (failed[check], expected)
