@@ -430,7 +430,11 @@ def _spectrum_payload(model, opts, seed):
         dim = basis_cols.shape[1]
         sector = {"dimension": dim, "eigenvalues": [], "residuals": []}
         if dim:
-            h_red = basis_cols.conj().T @ (ham.matrix @ basis_cols)
+            # in complex128 whatever H's dtype, so the sector spectrum does
+            # not depend on how H is stored: a float64 reduction runs through
+            # another BLAS kernel and differs in the last digits
+            cols = basis_cols.astype(complex, copy=False)
+            h_red = cols.conj().T @ ham.apply(cols)
             reduced = eigensolve(h_red, k=min(k, dim), seed=seed)
             sector.update(eigenvalues=reduced.eigenvalues, residuals=reduced.residuals)
         payload["physical_sector"] = sector

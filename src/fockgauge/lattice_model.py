@@ -20,7 +20,7 @@ blocks, so the verification suite takes their Gauss commutators on the
 span; a vertex Fock matrix is placed on the fermion factor's per-vertex
 digits; each observable is one block built by the Hamiltonian's own
 builders.  ``build_hamiltonian`` places and adds one term at a time, in
-float64 when the term is real.
+float64 when the term is real, and a real sum stays float64.
 
 Gauss law: one star builder, ``_gauss_products``, serves every group (one
 product per element, one single-factor product per generator piece).  Each
@@ -673,8 +673,9 @@ def build_hamiltonian(model: Model) -> Operator:
 
     One term at a time: its block is normalized as an ``Operator`` would be,
     taken in float64 when it is real (``real_if_close``), placed and added to
-    the running sum before the next term is built.  A real sum is handed out
-    as one complex128 data array on the sum's own ``indices`` and ``indptr``.
+    the running sum before the next term is built.  H is that sum as it
+    stands: float64 when every term is real, complex128 once a term has an
+    imaginary part above DROP_TOL.
     """
     gb = model.global_basis
 
@@ -682,11 +683,7 @@ def build_hamiltonian(model: Model) -> Operator:
         lo, hi, local = _TERMS[name](model)
         return _place(gb.factor_dims, lo, hi, real_if_close(normalize(local)))
 
-    total = sum(map(placed, model.terms), sp.csr_matrix((gb.dim, gb.dim)))
-    if not np.iscomplexobj(total):
-        total = sp.csr_matrix((total.data.astype(complex), total.indices, total.indptr),
-                              shape=total.shape)
-    return Operator(gb, total)
+    return Operator(gb, sum(map(placed, model.terms), sp.csr_matrix((gb.dim, gb.dim))))
 
 
 # ---------------------------------------------------------------------------

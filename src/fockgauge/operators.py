@@ -8,7 +8,11 @@ and the tag.  Every matrix is normalized the same way on construction
 Hamiltonian assembly normalizes each term's local block the same way
 before placing it.  The eigensolvers
 work on ``real_if_close`` of a matrix: float64 when no imaginary part
-exceeds DROP_TOL.
+exceeds DROP_TOL, which a real Hamiltonian already is.  ``matvec`` takes a
+float64 matrix times a complex vector or block as a real product on the
+vector's (re, im) view, and ``eigh_by_components`` hands LAPACK
+Fortran-ordered blocks, so neither copies a real matrix to complex or a
+dense block to Fortran order.
 """
 
 from __future__ import annotations
@@ -100,6 +104,24 @@ def real_if_close(mat: sp.csr_matrix) -> sp.csr_matrix:
                           mat.indptr), shape=mat.shape)
 
 
+def matvec(mat: sp.csr_matrix, vec: np.ndarray) -> np.ndarray:
+    """``mat @ vec`` for a vector or a block of column vectors.
+
+    A float64 matrix times a complex128 ``vec`` is one real product on the
+    vector's (re, im) view, a 2-column (or 2m-column) float64 block: scipy's
+    mixed-dtype product would copy the matrix to complex on every call.  The
+    values are bit for bit those of ``mat.astype(complex) @ vec``.  A vector
+    or block that is not C-contiguous is copied first; any other dtype pair
+    is ``mat @ vec``.
+    """
+    vec = np.asarray(vec)
+    if mat.dtype != np.float64 or vec.dtype != np.complex128:
+        return mat @ vec
+    vec = np.ascontiguousarray(vec)
+    pairs = (vec[:, None] if vec.ndim == 1 else vec).view(np.float64)
+    return (mat @ pairs).view(np.complex128).reshape(vec.shape)
+
+
 def eigh_by_components(mat: sp.csr_matrix, *, k: Optional[int] = None,
                        window: Optional[Sequence[float]] = None):
     """Eigenpairs of a Hermitian CSR matrix, one connected component at a time.
@@ -109,9 +131,10 @@ def eigh_by_components(mat: sp.csr_matrix, *, k: Optional[int] = None,
     edge; the blocks' spectra are the matrix's.  The matrix goes through
     ``real_if_close`` first, so LAPACK runs in real arithmetic and the
     vectors are float64 unless it has an imaginary part above DROP_TOL.
-    1x1 blocks are read off the diagonal.  Returns the k lowest pairs, or
-    those in the half-open ``window`` (lo, hi], stably sorted, vectors as
-    full-dim columns.
+    Each block is densified in Fortran order, which LAPACK overwrites in
+    place instead of copying.  1x1 blocks are read off the diagonal.
+    Returns the k lowest pairs, or those in the half-open ``window`` (lo,
+    hi], stably sorted, vectors as full-dim columns.
     """
     mat = real_if_close(mat)
     graph = sp.csr_matrix((np.ones(len(mat.indices)), mat.indices, mat.indptr),
@@ -126,7 +149,7 @@ def eigh_by_components(mat: sp.csr_matrix, *, k: Optional[int] = None,
         lo, hi = bounds[c], bounds[c + 1]
         subset = ({"subset_by_value": window} if window is not None
                   else {"subset_by_index": [0, min(k, hi - lo) - 1]})
-        vals, vecs = eigh(block[lo:hi, lo:hi].toarray(), overwrite_a=True, **subset)
+        vals, vecs = eigh(block[lo:hi, lo:hi].toarray(order="F"), overwrite_a=True, **subset)
         found.append((vals, order[lo:hi], vecs))
     values = np.concatenate([f[0] for f in found])
     pick = np.argsort(values, kind="stable")
@@ -208,7 +231,9 @@ class Operator:
         return self._new(sp.csr_matrix(converted), basis_tag)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
+        """``matrix @ vec``; a real matrix times a complex vector or block
+        goes through ``matvec``, with no complex copy of the matrix."""
+        return matvec(self.matrix, vec)
 
     @property
     def dim(self) -> int:

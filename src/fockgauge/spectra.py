@@ -15,9 +15,10 @@ recurrence for the overlaps q_j . q_k (H. D. Simon, Math. Comp. 42, 115
 after; a semi-orthogonal basis gives Ritz values to machine precision.
 Each pass is one BLAS GEMV to project and one to subtract; Ritz vectors
 come from one GEMM on the basis.  Both paths work in the field of the
-operator: when no entry has an imaginary part above DROP_TOL they run on a
-float64 copy (real LAPACK, real Krylov vectors, real eigenvectors),
-otherwise in complex128.  Every reported eigenpair carries an explicit
+operator: when no entry has an imaginary part above DROP_TOL they run in
+float64 (real LAPACK, real Krylov vectors, real eigenvectors), on the
+matrix itself when it is float64, as a real Hamiltonian is, and otherwise
+in complex128.  Every reported eigenpair carries an explicit
 residual ||Hv - lambda v|| computed with the operator as given, and results
 count Lanczos steps, deflated runs, matrix-vector products and the steps
 that reorthogonalized against the whole basis.
@@ -46,6 +47,7 @@ from .operators import (
     Operator,
     eigh_by_components,
     hermiticity_residual,
+    matvec,
     real_if_close,
 )
 
@@ -137,8 +139,10 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
     k lowest of all are kept; above it Lanczos certifies each pair to
     LANCZOS_TOL within ``max_iter`` steps, or raises EigensolveError.
     After the Hermiticity check both paths run on ``real_if_close`` of the
-    matrix, in float64 when its imaginary parts are all at most DROP_TOL;
-    the residuals are taken against the operator as given.
+    matrix, in float64 when its imaginary parts are all at most DROP_TOL
+    (a float64 matrix, such as a real ``build_hamiltonian``, is used as it
+    is, with no copy); the residuals are taken against the operator as
+    given.
     """
     mat = _as_sparse(op)
     dim = mat.shape[0]
@@ -379,7 +383,11 @@ def _lanczos_lowest(mat: sp.csr_matrix, k: int, *, seed: int,
 
 def expectation(op: Union[Operator, sp.spmatrix, np.ndarray],
                 state: np.ndarray, name: str = "observable") -> ObservableReport:
-    """<state|op|state> with a reality check for Hermitian operators."""
+    """<state|op|state> with a reality check for Hermitian operators.
+
+    The state is taken as complex128; a real operator is applied to it by
+    ``matvec``, with no complex copy of the matrix.
+    """
     mat = _as_sparse(op)
     state = np.asarray(state, dtype=complex)
     if mat.shape[1] != state.shape[0]:
@@ -388,7 +396,7 @@ def expectation(op: Union[Operator, sp.spmatrix, np.ndarray],
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"state is not normalized (norm {norm})")
-    value = complex(np.vdot(state, mat @ state))
+    value = complex(np.vdot(state, matvec(mat, state)))
     hermitian = hermiticity_residual(mat) <= HERMITICITY_TOL
     if hermitian and abs(value.imag) > 1e-10:
         raise ValueError(

@@ -207,9 +207,11 @@ def test_hamiltonian_is_the_sum_of_its_terms(group, ly, basis, weights):
 
 def test_build_hamiltonian_keeps_one_placed_term_alive():
     # L1: D3 2x2 open with matter in the group basis, dim 331 776.  H has
-    # 9 179 136 nonzeros, 20 B each as complex128 values and int32 indices.
+    # 9 179 136 nonzeros, 12 B each as float64 values and int32 indices.
     # Holding every full-space complex term while summing them peaks above
-    # 3x that; summing one real term at a time stays below 2x.
+    # 60 B per nonzero; summing one real term at a time and handing out the
+    # float64 sum peaks at about 25 B, below the 40 B bound (twice the
+    # bytes of a complex128 H).
     lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
     params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3,
                          electric_weights={"I": 0.0, "p": 1.0, "2": 1.0})
@@ -220,9 +222,27 @@ def test_build_hamiltonian_keeps_one_placed_term_alive():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert ham.matrix.dtype == np.complex128
+    assert ham.matrix.dtype == np.float64
     assert ham.matrix.indices.dtype == np.int32
     assert peak < 2 * ham.matrix.nnz * (16 + 4), (peak, ham.matrix.nnz)
+
+
+@pytest.mark.parametrize("group,basis,epsilon,dtype", [
+    ("D3", "group", 0.7, np.float64),
+    ("D3", "rep", 0.7, np.float64),
+    ("Z_2", "group", 0.7, np.float64),
+    ("Z_2", "group", 0.7j, np.complex128),
+], ids=["d3-group", "d3-rep", "z2", "z2-complex-epsilon"])
+def test_real_hamiltonian_stays_float64(group, basis, epsilon, dtype):
+    # D3 has real irreps, so with real couplings H is real in both link
+    # bases and is handed out as float64; a complex epsilon makes it complex
+    lat = LatticeSpec(2, 1, boundary="open", include_matter=True)
+    weights = {"I": 0.0, "p": 1.0, "2": 1.0} if group == "D3" else None
+    params = ModelParams(mass=1.0, epsilon=epsilon, coupling=1.3,
+                         electric_weights=weights)
+    model = Model(build_builtin(group), lat, params, basis_tag=basis)
+    assert model.terms == ("mass", "tunneling", "electric", "magnetic")
+    assert build_hamiltonian(model).matrix.dtype == dtype
 
 
 def test_include_hc_fault_injection():

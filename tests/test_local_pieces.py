@@ -340,9 +340,11 @@ def _d3_matter_group(lx, boundary):
 ], ids=["z2-complex-epsilon", "d3-group-real", "d3-group-plaquette"])
 def test_hamiltonian_is_its_terms_summed_in_order(make_model):
     # the complex per-link epsilon keeps the sum complex; the D3 group-basis
-    # models are real, so their terms are summed in float64 and handed out
-    # complex.  On the 1x1 torus the plaquette block carries +-3e-17 diagonal
-    # entries that each term drops before the sum, as an Operator would.
+    # models are real, so their terms are summed and handed out in float64,
+    # equal to the complex reference's real parts with its imaginary parts
+    # all zero.  On the 1x1 torus the plaquette block carries +-3e-17
+    # diagonal entries that each term drops before the sum, as an Operator
+    # would.
     model = make_model()
     gb = model.global_basis
     terms = hamiltonian_terms(model)
@@ -350,8 +352,9 @@ def test_hamiltonian_is_its_terms_summed_in_order(make_model):
     ref = Operator(gb, sum((t.matrix for t in terms.values()), _zero(gb))).matrix
     del terms
     got = build_hamiltonian(model).matrix
-    assert got.dtype == np.complex128
-    assert np.iscomplexobj(real_if_close(got)) == bool(model.epsilon.imag.any())
+    complex_epsilon = bool(model.epsilon.imag.any())
+    assert got.dtype == (np.complex128 if complex_epsilon else np.float64)
+    assert np.iscomplexobj(real_if_close(got)) == complex_epsilon
     assert np.array_equal(got.indptr, ref.indptr)
     assert np.array_equal(got.indices, ref.indices)
     assert np.array_equal(got.data, ref.data)

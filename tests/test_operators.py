@@ -5,10 +5,22 @@ import pytest
 import scipy.sparse as sp
 
 from fockgauge.group_core import build_builtin
-from fockgauge.lattice_model import LatticeSpec, Model, ModelParams, embed_link
+from fockgauge.lattice_model import (
+    LatticeSpec,
+    Model,
+    ModelParams,
+    build_hamiltonian,
+    embed_link,
+)
 from fockgauge.link_space import BasisMismatchError, theta_left
 from fockgauge.matter_space import VertexFock, number_operator, psi
-from fockgauge.operators import Operator, hermiticity_residual, max_abs
+from fockgauge.operators import (
+    Operator,
+    hermiticity_residual,
+    matvec,
+    max_abs,
+    real_if_close,
+)
 from oracles import hermiticity_residual_whole
 
 
@@ -73,6 +85,47 @@ def test_hermiticity_residual_holds_one_transposed_copy():
         tracemalloc.stop()
     assert peak < 2 * mat_bytes
     assert value == hermiticity_residual_whole(mat)
+
+
+@pytest.fixture(scope="module")
+def d3_pure_ham():
+    """D3 2x2 open pure gauge, group basis: a real H, 21 nonzeros per row,
+    as a float64 operator."""
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=False)
+    params = ModelParams(coupling=1.3, electric_weights={"I": 0.0, "p": 1.0, "2": 1.0})
+    ham = build_hamiltonian(Model(build_builtin("D3"), lat, params, basis_tag="group"))
+    return Operator(ham.space, real_if_close(ham.matrix))
+
+
+@pytest.mark.parametrize("shape,order", [((), "C"), ((3,), "C"), ((3,), "F")],
+                         ids=["vector", "block", "fortran-block"])
+def test_real_matrix_times_complex_vector_is_the_complex_product(d3_pure_ham, shape,
+                                                                  order):
+    mat = d3_pure_ham.matrix
+    assert mat.dtype == np.float64
+    rng = np.random.default_rng(4)
+    full = (mat.shape[0], *shape)
+    vec = np.asarray(rng.standard_normal(full) + 1j * rng.standard_normal(full),
+                     order=order)
+    expected = mat.astype(complex) @ vec
+    for got in (matvec(mat, vec), d3_pure_ham.apply(vec)):
+        assert got.dtype == np.complex128 and got.shape == expected.shape
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_real_matrix_times_complex_vector_makes_no_complex_copy(d3_pure_ham):
+    # scipy's mixed-dtype product copies the values to complex128 (16 B per
+    # nonzero); the (re, im) view product holds two float64 columns of dim
+    mat = d3_pure_ham.matrix
+    assert mat.nnz >= 10 * mat.shape[0]
+    vec = np.exp(1j * np.arange(mat.shape[0]))
+    tracemalloc.start()
+    try:
+        d3_pure_ham.apply(vec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < mat.data.nbytes / 2, (peak, mat.data.nbytes)
 
 
 @pytest.mark.parametrize("fmt", ["csr", "csc", "coo", "lil", "dok", "bsr", "dia"])

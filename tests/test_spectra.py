@@ -197,12 +197,14 @@ def test_iterative_matches_dense_and_lobpcg_oracles(z2_matter_ham):
     assert [len(level) for level in iterative.degeneracies()] == [1, 4]
     vecs = iterative.eigenvectors
     assert np.abs(vecs.conj().T @ vecs - np.eye(5)).max() < 1e-10
-    # LOBPCG with a block of 10 spans the 1 + 4 + 3 lowest levels and more
+    # LOBPCG with a block of 10 spans the 1 + 4 + 3 lowest levels and more;
+    # it is given H as complex128, the input it was tuned on: on the float64
+    # H the same start stops at iteration 43 with one vector at 1.04e-8
     start = np.random.default_rng(0).standard_normal((ham.dim, 10))
     with warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)   # unconverged LOBPCG
-        oracle, _ = lobpcg(ham.matrix, start, largest=False, tol=1e-8,
-                           maxiter=200)
+        oracle, _ = lobpcg(ham.matrix.astype(complex), start, largest=False,
+                           tol=1e-8, maxiter=200)
     assert np.abs(np.sort(oracle)[:5] - iterative.eigenvalues).max() < 1e-10
 
 
@@ -345,6 +347,24 @@ def test_real_krylov_basis_holds_float64_rows():
     assert result.eigenvalues[0] == pytest.approx(0.0, abs=1e-10)
     assert result.eigenvectors.dtype == np.float64
     assert peak < 4 * ROW_BLOCK * dim * np.dtype(np.float64).itemsize
+
+
+def test_dense_solve_overwrites_one_fortran_block():
+    # Z_3 3x2 open pure gauge (dim 2187) is one connected component: LAPACK
+    # gets one Fortran-ordered n x n float64 block and overwrites it; a
+    # C-ordered block would be copied once more, about 2 x n^2 * 8 B in all
+    lat = LatticeSpec(3, 2, boundary="open", include_matter=False)
+    ham = build_hamiltonian(Model(build_builtin("Z_3"), lat, ModelParams(coupling=1.3),
+                                  basis_tag="group"))
+    n = ham.dim
+    tracemalloc.start()
+    try:
+        result = eigensolve(ham, k=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.method == "dense" and result.residuals.max() <= 1e-8
+    assert peak < 1.5 * n * n * 8, peak / (n * n * 8)
 
 
 # ---------------------------------------------------------------------------
