@@ -15,9 +15,11 @@ rejected, not coerced), an
 ``include_matter``, ``staggered`` or ``include_hc`` that is not a YAML
 boolean, a section or value of the wrong type (``params``,
 ``electric_weights`` and ``group.params`` are mappings; ``terms`` and
-observable ``names`` are lists), an unknown term, observable or state,
-missing electric weights, an output path whose directory does not exist,
-a request over a dense cap, and a model whose full space could not fit in
+observable ``names`` are lists), an unknown term, observable or state, a
+term listed twice, two numbers as ``epsilon`` on a two-link lattice (one
+complex value, or one real value per link?), missing electric weights, an
+output path whose directory does not exist, a request over a dense cap,
+and a model whose full space could not fit in
 the machine's physical memory (``BYTES_PER_ROW`` per basis state; the
 vortex-masses task never builds the configured model).  All of these are
 raised before any Hamiltonian is assembled.  Exit 1 with one ``eigensolve
@@ -140,16 +142,24 @@ def _resolve_group(doc: dict, config_dir: Path) -> GroupCatalogEntry:
         raise ConfigError(f"bad group spec: {exc}") from exc
 
 
-def _resolve_epsilon(raw):
+def _resolve_epsilon(raw, n_links: int):
+    """A scalar, [re, im] or one of those per link.  Two numbers on a
+    two-link lattice could be either reading, so they are refused."""
     if raw is None:
         return 1.0
     if isinstance(raw, (int, float)):
         return float(raw)
     if isinstance(raw, list) and len(raw) == 2 and all(
             isinstance(x, (int, float)) for x in raw):
-        return complex(raw[0], raw[1])
+        a, b = raw
+        if n_links == 2:
+            raise ConfigError(
+                f"epsilon {raw!r} on a two-link lattice reads as one complex value "
+                f"or as one real value per link; write [[{a}, 0], [{b}, 0]] per link "
+                f"or [[{a}, {b}], [{a}, {b}]]")
+        return complex(a, b)
     if isinstance(raw, list):
-        return [_resolve_epsilon(x) for x in raw]
+        return [_resolve_epsilon(x, n_links=1) for x in raw]   # one link's value each
     raise ConfigError(f"cannot parse epsilon value {raw!r}")
 
 
@@ -175,7 +185,7 @@ def _resolve_model(doc: dict, config_dir: Path, basis_override: Optional[str]) -
     try:
         params = ModelParams(
             mass=float(p_doc.get("mass", 0.0)),
-            epsilon=_resolve_epsilon(p_doc.get("epsilon")),
+            epsilon=_resolve_epsilon(p_doc.get("epsilon"), lattice.n_links),
             coupling=float(p_doc.get("coupling", 1.0)),
             electric_weights=(None if weights is None else
                               {str(k): float(v) for k, v in weights.items()}),

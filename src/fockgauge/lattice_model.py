@@ -12,15 +12,15 @@ top x-link, then U-dagger on the left y-link (counterclockwise circulation).
 Placement: every operator reaches the full space one way.  ``_sum_on_span``
 sums the per-factor products of one local piece on the span of factors
 they touch and applies its coefficient and h.c. there, giving a block (lo,
-hi, local); ``_sum_blocks`` adds blocks on a given span, placing each as it
-is produced; ``_place`` pads a block with identities once, writing I (x)
+hi, local); ``_sum_blocks``, the only sum, places blocks on a span and adds
+them as they are produced; ``_operator``, the one step onto the lattice,
+makes a block a full-space ``Operator`` by ``_place``, which writes I (x)
 local (x) I straight into canonical CSR with the bits a Kronecker product
-with complex identities gives.  The four Hamiltonian builders return
-blocks, so the verification suite takes their Gauss commutators on the
-span; a vertex Fock matrix is placed on the fermion factor's per-vertex
-digits; each observable is one block built by the Hamiltonian's own
-builders.  ``build_hamiltonian`` places and adds one term at a time, in
-float64 when the term is real, and a real sum stays float64.
+with complex identities gives.  The ``_TERMS`` builders return blocks, so
+the verification suite takes Gauss commutators on their spans; each
+observable is one of those blocks, and H is ``_sum_blocks`` of them on the
+full span, each in float64 when real.  A vertex Fock matrix is placed on
+the fermion factor's per-vertex digits.
 
 Gauss law: one star builder, ``_gauss_products``, serves every group (one
 product per element, one single-factor product per generator piece).  Each
@@ -189,9 +189,10 @@ class ModelParams:
     j(j+1) for SU(2), p^2 for U(1), min(p, N-p)^2 for Z_N clock charges,
     otherwise they must be supplied).  ``terms`` selects Hamiltonian pieces
     out of {mass, tunneling, electric, magnetic}; None means every piece
-    applicable to the model.  ``include_hc`` exists for fault injection in
-    the verification suite: switching it off drops the Hermitian conjugate
-    of the tunneling and plaquette sums.
+    applicable to the model, and a piece listed twice is refused.
+    ``include_hc`` exists for fault injection in the verification suite:
+    switching it off drops the Hermitian conjugate of the tunneling and
+    plaquette sums.
     """
 
     mass: float = 0.0
@@ -304,20 +305,19 @@ class Model:
 
     @property
     def terms(self) -> tuple[str, ...]:
+        unavailable = () if self.lattice.include_matter else ("mass", "tunneling")
         chosen = self.params.terms
         if chosen is None:
-            chosen = []
-            if self.lattice.include_matter:
-                chosen += ["mass", "tunneling"]
-            chosen += ["electric", "magnetic"]
-        known = {"mass", "tunneling", "electric", "magnetic"}
-        bad = set(chosen) - known
+            chosen = [t for t in _TERMS if t not in unavailable]
+        bad = set(chosen) - set(_TERMS)
         if bad:
             raise ValueError(f"unknown Hamiltonian terms {sorted(bad)}")
-        if not self.lattice.include_matter:
-            for t in ("mass", "tunneling"):
-                if t in chosen:
-                    raise ValueError(f"term {t!r} requires matter")
+        repeated = sorted({t for t in chosen if chosen.count(t) > 1})
+        if repeated:
+            raise ValueError(f"Hamiltonian terms {repeated} are listed more than once")
+        for t in unavailable:
+            if t in chosen:
+                raise ValueError(f"term {t!r} requires matter")
         if ("electric" in chosen or "magnetic" in chosen) and \
                 self.params.coupling == 0:
             raise ValueError("coupling must be nonzero for gauge field terms")
@@ -394,7 +394,7 @@ def _sum_on_span(dims: Sequence[int], products: Sequence[dict[int, list[sp.spmat
     then the coefficient and the h.c. are applied.  No product: a zero block.
     """
     if not products:
-        return _sum_blocks(dims, 0, 0, [])
+        return 0, 0, sp.csr_matrix((1, 1), dtype=complex)
     lo, hi = _span(factor for ops in products for factor in ops)
 
     def on_span(ops: dict[int, list[sp.spmatrix]]) -> sp.csr_matrix:
@@ -422,12 +422,17 @@ def _sum_blocks(dims: Sequence[int], lo: int, hi: int, blocks: Iterable[Block]) 
     """(lo, hi, local): blocks inside the factors [lo, hi) added there in order.
 
     ``blocks`` is consumed one at a time: each block is placed on the span
-    and added before the next one is built.
+    and added, from a float64 zero, before the next one is built.
     """
     span = dims[lo:hi]
-    zero = sp.csr_matrix((math.prod(span),) * 2, dtype=complex)
+    zero = sp.csr_matrix((math.prod(span),) * 2)
     return lo, hi, sum((_place(span, b_lo - lo, b_hi - lo, local)
                         for b_lo, b_hi, local in blocks), zero)
+
+
+def _operator(model: Model, block: Block) -> Operator:
+    """The one step onto the lattice: a block placed on the full space."""
+    return Operator(model.global_basis, _place(model.global_basis.factor_dims, *block))
 
 
 def _place(dims: Sequence[int], lo: int, hi: int, local: sp.spmatrix) -> sp.csr_matrix:
@@ -500,9 +505,8 @@ def embed_link(model: Model, op: Operator, link_index: int) -> Operator:
             f"{model.basis_tag!r}")
     if not 0 <= link_index < model.lattice.n_links:
         raise ValueError(f"link {link_index} out of range")
-    gb = model.global_basis
-    return Operator(gb, _place(gb.factor_dims, *_sum_on_span(
-        gb.factor_dims, [{gb.link_factor(link_index): [op.matrix]}])))
+    f = model.global_basis.link_factor(link_index)
+    return _operator(model, (f, f + 1, op.matrix))
 
 
 def embed_fermion_bilinear(model: Model, vertex_a: int, vertex_b: int,
@@ -514,9 +518,9 @@ def embed_fermion_bilinear(model: Model, vertex_a: int, vertex_b: int,
         raise ValueError("vertex out of range")
     coeff = np.asarray(coeff, dtype=complex)
     modes = range(gb.modes_per_vertex)
-    return Operator(gb, _place(gb.factor_dims, *_sum_on_span(gb.factor_dims, [
+    return _operator(model, _sum_on_span(gb.factor_dims, [
         {gb.fermion_factor: [coeff[a, b] * _hop(model, vertex_a, a, vertex_b, b)]}
-        for a in modes for b in modes if coeff[a, b] != 0])))
+        for a in modes for b in modes if coeff[a, b] != 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -605,9 +609,7 @@ def _plaquette_block(model: Model, plaq: Plaquette, coeff: complex = 1.0,
 
 def plaquette_trace(model: Model, plaquette_index: int) -> Operator:
     """The (in general non-Hermitian) Wilson plaquette operator Tr W."""
-    plaq = model.lattice.plaquettes[plaquette_index]
-    gb = model.global_basis
-    return Operator(gb, _place(gb.factor_dims, *_plaquette_block(model, plaq)))
+    return _operator(model, _plaquette_block(model, model.lattice.plaquettes[plaquette_index]))
 
 
 def _magnetic_term(model: Model) -> Block:
@@ -637,12 +639,10 @@ _TERMS = {
 }
 
 
-def hamiltonian_terms(model: Model, names: Optional[Sequence[str]] = None) -> dict[str, Operator]:
-    """Each enabled Hamiltonian piece as its own global operator, its block
-    from ``_TERMS`` placed on the full space once."""
-    gb = model.global_basis
-    return {name: Operator(gb, _place(gb.factor_dims, *_TERMS[name](model)))
-            for name in (model.terms if names is None else names)}
+def hamiltonian_terms(model: Model) -> dict[str, Operator]:
+    """Each enabled Hamiltonian piece as its own global operator, the
+    observable ``<term>_energy``."""
+    return {name: observable(model, f"{name}_energy") for name in model.terms}
 
 
 OBSERVABLE_NAMES = ("electric_energy", "magnetic_energy", "mass_energy",
@@ -665,25 +665,22 @@ def observable(model: Model, name: str) -> Operator:
                                / max(model.lattice.n_links, 1))
     else:
         raise ValueError(f"unknown observable {name!r}; known: {OBSERVABLE_NAMES}")
-    return Operator(model.global_basis, _place(model.global_basis.factor_dims, *block))
+    return _operator(model, block)
 
 
 def build_hamiltonian(model: Model) -> Operator:
     """Assemble the full Hamiltonian: the enabled terms summed in model.terms order.
 
-    One term at a time: its block is normalized as an ``Operator`` would be,
-    taken in float64 when it is real (``real_if_close``), placed and added to
-    the running sum before the next term is built.  H is that sum as it
-    stands: float64 when every term is real, complex128 once a term has an
-    imaginary part above DROP_TOL.
+    ``_sum_blocks`` on the full span, one term at a time: its block is
+    normalized as an ``Operator`` would be and taken in float64 when it is
+    real (``real_if_close``) before it is placed and added.  H is float64
+    when every term is real, complex128 once a term has an imaginary part
+    above DROP_TOL.
     """
-    gb = model.global_basis
-
-    def placed(name: str) -> sp.csr_matrix:
-        lo, hi, local = _TERMS[name](model)
-        return _place(gb.factor_dims, lo, hi, real_if_close(normalize(local)))
-
-    return Operator(gb, sum(map(placed, model.terms), sp.csr_matrix((gb.dim, gb.dim))))
+    dims = model.global_basis.factor_dims
+    return _operator(model, _sum_blocks(dims, 0, len(dims), (
+        (lo, hi, real_if_close(normalize(local)))
+        for lo, hi, local in (_TERMS[name](model) for name in model.terms))))
 
 
 # ---------------------------------------------------------------------------
@@ -698,9 +695,8 @@ def gauss_operator(model: Model, vertex: int, g) -> Operator:
     catalogs.  The three kinds of factors act on disjoint parts of the
     global space, so their ordering is immaterial.
     """
-    gb = model.global_basis
-    return Operator(gb, _place(gb.factor_dims, *_sum_on_span(
-        gb.factor_dims, _gauss_products(model, vertex, g))))
+    return _operator(model, _sum_on_span(model.global_basis.factor_dims,
+                                         _gauss_products(model, vertex, g)))
 
 
 def _gauss_products(model: Model, vertex: int, g=None,
@@ -739,8 +735,7 @@ def gauss_generators(model: Model, vertex: int) -> list[Operator]:
     if not model.entry.is_lie:
         raise ValueError("generator form of the Gauss law requires a Lie catalog; "
                          "use gauss_operator / physical_projector for finite groups")
-    gb = model.global_basis
-    return [Operator(gb, _place(gb.factor_dims, *_generator_block(model, vertex, a)))
+    return [_operator(model, _generator_block(model, vertex, a))
             for a in range(model.entry.n_generator_components)]
 
 
@@ -768,9 +763,8 @@ def _gauss_penalty(model: Model, sector: Optional[dict[int, str]] = None) -> Ope
     """sum over vertices of C_v; the sector is its nullspace (integer spectrum
     0..V for a finite group, whose vertex averages commute)."""
     dims = model.global_basis.factor_dims
-    return Operator(model.global_basis, _place(dims, *_sum_blocks(
-        dims, 0, len(dims), (_gauss_block(model, v, label)
-                             for v, label in enumerate(_sector_labels(model, sector))))))
+    return _operator(model, _sum_blocks(dims, 0, len(dims), (
+        _gauss_block(model, v, label) for v, label in enumerate(_sector_labels(model, sector)))))
 
 
 def gauss_casimir(model: Model) -> Operator:
@@ -813,8 +807,7 @@ def _sector_labels(model: Model, sector: Optional[dict[int, str]]) -> list[str]:
 
 def vertex_sector_average(model: Model, vertex: int, sector_label: str) -> Operator:
     """(dim(s)/|G|) sum_g chi_s(g)* Theta_{g, vertex}, summed on the star's span."""
-    gb = model.global_basis
-    return Operator(gb, _place(gb.factor_dims, *_average_block(model, vertex, sector_label)))
+    return _operator(model, _average_block(model, vertex, sector_label))
 
 
 def _average_block(model: Model, vertex: int, sector_label: str) -> Block:

@@ -71,7 +71,7 @@ def verify_model(model: Model, seed: int = 0) -> ValidationReport:
     _check_u(model, report, seed)
     _check_cg(model, report)
     if model.lattice.include_matter:
-        _check_matter(model, report)
+        _check_matter(model, report, seed)
     _check_hamiltonian(model, report)
     return report
 
@@ -204,7 +204,7 @@ def _check_cg(model: Model, report: ValidationReport):
     report.add("cg.completeness", completeness, LOOSE)
 
 
-def _check_matter(model: Model, report: ValidationReport):
+def _check_matter(model: Model, report: ValidationReport, seed: int):
     entry = model.entry
     space = VertexFock(entry.fundamental_irrep.dim, 0)
     n = space.n_modes
@@ -220,7 +220,7 @@ def _check_matter(model: Model, report: ValidationReport):
             acar = max(acar, max_abs(anti_mixed - expect))
     report.add("matter.anticommutation", acar, 0.0)
 
-    elements = entry.elements(COVARIANCE_SAMPLES, 0)
+    elements = entry.elements(COVARIANCE_SAMPLES, seed + 2)
     for parity in (0, 1):
         vf = VertexFock(n, parity)
         thetas = [theta_q(vf, entry, g).toarray() for g in elements]

@@ -26,7 +26,8 @@ from fockgauge.clebsch_gordan import (
 from fockgauge.group_core import GroupCatalogEntry
 from fockgauge.lattice_model import (GROUP, REP, SECTOR_TOL, GlobalBasis, Model, _place,
                                      _sum_on_span, embed_link, gauss_generators,
-                                     hamiltonian_terms, plaquette_trace, vertex_sector_average)
+                                     hamiltonian_terms, observable, plaquette_trace,
+                                     vertex_sector_average)
 from fockgauge.link_space import projector_rep
 from fockgauge.matter_space import VertexFock, _resolve_dmatrix, bilinear
 from fockgauge.operators import Operator, max_abs, real_if_close
@@ -98,7 +99,7 @@ def basis_agreement_dense(model: Model, names) -> float:
                    GROUP if model.basis_tag == REP else REP)
     gb = model.global_basis
     h_here, h_there = (
-        sum((t.matrix for t in hamiltonian_terms(m, names=names).values()),
+        sum((observable(m, f"{name}_energy").matrix for name in names),
             sp.csr_matrix((gb.dim, gb.dim), dtype=complex))
         for m in (model, mirror))
     f_global = _place(gb.factor_dims, *_sum_on_span(gb.factor_dims, [

@@ -287,12 +287,22 @@ def test_bad_config_values_exit_2_with_one_line(runner, tmp_path, command, overr
     assert not out.exists()
 
 
+CHAIN_WITH_MATTER = {"lx": 3, "ly": 1, "boundary": "open", "include_matter": True}
+
+
 @pytest.mark.parametrize("command,overrides,message", [
     ("spectrum", {"params": {"coupling": 1.0, "terms": "magnetic"}},
      "terms must be a list"),
     ("observables", {"tasks": [{"observables": {"names": "electric_energy"}}]},
      "observables names must be a list"),
     ("spectrum", {"output": "no_such_dir/out.json"}, "does not exist"),
+    # Z_2 3x1 open has two links: [0.5, 0.7] is one complex value or two real ones
+    ("spectrum", {"lattice": CHAIN_WITH_MATTER,
+                  "params": {"mass": 1.0, "epsilon": [0.5, 0.7], "coupling": 1.0}},
+     "write [[0.5, 0], [0.7, 0]] per link or [[0.5, 0.7], [0.5, 0.7]]"),
+    ("spectrum", {"lattice": CHAIN_WITH_MATTER,
+                  "params": {"mass": 1.0, "coupling": 1.0, "terms": ["mass", "mass"]}},
+     "['mass'] are listed more than once"),
 ])
 def test_config_error_names_the_bad_value(runner, tmp_path, monkeypatch, command,
                                           overrides, message):
@@ -306,6 +316,22 @@ def test_config_error_names_the_bad_value(runner, tmp_path, monkeypatch, command
     assert len(lines) == 1 and lines[0].startswith("config error:"), lines
     assert message in lines[0], lines[0]
     assert not (tmp_path / "no_such_dir").exists()
+
+
+@pytest.mark.parametrize("lx,epsilon,expected", [
+    (3, [[0.5, 0], [0.7, 0]], [0.5, 0.7]),
+    (3, [[0.5, 0.7], [0.5, 0.7]], [0.5 + 0.7j, 0.5 + 0.7j]),
+    (2, [0.5, 0.7], [0.5 + 0.7j]),      # one link: [re, im]
+    (4, [0.5, 0.7], [0.5 + 0.7j] * 3),
+])
+def test_epsilon_spellings_resolve_per_link(tmp_path, lx, epsilon, expected):
+    import fockgauge.cli as cli
+
+    doc = {"group": {"builtin": "Z_2"},
+           "lattice": {**CHAIN_WITH_MATTER, "lx": lx},
+           "params": {"mass": 1.0, "epsilon": epsilon, "coupling": 1.0}}
+    model = cli._resolve_model(doc, tmp_path, None)
+    np.testing.assert_array_equal(model.epsilon, expected)
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum", "observables",

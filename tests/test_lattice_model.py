@@ -189,6 +189,28 @@ def test_plaquette_free_magnetic_term_keeps_full_shape(z2_chain):
     assert magnetic.matrix.nnz == 0
 
 
+@pytest.mark.parametrize("group,lx,basis,params", [
+    ("D3", 2, "group", {"mass": 1.0, "epsilon": 0.7, "coupling": 1.3,
+                        "electric_weights": {"I": 0.0, "p": 1.0, "2": 1.0}}),
+    ("Z_3", 3, "rep", {"mass": 0.8, "epsilon": [0.5 + 0.2j, 0.3 - 0.4j], "coupling": 1.1}),
+], ids=["d3-2x1", "z3-3x1-complex-epsilon"])
+def test_plaquette_free_lattice_adds_nothing_for_the_magnetic_term(group, lx, basis, params):
+    # open chains have no plaquettes: the magnetic term is an empty sum, a
+    # float64 zero of full dim, and H holds exactly the other terms
+    lat = LatticeSpec(lx, 1, boundary="open", include_matter=True)
+    model = Model(build_builtin(group), lat, ModelParams(**params), basis_tag=basis)
+    terms = hamiltonian_terms(model)
+    magnetic = terms.pop("magnetic").matrix
+    dim = model.global_basis.dim
+    assert magnetic.shape == (dim, dim) and magnetic.nnz == 0
+    assert magnetic.dtype == np.float64
+    others = sum((t.matrix for t in terms.values()), sp.csr_matrix((dim, dim)))
+    ham = build_hamiltonian(model).matrix
+    np.testing.assert_array_equal(ham.indptr, others.indptr)
+    np.testing.assert_array_equal(ham.indices, others.indices)
+    np.testing.assert_array_equal(ham.data, others.data)
+
+
 @pytest.mark.parametrize("group,ly,basis,weights", [
     ("Z_2", 1, "rep", None),
     ("D3", 2, "group", {"I": 0.0, "p": 1.0, "2": 1.0}),
@@ -687,6 +709,8 @@ def test_parameter_validation_errors():
         Model(z2, lat, ModelParams(coupling=0.0)).terms
     with pytest.raises(ValueError):
         Model(z2, lat, ModelParams(terms=("bogus",))).terms
+    with pytest.raises(ValueError, match=r"\['magnetic'\] are listed more than once"):
+        Model(z2, lat, ModelParams(terms=("magnetic", "electric", "magnetic"))).terms
     with pytest.raises(ValueError):
         Model(z2, lat, ModelParams(magnetic_rep="7"))
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from fockgauge.lattice_model import (
     gauss_generators,
     gauss_operator,
     hamiltonian_terms,
+    observable,
     vacuum_state,
 )
 from fockgauge.link_space import theta_group_basis
@@ -46,6 +47,27 @@ def test_verify_model_su2_chain():
     names = {c.name for c in report.checks}
     assert "u.trace_defect_closed_form" in names
     assert "model.vacuum_gauss_neutral" in names
+
+
+def test_verify_seed_reaches_the_matter_probes(monkeypatch):
+    # SU(2) 2x1 with matter: the Lie angles at which the matter checks take
+    # Theta_q must follow the seed, as the link checks' angles do
+    su2 = build_builtin("SU2_trunc", j_max="1/2")
+    lat = LatticeSpec(2, 1, boundary="open", include_matter=True)
+    model = Model(su2, lat, ModelParams(mass=0.6, epsilon=0.9, coupling=1.1))
+    theta_q = verification.theta_q
+    seen = {}
+    for seed in (3, 4):
+        angles = seen[seed] = []
+
+        def recording(space, entry, g, angles=angles):
+            angles.append(tuple(np.asarray(g)))
+            return theta_q(space, entry, g)
+
+        monkeypatch.setattr(verification, "theta_q", recording)
+        assert verify_model(model, seed=seed).passed
+    assert seen[3] and len(seen[3]) == len(seen[4])
+    assert set(seen[3]).isdisjoint(seen[4])
 
 
 def test_verify_reports_unbuildable_term():
@@ -313,7 +335,7 @@ def test_injected_block_faults_match_the_full_space_residual(monkeypatch, term, 
                     if name != "model.rep_group_hamiltonian_agreement"}
     assert model_checks == {f"model.gauss_commutes_with_{term}"}, failed
     reported = failed[f"model.gauss_commutes_with_{term}"]
-    placed = hamiltonian_terms(model, names=(term,))[term].matrix
+    placed = observable(model, f"{term}_energy").matrix
     full = _full_commutator(placed, _full_space_symmetry(model, every_element=False))
     assert reported > 0.1
     assert abs(reported - full) <= 1e-12 * full, (reported, full)
