@@ -122,26 +122,37 @@ def matvec(mat: sp.csr_matrix, vec: np.ndarray) -> np.ndarray:
     return (mat @ pairs).view(np.complex128).reshape(vec.shape)
 
 
-def eigh_by_components(mat: sp.csr_matrix, *, k: Optional[int] = None,
-                       window: Optional[Sequence[float]] = None):
-    """Eigenpairs of a Hermitian CSR matrix, one connected component at a time.
+def components(mat: sp.csr_matrix):
+    """The connected components of a square CSR matrix's sparsity pattern.
 
-    The components are those of the sparsity pattern, read with unit
-    weights so that no value (a purely imaginary coupling too) hides an
-    edge; the blocks' spectra are the matrix's.  The matrix goes through
-    ``real_if_close`` first, so LAPACK runs in real arithmetic and the
-    vectors are float64 unless it has an imaginary part above DROP_TOL.
-    Each block is densified in Fortran order, which LAPACK overwrites in
-    place instead of copying.  1x1 blocks are read off the diagonal.
-    Returns the k lowest pairs, or those in the half-open ``window`` (lo,
-    hi], stably sorted, vectors as full-dim columns.
+    The pattern is read with unit weights, so that no value (a purely
+    imaginary coupling too) hides an edge.  Returns (order, bounds): the
+    rows stably sorted by component, component c being the rows
+    ``order[bounds[c]:bounds[c + 1]]``.
     """
-    mat = real_if_close(mat)
     graph = sp.csr_matrix((np.ones(len(mat.indices)), mat.indices, mat.indptr),
                           shape=mat.shape)
     n_comp, labels = connected_components(graph, directed=False)
     order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(n_comp + 1))
+    return order, np.searchsorted(labels[order], np.arange(n_comp + 1))
+
+
+def eigh_by_components(mat: sp.csr_matrix, *, k: Optional[int] = None,
+                       window: Optional[Sequence[float]] = None, parts=None):
+    """Eigenpairs of a Hermitian CSR matrix, one connected component at a time.
+
+    The components are those of the sparsity pattern (``components``, or
+    ``parts`` when the caller has them already); the blocks' spectra are the
+    matrix's.  The matrix goes through ``real_if_close`` first, so LAPACK
+    runs in real arithmetic and the vectors are float64 unless it has an
+    imaginary part above DROP_TOL.  Each block is densified in Fortran
+    order, which LAPACK overwrites in place instead of copying.  1x1 blocks
+    are read off the diagonal.  Returns the k lowest pairs, or those in the
+    half-open ``window`` (lo, hi], stably sorted, vectors as full-dim
+    columns.
+    """
+    mat = real_if_close(mat)
+    order, bounds = components(mat) if parts is None else parts
     block = mat[order][:, order]
     ones = bounds[:-1][np.diff(bounds) == 1]
     found = [(block.diagonal()[ones].real, order[ones], None)]
@@ -156,7 +167,7 @@ def eigh_by_components(mat: sp.csr_matrix, *, k: Optional[int] = None,
     if window is not None:
         pick = pick[(values[pick] > window[0]) & (values[pick] <= window[1])]
     pick = pick[:k]
-    out = np.zeros((len(labels), len(pick)), dtype=np.result_type(mat.dtype, float))
+    out = np.zeros((mat.shape[0], len(pick)), dtype=np.result_type(mat.dtype, float))
     starts = np.cumsum([0] + [len(f[0]) for f in found])
     for (vals, rows, vecs), start in zip(found, starts):
         cols = np.flatnonzero((pick >= start) & (pick < start + len(vals)))

@@ -1,10 +1,16 @@
 """Eigensolvers and observables.
 
-Up to DENSE_MAX_DIM the matrix is split into the connected components of
-its sparsity graph and LAPACK (MRRR) computes only the k lowest eigenpairs
-of each dense block, once per component; above it a symmetric Lanczos
-iteration with partial reorthogonalization, a seeded start vector, and
-deflation restarts resolves degenerate levels copy by copy.  Its Krylov
+The solver is chosen from the operator's own shape.  Up to DENSE_MAX_DIM
+the sparsity graph is split into its connected components; when k pairs
+are asked of a matrix whose largest component has at most
+k * DENSE_ROWS_PER_PAIR rows (always when every pair is asked), LAPACK
+(MRRR) computes only the k lowest eigenpairs of each dense block, once per
+component.  Otherwise, a few pairs of one large block below the cap
+included, a symmetric Lanczos iteration with partial reorthogonalization,
+a seeded start vector, and deflation restarts resolves degenerate levels
+copy by copy, and ``method`` reads "iterative": a full O(n^3) reduction of
+an n-row block costs more than a Lanczos run of a few dozen matvecs per
+pair once n exceeds k * DENSE_ROWS_PER_PAIR.  Its Krylov
 basis and accepted (deflation) vectors are rows of arrays that start at
 ROW_BLOCK rows and double when full.  Every new Lanczos vector is projected
 off the accepted vectors by two classical Gram-Schmidt passes.  Against
@@ -45,6 +51,7 @@ from .lattice_model import (
 from .operators import (
     HERMITICITY_TOL,
     Operator,
+    components,
     eigh_by_components,
     hermiticity_residual,
     matvec,
@@ -57,6 +64,7 @@ DEGENERACY_TOL = 1e-7
 NORMALIZATION_TOL = 1e-10   # |norm - 1| allowed for an expectation state
 RITZ_CHECK_EVERY = 5
 ROW_BLOCK = 64          # first capacity of a row-stacked vector array
+DENSE_ROWS_PER_PAIR = 64   # largest block rows per requested pair solved dense
 EPS = np.finfo(np.float64).eps
 SEMI_ORTHOGONAL = np.sqrt(EPS)   # largest |q_j . q_k| a Lanczos basis keeps
 
@@ -134,10 +142,13 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
     """Lowest k eigenpairs of a Hermitian operator with residual certificates.
 
     An operator whose Hermiticity residual exceeds HERMITICITY_TOL raises
-    EigensolveError.  Up to ``dense_cutoff`` LAPACK computes only the k
-    lowest pairs of each connected component of the sparsity graph and the
-    k lowest of all are kept; above it Lanczos certifies each pair to
-    LANCZOS_TOL within ``max_iter`` steps, or raises EigensolveError.
+    EigensolveError.  Above ``dense_cutoff`` Lanczos certifies each pair to
+    LANCZOS_TOL within ``max_iter`` steps, or raises EigensolveError.  Up
+    to it the connected components of the sparsity graph are read once:
+    when the largest has at most ``k * DENSE_ROWS_PER_PAIR`` rows (always
+    for ``k=None``, every pair), LAPACK computes only the k lowest pairs of
+    each component and the k lowest of all are kept (``method`` "dense");
+    otherwise the same Lanczos path runs (``method`` "iterative").
     After the Hermiticity check both paths run on ``real_if_close`` of the
     matrix, in float64 when its imaginary parts are all at most DROP_TOL
     (a float64 matrix, such as a real ``build_hamiltonian``, is used as it
@@ -162,8 +173,10 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
         k = dim
     work = real_if_close(mat)
     counts = _Counts()
-    if dim <= dense_cutoff:
-        vals, vecs = eigh_by_components(work, k=k)
+    parts = components(work) if dim <= dense_cutoff else None
+    if parts is not None and \
+            k * DENSE_ROWS_PER_PAIR >= np.diff(parts[1]).max(initial=0):
+        vals, vecs = eigh_by_components(work, k=k, parts=parts)
         method = "dense"
     else:
         vals, vecs = _lanczos_lowest(work, k, seed=seed, tol=LANCZOS_TOL,
@@ -249,10 +262,14 @@ def _deflated_run(mat: sp.csr_matrix, deflate: np.ndarray,
                   counts: _Counts):
     """One Krylov run in the orthogonal complement of the rows of ``deflate``.
 
-    Returns (values, vectors, best_residual, exhausted): the residual-
+    Returns (values, vectors, best_residual, floor): the residual-
     certified eigenpairs found (ascending, vectors as rows, stopping at the
-    first unconverged Ritz value so nothing lower can be missed) and whether
-    the complement was empty.  Every step projects the new vector off
+    first unconverged Ritz value so nothing lower can be missed) and the
+    lowest eigenvalue the rest of the complement can hold, where the run
+    settles it: +inf when the complement was empty; when the basis grew to
+    the complement's dimension, its Ritz values are the complement's
+    eigenvalues, and floor is the lowest one left uncertified (+inf if
+    none); -inf otherwise.  Every step projects the new vector off
     ``deflate``; it reorthogonalizes against the whole basis only when
     ``_omega_step`` predicts an overlap above SEMI_ORTHOGONAL, and then on
     the next step too, since the recurrence carries both rows forward.
@@ -265,7 +282,7 @@ def _deflated_run(mat: sp.csr_matrix, deflate: np.ndarray,
     start = _project_out(start, deflate)
     nrm = np.linalg.norm(start)
     if nrm < 1e-12:
-        return [], [], np.inf, True
+        return [], [], np.inf, np.inf
     basis = _Rows(dim, mat.dtype)
     basis.append(start / nrm)
     alphas: list[float] = []
@@ -327,13 +344,18 @@ def _deflated_run(mat: sp.csr_matrix, deflate: np.ndarray,
                     break
                 candidates[len(vals)] = vec
                 vals.append(lam)
-            if vals or breakdown:
-                return vals, candidates[:len(vals)], best_residual, False
+            # a basis as long as the complement spans it: its Ritz values
+            # are the complement's spectrum, the uncertified ones what is left
+            settled = last and m_cap == dim - len(deflate)
+            if vals or breakdown or settled:
+                left = np.sort(ritz_vals)[len(vals):] if settled else [-np.inf]
+                return (vals, candidates[:len(vals)], best_residual,
+                        min(left, default=np.inf))
         if breakdown:
             break
         betas.append(beta)
         basis.append(w / beta)
-    return [], [], best_residual, False
+    return [], [], best_residual, -np.inf
 
 
 def _lanczos_lowest(mat: sp.csr_matrix, k: int, *, seed: int,
@@ -344,8 +366,9 @@ def _lanczos_lowest(mat: sp.csr_matrix, k: int, *, seed: int,
     so far, which is what resolves degeneracies: a run converges one copy
     per level, the next restart finds the next copy.  The iteration stops
     once k pairs are in hand and the latest run's minimum does not undercut
-    the current k-th lowest value, which certifies that no lower eigenvalue
-    remains outside the accepted set.
+    the current k-th lowest value, or a run that spanned the rest of the
+    space leaves nothing uncertified below it; either certifies that no
+    lower eigenvalue remains outside the accepted set.
     """
     rng = np.random.default_rng(seed)
     accepted_vals: list[float] = []
@@ -360,18 +383,18 @@ def _lanczos_lowest(mat: sp.csr_matrix, k: int, *, seed: int,
         if counts.steps >= max_iter:
             raise failure(f"Lanczos did not settle the {k} lowest eigenpairs "
                           f"within {max_iter} steps")
-        vals, vecs, run_best, exhausted = _deflated_run(
+        vals, vecs, run_best, floor = _deflated_run(
             mat, accepted.rows, rng, tol, max_iter - counts.steps, counts)
         counts.restarts += 1
         best_residual = min(best_residual, run_best)
-        if exhausted:
-            break
         accepted_vals.extend(vals)
         for vec in vecs:
             accepted.append(vec)
-        if vals and len(accepted_vals) >= k:
+        if floor == np.inf:
+            break
+        if len(accepted_vals) >= k:
             kth = np.sort(accepted_vals)[k - 1]
-            if vals[0] >= kth - tol:
+            if (vals and vals[0] >= kth - tol) or floor >= kth - tol:
                 break
 
     if len(accepted_vals) < k:

@@ -21,8 +21,9 @@ from fockgauge.lattice_model import (
     vacuum_state,
 )
 from fockgauge.link_space import projector_rep
-from fockgauge.operators import DROP_TOL, real_if_close
+from fockgauge.operators import DROP_TOL, eigh_by_components, real_if_close
 from fockgauge.spectra import (
+    DENSE_ROWS_PER_PAIR,
     EPS,
     LANCZOS_MAX_ITER,
     ROW_BLOCK,
@@ -72,6 +73,7 @@ def test_dense_iterative_agreement_degenerate():
                   basis_tag="group")
     ham = build_hamiltonian(model)
     dense = eigensolve(ham, k=8)
+    assert dense.method == "dense"
     for seed in (0, 1, 42):
         iterative = eigensolve(ham, k=8, dense_cutoff=16, seed=seed)
         assert iterative.method == "iterative"
@@ -85,6 +87,7 @@ def test_dense_iterative_agreement_mixed_hamiltonian():
     model = Model(z3, lat, ModelParams(coupling=1.2))
     ham = build_hamiltonian(model)
     dense = eigensolve(ham, k=6)
+    assert dense.method == "dense"
     iterative = eigensolve(ham, k=6, dense_cutoff=16, seed=3)
     assert np.abs(dense.eigenvalues - iterative.eigenvalues).max() < 1e-8
 
@@ -106,8 +109,9 @@ def test_iterative_eigenvectors_certified():
 
 
 def test_dense_branch_matches_full_eigh_oracle():
-    # D3 2x2 open pure gauge in the group basis (dim 1296); the oracle is a
-    # full np.linalg.eigvalsh, independent of the subset solve
+    # D3 2x2 open pure gauge in the group basis (dim 1296, one connected
+    # component); the oracle is a full np.linalg.eigvalsh, independent of
+    # the subset solve
     d3 = build_builtin("D3")
     lat = LatticeSpec(2, 2, boundary="open", include_matter=False)
     params = ModelParams(coupling=1.1,
@@ -118,12 +122,23 @@ def test_dense_branch_matches_full_eigh_oracle():
     # the smallest k whose last pair sits inside a degenerate level
     cut = next(k for k in range(1, ham.dim) if oracle[k] - oracle[k - 1] < 1e-9)
     for k in (cut, ham.dim):
-        result = eigensolve(ham, k=k)
-        assert result.method == "dense" and len(result.eigenvalues) == k
-        assert np.abs(result.eigenvalues - oracle[:k]).max() < 1e-12
-        vecs = result.eigenvectors
+        vals, vecs = eigh_by_components(ham.matrix, k=k)
+        assert len(vals) == k
+        assert np.abs(vals - oracle[:k]).max() < 1e-12
         assert np.abs(vecs.conj().T @ vecs - np.eye(k)).max() < 1e-12
-        assert result.residuals.max() <= 1e-10
+        assert spectra._residuals(ham.matrix, vals, vecs).max() <= 1e-10
+    # eigensolve takes every pair dense, and the cut pairs of the one
+    # 1296-row block by Lanczos
+    full = eigensolve(ham, k=ham.dim)
+    assert full.method == "dense"
+    assert np.abs(full.eigenvalues - oracle).max() < 1e-12
+    assert full.residuals.max() <= 1e-10
+    result = eigensolve(ham, k=cut)
+    assert result.method == "iterative" and len(result.eigenvalues) == cut
+    assert np.abs(result.eigenvalues - oracle[:cut]).max() < 1e-10
+    vecs = result.eigenvectors
+    assert np.abs(vecs.conj().T @ vecs - np.eye(cut)).max() < 1e-10
+    assert result.residuals.max() <= 1e-8
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +206,7 @@ def z2_matter_ham():
 def test_iterative_matches_dense_and_lobpcg_oracles(z2_matter_ham):
     ham = z2_matter_ham
     dense = eigensolve(ham, k=5)
+    assert dense.method == "dense"
     iterative = eigensolve(ham, k=5, dense_cutoff=16, seed=0)
     assert iterative.method == "iterative"
     assert np.abs(iterative.eigenvalues - dense.eigenvalues).max() < 1e-10
@@ -211,6 +227,7 @@ def test_iterative_matches_dense_and_lobpcg_oracles(z2_matter_ham):
 def test_solver_statistics(z2_matter_ham):
     ham = z2_matter_ham
     dense = eigensolve(ham, k=5)
+    assert dense.method == "dense"
     assert (dense.steps, dense.restarts, dense.matvecs) == (0, 0, 0)
     result = eigensolve(ham, k=5, dense_cutoff=16, seed=0)
     # the 4-fold level is resolved over several deflated runs
@@ -349,22 +366,105 @@ def test_real_krylov_basis_holds_float64_rows():
     assert peak < 4 * ROW_BLOCK * dim * np.dtype(np.float64).itemsize
 
 
-def test_dense_solve_overwrites_one_fortran_block():
-    # Z_3 3x2 open pure gauge (dim 2187) is one connected component: LAPACK
-    # gets one Fortran-ordered n x n float64 block and overwrites it; a
-    # C-ordered block would be copied once more, about 2 x n^2 * 8 B in all
+@pytest.fixture(scope="module")
+def z3_pure_ham():
+    """Z_3 3x2 open pure gauge, group basis (dim 2187): one connected component."""
     lat = LatticeSpec(3, 2, boundary="open", include_matter=False)
-    ham = build_hamiltonian(Model(build_builtin("Z_3"), lat, ModelParams(coupling=1.3),
-                                  basis_tag="group"))
-    n = ham.dim
+    return build_hamiltonian(Model(build_builtin("Z_3"), lat, ModelParams(coupling=1.3),
+                                   basis_tag="group"))
+
+
+def _traced_peak(solve):
+    """solve() and its tracemalloc peak in bytes."""
     tracemalloc.start()
     try:
-        result = eigensolve(ham, k=6)
+        out = solve()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.method == "dense" and result.residuals.max() <= 1e-8
+    return out, peak
+
+
+def test_dense_solve_overwrites_one_fortran_block(z3_pure_ham):
+    # Z_3 3x2 open pure gauge (dim 2187) is one connected component: LAPACK
+    # gets one Fortran-ordered n x n float64 block and overwrites it; a
+    # C-ordered block would be copied once more, about 2 x n^2 * 8 B in all
+    ham = z3_pure_ham
+    n = ham.dim
+    (vals, vecs), peak = _traced_peak(lambda: eigh_by_components(ham.matrix, k=6))
+    assert spectra._residuals(ham.matrix, vals, vecs).max() <= 1e-8
     assert peak < 1.5 * n * n * 8, peak / (n * n * 8)
+    # eigensolve takes these 6 pairs by Lanczos, with no n x n array at all
+    result, peak = _traced_peak(lambda: eigensolve(ham, k=6))
+    assert result.method == "iterative" and result.residuals.max() <= 1e-8
+    assert np.abs(result.eigenvalues - vals).max() < 1e-10
+    assert peak < n * n * 8, peak / (n * n * 8)
+
+
+# ---------------------------------------------------------------------------
+# below the cap: dense when every connected component has at most
+# k * DENSE_ROWS_PER_PAIR rows, Lanczos otherwise
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ham_name", ["d3_pure_ham", "z3_pure_ham"])
+def test_few_pairs_of_one_large_block_go_to_lanczos(request, ham_name):
+    ham = request.getfixturevalue(ham_name)
+    k = 6
+    oracle = np.linalg.eigvalsh(ham.toarray())[:k]
+    levels = SpectrumResult(eigenvalues=oracle, eigenvectors=None,
+                            residuals=np.zeros(k), method="oracle",
+                            seed=0).degeneracies()
+    for seed in range(10):
+        result = eigensolve(ham, k=k, seed=seed)
+        assert result.method == "iterative"
+        assert np.abs(result.eigenvalues - oracle).max() < 1e-10
+        assert result.degeneracies() == levels
+        assert result.residuals.max() <= 1e-8
+
+
+def test_small_components_and_every_pair_stay_dense(u1_matter_ham):
+    # U(1)'s largest component has 13 rows; Z_3 2x2 in the group basis is
+    # one 81-row component, past 64 rows for one pair but not for all 81
+    assert eigensolve(u1_matter_ham, k=6).method == "dense"
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=False)
+    ham = build_hamiltonian(Model(build_builtin("Z_3"), lat,
+                                  ModelParams(coupling=1.2), basis_tag="group"))
+    assert ham.dim == 81
+    assert eigensolve(ham, k=1).method == "iterative"
+    for k in (ham.dim, None):
+        assert eigensolve(ham, k=k).method == "dense"
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_the_rule_reads_the_largest_component(k):
+    # a path graph of n rows, one component, beside three 1x1 blocks: dense
+    # at n = k * DENSE_ROWS_PER_PAIR although dim exceeds it, Lanczos at n + 1
+    for extra, method in ((0, "dense"), (1, "iterative")):
+        n = k * DENSE_ROWS_PER_PAIR + extra
+        path = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
+                        [-1, 0, 1])
+        mat = sp.block_diag([path, sp.diags([5.0, 6.0, 7.0])], format="csr")
+        result = eigensolve(mat, k=k, seed=0)
+        assert result.method == method
+        exact = 2 - 2 * np.cos(np.pi * np.arange(1, k + 1) / (n + 1))
+        assert np.abs(result.eigenvalues - exact).max() < 1e-10
+        assert result.residuals.max() <= 1e-8
+
+
+def test_a_run_that_spans_the_space_settles_the_lowest_pairs():
+    # a 129-row path beside three 1x1 blocks at 5, 6 and 7: the two lowest
+    # pairs converge only as the first run's basis fills all 132 rows, and
+    # that run leaves 7.0 uncertified; its Ritz values are then the
+    # spectrum, so nothing below the 2nd pair remains and the solve stops
+    # instead of restarting in a one-row complement until max_iter
+    n = 129
+    path = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
+    mat = sp.block_diag([path, sp.diags([5.0, 6.0, 7.0])], format="csr")
+    result = eigensolve(mat, k=2, seed=0, dense_cutoff=16)
+    assert result.restarts == 1 and result.steps == n + 3
+    exact = 2 - 2 * np.cos(np.pi * np.arange(1, 3) / (n + 1))
+    assert np.abs(result.eigenvalues - exact).max() < 1e-10
+    assert result.residuals.max() <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +500,21 @@ def test_phased_operator_has_the_real_operators_spectrum(request, ham_name, k,
     opts = {} if dense_cutoff is None else {"dense_cutoff": dense_cutoff}
     real = eigensolve(ham, k=k, seed=0, **opts)
     cplx = eigensolve(phased, k=k, seed=0, **opts)
-    assert real.method == cplx.method == ("dense" if dense_cutoff is None
+    # 12 pairs of D3's one 1296-row block go to Lanczos below the cap too;
+    # U(1)'s largest connected component has 13 rows
+    assert real.method == cplx.method == ("dense" if ham_name == "u1_matter_ham"
                                           else "iterative")
-    assert real.eigenvectors.dtype == np.float64
-    assert cplx.eigenvectors.dtype == np.complex128
-    assert np.abs(real.eigenvalues - cplx.eigenvalues).max() < 1e-10
-    assert max(real.residuals.max(), cplx.residuals.max()) <= 1e-8
+    solves = [(real.eigenvalues, real.eigenvectors, real.residuals),
+              (cplx.eigenvalues, cplx.eigenvectors, cplx.residuals)]
+    if dense_cutoff is None:   # the dense branch itself, certified the same way
+        for mat in (ham, phased):
+            vals, vecs = eigh_by_components(mat, k=k)
+            solves.append((vals, vecs, spectra._residuals(mat, vals, vecs)))
+    for (vals, vecs, residuals), dtype in zip(solves, itertools.cycle(
+            (np.float64, np.complex128))):
+        assert vecs.dtype == dtype
+        assert np.abs(vals - real.eigenvalues).max() < 1e-10
+        assert residuals.max() <= 1e-8
 
 
 def test_one_imaginary_part_above_drop_tol_keeps_the_operator_complex():
