@@ -167,7 +167,8 @@ class GroupCatalogEntry:
 
     @property
     def n_generator_components(self) -> int:
-        return 3 if self.lie_kind == "su2" else 1
+        """The number of Lie generators T_a: those of the fundamental irrep."""
+        return len(self.fundamental_irrep.generators)
 
     def elements(self, count: int, seed: int) -> list:
         """Group elements to probe with: every element index (finite), or

@@ -206,7 +206,8 @@ class ModelParams:
 
 
 def default_electric_weights(entry: GroupCatalogEntry) -> Optional[dict[str, float]]:
-    if entry.lie_kind in ("su2", "u1"):
+    """Casimirs for a Lie catalog, min(p, N - p)^2 for Z_N, else None (given weights)."""
+    if entry.is_lie:
         return {ir.label: float(ir.casimir) for ir in entry.irreps}
     labels = [ir.label for ir in entry.irreps]
     n = len(labels)
@@ -711,6 +712,8 @@ def _gauss_products(model: Model, vertex: int, g=None,
     """
     if not 0 <= vertex < model.lattice.n_vertices:
         raise ValueError(f"vertex {vertex} out of range")
+    if component is None and not model.entry.is_lie and not 0 <= g < model.entry.spec.order:
+        raise ValueError(f"group element {g} out of range [0, {model.entry.spec.order})")
     gb = model.global_basis
     if component is None:
         sides = {side: model.link_theta(g, side).matrix for side in ("L", "R")}
@@ -801,6 +804,9 @@ def _sector_labels(model: Model, sector: Optional[dict[int, str]]) -> list[str]:
         raise ValueError(f"sector names vertices off the lattice: {sorted(stray, key=str)}")
     if model.entry.is_lie and sector:
         raise ValueError("a Lie catalog has only the Gauss-neutral sector here")
+    unknown = [label for label in sector.values() if not model.entry.has_irrep(label)]
+    if unknown:
+        raise ValueError(f"sector names irreps not in {model.entry.name}: {unknown}")
     trivial = model.entry.trivial_label()
     return [sector.get(v, trivial) for v in range(model.lattice.n_vertices)]
 

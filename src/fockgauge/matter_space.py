@@ -4,6 +4,10 @@ One vertex carries dim(fundamental) fermionic modes.  Basis states are
 occupation bitstrings in increasing binary order, with mode 0 stored in
 the least significant bit; creation operators pick up the sign
 (-1)^(number of occupied modes below the target) under this fixed order.
+
+A Lie vertex's charges are Q_a = psi^dag T_a psi - parity Tr(T_a), one per
+generator T_a of the fundamental irrep, for every group: the Kogut-Susskind
+shift leaves a filled odd site neutral (U(1): Q = psi^dag psi - parity).
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .group_core import GroupCatalogEntry
+from .group_core import GroupCatalogEntry, Irrep
 from .operators import Operator
 
 
@@ -90,13 +94,12 @@ def bilinear(space: VertexFock, coeff: np.ndarray) -> Operator:
 # gauge transformations on the matter
 # ---------------------------------------------------------------------------
 
-def _resolve_dmatrix(space: VertexFock, entry: GroupCatalogEntry, g) -> np.ndarray:
+def _fundamental(space: VertexFock, entry: GroupCatalogEntry) -> Irrep:
     ir = entry.fundamental_irrep
     if ir.dim != space.n_modes:
-        raise ValueError(
-            f"vertex has {space.n_modes} modes but the fundamental irrep "
-            f"has dimension {ir.dim}")
-    return ir.matrix(g)
+        raise ValueError(f"vertex has {space.n_modes} modes but the fundamental "
+                         f"irrep has dimension {ir.dim}")
+    return ir
 
 
 def theta_q(space: VertexFock, entry: GroupCatalogEntry, g) -> Operator:
@@ -109,7 +112,7 @@ def theta_q(space: VertexFock, entry: GroupCatalogEntry, g) -> Operator:
 
     ``g`` is an element index (finite groups) or angle vector (Lie).
     """
-    dmat = np.asarray(_resolve_dmatrix(space, entry, g), dtype=complex)
+    dmat = np.asarray(_fundamental(space, entry).matrix(g), dtype=complex)
     dim = space.dim
     out = np.zeros((dim, dim), dtype=complex)
     by_count: dict[int, list[int]] = {}
@@ -128,33 +131,27 @@ def theta_q(space: VertexFock, entry: GroupCatalogEntry, g) -> Operator:
     return Operator(space, sp.csr_matrix(out * det_phase))
 
 
-PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
 def charge_su2(space: VertexFock, entry: GroupCatalogEntry) -> list[Operator]:
     """Non-Abelian charges Q_i = psi^dag (sigma_i / 2) psi of an SU(2) vertex."""
     if entry.lie_kind != "su2":
         raise ValueError("SU(2) charges require an SU(2) catalog entry")
-    if space.n_modes != 2:
-        raise ValueError("SU(2) fundamental matter needs exactly 2 modes")
-    return [bilinear(space, s / 2.0) for s in PAULI]
+    return charges(space, entry)
 
 
 def charge_u1(space: VertexFock) -> Operator:
-    """Staggered Abelian charge Q = psi^dag psi - (1 - (-1)^parity)/2."""
-    shift = (1.0 - (-1.0) ** space.parity) / 2.0
-    eye = sp.identity(space.dim, dtype=complex, format="csr")
-    return Operator(space, number_operator(space).matrix - shift * eye)
+    """Staggered Abelian charge Q = psi^dag psi - parity."""
+    return _charge(space, np.ones((1, 1), dtype=complex))
 
 
 def charges(space: VertexFock, entry: GroupCatalogEntry) -> list[Operator]:
-    """The charges entering the Gauss law generators for a Lie catalog."""
-    if entry.lie_kind == "su2":
-        return charge_su2(space, entry)
-    if entry.lie_kind == "u1":
-        return [charge_u1(space)]
-    raise ValueError("generator-form charges exist only for Lie catalogs")
+    """Q_a = psi^dag T_a psi - parity Tr(T_a) per fundamental generator T_a."""
+    if not entry.is_lie:
+        raise ValueError("generator-form charges exist only for Lie catalogs")
+    return [_charge(space, t) for t in _fundamental(space, entry).generators]
+
+
+def _charge(space: VertexFock, generator: np.ndarray) -> Operator:
+    """psi^dag T psi - parity Tr(T); the shift is theta_q's det(g^-1)^parity."""
+    shift = space.parity * np.trace(generator)
+    eye = sp.identity(space.dim, dtype=complex, format="csr")
+    return Operator(space, bilinear(space, generator).matrix - shift * eye)

@@ -46,6 +46,7 @@ from .lattice_model import (
     LatticeSpec,
     Model,
     ModelParams,
+    _check_dense_dim,
     build_hamiltonian,
 )
 from .operators import (
@@ -443,10 +444,8 @@ def vortex_masses(entry: GroupCatalogEntry, j: Optional[str] = None,
     lattice = LatticeSpec(2, 2, boundary="open", include_matter=False)
     params = ModelParams(coupling=coupling, magnetic_rep=j, terms=("magnetic",))
     model = Model(entry, lattice, params, basis_tag="group")
+    _check_dense_dim(model, "single-plaquette class spectroscopy")
     gb = model.global_basis
-    if gb.dim > DENSE_MAX_DIM:
-        raise ValueError(f"single-plaquette class spectroscopy is desk scale "
-                         f"(dim <= {DENSE_MAX_DIM}), got {gb.dim}")
     ham = build_hamiltonian(model)
     spectrum = eigensolve(ham, k=ham.dim, want_vectors=False)
 

@@ -29,7 +29,7 @@ from fockgauge.lattice_model import (GROUP, REP, SECTOR_TOL, GlobalBasis, Model,
                                      hamiltonian_terms, observable, plaquette_trace,
                                      vertex_sector_average)
 from fockgauge.link_space import projector_rep
-from fockgauge.matter_space import VertexFock, _resolve_dmatrix, bilinear
+from fockgauge.matter_space import VertexFock, _fundamental, bilinear
 from fockgauge.operators import Operator, max_abs, real_if_close
 from fockgauge.spectra import (LANCZOS_MAX_ITER, LANCZOS_TOL, RITZ_CHECK_EVERY,
                                _Counts, _project_out, _Rows, expectation)
@@ -43,7 +43,7 @@ def theta_q_exponential(space: VertexFock, entry: GroupCatalogEntry, g) -> Opera
     The principal logarithm is ambiguous when D(g) has an eigenphase at pi,
     so this is an oracle only where the eigenphases stay away from it.
     """
-    dmat = _resolve_dmatrix(space, entry, g)
+    dmat = _fundamental(space, entry).matrix(g)
     q = -1j * logm(np.asarray(dmat, dtype=complex))
     exponent = bilinear(space, q).toarray()
     det_phase = np.linalg.det(dmat).conj() ** space.parity

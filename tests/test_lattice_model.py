@@ -613,13 +613,26 @@ def test_vertex_out_of_range_is_refused_by_every_star_builder(matter):
             gauss_generators(su2, vertex)
 
 
+def test_element_out_of_range_is_refused_by_the_star_builder():
+    # no wrap-around: g = -1 must not be element |G| - 1
+    lat = LatticeSpec(2, 1, boundary="open", include_matter=True)
+    d3 = Model(build_builtin("D3"), lat, ModelParams())
+    for g in (-1, 6):
+        with pytest.raises(ValueError, match=f"group element {g} out of range"):
+            gauss_operator(d3, 0, g)
+    assert gauss_operator(d3, 0, 5).matrix.nnz == 240
+
+
 def test_sector_on_a_vertex_off_the_lattice_is_refused():
-    # D3 2x1 has vertices 0 and 1; vertex 99 must not fall back to trivial
+    # D3 2x1 has vertices 0 and 1; vertex 99 must not fall back to trivial,
+    # and an irrep D3 lacks is named before any vertex block is built
     lat = LatticeSpec(2, 1, boundary="open", include_matter=True)
     model = Model(build_builtin("D3"), lat, ModelParams(terms=("mass",)))
-    for build in (physical_projector, physical_basis):
-        with pytest.raises(ValueError, match="off the lattice"):
-            build(model, sector={99: "2"})
+    for sector, message in (({99: "2"}, "off the lattice"),
+                            ({0: "bogus"}, "irreps not in D3: \\['bogus'\\]")):
+        for build in (physical_projector, physical_basis):
+            with pytest.raises(ValueError, match=message):
+                build(model, sector=sector)
 
 
 def test_lie_physical_basis_refuses_a_sector():

@@ -168,14 +168,22 @@ def test_su2_charges(su2):
     assert np.abs(comm - 1j * q[2].toarray()).max() < 1e-14
 
 
-def test_theta_q_equals_charge_exponential(su2):
+@pytest.mark.parametrize("name,params", [
+    ("SU2_trunc", {"j_max": "1/2"}),
+    ("SU2_trunc", {"j_max": "1"}),
+    ("U1_trunc", {"P": 1}),
+], ids=["su2-jmax-half", "su2-jmax-1", "u1-P1"])
+def test_theta_q_equals_charge_exponential(name, params):
+    # minors of D(g) times det(g^-1)^parity against exp(i alpha . Q), so the
+    # staggered shift -parity Tr(T_a) is checked for U(1) as for SU(2)
+    entry = build_builtin(name, **params)
     rng = np.random.default_rng(77)
     for parity in (0, 1):
-        v = VertexFock(2, parity)
-        q = charge_su2(v, su2)
+        v = VertexFock(entry.fundamental_irrep.dim, parity)
+        q = charges(v, entry)
         for _ in range(10):
-            alpha = rng.uniform(-np.pi, np.pi, 3)
-            lhs = theta_q(v, su2, alpha).toarray()
+            alpha = rng.uniform(-np.pi, np.pi, len(q))
+            lhs = theta_q(v, entry, alpha).toarray()
             rhs = expm(1j * sum(a * x.toarray() for a, x in zip(alpha, q)))
             assert np.abs(lhs - rhs).max() < 1e-10
 
