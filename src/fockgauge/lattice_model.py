@@ -727,7 +727,7 @@ def _gauss_products(model: Model, vertex: int, g=None,
     if model.lattice.include_matter:
         space = model.vertex_spaces[vertex]
         matter = (theta_q(space, model.entry, g) if component is None
-                  else matter_charges(space, model.entry)[component])
+                  else matter_charges(space, model.entry, [component])[0])
         ops[gb.fermion_factor] = [_vertex_block(model, matter.matrix, vertex)]
     return [ops] if component is None else [
         {factor: [mat]} for factor, mats in ops.items() for mat in mats]

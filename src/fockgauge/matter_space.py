@@ -143,11 +143,14 @@ def charge_u1(space: VertexFock) -> Operator:
     return _charge(space, np.ones((1, 1), dtype=complex))
 
 
-def charges(space: VertexFock, entry: GroupCatalogEntry) -> list[Operator]:
-    """Q_a = psi^dag T_a psi - parity Tr(T_a) per fundamental generator T_a."""
+def charges(space: VertexFock, entry: GroupCatalogEntry,
+            components=None) -> list[Operator]:
+    """Q_a = psi^dag T_a psi - parity Tr(T_a) per fundamental generator T_a
+    (only for the indices a in ``components`` when given)."""
     if not entry.is_lie:
         raise ValueError("generator-form charges exist only for Lie catalogs")
-    return [_charge(space, t) for t in _fundamental(space, entry).generators]
+    generators = _fundamental(space, entry).generators
+    return [_charge(space, generators[a]) for a in components or range(len(generators))]
 
 
 def _charge(space: VertexFock, generator: np.ndarray) -> Operator:

@@ -125,24 +125,21 @@ def matvec(mat: sp.csr_matrix, vec: np.ndarray) -> np.ndarray:
 def components(mat: sp.csr_matrix):
     """The connected components of a square CSR matrix's sparsity pattern.
 
-    The pattern is read with unit weights, so that no value (a purely
-    imaginary coupling too) hides an edge.  Returns (order, bounds): the
-    rows stably sorted by component, component c being the rows
-    ``order[bounds[c]:bounds[c + 1]]``.
+    Only the pattern counts: a float64 matrix is read as it is, any other
+    with unit weights, so that no value (a purely imaginary coupling too)
+    hides an edge.  Returns each row's component, numbered from 0.
     """
-    graph = sp.csr_matrix((np.ones(len(mat.indices)), mat.indices, mat.indptr),
-                          shape=mat.shape)
-    n_comp, labels = connected_components(graph, directed=False)
-    order = np.argsort(labels, kind="stable")
-    return order, np.searchsorted(labels[order], np.arange(n_comp + 1))
+    graph = mat if mat.dtype == np.float64 else sp.csr_matrix(
+        (np.ones(len(mat.indices)), mat.indices, mat.indptr), shape=mat.shape)
+    return connected_components(graph, directed=False)[1]
 
 
 def eigh_by_components(mat: sp.csr_matrix, *, k: Optional[int] = None,
-                       window: Optional[Sequence[float]] = None, parts=None):
+                       window: Optional[Sequence[float]] = None, labels=None):
     """Eigenpairs of a Hermitian CSR matrix, one connected component at a time.
 
     The components are those of the sparsity pattern (``components``, or
-    ``parts`` when the caller has them already); the blocks' spectra are the
+    ``labels`` when the caller has them already); the blocks' spectra are the
     matrix's.  The matrix goes through ``real_if_close`` first, so LAPACK
     runs in real arithmetic and the vectors are float64 unless it has an
     imaginary part above DROP_TOL.  Each block is densified in Fortran
@@ -152,7 +149,9 @@ def eigh_by_components(mat: sp.csr_matrix, *, k: Optional[int] = None,
     columns.
     """
     mat = real_if_close(mat)
-    order, bounds = components(mat) if parts is None else parts
+    labels = components(mat) if labels is None else labels
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(labels.max() + 2))
     block = mat[order][:, order]
     ones = bounds[:-1][np.diff(bounds) == 1]
     found = [(block.diagonal()[ones].real, order[ones], None)]

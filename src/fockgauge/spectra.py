@@ -8,9 +8,11 @@ k * DENSE_ROWS_PER_PAIR rows (always when every pair is asked), LAPACK
 component.  Otherwise, a few pairs of one large block below the cap
 included, a symmetric Lanczos iteration with partial reorthogonalization,
 a seeded start vector, and deflation restarts resolves degenerate levels
-copy by copy, and ``method`` reads "iterative": a full O(n^3) reduction of
-an n-row block costs more than a Lanczos run of a few dozen matvecs per
-pair once n exceeds k * DENSE_ROWS_PER_PAIR.  Its Krylov
+(cutting each certified Ritz vector along the connected components, one
+run takes a level's copies in all of them), and ``method`` reads
+"iterative": a full O(n^3) reduction of an n-row block costs more than a
+Lanczos run of a few dozen matvecs per pair once n exceeds
+k * DENSE_ROWS_PER_PAIR.  Its Krylov
 basis and accepted (deflation) vectors are rows of arrays that start at
 ROW_BLOCK rows and double when full.  Every new Lanczos vector is projected
 off the accepted vectors by two classical Gram-Schmidt passes.  Against
@@ -143,18 +145,18 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
     """Lowest k eigenpairs of a Hermitian operator with residual certificates.
 
     An operator whose Hermiticity residual exceeds HERMITICITY_TOL raises
-    EigensolveError.  Above ``dense_cutoff`` Lanczos certifies each pair to
-    LANCZOS_TOL within ``max_iter`` steps, or raises EigensolveError.  Up
-    to it the connected components of the sparsity graph are read once:
-    when the largest has at most ``k * DENSE_ROWS_PER_PAIR`` rows (always
-    for ``k=None``, every pair), LAPACK computes only the k lowest pairs of
-    each component and the k lowest of all are kept (``method`` "dense");
-    otherwise the same Lanczos path runs (``method`` "iterative").
-    After the Hermiticity check both paths run on ``real_if_close`` of the
-    matrix, in float64 when its imaginary parts are all at most DROP_TOL
-    (a float64 matrix, such as a real ``build_hamiltonian``, is used as it
-    is, with no copy); the residuals are taken against the operator as
-    given.
+    EigensolveError.  The connected components of the sparsity graph are
+    read once.  Above ``dense_cutoff`` Lanczos certifies each pair to
+    LANCZOS_TOL within ``max_iter`` steps, cutting Ritz vectors along the
+    components, or raises EigensolveError.  Up to it, when the largest
+    component has at most ``k * DENSE_ROWS_PER_PAIR`` rows (always for
+    ``k=None``, every pair), LAPACK computes only the k lowest pairs of each
+    component and the k lowest of all are kept (``method`` "dense");
+    otherwise the same Lanczos path runs (``method`` "iterative").  After
+    the Hermiticity check both paths run on ``real_if_close`` of the matrix,
+    in float64 when its imaginary parts are all at most DROP_TOL (a float64
+    matrix, such as a real ``build_hamiltonian``, is used as it is, with no
+    copy); the residuals are taken against the operator as given.
     """
     mat = _as_sparse(op)
     dim = mat.shape[0]
@@ -174,14 +176,15 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
         k = dim
     work = real_if_close(mat)
     counts = _Counts()
-    parts = components(work) if dim <= dense_cutoff else None
-    if parts is not None and \
-            k * DENSE_ROWS_PER_PAIR >= np.diff(parts[1]).max(initial=0):
-        vals, vecs = eigh_by_components(work, k=k, parts=parts)
+    labels = components(work)
+    if dim <= dense_cutoff and \
+            k * DENSE_ROWS_PER_PAIR >= np.bincount(labels).max():
+        vals, vecs = eigh_by_components(work, k=k, labels=labels)
         method = "dense"
     else:
         vals, vecs = _lanczos_lowest(work, k, seed=seed, tol=LANCZOS_TOL,
-                                     max_iter=max_iter, counts=counts)
+                                     max_iter=max_iter, counts=counts,
+                                     labels=labels if labels.max() else None)
         counts.matvecs += k
         method = "iterative"
     return SpectrumResult(eigenvalues=vals,
@@ -258,32 +261,68 @@ def _omega_step(cur: np.ndarray, prev: np.ndarray, alphas: np.ndarray,
     return out
 
 
-def _deflated_run(mat: sp.csr_matrix, deflate: np.ndarray,
-                  rng: np.random.Generator, tol: float, budget: int,
-                  counts: _Counts):
-    """One Krylov run in the orthogonal complement of the rows of ``deflate``.
+def _cut(mat: sp.csr_matrix, vec: np.ndarray, resid: np.ndarray, lam: float,
+         labels: np.ndarray, tol: float, accepted: _Rows, vals: list[float],
+         take: int, counts: _Counts) -> None:
+    """Cut a certified Ritz pair (lam, vec) along the components ``labels``.
 
-    Returns (values, vectors, best_residual, floor): the residual-
-    certified eigenpairs found (ascending, vectors as rows, stopping at the
-    first unconverged Ritz value so nothing lower can be missed) and the
+    H being block-diagonal, the piece on component c, of weight w_c =
+    ||vec_c||^2, has Rayleigh quotient lam_c = lam + Re <vec_c, r_c> / w_c
+    and squared residual ||r_c||^2 / w_c - (lam_c - lam)^2, r = ``resid`` =
+    H vec - lam vec; it qualifies when |lam_c - lam| and its residual are
+    at most tol.  The ``take`` heaviest go, normalized, to ``accepted`` and
+    ``vals``; one moved by projecting off the accepted rows is certified again.
+    """
+    weight = np.bincount(labels, np.abs(vec) ** 2)
+    scale = np.where(weight > 0, weight, np.nan)   # an empty piece fails below
+    shift = np.bincount(labels, (vec.conj() * resid).real) / scale
+    spread = np.bincount(labels, np.abs(resid) ** 2) / scale - shift ** 2
+    fit = np.flatnonzero((spread <= tol ** 2) & (np.abs(shift) <= tol))
+    for c in fit[np.argsort(-weight[fit], kind="stable")][:take]:
+        piece, val = np.where(labels == c, vec, 0), lam + shift[c]
+        piece /= np.sqrt(weight[c])
+        if np.linalg.norm(accepted.rows @ piece.conj()) > EPS:
+            piece = _project_out(piece, accepted.rows)
+            piece /= np.linalg.norm(piece)
+            hpiece = mat @ piece
+            counts.matvecs += 1
+            val = np.vdot(piece, hpiece).real
+            if not (np.linalg.norm(hpiece - val * piece) <= tol
+                    and abs(val - lam) <= tol):
+                continue
+        accepted.append(piece)
+        vals.append(float(val))
+
+
+def _deflated_run(mat: sp.csr_matrix, accepted: _Rows,
+                  labels: Optional[np.ndarray], rng: np.random.Generator,
+                  tol: float, budget: int, room: int, counts: _Counts):
+    """One Krylov run in the orthogonal complement of the rows of ``accepted``.
+
+    Appends the residual-certified eigenpairs found to ``accepted``
+    (ascending, stopping at the first unconverged Ritz value so nothing
+    lower can be missed; with ``labels``, each vector cut by ``_cut``,
+    up to ``room`` in the run and at least one per vector, or whole if it
+    has none) and returns (values, best_residual, floor), floor being the
     lowest eigenvalue the rest of the complement can hold, where the run
     settles it: +inf when the complement was empty; when the basis grew to
     the complement's dimension, its Ritz values are the complement's
     eigenvalues, and floor is the lowest one left uncertified (+inf if
-    none); -inf otherwise.  Every step projects the new vector off
-    ``deflate``; it reorthogonalizes against the whole basis only when
-    ``_omega_step`` predicts an overlap above SEMI_ORTHOGONAL, and then on
-    the next step too, since the recurrence carries both rows forward.
-    Steps, matvecs and those reorthogonalizations are added to ``counts``.
+    none); -inf otherwise.  Every step projects the new vector off the rows
+    accepted before the run; it reorthogonalizes against the whole basis
+    only when ``_omega_step`` predicts an overlap above SEMI_ORTHOGONAL,
+    and then on the next step too, since the recurrence carries both rows
+    forward.  Steps, matvecs and reorthogonalizations go to ``counts``.
     """
     dim = mat.shape[0]
+    deflate = accepted.rows
     start = rng.standard_normal(dim)
     if np.iscomplexobj(mat):
         start = start + 1j * rng.standard_normal(dim)
     start = _project_out(start, deflate)
     nrm = np.linalg.norm(start)
     if nrm < 1e-12:
-        return [], [], np.inf, np.inf
+        return [], np.inf, np.inf
     basis = _Rows(dim, mat.dtype)
     basis.append(start / nrm)
     alphas: list[float] = []
@@ -329,47 +368,56 @@ def _deflated_run(mat: sp.csr_matrix, deflate: np.ndarray,
                     order = order[:np.argmax(unconverged)]
             candidates = ritz_vecs[:, order].T @ q   # Ritz vectors as rows
             vals: list[float] = []
+            certified = 0
             for vec in candidates:
                 vec = _project_out(_project_out(vec, deflate),
-                                   candidates[:len(vals)])
+                                   accepted.rows[len(deflate):])
                 nv = np.linalg.norm(vec)
                 if nv < 1e-8:
                     continue
                 vec = vec / nv
-                hvec = mat @ vec
+                resid = mat @ vec
                 counts.matvecs += 1
-                lam = float(np.vdot(vec, hvec).real)
-                res = float(np.linalg.norm(hvec - lam * vec))
+                lam = float(np.vdot(vec, resid).real)
+                resid -= lam * vec
+                res = float(np.linalg.norm(resid))
                 best_residual = min(best_residual, res)
                 if res > tol:
                     break
-                candidates[len(vals)] = vec
-                vals.append(lam)
+                certified += 1
+                before = len(vals)
+                if labels is not None:
+                    _cut(mat, vec, resid, lam, labels, tol, accepted, vals,
+                         max(room - before, 1), counts)
+                if len(vals) == before:
+                    accepted.append(vec)
+                    vals.append(lam)
             # a basis as long as the complement spans it: its Ritz values
             # are the complement's spectrum, the uncertified ones what is left
             settled = last and m_cap == dim - len(deflate)
             if vals or breakdown or settled:
-                left = np.sort(ritz_vals)[len(vals):] if settled else [-np.inf]
-                return (vals, candidates[:len(vals)], best_residual,
-                        min(left, default=np.inf))
+                left = np.sort(ritz_vals)[certified:] if settled else [-np.inf]
+                return vals, best_residual, min(left, default=np.inf)
         if breakdown:
             break
         betas.append(beta)
         basis.append(w / beta)
-    return [], [], best_residual, -np.inf
+    return [], best_residual, -np.inf
 
 
 def _lanczos_lowest(mat: sp.csr_matrix, k: int, *, seed: int,
-                    tol: float, max_iter: int, counts: _Counts):
+                    tol: float, max_iter: int, counts: _Counts,
+                    labels: Optional[np.ndarray]):
     """Symmetric Lanczos with partial reorthogonalization and deflation restarts.
 
     Each restart searches the orthogonal complement of everything accepted
     so far, which is what resolves degeneracies: a run converges one copy
-    per level, the next restart finds the next copy.  The iteration stops
-    once k pairs are in hand and the latest run's minimum does not undercut
-    the current k-th lowest value, or a run that spanned the rest of the
-    space leaves nothing uncertified below it; either certifies that no
-    lower eigenvalue remains outside the accepted set.
+    per level and component of ``labels``, the next restart the next copy.
+    The iteration stops once k pairs are in hand and the latest run's
+    minimum does not undercut the current k-th lowest value, or a run that
+    spanned the rest of the space leaves nothing uncertified below it;
+    either certifies that no lower eigenvalue remains outside the accepted
+    set.
     """
     rng = np.random.default_rng(seed)
     accepted_vals: list[float] = []
@@ -384,13 +432,12 @@ def _lanczos_lowest(mat: sp.csr_matrix, k: int, *, seed: int,
         if counts.steps >= max_iter:
             raise failure(f"Lanczos did not settle the {k} lowest eigenpairs "
                           f"within {max_iter} steps")
-        vals, vecs, run_best, floor = _deflated_run(
-            mat, accepted.rows, rng, tol, max_iter - counts.steps, counts)
+        vals, run_best, floor = _deflated_run(
+            mat, accepted, labels, rng, tol, max_iter - counts.steps,
+            k - accepted.n, counts)
         counts.restarts += 1
         best_residual = min(best_residual, run_best)
         accepted_vals.extend(vals)
-        for vec in vecs:
-            accepted.append(vec)
         if floor == np.inf:
             break
         if len(accepted_vals) >= k:

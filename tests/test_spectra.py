@@ -246,9 +246,9 @@ def test_solver_counts_reorthogonalizations(z2_matter_ham):
     # the full passes against the basis run on some steps, not on all
     assert 0 < result.reorthogonalizations < result.steps
     with pytest.raises(EigensolveError) as failure:
-        eigensolve(ham, k=5, dense_cutoff=16, seed=0, max_iter=90)
+        eigensolve(ham, k=5, dense_cutoff=16, seed=0, max_iter=60)
     err = failure.value
-    assert err.steps == 90 and 0 < err.reorthogonalizations < err.steps
+    assert err.steps == 60 and 0 < err.reorthogonalizations < err.steps
 
 
 def test_omega_estimate_tracks_the_overlaps_of_plain_lanczos():
@@ -465,6 +465,75 @@ def test_a_run_that_spans_the_space_settles_the_lowest_pairs():
     exact = 2 - 2 * np.cos(np.pi * np.arange(1, 3) / (n + 1))
     assert np.abs(result.eigenvalues - exact).max() < 1e-10
     assert result.residuals.max() <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# a block-diagonal H: certified Ritz vectors are cut along its components
+# ---------------------------------------------------------------------------
+
+def _copies_and_pair(seed):
+    """One random 40-row block in three components, beside a 30-row block
+    whose lowest level is 2-fold, all rows permuted: the block's levels are
+    3-fold across components, the pair's 2-fold within one.  Returns the
+    matrix and each row's block (0-2 the copies, 3 the pair)."""
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((40, 40))
+    block = (block + block.T) / 2
+    lowest = np.linalg.eigvalsh(block)[:2]
+    basis, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    # the pair's level sits between the copies' two lowest levels
+    levels = np.r_[[lowest.mean()] * 2, lowest[1] + 1 + rng.random(28)]
+    pair = (basis * levels) @ basis.T
+    mat = sp.block_diag([block] * 3 + [(pair + pair.T) / 2], format="csr")
+    owner = np.repeat(np.arange(4), [40, 40, 40, 30])
+    perm = rng.permutation(mat.shape[0])
+    return mat[perm][:, perm].tocsr(), owner[perm]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_copies_across_components_come_from_one_run(seed):
+    mat, owner = _copies_and_pair(seed)
+    k = 8    # 3 + 2 + 3: the copies' lowest level, the pair, the next level
+    oracle = np.linalg.eigvalsh(mat.toarray())[:k]
+    assert np.abs(oracle[:5] - oracle[[0, 0, 0, 3, 3]]).max() < 1e-12
+    full_reorth, _, _ = lanczos_full_reorth(mat, k, seed=seed)
+    result = eigensolve(mat, k=k, seed=seed, dense_cutoff=16)
+    assert result.method == "iterative"
+    assert np.abs(result.eigenvalues - oracle).max() < 1e-10
+    assert np.abs(result.eigenvalues - full_reorth).max() < 1e-10
+    vecs = result.eigenvectors
+    assert np.abs(vecs.conj().T @ vecs - np.eye(k)).max() < 1e-10
+    assert result.residuals.max() <= 1e-8
+    # every vector lies in one block, and each copy of a level in its own
+    blocks = [set(owner[np.abs(v) > 0]) for v in vecs.T]
+    assert all(len(b) == 1 for b in blocks)
+    for level in result.degeneracies():
+        owners = [next(iter(blocks[i])) for i in level]
+        if owners[0] != 3:
+            assert sorted(owners) == [0, 1, 2]
+
+
+def test_cut_ritz_vectors_take_fewer_restarts(z2_matter_ham):
+    # the Z_2 4-fold level spans several fermion-number components: one run
+    # after the ground state's takes its copies (five runs before the cut)
+    dense = eigensolve(z2_matter_ham, k=5)
+    result = eigensolve(z2_matter_ham, k=5, dense_cutoff=16, seed=0)
+    assert result.restarts == 2
+    assert np.abs(result.eigenvalues - dense.eigenvalues).max() < 1e-10
+    assert result.residuals.max() <= 1e-8
+
+
+@pytest.mark.parametrize("seed,counts", [(0, (230, 6, 242, 10)),
+                                         (1, (230, 6, 242, 7)),
+                                         (2, (230, 6, 242, 8))])
+def test_one_component_solve_keeps_its_counts(d3_pure_ham, seed, counts):
+    # D3 2x2 pure gauge in the group basis is one connected component, so
+    # nothing is cut: steps, restarts, matvecs and reorthogonalizations of
+    # the solve without labels
+    result = eigensolve(d3_pure_ham, k=6, seed=seed)
+    assert result.method == "iterative"
+    assert (result.steps, result.restarts, result.matvecs,
+            result.reorthogonalizations) == counts
 
 
 # ---------------------------------------------------------------------------
