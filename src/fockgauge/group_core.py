@@ -185,12 +185,6 @@ class GroupCatalogEntry:
                 return ir
         raise KeyError(f"no irrep labeled {label!r} in {self.name}")
 
-    def irrep_index(self, label: str) -> int:
-        for i, ir in enumerate(self.irreps):
-            if ir.label == label:
-                return i
-        raise KeyError(f"no irrep labeled {label!r} in {self.name}")
-
     def has_irrep(self, label: str) -> bool:
         return any(ir.label == label for ir in self.irreps)
 

@@ -432,8 +432,12 @@ def _sum_blocks(dims: Sequence[int], lo: int, hi: int, blocks: Iterable[Block]) 
 
 
 def _operator(model: Model, block: Block) -> Operator:
-    """The one step onto the lattice: a block placed on the full space."""
-    return Operator(model.global_basis, _place(model.global_basis.factor_dims, *block))
+    """The one step onto the lattice: a block placed on the full space, which
+    applies the block, normalized, as its piece."""
+    dims = model.global_basis.factor_dims
+    lo, hi, local = block[0], block[1], normalize(block[2])
+    return Operator(model.global_basis, _place(dims, lo, hi, local),
+                    make_pieces=[(math.prod(dims[:lo]), local, math.prod(dims[hi:]))])
 
 
 def _place(dims: Sequence[int], lo: int, hi: int, local: sp.spmatrix) -> sp.csr_matrix:
@@ -537,27 +541,27 @@ def _mass_term(model: Model) -> Block:
         for v, space in enumerate(model.vertex_spaces)])
 
 
-def _tunneling_term(model: Model) -> Block:
-    """sum over links in index order of eps_l sum_ab psi^dag_a U_ab psi_b (+ h.c.).
-
-    The (a, b) products of a link are added row-major on its span, then its
-    h.c.; ``_sum_blocks`` adds the links on the union of their spans, one
-    link block alive at a time.
-    """
+def _link_hops(model: Model) -> Iterable[Block]:
+    """Each link's eps_l sum_ab psi^dag_a U_ab psi_b (+ h.c.) on its span, in
+    index order: the (a, b) products added row-major, then the h.c."""
     gb = model.global_basis
     u = model.u_tunneling
-    links = model.lattice.links
-
-    def link_hop(link: Link) -> Block:
-        return _sum_on_span(gb.factor_dims, [
+    for link in model.lattice.links:
+        yield _sum_on_span(gb.factor_dims, [
             {gb.fermion_factor: [_hop(model, link.origin, a, link.target, b)],
              gb.link_factor(link.index): [u.entry(a, b).matrix]}
             for a in range(u.dim) for b in range(u.dim)],
             model.epsilon[link.index], hc=model.params.include_hc)
 
+
+def _tunneling_term(model: Model) -> Block:
+    """sum over links in index order of eps_l sum_ab psi^dag_a U_ab psi_b (+ h.c.):
+    ``_sum_blocks`` adds the ``_link_hops`` on the union of their spans, one
+    link block alive at a time."""
+    gb = model.global_basis
     return _sum_blocks(gb.factor_dims, *_span(
-        factor for link in links for factor in (gb.fermion_factor, gb.link_factor(link.index))),
-        map(link_hop, links))
+        factor for link in model.lattice.links
+        for factor in (gb.fermion_factor, gb.link_factor(link.index))), _link_hops(model))
 
 
 def _electric_term(model: Model) -> Block:
@@ -669,19 +673,44 @@ def observable(model: Model, name: str) -> Operator:
     return _operator(model, block)
 
 
+def _real(block: Block) -> Block:
+    """A block as H takes it: its local normalized (in place), float64 when real."""
+    return block[0], block[1], real_if_close(normalize(block[2]))
+
+
 def build_hamiltonian(model: Model) -> Operator:
     """Assemble the full Hamiltonian: the enabled terms summed in model.terms order.
 
-    ``_sum_blocks`` on the full span, one term at a time: its block is
-    normalized as an ``Operator`` would be and taken in float64 when it is
-    real (``real_if_close``) before it is placed and added.  H is float64
-    when every term is real, complex128 once a term has an imaginary part
-    above DROP_TOL.
+    ``_sum_blocks`` on the full span, one term at a time, each through
+    ``_real``: H is float64 when every term is real, complex128 once a term
+    has an imaginary part above DROP_TOL.  With matter, H's pieces are made
+    at their first use, so ``eigensolve`` never pays for them and none sits
+    above the sum's freed temporaries: the electric and magnetic blocks on
+    the link factors (first: ``apply`` then frees its transposed copy before
+    it makes the result), the last link's hop, and the mass with the other
+    hops, built again, on the widest of their spans (one product each).
     """
     dims = model.global_basis.factor_dims
-    return _operator(model, _sum_blocks(dims, 0, len(dims), (
-        (lo, hi, real_if_close(normalize(local)))
-        for lo, hi, local in (_TERMS[name](model) for name in model.terms))))
+    blocks = {}
+
+    def term(name: str) -> Block:
+        block = _real(_TERMS[name](model))
+        if name != "tunneling":
+            blocks[name] = block
+        return block
+
+    def pieces() -> list:    # each group's nonzero blocks, summed on their union span
+        hops = [_real(hop) for hop in _link_hops(model)] if "tunneling" in model.terms else []
+        made = []
+        for names, more in ((("electric", "magnetic"), []), ((), hops[-1:]),
+                            (("mass",), hops[:-1])):
+            group = [b for b in [blocks[n] for n in names if n in blocks] + more if b[2].nnz]
+            made += group if len(group) < 2 else [_real(_sum_blocks(
+                dims, min(b[0] for b in group), max(b[1] for b in group), group))]
+        return [(math.prod(dims[:lo]), local, math.prod(dims[hi:])) for lo, hi, local in made]
+
+    return Operator(model.global_basis, _sum_blocks(dims, 0, len(dims), map(term, model.terms))[2],
+                    make_pieces=pieces if model.lattice.include_matter else ())
 
 
 # ---------------------------------------------------------------------------

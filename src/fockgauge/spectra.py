@@ -456,8 +456,8 @@ def expectation(op: Union[Operator, sp.spmatrix, np.ndarray],
                 state: np.ndarray, name: str = "observable") -> ObservableReport:
     """<state|op|state> with a reality check for Hermitian operators.
 
-    The state is taken as complex128; a real operator is applied to it by
-    ``matvec``, with no complex copy of the matrix.
+    The state is taken as complex128; an ``Operator`` goes through its own
+    ``apply`` and ``hermiticity_residual``, a matrix through ``matvec``.
     """
     mat = _as_sparse(op)
     state = np.asarray(state, dtype=complex)
@@ -467,8 +467,10 @@ def expectation(op: Union[Operator, sp.spmatrix, np.ndarray],
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"state is not normalized (norm {norm})")
-    value = complex(np.vdot(state, matvec(mat, state)))
-    hermitian = hermiticity_residual(mat) <= HERMITICITY_TOL
+    own = isinstance(op, Operator)
+    value = complex(np.vdot(state, op.apply(state) if own else matvec(mat, state)))
+    residual = op.hermiticity_residual() if own else hermiticity_residual(mat)
+    hermitian = residual <= HERMITICITY_TOL
     if hermitian and abs(value.imag) > 1e-10:
         raise ValueError(
             f"Hermitian observable produced imaginary part {value.imag:.3e}")

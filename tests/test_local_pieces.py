@@ -36,7 +36,7 @@ from fockgauge.link_space import generators as link_generators
 from fockgauge.link_space import identity_operator, projector_rep
 from fockgauge.matter_space import charges as matter_charges
 from fockgauge.matter_space import number_operator, theta_q
-from fockgauge.operators import Operator, real_if_close
+from fockgauge.operators import Operator, matvec, real_if_close
 from fockgauge.spectra import eigensolve, expectation
 from oracles import (digit_array, gauss_casimir_by_generators, observables_by_loops,
                      place_by_kron, vertex_block_by_kron)
@@ -230,7 +230,8 @@ def _closed_form_trace(model, plaq):
     """diag chi(class(g1 g2 g3^-1 g4^-1)) over the group-basis digits."""
     gb = model.global_basis
     spec = model.entry.spec
-    chi = character_table(model.entry).chi[model.entry.irrep_index(model.magnetic_rep)]
+    chi = character_table(model.entry).chi[
+        [ir.label for ir in model.entry.irreps].index(model.magnetic_rep)]
     d1, d2, d3, d4 = (digit_array(gb, gb.link_factor(l)) for l in plaq.links)
     hol = spec.mul[spec.mul[d1, d2], spec.mul[spec.inv[d3], spec.inv[d4]]]
     return sp.diags(chi[spec.class_of[hol]].astype(complex), format="csr")
@@ -358,6 +359,83 @@ def test_hamiltonian_is_its_terms_summed_in_order(make_model):
     assert np.array_equal(got.indptr, ref.indptr)
     assert np.array_equal(got.indices, ref.indices)
     assert np.array_equal(got.data, ref.data)
+
+
+def _d3_matter_periodic(basis):
+    # D3 2x1 periodic with matter, unstaggered: four links and two
+    # plaquettes (dim 16 * 6**4 = 20 736)
+    lat = LatticeSpec(2, 1, boundary="periodic", include_matter=True)
+    return Model(build_builtin("D3"), lat,
+                 ModelParams(mass=0.8, epsilon=0.7, coupling=1.3, staggered=False,
+                             electric_weights={"I": 0.0, "p": 1.0, "2": 1.0}),
+                 basis_tag=basis)
+
+
+def _z3_complex_epsilon():
+    lat = LatticeSpec(3, 1, boundary="open", include_matter=True)
+    return Model(build_builtin("Z_3"), lat,
+                 ModelParams(mass=0.5, epsilon=[0.7 + 0.2j, -0.4 + 0.9j], coupling=1.1))
+
+
+def _inputs(dim):
+    """A vector and a C- and an F-ordered 3-column block, real and complex."""
+    rng = np.random.default_rng(dim)
+    for shape in [(dim,), (dim, 3)]:
+        real = rng.standard_normal(shape)
+        for x in (real, real + 1j * rng.standard_normal(shape)):
+            yield x
+            if x.ndim == 2:
+                yield np.asfortranarray(x)
+
+
+def _nbytes(mat):
+    return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+
+
+@pytest.mark.parametrize("make_model", [
+    lambda: _d3_matter_periodic("group"),
+    lambda: _d3_matter_periodic("rep"),
+    lambda: Model(build_builtin("SU2_trunc", j_max="1/2"),
+                  LatticeSpec(2, 2, boundary="open", include_matter=True),
+                  ModelParams(mass=1.0, epsilon=0.7, coupling=1.3)),
+    lambda: Model(build_builtin("U1_trunc", P=1),
+                  LatticeSpec(2, 2, boundary="open", include_matter=True),
+                  ModelParams(mass=1.0, epsilon=0.7, coupling=1.3)),
+    _z3_complex_epsilon,
+    lambda: _d3_matter_group(1, "periodic"),
+], ids=["d3-group", "d3-rep", "su2", "u1", "z3-complex-epsilon", "d3-torus"])
+def test_hamiltonian_applies_its_pieces_as_its_matrix(make_model):
+    # with matter, H applies the last link's hop, the mass and the other
+    # hops on one span, and the gauge terms on the link factors
+    model = make_model()
+    ham = build_hamiltonian(model)
+    assert len(ham.pieces) == 3
+    for x in _inputs(ham.dim):
+        got, ref = ham.apply(x), matvec(ham.matrix, x)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("basis", ["group", "rep"])
+def test_hamiltonian_pieces_are_a_small_share_of_it(basis):
+    # the link-only terms are kept once on the link factors, not once per
+    # fermion state as in the assembled matrix
+    ham = build_hamiltonian(_d3_matter_periodic(basis))
+    assert sum(_nbytes(local) for _, local, _ in ham.pieces) <= 0.15 * _nbytes(ham.matrix)
+
+
+@pytest.mark.parametrize("make_model", [
+    lambda: Model(build_builtin("D3"), LatticeSpec(2, 2, boundary="open", include_matter=False),
+                  ModelParams(coupling=1.3, electric_weights={"I": 0.0, "p": 1.0, "2": 1.0}),
+                  basis_tag="group"),
+    _u1_pure,
+], ids=["d3", "u1"])
+def test_pure_gauge_hamiltonian_applies_its_matrix(make_model):
+    # without matter the link factors are the whole space: H is its own piece
+    ham = build_hamiltonian(make_model())
+    assert len(ham.pieces) == 1 and ham.pieces[0][1] is ham.matrix
+    for x in _inputs(ham.dim):
+        assert ham.apply(x).tobytes() == matvec(ham.matrix, x).tobytes()
 
 
 @pytest.mark.parametrize("name,params", [("D3", {}), ("SU2_trunc", {"j_max": "1/2"})])
