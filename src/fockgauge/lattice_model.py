@@ -541,17 +541,22 @@ def _mass_term(model: Model) -> Block:
         for v, space in enumerate(model.vertex_spaces)])
 
 
-def _link_hops(model: Model) -> Iterable[Block]:
-    """Each link's eps_l sum_ab psi^dag_a U_ab psi_b (+ h.c.) on its span, in
-    index order: the (a, b) products added row-major, then the h.c."""
+def _hop_products(model: Model, link: Link):
+    """One link's hop eps_l sum_ab psi^dag_a U_ab psi_b (+ h.c.) as the
+    ``_sum_on_span`` arguments (products, coeff, hc): the (a, b) products
+    row-major over the fermion and link factors, eps_l, and the h.c. switch."""
     gb = model.global_basis
     u = model.u_tunneling
+    return ([{gb.fermion_factor: [_hop(model, link.origin, a, link.target, b)],
+              gb.link_factor(link.index): [u.entry(a, b).matrix]}
+             for a in range(u.dim) for b in range(u.dim)],
+            model.epsilon[link.index], model.params.include_hc)
+
+
+def _link_hops(model: Model) -> Iterable[Block]:
+    """Each link's ``_hop_products`` summed on its span, in index order."""
     for link in model.lattice.links:
-        yield _sum_on_span(gb.factor_dims, [
-            {gb.fermion_factor: [_hop(model, link.origin, a, link.target, b)],
-             gb.link_factor(link.index): [u.entry(a, b).matrix]}
-            for a in range(u.dim) for b in range(u.dim)],
-            model.epsilon[link.index], hc=model.params.include_hc)
+        yield _sum_on_span(model.global_basis.factor_dims, *_hop_products(model, link))
 
 
 def _tunneling_term(model: Model) -> Block:

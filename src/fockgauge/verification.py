@@ -17,10 +17,14 @@ is the product of its parts' largest entries, so the residual is
 max |[S_A, T_A]| times the largest entry of each factor of S outside the
 span.  A Lie generator is a sum of one-factor pieces, and the pieces outside
 the span commute with T exactly and are dropped.  max |T - T^dag| on the span
-is the full-space value.  The Gauss operators are taken in one pass, one
-alive at a time: each S is built on every span the terms need and on the
-full space, where the tunneling term (the only one spanning every factor)
-and the vacuum check S vac = vac (G vac = 0 for a generator) share it.  The
+is the full-space value.  The tunneling term is taken on each vertex v's
+star (the fermion factor and v's link factors) against T_v, the hops of v's
+links, each once: S keeps every vertex's fermion parity and touches no other
+link, so it commutes exactly with every other hop.  The assembled tunneling
+block meets each full-space S on one row slice drawn from the seed.  The
+Gauss operators are taken in one pass, one alive at a time: each S is built
+on every span the terms need and on the full space, which that probe and
+the vacuum check S vac = vac (G vac = 0 for a generator) share.  The
 rep/group agreement converts the mirror model's H one link factor at a time.
 """
 
@@ -42,6 +46,7 @@ from .lattice_model import (
     REP,
     Model,
     _gauss_products,
+    _hop_products,
     _place,
     _sum_on_span,
     _TERMS,
@@ -72,7 +77,7 @@ def verify_model(model: Model, seed: int = 0) -> ValidationReport:
     _check_cg(model, report)
     if model.lattice.include_matter:
         _check_matter(model, report, seed)
-    _check_hamiltonian(model, report)
+    _check_hamiltonian(model, report, seed)
     return report
 
 
@@ -242,42 +247,63 @@ def _check_matter(model: Model, report: ValidationReport, seed: int):
         report.add(f"matter.covariance_parity{parity}", covariance, TIGHT)
 
 
-def _commutator_residual(term: sp.csr_matrix, symmetry_ops) -> float:
+def _commutator_residual(term: sp.csr_matrix, symmetry_ops, rng=None) -> float:
     """max |S T - T S| over the CSR operators S, consumed one at a time, and
     entries: each S meets T one row slice at a time, about SLICE_NNZ stored
     entries of T cut as ``hermiticity_residual`` cuts, the rows of S and T read
-    as views.  The one pass of ``_check_hamiltonian`` hands in one S per call, a
-    full-space S shared by a term spanning every factor and the vacuum probe."""
+    as views.  Given a numpy Generator ``rng``, each S meets one slice drawn
+    from it instead: the exact residual on those rows only."""
     term = sp.csr_matrix(term)
     slices = list(_row_slices(term.indptr))
     worst = 0.0
     for s_op in symmetry_ops:
-        for lo, hi in slices:
+        for lo, hi in slices if rng is None else [slices[rng.integers(len(slices))]]:
             worst = max(worst, max_abs(_row_view(s_op, lo, hi) @ term
                                        - _row_view(term, lo, hi) @ s_op))
     return worst
 
 
-def _on_span(dims, lo: int, hi: int, pieces) -> sp.csr_matrix:
-    """S on the factors [lo, hi), scaled so that its commutator with a block
-    there has the largest entry of the full-space commutator.
+def _on_span(dims, factors, pieces, coeff: complex = 1.0, hc: bool = False) -> sp.csr_matrix:
+    """S on the ascending ``factors``, scaled so that its commutator with a
+    block there has the largest entry of the full-space commutator.
 
-    S is the sum of the ``{factor: [matrices]}`` products in ``pieces``.  A
-    piece with no factor in the span commutes with the block and is dropped.
-    The factors a kept piece has outside the span scale S by their largest
-    entries, since max |A (x) B| = max |A| max |B|: exact for one product, as
-    a group element's Gauss operator is; a Lie generator's pieces have one
-    factor each.
+    S is the sum of the ``{factor: [matrices]}`` products in ``pieces``, taken
+    as ``_sum_on_span`` takes them with ``coeff`` and ``hc``.  A piece with no
+    factor in ``factors`` commutes with the block and is dropped.  The
+    factors a kept piece has outside scale S by their largest entries, since
+    max |A (x) B| = max |A| max |B|: exact for one product, as a group
+    element's Gauss operator is; a Lie generator's pieces have one factor each.
     """
-    sub = dims[lo:hi]
-    kept = [ops for ops in pieces if any(lo <= f < hi for f in ops)]
+    where = {f: i for i, f in enumerate(factors)}
+    sub = [dims[f] for f in factors]
+    kept = [ops for ops in pieces if any(f in where for f in ops)]
     outside = math.prod(max_abs(reduce(matmul, mats)) for ops in kept
-                        for f, mats in ops.items() if not lo <= f < hi)
+                        for f, mats in ops.items() if f not in where)
     return outside * _place(sub, *_sum_on_span(
-        sub, [{f - lo: mats for f, mats in ops.items() if lo <= f < hi} for ops in kept]))
+        sub, [{where[f]: mats for f, mats in ops.items() if f in where} for ops in kept],
+        coeff, hc))
 
 
-def _check_hamiltonian(model: Model, report: ValidationReport):
+def _star_residual(model: Model, probes) -> float:
+    """max |S T - T S| over the tunneling term T and each vertex v's Gauss
+    operators or generators S (``_gauss_products`` of each probe), taken as
+    S T_v - T_v S on v's star: the fermion factor and v's link factors, where
+    T_v is the sum of the hops of v's links, each link once."""
+    gb = model.global_basis
+    worst = 0.0
+    for v in range(model.lattice.n_vertices):
+        links = dict(sorted((link.index, link) for link, _ in model.lattice.links_at_vertex(v)))
+        star = [gb.fermion_factor, *map(gb.link_factor, links)]
+        hops = sum((_on_span(gb.factor_dims, star, *_hop_products(model, link))
+                    for link in links.values()),
+                   sp.csr_matrix((math.prod(gb.factor_dims[f] for f in star),) * 2))
+        worst = max(worst, _commutator_residual(hops, (
+            _on_span(gb.factor_dims, star, _gauss_products(model, v, **probe))
+            for probe in probes)))
+    return worst
+
+
+def _check_hamiltonian(model: Model, report: ValidationReport, seed: int):
     dims = model.global_basis.factor_dims
     lie = model.entry.is_lie
     probes = ([{"component": a} for a in range(model.entry.n_generator_components)]
@@ -298,23 +324,27 @@ def _check_hamiltonian(model: Model, report: ValidationReport):
         return
 
     # one pass over the Gauss operators: each S on every span the blocks need
-    # and on the full space, which the vacuum probe shares, dropped before the next
+    # and on the full space, which the vacuum and tunneling probes share,
+    # dropped before the next; the tunneling term itself is taken on the stars
     # sum G^2 vac = 0 iff G vac = 0 for each Hermitian generator G, and
     # P_v vac = vac iff Theta_v(s) vac = vac for each element s of a generating set
     full = (0, len(dims))
     spans = {span: [name for name, block in blocks.items() if block[:2] == span]
              for span in [*(block[:2] for block in blocks.values()), full]}
     vac = vacuum_state(model)
+    rows = np.random.default_rng(seed + 3)
     commutes, vacuum = dict.fromkeys(blocks, 0.0), 0.0
     for pieces in symmetry:
         for span, names in spans.items():
-            s_op = _on_span(dims, *span, pieces)
+            s_op = _on_span(dims, range(*span), pieces)
             for name in names:
-                commutes[name] = max(commutes[name],
-                                     _commutator_residual(blocks[name][2], [s_op]))
+                commutes[name] = max(commutes[name], _commutator_residual(
+                    blocks[name][2], [s_op], rows if name == "tunneling" else None))
             if span == full:
                 vacuum = max(vacuum, float(np.linalg.norm(s_op @ vac - (0 if lie else vac))))
             del s_op
+    if "tunneling" in commutes:
+        commutes["tunneling"] = max(commutes["tunneling"], _star_residual(model, probes))
     report.add("model.terms_hermitian", herm, TIGHT)
     for name, residual in commutes.items():
         report.add(f"model.gauss_commutes_with_{name}", residual, LOOSE)

@@ -379,7 +379,7 @@ def test_span_commutator_equals_the_full_space_one_for_any_product():
     for pieces in (product_op, generator):
         full_op = lattice_model._place(dims, *lattice_model._sum_on_span(dims, pieces))
         full = max_abs(full_op @ full_term - full_term @ full_op)
-        on_span = verification._on_span(dims, lo, hi, pieces)
+        on_span = verification._on_span(dims, range(lo, hi), pieces)
         got = verification._commutator_residual(block, [on_span])
         assert abs(got - full) <= 1e-13 * full, (got, full)
 
@@ -457,3 +457,141 @@ def test_vacuum_probe_equals_the_full_space_oracle(monkeypatch, make_model, chec
     expected = _vacuum_residual(model, state)
     assert expected > 0.1
     assert abs(failed[check] - expected) <= 1e-12 * expected, (failed[check], expected)
+
+
+# ---------------------------------------------------------------------------
+# the tunneling term on each vertex's star, and the probe of its block
+
+D3_WEIGHTS = {"I": 0.0, "p": 1.0, "2": 1.0}
+
+
+def _d3_ring(basis):
+    """D3 2x1, periodic in x, with matter: two links join vertices 0 and 1."""
+    lat = LatticeSpec(2, 1, boundary=("periodic", "open"), include_matter=True)
+    return Model(build_builtin("D3"), lat,
+                 ModelParams(mass=0.8, epsilon=0.6, coupling=1.2, electric_weights=D3_WEIGHTS),
+                 basis_tag=basis)
+
+
+def _d3_torus(basis):
+    """D3 1x1 periodic with matter: both links are self-loops at vertex 0."""
+    lat = LatticeSpec(1, 1, boundary="periodic", include_matter=True)
+    return Model(build_builtin("D3"), lat,
+                 ModelParams(mass=0.8, epsilon=0.6, coupling=1.2, staggered=False,
+                             electric_weights=D3_WEIGHTS), basis_tag=basis)
+
+
+def _su2_ring():
+    lat = LatticeSpec(2, 1, boundary=("periodic", "open"), include_matter=True)
+    return Model(build_builtin("SU2_trunc", j_max="1/2"), lat,
+                 ModelParams(mass=0.6, epsilon=0.9, coupling=1.1))
+
+
+RING_MODELS = [lambda: _d3_ring("group"), lambda: _d3_ring("rep"),
+               lambda: _d3_torus("group"), lambda: _d3_torus("rep"), _su2_ring]
+RING_IDS = ["d3-ring-group", "d3-ring-rep", "d3-torus-group", "d3-torus-rep", "su2-ring"]
+
+
+def _probes(model):
+    if model.entry.is_lie:
+        return [{"component": a} for a in range(model.entry.n_generator_components)]
+    return [{"g": g} for g in model.entry.spec.generating_set()]
+
+
+def _sign_flipped_hops(hop_products):
+    """``_hop_products`` with the fermion part of every link's (0, 0) product negated."""
+    def flipped(model, link):
+        products, coeff, hc = hop_products(model, link)
+        fermion = model.global_basis.fermion_factor
+        products[0] = {**products[0], fermion: [-products[0][fermion][0]]}
+        return products, coeff, hc
+    return flipped
+
+
+@pytest.mark.parametrize("make_model", RING_MODELS, ids=RING_IDS)
+def test_star_residual_equals_the_full_space_one(monkeypatch, make_model):
+    # links whose supports overlap: two links between the same two vertices,
+    # or two self-loops, each counted once in T_v
+    model = make_model()
+    symmetry_ops = _full_space_symmetry(model, every_element=False)
+    report = verify_model(model, seed=2)
+    assert report.passed, str(report.first_failure())
+    for faulty in (False, True):
+        if faulty:
+            # the same fault in H's hops and in the star's: no longer invariant
+            flipped = _sign_flipped_hops(lattice_model._hop_products)
+            monkeypatch.setattr(lattice_model, "_hop_products", flipped)
+            monkeypatch.setattr(verification, "_hop_products", flipped)
+        term = observable(model, "tunneling_energy").matrix
+        full = _full_commutator(term, symmetry_ops)
+        star = verification._star_residual(model, _probes(model))
+        assert abs(star - full) <= 1e-13, (star, full)
+        assert (full > 0.1) if faulty else (full <= 1e-13), full
+
+
+def _misplaced_tunneling(model):
+    """The tunneling block with link 0's hop carrying its U on link 1's factor:
+    Hermitian, but not gauge invariant."""
+    gb = model.global_basis
+    moved = {gb.link_factor(0): gb.link_factor(1)}
+
+    def hops():
+        for link in model.lattice.links:
+            products, coeff, hc = lattice_model._hop_products(model, link)
+            if link.index == 0:
+                products = [{moved.get(f, f): mats for f, mats in ops.items()}
+                            for ops in products]
+            yield lattice_model._sum_on_span(gb.factor_dims, products, coeff, hc)
+
+    dims = gb.factor_dims
+    return lattice_model._sum_blocks(dims, 0, len(dims), hops())
+
+
+def test_probe_sees_a_hop_placed_on_the_wrong_link(monkeypatch):
+    # the star pass rebuilds T_v from the library's hops, so only the seeded
+    # row slice of the returned block can see this fault; with 16 stored
+    # entries a slice the block spans many slices
+    monkeypatch.setattr(operators, "SLICE_NNZ", 16)
+    monkeypatch.setitem(lattice_model._TERMS, "tunneling", _misplaced_tunneling)
+    model = _d3_ring("rep")
+    block = _misplaced_tunneling(model)[2]
+    assert max_abs(block - block.conj().T) == 0.0
+    assert len(list(operators._row_slices(block.indptr))) > 100
+    for seed in range(5):
+        failed = {c.name: c.residual for c in verify_model(model, seed=seed).checks
+                  if not c.passed}
+        assert failed.get("model.gauss_commutes_with_tunneling", 0.0) > 0.1, (seed, failed)
+        assert "model.gauss_commutes_with_mass" not in failed
+    assert verification._star_residual(model, _probes(model)) <= 1e-10
+
+
+def test_tunneling_block_meets_each_gauss_operator_on_one_row_slice(monkeypatch):
+    # L1: D3 2x2 open with matter in the group basis.  Its tunneling block
+    # (2 211 840 stored entries, 17 row slices) is checked whole on the
+    # vertex stars; the full-space block meets each of the 8 Gauss operators
+    # of the generating set on one row slice only
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3, electric_weights=D3_WEIGHTS,
+                         terms=("mass", "tunneling"))
+    model = Model(build_builtin("D3"), lat, params, basis_tag="group")
+    built = []
+
+    def tunneling(model):
+        block = lattice_model._tunneling_term(model)
+        built.append(block[2])
+        return block
+
+    row_view, views = verification._row_view, []
+
+    def counting(mat, lo, hi):
+        views.append(any(np.shares_memory(mat.data, block.data) for block in built))
+        return row_view(mat, lo, hi)
+
+    monkeypatch.setitem(lattice_model._TERMS, "tunneling", tunneling)
+    monkeypatch.setattr(verification, "_row_view", counting)
+    report = verify_model(model, seed=1)
+    assert report.passed, str(report.first_failure())
+    assert len(built) == 1 and built[0].shape[0] == model.global_basis.dim
+    assert len(list(operators._row_slices(built[0].indptr))) > 1
+    gauss_operators = model.lattice.n_vertices * len(model.entry.spec.generating_set())
+    assert sum(views) == gauss_operators == 8
