@@ -502,11 +502,10 @@ def validate(entry: GroupCatalogEntry) -> ValidationReport:
     eye_res = unit_res = invdag_res = hom_res = 0.0
     for ir in entry.irreps:
         d = ir.matrices
+        d_dag = d.conj().swapaxes(1, 2)
         eye_res = max(eye_res, max_abs(d[e] - np.eye(ir.dim)))
-        unit_res = max(unit_res, max(
-            max_abs(d[g].conj().T @ d[g] - np.eye(ir.dim)) for g in range(order)))
-        invdag_res = max(invdag_res, max(
-            max_abs(d[spec.inv[g]] - d[g].conj().T) for g in range(order)))
+        unit_res = max(unit_res, max_abs(d_dag @ d - np.eye(ir.dim)))
+        invdag_res = max(invdag_res, max_abs(d[spec.inv] - d_dag))
         prod = np.einsum("gab,hbc->ghac", d, d)
         hom_res = max(hom_res, max_abs(prod - d[mul]))
     report.add("irreps.identity_matrix", eye_res)
@@ -518,11 +517,9 @@ def validate(entry: GroupCatalogEntry) -> ValidationReport:
     report.add("irreps.great_orthogonality", great_orthogonality_residual(entry))
 
     fund = entry.fundamental_irrep.matrices
-    dup = 0
-    for g in range(order):
-        for h in range(g + 1, order):
-            if max_abs(fund[g] - fund[h]) < 1e-6:
-                dup += 1
+    # pairs g < h with D(g) = D(h), one g at a time
+    dup = sum(np.count_nonzero(np.abs(fund[g + 1:] - fund[g]).max(axis=(1, 2)) < 1e-6)
+              for g in range(order))
     report.add("fundamental.faithful", float(dup))
 
     # character of the regular representation: |G| on the identity class, 0 elsewhere

@@ -6,6 +6,11 @@ against the concrete model and reports one residual per identity.  Used by
 the command line ``verify`` task; the unit tests exercise the same
 identities module by module.
 
+The link and vertex identities are taken on dense stacks: each operator
+family (Theta^L and Theta^R over the probe elements, the entries of U^j, the
+Lie generators, Theta_q over the elements, psi_a) is one array, built once,
+and each residual is a batched product over it, one element axis at a time.
+
 Gauge invariance of each term T is the exact entrywise residual max |S T - T S|
 over the Gauss operators S of a generating set of G (the Theta group-law
 checks extend it to every element) or over the Lie Gauss generators.  It is
@@ -83,85 +88,72 @@ def verify_model(model: Model, seed: int = 0) -> ValidationReport:
 
 # ---------------------------------------------------------------------------
 
-def _unitarity(mats) -> float:
-    """max over the matrices M of |M M^dag - 1|."""
-    eye = np.eye(mats[0].shape[0])
-    return max(max_abs(m @ m.conj().T - eye) for m in mats)
+def _stack(ops) -> np.ndarray:
+    """The dense matrices of ``ops`` as one array, indexed as ``ops`` is."""
+    return np.array([op.toarray() for op in ops])
 
 
-def _group_law(mats, spec) -> float:
-    """max over element pairs of |M(g) M(h) - M(gh)|, ``mats`` indexed by element."""
-    return max(max_abs(mats[g] @ mats[h] - mats[spec.mul[g, h]])
-               for g in range(spec.order) for h in range(spec.order))
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
+
+
+def _unitarity(stack: np.ndarray) -> float:
+    """max over the stacked matrices M of |M M^dag - 1|."""
+    return max_abs(stack @ _dagger(stack) - np.eye(stack.shape[-1]))
+
+
+def _group_law(stack: np.ndarray, spec) -> float:
+    """max over element pairs of |M(g) M(h) - M(gh)|, ``stack`` indexed by
+    element, one g at a time."""
+    return max(max_abs(stack[g] @ stack - stack[spec.mul[g]]) for g in range(spec.order))
 
 
 def _check_theta(model: Model, report: ValidationReport, seed: int):
     space = model.link_space
     entry = model.entry
     elements = entry.elements(COVARIANCE_SAMPLES, seed)
-    lefts = [theta_left(space, g) for g in elements]
-    rights = [theta_right(space, g) for g in elements]
-    mats = [[t.matrix for t in side] for side in (lefts, rights)]
-    report.add("theta.unitary", max(map(_unitarity, mats)), TIGHT)
+    lefts = _stack(theta_left(space, g) for g in elements)
+    rights = _stack(theta_right(space, g) for g in elements)
+    report.add("theta.unitary", max(_unitarity(lefts), _unitarity(rights)), TIGHT)
     report.add("theta.left_right_commute", max(
-        max_abs(tl @ tr - tr @ tl) for tl in mats[0] for tr in mats[1]), TIGHT)
+        max_abs(tl @ rights - rights @ tl) for tl in lefts), TIGHT)
 
     if entry.is_lie:
-        left, right = link_generators(space)
-        l2 = sum((x @ x).matrix for x in left)
-        r2 = sum((x @ x).matrix for x in right)
-        report.add("theta.casimir_left_equals_right", max_abs(l2 - r2), TIGHT)
+        left, right = map(_stack, link_generators(space))
+        report.add("theta.casimir_left_equals_right",
+                   max_abs((left @ left).sum(0) - (right @ right).sum(0)), TIGHT)
         return
 
     report.add("theta.group_law",
-               max(_group_law(side, entry.spec) for side in mats), TIGHT)
+               max(_group_law(lefts, entry.spec), _group_law(rights, entry.spec)), TIGHT)
+    f = space.fourier
     report.add("theta.fourier_to_translations", max(
-        max_abs(rep_op.to_basis(GROUP).matrix
-                - theta_group_basis(space, g, side).matrix)
-        for g in elements
-        for side, rep_op in (("L", lefts[g]), ("R", rights[g]))), TIGHT)
+        max_abs(f @ stack @ _dagger(f)
+                - _stack(theta_group_basis(space, g, side) for g in elements))
+        for side, stack in (("L", lefts), ("R", rights))), TIGHT)
 
 
 def _check_u(model: Model, report: ValidationReport, seed: int):
     space = model.link_space
     entry = model.entry
-    u = u_matrix(space, model.magnetic_rep, REP)
-    dim_j = u.dim
+    # u[m, n] is the link matrix of U^j_mn
+    u = np.array([_stack(row) for row in u_matrix(space, model.magnetic_rep, REP).entries])
     dmats = entry.irrep(model.magnetic_rep)
     cov = 0.0
     for g in entry.elements(COVARIANCE_SAMPLES, seed + 1):
         d = dmats.matrix(g)
-        tl = theta_left(space, g).matrix
-        tr = theta_right(space, g).matrix
-        d_inv = d.conj().T
-        for m in range(dim_j):
-            for n in range(dim_j):
-                lhs_r = tr @ u.entry(m, n).matrix @ tr.conj().T
-                rhs_r = sum(u.entry(m, k).matrix * d[k, n] for k in range(dim_j))
-                cov = max(cov, max_abs(lhs_r - rhs_r))
-                lhs_l = tl @ u.entry(m, n).matrix @ tl.conj().T
-                rhs_l = sum(d_inv[m, k] * u.entry(k, n).matrix for k in range(dim_j))
-                cov = max(cov, max_abs(lhs_l - rhs_l))
+        tl = theta_left(space, g).toarray()
+        tr = theta_right(space, g).toarray()
+        cov = max(cov, max_abs(tr @ u @ _dagger(tr) - np.einsum("mkab,kn->mnab", u, d)),
+                  max_abs(tl @ u @ _dagger(tl) - np.einsum("mk,knab->mnab", _dagger(d), u)))
     report.add("u.covariance", cov, TIGHT)
 
     if entry.is_lie:
-        left, right = link_generators(space)
-        t_mats = dmats.generators
-        comm = 0.0
-        for i, (l_i, r_i) in enumerate(zip(left, right)):
-            for m in range(dim_j):
-                for n in range(dim_j):
-                    lhs = l_i.matrix @ u.entry(m, n).matrix \
-                        - u.entry(m, n).matrix @ l_i.matrix
-                    rhs = -sum(t_mats[i][m, k] * u.entry(k, n).matrix
-                               for k in range(dim_j))
-                    comm = max(comm, max_abs(lhs - rhs))
-                    lhs = r_i.matrix @ u.entry(m, n).matrix \
-                        - u.entry(m, n).matrix @ r_i.matrix
-                    rhs = sum(u.entry(m, k).matrix * t_mats[i][k, n]
-                              for k in range(dim_j))
-                    comm = max(comm, max_abs(lhs - rhs))
-        report.add("u.generator_commutators", comm, TIGHT)
+        left, right = (stack[:, None, None] for stack in map(_stack, link_generators(space)))
+        t = np.array(dmats.generators)
+        report.add("u.generator_commutators", max(
+            max_abs(left @ u - u @ left + np.einsum("imk,knab->imnab", t, u)),
+            max_abs(right @ u - u @ right - np.einsum("mkab,ikn->imnab", u, t))), TIGHT)
         if entry.lie_kind == "su2" and model.magnetic_rep == "1/2":
             td = trace_diagnostic(space, "1/2")
             top = entry.irreps[-1].label
@@ -170,23 +162,13 @@ def _check_u(model: Model, report: ValidationReport, seed: int):
             report.add("u.trace_defect_closed_form", max_abs(td.toarray() - expect), TIGHT)
         return
 
-    unitarity = 0.0
-    eye = np.eye(space.dim)
-    for m in range(dim_j):
-        for n in range(dim_j):
-            acc = sum((u.entry(m, k) @ u.entry(n, k).dagger()).matrix
-                      for k in range(dim_j))
-            expect = eye if m == n else 0.0 * eye
-            unitarity = max(unitarity, max_abs(acc - expect))
-    report.add("u.unitarity", unitarity, TIGHT)
-
-    u_grp = u_matrix(space, model.magnetic_rep, GROUP)
-    agree = 0.0
-    for m in range(dim_j):
-        for n in range(dim_j):
-            agree = max(agree, max_abs(u.entry(m, n).to_basis(GROUP).matrix
-                                     - u_grp.entry(m, n).matrix))
-    report.add("u.rep_group_basis_agreement", agree, TIGHT)
+    # sum_k U_mk U_nk^dag = delta_mn
+    report.add("u.unitarity", max_abs(
+        np.einsum("mkab,nkcb->mnac", u, u.conj())
+        - np.multiply.outer(np.eye(len(u)), np.eye(space.dim))), TIGHT)
+    f = space.fourier
+    u_grp = np.array([_stack(row) for row in u_matrix(space, model.magnetic_rep, GROUP).entries])
+    report.add("u.rep_group_basis_agreement", max_abs(f @ u @ _dagger(f) - u_grp), TIGHT)
 
 
 def _check_cg(model: Model, report: ValidationReport):
@@ -211,39 +193,31 @@ def _check_cg(model: Model, report: ValidationReport):
 
 def _check_matter(model: Model, report: ValidationReport, seed: int):
     entry = model.entry
-    space = VertexFock(entry.fundamental_irrep.dim, 0)
-    n = space.n_modes
-
-    acar = 0.0
-    ops = [annihilation_matrix(n, a).toarray() for a in range(n)]
-    for a in range(n):
-        for b in range(n):
-            anti = ops[a] @ ops[b] + ops[b] @ ops[a]
-            acar = max(acar, max_abs(anti))
-            anti_mixed = ops[a] @ ops[b].conj().T + ops[b].conj().T @ ops[a]
-            expect = np.eye(space.dim) if a == b else 0.0
-            acar = max(acar, max_abs(anti_mixed - expect))
-    report.add("matter.anticommutation", acar, 0.0)
+    n = entry.fundamental_irrep.dim
+    psi = _stack(annihilation_matrix(n, a) for a in range(n))
+    psi_dag = _dagger(psi)
+    # every mode pair (a, b), broadcast
+    a, b = psi[:, None], psi[None]
+    report.add("matter.anticommutation", max(
+        max_abs(a @ b + b @ a),
+        max_abs(a @ _dagger(b) + _dagger(b) @ a
+                - np.multiply.outer(np.eye(n), np.eye(psi.shape[-1])))), 0.0)
 
     elements = entry.elements(COVARIANCE_SAMPLES, seed + 2)
+    d = np.array([entry.fundamental_irrep.matrix(g) for g in elements])
+    det = np.linalg.det(d)
     for parity in (0, 1):
         vf = VertexFock(n, parity)
-        thetas = [theta_q(vf, entry, g).toarray() for g in elements]
-        prop2 = covariance = 0.0
-        for theta, g in zip(thetas, elements):
-            d = entry.fundamental_irrep.matrix(g)
-            det = np.linalg.det(d)
-            expect_ev = det * det.conjugate() ** parity
-            prop2 = max(prop2, abs(theta[vf.full_state, vf.full_state] - expect_ev))
-            for a in range(n):
-                lhs = theta @ ops[a].conj().T @ theta.conj().T
-                rhs = sum(ops[b].conj().T * d[b, a] for b in range(n))
-                covariance = max(covariance, max_abs(lhs - rhs))
+        thetas = _stack(theta_q(vf, entry, g) for g in elements)
+        # Theta psi_a^dag Theta^dag = sum_b psi_b^dag D_ba, [element, a]
+        covariance = max_abs(thetas[:, None] @ psi_dag @ _dagger(thetas)[:, None]
+                             - np.einsum("bxy,eba->eaxy", psi_dag, d))
         if not entry.is_lie:
             report.add(f"matter.theta_group_law_parity{parity}",
                        _group_law(thetas, entry.spec), TIGHT)
         report.add(f"matter.theta_unitary_parity{parity}", _unitarity(thetas), TIGHT)
-        report.add(f"matter.full_state_determinant_parity{parity}", prop2, TIGHT)
+        report.add(f"matter.full_state_determinant_parity{parity}", max_abs(
+            thetas[:, vf.full_state, vf.full_state] - det * det.conj() ** parity), TIGHT)
         report.add(f"matter.covariance_parity{parity}", covariance, TIGHT)
 
 

@@ -10,6 +10,7 @@ construction.
 
 import math
 from functools import reduce
+from itertools import product
 from operator import matmul
 
 import numpy as np
@@ -17,6 +18,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal, expm, logm
 from scipy.sparse.csgraph import connected_components
 
+from fockgauge import verification
 from fockgauge.clebsch_gordan import (
     LIE_SAMPLE_SEED,
     CGTensor,
@@ -28,8 +30,8 @@ from fockgauge.lattice_model import (GROUP, REP, SECTOR_TOL, GlobalBasis, Model,
                                      _sum_on_span, embed_link, gauss_generators,
                                      hamiltonian_terms, observable, plaquette_trace,
                                      vertex_sector_average)
-from fockgauge.link_space import projector_rep
-from fockgauge.matter_space import VertexFock, _fundamental, bilinear
+from fockgauge.link_space import projector_rep, theta_group_basis
+from fockgauge.matter_space import VertexFock, _fundamental, annihilation_matrix, bilinear
 from fockgauge.operators import Operator, max_abs, real_if_close
 from fockgauge.spectra import (LANCZOS_MAX_ITER, LANCZOS_TOL, RITZ_CHECK_EVERY,
                                _Counts, _project_out, _Rows, expectation)
@@ -190,6 +192,102 @@ def observables_by_loops(model: Model, names, state: np.ndarray) -> dict:
                 acc += expectation(embed_link(model, proj, link.index), state).value
             values[name] = acc / max(model.lattice.n_links, 1)
     return values
+
+
+def link_identities_by_loops(model: Model, seed: int) -> dict:
+    """verification's theta.*, u.* and matter.* residuals (all but the SU(2)
+    trace defect), one element or element pair, entry U^j_mn and mode pair at
+    a time.  The builders are read from verification's namespace, so a fault
+    a test injects there reaches both."""
+    space, entry = model.link_space, model.entry
+
+    def dense(ops):
+        return [op.toarray() for op in ops]
+
+    def unitary(mats):
+        return max(max_abs(m @ m.conj().T - np.eye(len(m))) for m in mats)
+
+    def group_law(mats):
+        spec = entry.spec
+        return max(max_abs(mats[g] @ mats[h] - mats[spec.mul[g, h]])
+                   for g in range(spec.order) for h in range(spec.order))
+
+    out = {}
+    elements = entry.elements(verification.COVARIANCE_SAMPLES, seed)
+    lefts = dense(verification.theta_left(space, g) for g in elements)
+    rights = dense(verification.theta_right(space, g) for g in elements)
+    out["theta.unitary"] = max(unitary(lefts), unitary(rights))
+    out["theta.left_right_commute"] = max(max_abs(tl @ tr - tr @ tl)
+                                          for tl in lefts for tr in rights)
+    f = space.fourier
+    if entry.is_lie:
+        left, right = map(dense, verification.link_generators(space))
+        out["theta.casimir_left_equals_right"] = max_abs(sum(x @ x for x in left)
+                                                         - sum(x @ x for x in right))
+    else:
+        out["theta.group_law"] = max(group_law(lefts), group_law(rights))
+        out["theta.fourier_to_translations"] = max(
+            max_abs(f @ m @ f.conj().T - theta_group_basis(space, g, side).toarray())
+            for side, mats in (("L", lefts), ("R", rights)) for g, m in zip(elements, mats))
+
+    u_op = verification.u_matrix(space, model.magnetic_rep, REP)
+    entries = list(product(range(u_op.dim), repeat=2))
+    u = {mn: u_op.entry(*mn).toarray() for mn in entries}
+    dmats = entry.irrep(model.magnetic_rep)
+    cov = 0.0
+    for g in entry.elements(verification.COVARIANCE_SAMPLES, seed + 1):
+        d = dmats.matrix(g)
+        tl, tr = (side(space, g).toarray()
+                  for side in (verification.theta_left, verification.theta_right))
+        for m, n in entries:
+            rhs_r = sum(u[m, k] * d[k, n] for k in range(u_op.dim))
+            rhs_l = sum(d.conj()[k, m] * u[k, n] for k in range(u_op.dim))
+            cov = max(cov, max_abs(tr @ u[m, n] @ tr.conj().T - rhs_r),
+                      max_abs(tl @ u[m, n] @ tl.conj().T - rhs_l))
+    out["u.covariance"] = cov
+    if entry.is_lie:
+        out["u.generator_commutators"] = max(
+            max(max_abs(l_a @ u[m, n] - u[m, n] @ l_a
+                        + sum(t[m, k] * u[k, n] for k in range(u_op.dim))),
+                max_abs(r_a @ u[m, n] - u[m, n] @ r_a
+                        - sum(u[m, k] * t[k, n] for k in range(u_op.dim))))
+            for t, l_a, r_a in zip(dmats.generators, left, right) for m, n in entries)
+    else:
+        u_grp = verification.u_matrix(space, model.magnetic_rep, GROUP)
+        out["u.unitarity"] = max(
+            max_abs(sum(u[m, k] @ u[n, k].conj().T for k in range(u_op.dim))
+                    - (m == n) * np.eye(space.dim)) for m, n in entries)
+        out["u.rep_group_basis_agreement"] = max(
+            max_abs(f @ u[m, n] @ f.conj().T - u_grp.entry(m, n).toarray())
+            for m, n in entries)
+    if not model.lattice.include_matter:
+        return out
+
+    n_modes = entry.fundamental_irrep.dim
+    ops = [annihilation_matrix(n_modes, a).toarray() for a in range(n_modes)]
+    out["matter.anticommutation"] = max(
+        max(max_abs(ops[a] @ ops[b] + ops[b] @ ops[a]),
+            max_abs(ops[a] @ ops[b].conj().T + ops[b].conj().T @ ops[a]
+                    - (a == b) * np.eye(1 << n_modes)))
+        for a, b in product(range(n_modes), repeat=2))
+    elements = entry.elements(verification.COVARIANCE_SAMPLES, seed + 2)
+    for parity in (0, 1):
+        vf = VertexFock(n_modes, parity)
+        thetas = dense(verification.theta_q(vf, entry, g) for g in elements)
+        if not entry.is_lie:
+            out[f"matter.theta_group_law_parity{parity}"] = group_law(thetas)
+        out[f"matter.theta_unitary_parity{parity}"] = unitary(thetas)
+        prop2 = cov = 0.0
+        for theta, g in zip(thetas, elements):
+            d = entry.fundamental_irrep.matrix(g)
+            det = np.linalg.det(d)
+            prop2 = max(prop2, abs(theta[-1, -1] - det * det.conjugate() ** parity))
+            for a in range(n_modes):
+                cov = max(cov, max_abs(theta @ ops[a].conj().T @ theta.conj().T
+                                       - sum(ops[b].conj().T * d[b, a] for b in range(n_modes))))
+        out[f"matter.full_state_determinant_parity{parity}"] = prop2
+        out[f"matter.covariance_parity{parity}"] = cov
+    return out
 
 
 def hermiticity_residual_whole(mat: sp.spmatrix) -> float:

@@ -18,9 +18,10 @@ from fockgauge.lattice_model import (
     vacuum_state,
 )
 from fockgauge.link_space import theta_group_basis
-from fockgauge.operators import max_abs
+from fockgauge.operators import REP, Operator, max_abs
 from fockgauge.spectra import vortex_masses
 from fockgauge.verification import verify_model
+import oracles
 from oracles import basis_agreement_dense
 
 
@@ -595,3 +596,105 @@ def test_tunneling_block_meets_each_gauss_operator_on_one_row_slice(monkeypatch)
     assert len(list(operators._row_slices(built[0].indptr))) > 1
     gauss_operators = model.lattice.n_vertices * len(model.entry.spec.generating_set())
     assert sum(views) == gauss_operators == 8
+
+
+# ---------------------------------------------------------------------------
+# link and vertex identities: faults in their builders, and the Lie catalogs
+
+def _last_state_sign_conjugated(theta_right):
+    def faulty(space, g):
+        sign = sp.diags(np.r_[np.ones(space.dim - 1), -1.0])
+        return Operator(space, sign @ theta_right(space, g).matrix @ sign, REP)
+    return faulty
+
+
+def _u00_negated(u_matrix):
+    def faulty(space, j=None, basis_tag=REP):
+        u = u_matrix(space, j, basis_tag)
+        u.entries[0][0] = -1 * u.entries[0][0]
+        return u
+    return faulty
+
+
+def _state_one_phased(theta_q):
+    def faulty(space, entry, g):
+        phase = np.ones(space.dim, dtype=complex)
+        phase[1] = 1j
+        return Operator(space, sp.diags(phase) @ theta_q(space, entry, g).matrix)
+    return faulty
+
+
+BUILDER_FAULTS = {"theta_right": _last_state_sign_conjugated, "u_matrix": _u00_negated,
+                  "theta_q": _state_one_phased}
+
+
+BUILDER_FAULT_CASES = [
+    (lambda: _d3_chain("group"), "theta_right",
+     {"theta.fourier_to_translations", "theta.left_right_commute", "u.covariance"}),
+    (lambda: _d3_chain("group"), "u_matrix", {"u.covariance", "u.unitarity"}),
+    (lambda: _d3_chain("group"), "theta_q",
+     {"matter.covariance_parity0", "matter.covariance_parity1",
+      "matter.theta_group_law_parity0", "matter.theta_group_law_parity1"}),
+    (_su2_chain, "theta_right", {"theta.left_right_commute", "u.covariance"}),
+    (_su2_chain, "u_matrix", {"u.covariance", "u.generator_commutators"}),
+    (_su2_chain, "theta_q", {"matter.covariance_parity0", "matter.covariance_parity1"})]
+BUILDER_FAULT_IDS = ["d3-theta-right", "d3-u00", "d3-theta-q",
+                     "su2-theta-right", "su2-u00", "su2-theta-q"]
+
+
+def _lie_chain(name, **params):
+    lat = LatticeSpec(2, 1, boundary="open", include_matter=True)
+    return Model(build_builtin(name, **params), lat,
+                 ModelParams(mass=1.0, epsilon=0.7, coupling=1.3))
+
+
+@pytest.mark.parametrize("make_model,builder,failing", BUILDER_FAULT_CASES,
+                         ids=BUILDER_FAULT_IDS)
+def test_builder_faults_fail_exactly_their_checks(monkeypatch, make_model, builder, failing):
+    # the fault lives in verification's own builders, so the model's terms
+    # and Gauss operators are untouched and every model.* check still passes
+    monkeypatch.setattr(verification, builder,
+                        BUILDER_FAULTS[builder](getattr(verification, builder)))
+    report = verify_model(make_model(), seed=2)
+    assert {c.name for c in report.checks if not c.passed} == failing
+    assert any(c.name.startswith("model.") for c in report.checks)
+
+
+@pytest.mark.parametrize("name,params", [("U1_trunc", {"P": 1}), ("SU2_trunc", {"j_max": "1"})],
+                         ids=["u1-P1", "su2-jmax-one"])
+def test_verify_model_lie_catalogs(name, params):
+    # SU(2) j_max = 1 has 14 link states and drops coupling channels
+    model = _lie_chain(name, **params)
+    report = verify_model(model, seed=1)
+    assert report.passed, str(report.first_failure())
+    names = {c.name for c in report.checks}
+    expected = {"theta.casimir_left_equals_right", "u.covariance", "u.generator_commutators"}
+    if model.entry.lie_kind == "su2":
+        expected.add("u.trace_defect_closed_form")
+    assert expected <= names, names
+
+
+@pytest.mark.parametrize("make_model,builder,failing", [
+    *BUILDER_FAULT_CASES,
+    (lambda: _d3_chain("group"), None, set()), (lambda: _d3_chain("rep"), None, set()),
+    (_su2_chain, None, set()), (_z3_square, None, set()),
+    (lambda: _lie_chain("U1_trunc", P=1), None, set()),
+    (lambda: _lie_chain("SU2_trunc", j_max="1"), None, set())],
+    ids=[*BUILDER_FAULT_IDS, "d3-group", "d3-rep", "su2", "z3-square", "u1-P1", "su2-jmax-one"])
+def test_link_identities_equal_the_loop_reference(monkeypatch, make_model, builder, failing):
+    # the stacked residuals against one element, entry and mode at a time,
+    # to float64 rounding of entries of size max(1, residual)
+    if builder:
+        monkeypatch.setattr(verification, builder,
+                            BUILDER_FAULTS[builder](getattr(verification, builder)))
+    model = make_model()
+    checks = {c.name: c for c in verify_model(model, seed=2).checks
+              if c.name.startswith(("theta.", "u.", "matter."))}
+    checks.pop("u.trace_defect_closed_form", None)
+    reference = oracles.link_identities_by_loops(model, seed=2)
+    assert checks.keys() == reference.keys()
+    for name, value in reference.items():
+        assert abs(checks[name].residual - value) <= 1e-14 * max(1.0, value), \
+            (name, checks[name].residual, value)
+    assert {name for name, value in reference.items()
+            if value > checks[name].tolerance} == failing
