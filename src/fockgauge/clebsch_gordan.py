@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .group_core import GroupCatalogEntry, format_j, parse_j_label
+from .operators import max_abs
 
 INTEGRALITY_TOL = 1e-9
 PHASE_PICK_TOL = 1e-9
@@ -190,13 +191,13 @@ def _fix_phase(coeffs: np.ndarray) -> None:
 
 
 def verify_cg(entry: GroupCatalogEntry, tensor: CGTensor) -> float:
-    """Max intertwiner residual over all elements (finite) or sampled rotations (Lie)."""
+    """Max intertwiner residual |(D^J (x) D^j) A - A D^K| over all elements
+    (finite) or sampled rotations (Lie), one batched product over the stacked
+    elements."""
     a = tensor.matrix()
-    ir_J, ir_j, ir_K = (entry.irrep(tensor.J), entry.irrep(tensor.j),
-                        entry.irrep(tensor.K))
-    worst = 0.0
-    for g in entry.elements(LIE_SAMPLE_COUNT, LIE_SAMPLE_SEED):
-        lhs = np.kron(ir_J.matrix(g), ir_j.matrix(g)) @ a
-        rhs = a @ ir_K.matrix(g)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    elements = entry.elements(LIE_SAMPLE_COUNT, LIE_SAMPLE_SEED)
+    big, small, coupled = (np.array([entry.irrep(label).matrix(g) for g in elements])
+                           for label in (tensor.J, tensor.j, tensor.K))
+    # kron(D^J(g), D^j(g))[(M, m), (M', m')] = D^J_MM'(g) D^j_mm'(g)
+    kron = np.einsum("eab,ecd->eacbd", big, small).reshape(len(elements), len(a), len(a))
+    return max_abs(kron @ a - a @ coupled)

@@ -7,25 +7,26 @@ and seed, never on wall-clock; the thread count appears only in its
 
 The model commands (verify, spectrum, observables, vortex-masses) share one
 runner, ``_model_command``, and one failure contract.  Exit 2 with one
-``config error:`` line: an unreadable or malformed config or group file, a
-group file that fails a ``validate`` invariant (named with its residual),
-a seed, $FOCKGAUGE_THREADS, spectrum k or lattice size that is not an
-integer (bools, quoted numbers in the config and non-integral numbers are
-rejected, not coerced), an
+``config error:`` line: an unreadable or malformed config or group file
+(its ``order``, ``dim`` and ``mul`` entries not JSON integers that fit in
+int64, or a matrix entry not finite), a group file that fails a
+``validate`` invariant (named with its residual), a NaN or infinite mass,
+coupling, epsilon or electric weight, a seed, $FOCKGAUGE_THREADS, spectrum
+k or lattice size that is not an integer (bools, quoted numbers in the
+config and non-integral numbers are rejected, not coerced), an
 ``include_matter``, ``staggered`` or ``include_hc`` that is not a YAML
 boolean, a section or value of the wrong type (``params``,
 ``electric_weights`` and ``group.params`` are mappings; ``terms`` and
 observable ``names`` are lists), an unknown term, observable or state, a
 term listed twice, two numbers as ``epsilon`` on a two-link lattice (one
 complex value, or one real value per link?), missing electric weights, an
-output path whose directory does not exist, a request over a dense cap,
-and a model whose full space could not fit in
-the machine's physical memory (``BYTES_PER_ROW`` per basis state; the
-vortex-masses task never builds the configured model).  All of these are
-raised before any Hamiltonian is assembled.  Exit 1 with one ``eigensolve
-failed:`` line: an eigensolver that does not certify its pairs.  Neither
-writes an output file.  A verify report with a failed check is written,
-then exits 1.
+output path whose directory does not exist, a request over a dense cap, and
+a model whose full space could not fit in the machine's physical memory
+(``BYTES_PER_ROW`` per basis state; the vortex-masses task never builds the
+configured model).  All of these are raised before any Hamiltonian is
+assembled.  Exit 1 with one ``eigensolve failed:`` line: an eigensolver
+that does not certify its pairs.  Neither writes an output file.  A verify
+report with a failed check is written, then exits 1.
 """
 
 from __future__ import annotations

@@ -419,7 +419,7 @@ class ValidationReport:
 
     @property
     def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
+        return max_abs([c.residual for c in self.checks])
 
     def first_failure(self) -> Optional[CheckResult]:
         for c in self.checks:
@@ -432,19 +432,16 @@ class ValidationReport:
 
 
 def _check_latin_square(mul: np.ndarray) -> float:
+    """The number of rows and columns of ``mul`` that are not a permutation of
+    0..order-1 (the entries out of range instead, if there are any)."""
     order = mul.shape[0]
     if mul.shape != (order, order) or order == 0:
         return 1.0
     if mul.min() < 0 or mul.max() >= order:
         return float(np.count_nonzero((mul < 0) | (mul >= order)))
-    bad = 0
-    full = frozenset(range(order))
-    for i in range(order):
-        if set(mul[i].tolist()) != full:
-            bad += 1
-        if set(mul[:, i].tolist()) != full:
-            bad += 1
-    return float(bad)
+    rng = np.arange(order)
+    return float(np.count_nonzero((np.sort(mul, axis=1) != rng).any(axis=1))
+                 + np.count_nonzero((np.sort(mul, axis=0) != rng[:, None]).any(axis=0)))
 
 
 def _check_associativity(mul: np.ndarray) -> float:
@@ -459,11 +456,25 @@ def _check_associativity(mul: np.ndarray) -> float:
     return float(np.count_nonzero(mul[mul[a, b], c] != mul[a, mul[b, c]]))
 
 
+def group_law_residual(stack: np.ndarray, spec: GroupSpec) -> float:
+    """max over element pairs of |M(g) M(h) - M(gh)|, ``stack`` indexed by
+    element on its first axis and by matrix on its last two, one g at a time,
+    so that no more than one stack's worth of products is alive."""
+    return max_abs([max_abs(stack[g] @ stack - stack[spec.mul[g]])
+                    for g in range(spec.order)])
+
+
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
+
+
 def validate(entry: GroupCatalogEntry) -> ValidationReport:
     """Run every structural and representation invariant; report residuals.
 
     Failures are reported, never raised.  Combinatorial checks use a count
-    of violations as their residual.
+    of violations as their residual.  Each representation law is one
+    reduction over the irreps of one dimension, stacked as (order, irrep,
+    dim, dim), so that a NaN anywhere fails the law it enters.
     """
     report = ValidationReport()
     if entry.is_lie:
@@ -486,11 +497,10 @@ def validate(entry: GroupCatalogEntry) -> ValidationReport:
         inv_bad = np.count_nonzero(spec.inv < 0)
     report.add("mul.inverse", float(inv_bad))
 
-    class_bad = 0
     if (spec.inv >= 0).all() and mul.max() < order:
-        for h in range(order):
-            conj = mul[mul[spec.inv[h], np.arange(order)], h]
-            class_bad += np.count_nonzero(spec.class_of[conj] != spec.class_of)
+        # conj[h, g] = h^-1 g h
+        conj = mul[mul[spec.inv], np.arange(order)[:, None]]
+        class_bad = np.count_nonzero(spec.class_of[conj] != spec.class_of)
     else:
         class_bad = 1
     report.add("classes.closed_under_conjugation", float(class_bad))
@@ -499,19 +509,15 @@ def validate(entry: GroupCatalogEntry) -> ValidationReport:
         # Representation checks would be meaningless on a broken table.
         return report
 
-    eye_res = unit_res = invdag_res = hom_res = 0.0
-    for ir in entry.irreps:
-        d = ir.matrices
-        d_dag = d.conj().swapaxes(1, 2)
-        eye_res = max(eye_res, max_abs(d[e] - np.eye(ir.dim)))
-        unit_res = max(unit_res, max_abs(d_dag @ d - np.eye(ir.dim)))
-        invdag_res = max(invdag_res, max_abs(d[spec.inv] - d_dag))
-        prod = np.einsum("gab,hbc->ghac", d, d)
-        hom_res = max(hom_res, max_abs(prod - d[mul]))
-    report.add("irreps.identity_matrix", eye_res)
-    report.add("irreps.unitary", unit_res)
-    report.add("irreps.inverse_is_dagger", invdag_res)
-    report.add("irreps.homomorphism", hom_res)
+    stacks = [np.stack([ir.matrices for ir in entry.irreps if ir.dim == d], axis=1)
+              for d in sorted({ir.dim for ir in entry.irreps})]
+    report.add("irreps.identity_matrix",
+               max_abs([max_abs(s[e] - np.eye(s.shape[-1])) for s in stacks]))
+    report.add("irreps.unitary",
+               max_abs([max_abs(_dagger(s) @ s - np.eye(s.shape[-1])) for s in stacks]))
+    report.add("irreps.inverse_is_dagger",
+               max_abs([max_abs(s[spec.inv] - _dagger(s)) for s in stacks]))
+    report.add("irreps.homomorphism", max_abs([group_law_residual(s, spec) for s in stacks]))
 
     report.add("irreps.dim_sum_equals_order", float(abs(entry.dim_sum() - order)))
     report.add("irreps.great_orthogonality", great_orthogonality_residual(entry))
@@ -533,28 +539,20 @@ def validate(entry: GroupCatalogEntry) -> ValidationReport:
 
 
 def _validate_lie(entry: GroupCatalogEntry, report: ValidationReport):
-    herm = 0.0
-    for ir in entry.irreps:
-        for t in ir.generators:
-            herm = max(herm, max_abs(t - t.conj().T))
-    report.add("generators.hermitian", herm)
+    gens = [np.array(ir.generators) for ir in entry.irreps]
+    report.add("generators.hermitian", max_abs([max_abs(t - _dagger(t)) for t in gens]))
 
     if entry.lie_kind == "su2":
         eps = np.zeros((3, 3, 3))
         for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             eps[a, b, c], eps[b, a, c] = 1.0, -1.0
-        alg = cas = 0.0
-        for ir in entry.irreps:
-            t = ir.generators
-            for a in range(3):
-                for b in range(3):
-                    comm = t[a] @ t[b] - t[b] @ t[a]
-                    expect = 1j * sum(eps[a, b, c] * t[c] for c in range(3))
-                    alg = max(alg, max_abs(comm - expect))
-            total = sum(x @ x for x in t)
-            cas = max(cas, max_abs(total - ir.casimir * np.eye(ir.dim)))
-        report.add("su2.algebra_structure_constants", alg)
-        report.add("su2.casimir_diagonal", cas)
+        # [T_a, T_b] = i eps_abc T_c, every pair (a, b) broadcast
+        report.add("su2.algebra_structure_constants", max_abs([max_abs(
+            t[:, None] @ t - t @ t[:, None] - 1j * np.einsum("abc,cxy->abxy", eps, t))
+            for t in gens]))
+        report.add("su2.casimir_diagonal", max_abs([
+            max_abs((t @ t).sum(0) - ir.casimir * np.eye(ir.dim))
+            for t, ir in zip(gens, entry.irreps)]))
         two_js = sorted(int(2 * parse_j_label(ir.label)) for ir in entry.irreps)
         complete = two_js == list(range(len(two_js)))
         report.add("su2.representation_series_complete", 0.0 if complete else 1.0)
@@ -563,26 +561,26 @@ def _validate_lie(entry: GroupCatalogEntry, report: ValidationReport):
         p_max = int(entry.cutoff)
         complete = ps == list(range(-p_max, p_max + 1))
         report.add("u1.charge_series_complete", 0.0 if complete else 1.0)
-        diag = max(max_abs(ir.generators[0] - float(ir.label)) for ir in entry.irreps)
-        report.add("u1.generator_is_charge", diag)
+        report.add("u1.generator_is_charge", max_abs(
+            [max_abs(t[0] - float(ir.label)) for t, ir in zip(gens, entry.irreps)]))
 
     report.add("fundamental.present",
                0.0 if entry.has_irrep(entry.fundamental) else 1.0)
 
 
+def _flat_stack(entry: GroupCatalogEntry) -> tuple[np.ndarray, np.ndarray]:
+    """The (order, sum of dim^2) matrix whose row g holds D^j_mn(g) over the
+    canonical (j, m, n) order of :func:`rep_basis_order`, and dim j per column."""
+    dims = [ir.dim for ir in entry.irreps]
+    return (np.hstack([ir.matrices.reshape(entry.spec.order, -1) for ir in entry.irreps]),
+            np.repeat(dims, np.square(dims)))
+
+
 def great_orthogonality_residual(entry: GroupCatalogEntry) -> float:
-    """max |(1/|G|) sum_g D^j_mn(g) D^j'*_m'n'(g) - delta/dim(j)| over all index pairs."""
-    spec = entry.spec
-    worst = 0.0
-    for i, ir1 in enumerate(entry.irreps):
-        for k, ir2 in enumerate(entry.irreps):
-            s = np.einsum("gab,gcd->abcd", ir1.matrices, ir2.matrices.conj()) / spec.order
-            expect = np.zeros_like(s)
-            if i == k:
-                eye = np.eye(ir1.dim)
-                expect = np.einsum("ac,bd->abcd", eye, eye) / ir1.dim
-            worst = max(worst, max_abs(s - expect))
-    return worst
+    """max |(1/|G|) sum_g D^j_mn(g) D^j'*_m'n'(g) - delta/dim(j)| over all index
+    pairs: the Gram matrix of the flattened stack against diag(1/dim j)."""
+    flat, dims = _flat_stack(entry)
+    return max_abs(flat.T @ flat.conj() / entry.spec.order - np.diag(1.0 / dims))
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +615,8 @@ def fourier_matrix(entry: GroupCatalogEntry) -> np.ndarray:
         raise ValueError(
             f"incomplete irrep set: sum of dim^2 is {entry.dim_sum()}, "
             f"group order is {spec.order}")
-    cols = []
-    for ir in entry.irreps:
-        block = ir.matrices.reshape(spec.order, ir.dim ** 2)
-        cols.append(np.sqrt(ir.dim / spec.order) * block)
-    return np.hstack(cols)
+    flat, dims = _flat_stack(entry)
+    return np.sqrt(dims / spec.order) * flat
 
 
 # ---------------------------------------------------------------------------
@@ -646,12 +641,25 @@ Group definition file (JSON):
 """
 
 
+def _ints(raw, what: str) -> np.ndarray:
+    """``raw``, a JSON integer or a list of them, as int64; a bool, a float, a
+    string or an integer past int64 is a GroupFileError, never truncated."""
+    bad = [x for x in (raw if isinstance(raw, list) else [raw])
+           if type(x) is not int or not -2 ** 63 <= x < 2 ** 63]
+    if bad:
+        raise GroupFileError(f"{what} must be a JSON integer that fits in int64, "
+                             f"got {bad[0]!r}")
+    return np.asarray(raw, dtype=np.int64)
+
+
 def load_group_file(path: Union[str, Path]) -> GroupCatalogEntry:
     """Load a finite group with explicit irrep matrices from a JSON file.
 
     Structural problems (wrong sizes, missing keys, bad numbers, an order
     below 1) raise GroupFileError; algebraic problems (bad table, non-irrep
-    matrices) are left for validate() to report.
+    matrices) are left for validate() to report.  ``order``, each ``dim``
+    and the ``mul`` entries are JSON integers that fit in int64, and every
+    matrix entry is a finite number.
     """
     path = Path(path)
     try:
@@ -660,33 +668,31 @@ def load_group_file(path: Union[str, Path]) -> GroupCatalogEntry:
         raise GroupFileError(f"cannot read group file {path}: {exc}") from exc
     try:
         name = str(doc["name"])
-        order = int(doc["order"])
+        order = int(_ints(doc["order"], "order"))
         if order < 1:
             raise GroupFileError(f"order must be at least 1, got {order}")
         mul_flat = doc["mul"]
         if len(mul_flat) != order * order:
             raise GroupFileError(
                 f"mul has {len(mul_flat)} entries, expected {order * order}")
-        mul = np.asarray(mul_flat, dtype=np.int64).reshape(order, order)
+        mul = _ints(mul_flat, "each mul entry").reshape(order, order)
         labels = doc.get("element_labels") or [f"g{k}" for k in range(order)]
         if len(labels) != order:
             raise GroupFileError("element_labels length does not match order")
         irreps = []
         for block in doc["irreps"]:
-            dim = int(block["dim"])
-            raw = block["matrices"]
-            if len(raw) != order:
+            label = str(block["label"])
+            dim = int(_ints(block["dim"], f"irrep {label} dim"))
+            arr = np.asarray(block["matrices"], dtype=float)
+            if arr.shape != (order, dim, dim, 2):
                 raise GroupFileError(
-                    f"irrep {block['label']}: {len(raw)} matrices for {order} elements")
-            mats = np.empty((order, dim, dim), dtype=complex)
-            for g, mat in enumerate(raw):
-                arr = np.asarray(mat, dtype=float)
-                if arr.shape != (dim, dim, 2):
-                    raise GroupFileError(
-                        f"irrep {block['label']}, element {g}: expected "
-                        f"{dim}x{dim} [re, im] pairs, got shape {arr.shape}")
-                mats[g] = arr[..., 0] + 1j * arr[..., 1]
-            irreps.append(Irrep(label=str(block["label"]), dim=dim, matrices=mats))
+                    f"irrep {label}: expected {order} matrices of {dim}x{dim} "
+                    f"[re, im] pairs, got shape {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise GroupFileError(f"irrep {label}, element "
+                                     f"{np.argwhere(~np.isfinite(arr))[0, 0]}: "
+                                     "matrix entry is not a finite number")
+            irreps.append(Irrep(label=label, dim=dim, matrices=arr[..., 0] + 1j * arr[..., 1]))
         fundamental = str(doc["fundamental"])
     except GroupFileError:
         raise
@@ -713,10 +719,7 @@ def dump_group_file(entry: GroupCatalogEntry, path: Union[str, Path]) -> None:
             {
                 "label": ir.label,
                 "dim": ir.dim,
-                "matrices": [
-                    [[[float(z.real), float(z.imag)] for z in row] for row in ir.matrices[g]]
-                    for g in range(spec.order)
-                ],
+                "matrices": np.stack([ir.matrices.real, ir.matrices.imag], axis=-1).tolist(),
             }
             for ir in entry.irreps
         ],

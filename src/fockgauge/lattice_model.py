@@ -189,7 +189,8 @@ class ModelParams:
     j(j+1) for SU(2), p^2 for U(1), min(p, N-p)^2 for Z_N clock charges,
     otherwise they must be supplied).  ``terms`` selects Hamiltonian pieces
     out of {mass, tunneling, electric, magnetic}; None means every piece
-    applicable to the model, and a piece listed twice is refused.
+    applicable to the model, and a piece listed twice is refused.  Model
+    refuses a mass, coupling, epsilon or weight that is NaN or infinite.
     ``include_hc`` exists for fault injection in the verification suite:
     switching it off drops the Hermitian conjugate of the tunneling and
     plaquette sums.
@@ -294,6 +295,12 @@ class Model:
                     f"epsilon must be a scalar or one value per link "
                     f"({lattice.n_links}), got shape {eps.shape}")
             self.epsilon = eps
+        weights = {f"electric weight {k!r}": v for k, v in (params.electric_weights or {}).items()}
+        for what, value in {"mass": params.mass, "coupling": params.coupling,
+                            "epsilon": self.epsilon, **weights}.items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"{what} must be a finite number, got "
+                                 f"{np.asarray(value)[~np.isfinite(value)].flat[0]}")
 
         self.magnetic_rep = params.magnetic_rep or entry.fundamental
         if not entry.has_irrep(self.magnetic_rep):

@@ -40,7 +40,8 @@ class BasisMismatchError(ValueError):
 
 
 def max_abs(mat) -> float:
-    """Largest entry modulus of a dense or sparse array, 0 when empty."""
+    """Largest entry modulus of a dense or sparse array, 0 when empty; NaN
+    when any entry is NaN, so a list of residuals reduces without losing one."""
     if sp.issparse(mat):
         mat = mat if mat.format in ("csr", "csc", "coo") else mat.tocoo()
         return float(np.abs(mat.data[:mat.nnz]).max()) if mat.nnz else 0.0
@@ -73,9 +74,9 @@ def hermiticity_residual(mat: sp.spmatrix) -> float:
     """
     mat = sp.csr_matrix(mat)
     transposed = mat.T.tocsr()
-    return max((max_abs(_row_view(mat, lo, hi)
-                        - _row_view(transposed, lo, hi).conj(copy=False))
-                for lo, hi in _row_slices(mat.indptr + transposed.indptr)), default=0.0)
+    return max_abs([max_abs(_row_view(mat, lo, hi)
+                            - _row_view(transposed, lo, hi).conj(copy=False))
+                    for lo, hi in _row_slices(mat.indptr + transposed.indptr)])
 
 
 def normalize(mat: sp.spmatrix) -> sp.csr_matrix:

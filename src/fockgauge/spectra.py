@@ -144,9 +144,9 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
                want_vectors: bool = True) -> SpectrumResult:
     """Lowest k eigenpairs of a Hermitian operator with residual certificates.
 
-    An operator whose Hermiticity residual exceeds HERMITICITY_TOL raises
-    EigensolveError.  The connected components of the sparsity graph are
-    read once.  Above ``dense_cutoff`` Lanczos certifies each pair to
+    An operator whose Hermiticity residual exceeds HERMITICITY_TOL, or is
+    NaN, raises EigensolveError.  The connected components of the sparsity
+    graph are read once.  Above ``dense_cutoff`` Lanczos certifies each pair to
     LANCZOS_TOL within ``max_iter`` steps, cutting Ritz vectors along the
     components, or raises EigensolveError.  Up to it, when the largest
     component has at most ``k * DENSE_ROWS_PER_PAIR`` rows (always for
@@ -163,7 +163,7 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
     if dim != mat.shape[1]:
         raise ValueError("operator must be square")
     herm_res = hermiticity_residual(mat)
-    if herm_res > HERMITICITY_TOL:
+    if not herm_res <= HERMITICITY_TOL:    # NaN included
         raise EigensolveError(
             f"operator is not Hermitian (residual {herm_res:.3e})")
     if k is None:

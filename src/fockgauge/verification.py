@@ -44,7 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .clebsch_gordan import cg, decompose, verify_cg
-from .group_core import CheckResult, ValidationReport, validate
+from .group_core import CheckResult, ValidationReport, _dagger, group_law_residual, validate
 from .lattice_model import (
     DENSE_MAX_DIM,
     GROUP,
@@ -93,19 +93,9 @@ def _stack(ops) -> np.ndarray:
     return np.array([op.toarray() for op in ops])
 
 
-def _dagger(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().swapaxes(-1, -2)
-
-
 def _unitarity(stack: np.ndarray) -> float:
     """max over the stacked matrices M of |M M^dag - 1|."""
     return max_abs(stack @ _dagger(stack) - np.eye(stack.shape[-1]))
-
-
-def _group_law(stack: np.ndarray, spec) -> float:
-    """max over element pairs of |M(g) M(h) - M(gh)|, ``stack`` indexed by
-    element, one g at a time."""
-    return max(max_abs(stack[g] @ stack - stack[spec.mul[g]]) for g in range(spec.order))
 
 
 def _check_theta(model: Model, report: ValidationReport, seed: int):
@@ -114,9 +104,9 @@ def _check_theta(model: Model, report: ValidationReport, seed: int):
     elements = entry.elements(COVARIANCE_SAMPLES, seed)
     lefts = _stack(theta_left(space, g) for g in elements)
     rights = _stack(theta_right(space, g) for g in elements)
-    report.add("theta.unitary", max(_unitarity(lefts), _unitarity(rights)), TIGHT)
-    report.add("theta.left_right_commute", max(
-        max_abs(tl @ rights - rights @ tl) for tl in lefts), TIGHT)
+    report.add("theta.unitary", max_abs([_unitarity(lefts), _unitarity(rights)]), TIGHT)
+    report.add("theta.left_right_commute", max_abs(
+        [max_abs(tl @ rights - rights @ tl) for tl in lefts]), TIGHT)
 
     if entry.is_lie:
         left, right = map(_stack, link_generators(space))
@@ -124,13 +114,13 @@ def _check_theta(model: Model, report: ValidationReport, seed: int):
                    max_abs((left @ left).sum(0) - (right @ right).sum(0)), TIGHT)
         return
 
-    report.add("theta.group_law",
-               max(_group_law(lefts, entry.spec), _group_law(rights, entry.spec)), TIGHT)
+    report.add("theta.group_law", max_abs(
+        [group_law_residual(stack, entry.spec) for stack in (lefts, rights)]), TIGHT)
     f = space.fourier
-    report.add("theta.fourier_to_translations", max(
+    report.add("theta.fourier_to_translations", max_abs([
         max_abs(f @ stack @ _dagger(f)
                 - _stack(theta_group_basis(space, g, side) for g in elements))
-        for side, stack in (("L", lefts), ("R", rights))), TIGHT)
+        for side, stack in (("L", lefts), ("R", rights))]), TIGHT)
 
 
 def _check_u(model: Model, report: ValidationReport, seed: int):
@@ -139,21 +129,21 @@ def _check_u(model: Model, report: ValidationReport, seed: int):
     # u[m, n] is the link matrix of U^j_mn
     u = np.array([_stack(row) for row in u_matrix(space, model.magnetic_rep, REP).entries])
     dmats = entry.irrep(model.magnetic_rep)
-    cov = 0.0
+    cov = []
     for g in entry.elements(COVARIANCE_SAMPLES, seed + 1):
         d = dmats.matrix(g)
         tl = theta_left(space, g).toarray()
         tr = theta_right(space, g).toarray()
-        cov = max(cov, max_abs(tr @ u @ _dagger(tr) - np.einsum("mkab,kn->mnab", u, d)),
-                  max_abs(tl @ u @ _dagger(tl) - np.einsum("mk,knab->mnab", _dagger(d), u)))
-    report.add("u.covariance", cov, TIGHT)
+        cov += [max_abs(tr @ u @ _dagger(tr) - np.einsum("mkab,kn->mnab", u, d)),
+                max_abs(tl @ u @ _dagger(tl) - np.einsum("mk,knab->mnab", _dagger(d), u))]
+    report.add("u.covariance", max_abs(cov), TIGHT)
 
     if entry.is_lie:
         left, right = (stack[:, None, None] for stack in map(_stack, link_generators(space)))
         t = np.array(dmats.generators)
-        report.add("u.generator_commutators", max(
+        report.add("u.generator_commutators", max_abs([
             max_abs(left @ u - u @ left + np.einsum("imk,knab->imnab", t, u)),
-            max_abs(right @ u - u @ right - np.einsum("mkab,ikn->imnab", u, t))), TIGHT)
+            max_abs(right @ u - u @ right - np.einsum("mkab,ikn->imnab", u, t))]), TIGHT)
         if entry.lie_kind == "su2" and model.magnetic_rep == "1/2":
             td = trace_diagnostic(space, "1/2")
             top = entry.irreps[-1].label
@@ -174,21 +164,16 @@ def _check_u(model: Model, report: ValidationReport, seed: int):
 def _check_cg(model: Model, report: ValidationReport):
     entry = model.entry
     fund = model.magnetic_rep
-    intertwiner = 0.0
-    completeness = 0.0
+    intertwiner, completeness = [], []
     for ir in entry.irreps:
         dec = decompose(entry, ir.label, fund)
-        stacks = []
-        for k_label, _ in dec.terms:
-            tensor = cg(entry, ir.label, fund, k_label)
-            intertwiner = max(intertwiner, verify_cg(entry, tensor))
-            stacks.append(tensor.matrix())
-        if not dec.dropped and stacks:
-            square = np.hstack(stacks)
-            completeness = max(completeness, max_abs(
-                square.conj().T @ square - np.eye(square.shape[1])))
-    report.add("cg.intertwiner", intertwiner, LOOSE)
-    report.add("cg.completeness", completeness, LOOSE)
+        tensors = [cg(entry, ir.label, fund, k_label) for k_label, _ in dec.terms]
+        intertwiner += [verify_cg(entry, tensor) for tensor in tensors]
+        if not dec.dropped and tensors:
+            square = np.hstack([tensor.matrix() for tensor in tensors])
+            completeness.append(max_abs(square.conj().T @ square - np.eye(square.shape[1])))
+    report.add("cg.intertwiner", max_abs(intertwiner), LOOSE)
+    report.add("cg.completeness", max_abs(completeness), LOOSE)
 
 
 def _check_matter(model: Model, report: ValidationReport, seed: int):
@@ -198,10 +183,10 @@ def _check_matter(model: Model, report: ValidationReport, seed: int):
     psi_dag = _dagger(psi)
     # every mode pair (a, b), broadcast
     a, b = psi[:, None], psi[None]
-    report.add("matter.anticommutation", max(
+    report.add("matter.anticommutation", max_abs([
         max_abs(a @ b + b @ a),
         max_abs(a @ _dagger(b) + _dagger(b) @ a
-                - np.multiply.outer(np.eye(n), np.eye(psi.shape[-1])))), 0.0)
+                - np.multiply.outer(np.eye(n), np.eye(psi.shape[-1])))]), 0.0)
 
     elements = entry.elements(COVARIANCE_SAMPLES, seed + 2)
     d = np.array([entry.fundamental_irrep.matrix(g) for g in elements])
@@ -214,7 +199,7 @@ def _check_matter(model: Model, report: ValidationReport, seed: int):
                              - np.einsum("bxy,eba->eaxy", psi_dag, d))
         if not entry.is_lie:
             report.add(f"matter.theta_group_law_parity{parity}",
-                       _group_law(thetas, entry.spec), TIGHT)
+                       group_law_residual(thetas, entry.spec), TIGHT)
         report.add(f"matter.theta_unitary_parity{parity}", _unitarity(thetas), TIGHT)
         report.add(f"matter.full_state_determinant_parity{parity}", max_abs(
             thetas[:, vf.full_state, vf.full_state] - det * det.conj() ** parity), TIGHT)
@@ -229,12 +214,10 @@ def _commutator_residual(term: sp.csr_matrix, symmetry_ops, rng=None) -> float:
     from it instead: the exact residual on those rows only."""
     term = sp.csr_matrix(term)
     slices = list(_row_slices(term.indptr))
-    worst = 0.0
-    for s_op in symmetry_ops:
-        for lo, hi in slices if rng is None else [slices[rng.integers(len(slices))]]:
-            worst = max(worst, max_abs(_row_view(s_op, lo, hi) @ term
-                                       - _row_view(term, lo, hi) @ s_op))
-    return worst
+    return max_abs([max_abs(_row_view(s_op, lo, hi) @ term - _row_view(term, lo, hi) @ s_op)
+                    for s_op in symmetry_ops
+                    for lo, hi in (slices if rng is None
+                                   else [slices[rng.integers(len(slices))]])])
 
 
 def _on_span(dims, factors, pieces, coeff: complex = 1.0, hc: bool = False) -> sp.csr_matrix:
@@ -264,17 +247,17 @@ def _star_residual(model: Model, probes) -> float:
     S T_v - T_v S on v's star: the fermion factor and v's link factors, where
     T_v is the sum of the hops of v's links, each link once."""
     gb = model.global_basis
-    worst = 0.0
+    worst = []
     for v in range(model.lattice.n_vertices):
         links = dict(sorted((link.index, link) for link, _ in model.lattice.links_at_vertex(v)))
         star = [gb.fermion_factor, *map(gb.link_factor, links)]
         hops = sum((_on_span(gb.factor_dims, star, *_hop_products(model, link))
                     for link in links.values()),
                    sp.csr_matrix((math.prod(gb.factor_dims[f] for f in star),) * 2))
-        worst = max(worst, _commutator_residual(hops, (
+        worst.append(_commutator_residual(hops, (
             _on_span(gb.factor_dims, star, _gauss_products(model, v, **probe))
             for probe in probes)))
-    return worst
+    return max_abs(worst)
 
 
 def _check_hamiltonian(model: Model, report: ValidationReport, seed: int):
@@ -284,7 +267,7 @@ def _check_hamiltonian(model: Model, report: ValidationReport, seed: int):
               if lie else [{"g": g} for g in model.entry.spec.generating_set()])
     symmetry = [_gauss_products(model, v, **probe)
                 for v in range(model.lattice.n_vertices) for probe in probes]
-    herm, blocks = 0.0, {}
+    herm, blocks = [], {}
     for name in model.terms:
         try:
             blocks[name] = _TERMS[name](model)
@@ -293,7 +276,7 @@ def _check_hamiltonian(model: Model, report: ValidationReport, seed: int):
             report.checks.append(CheckResult(
                 f"model.term_build_{name} ({exc})", float("inf"), LOOSE))
             continue
-        herm = max(herm, hermiticity_residual(blocks[name][2]))
+        herm.append(hermiticity_residual(blocks[name][2]))
     if not blocks:
         return
 
@@ -307,23 +290,23 @@ def _check_hamiltonian(model: Model, report: ValidationReport, seed: int):
              for span in [*(block[:2] for block in blocks.values()), full]}
     vac = vacuum_state(model)
     rows = np.random.default_rng(seed + 3)
-    commutes, vacuum = dict.fromkeys(blocks, 0.0), 0.0
+    commutes, vacuum = {name: [] for name in blocks}, []
     for pieces in symmetry:
         for span, names in spans.items():
             s_op = _on_span(dims, range(*span), pieces)
             for name in names:
-                commutes[name] = max(commutes[name], _commutator_residual(
+                commutes[name].append(_commutator_residual(
                     blocks[name][2], [s_op], rows if name == "tunneling" else None))
             if span == full:
-                vacuum = max(vacuum, float(np.linalg.norm(s_op @ vac - (0 if lie else vac))))
+                vacuum.append(np.linalg.norm(s_op @ vac - (0 if lie else vac)))
             del s_op
     if "tunneling" in commutes:
-        commutes["tunneling"] = max(commutes["tunneling"], _star_residual(model, probes))
-    report.add("model.terms_hermitian", herm, TIGHT)
-    for name, residual in commutes.items():
-        report.add(f"model.gauss_commutes_with_{name}", residual, LOOSE)
+        commutes["tunneling"].append(_star_residual(model, probes))
+    report.add("model.terms_hermitian", max_abs(herm), TIGHT)
+    for name, parts in commutes.items():
+        report.add(f"model.gauss_commutes_with_{name}", max_abs(parts), LOOSE)
     report.add("model.vacuum_gauss_neutral" if lie else "model.vacuum_gauss_invariant",
-               vacuum, LOOSE)
+               max_abs(vacuum), LOOSE)
     if not lie and model.global_basis.dim <= DENSE_MAX_DIM:
         proj = physical_projector(model)
         report.add("model.projector_idempotent", max_abs((proj @ proj - proj).matrix), LOOSE)

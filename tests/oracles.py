@@ -9,6 +9,7 @@ construction.
 """
 
 import math
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import matmul
@@ -20,6 +21,7 @@ from scipy.sparse.csgraph import connected_components
 
 from fockgauge import verification
 from fockgauge.clebsch_gordan import (
+    LIE_SAMPLE_COUNT,
     LIE_SAMPLE_SEED,
     CGTensor,
     MultiplicityError,
@@ -81,6 +83,106 @@ def cg_numeric(entry: GroupCatalogEntry, J: str, j: str, K: str) -> CGTensor:
     tensor = CGTensor(J=J, j=j, K=K, coeffs=a.reshape(ir_J.dim, ir_j.dim, ir_K.dim))
     _fix_phase(tensor.coeffs)
     return tensor
+
+
+def _worst(values) -> float:
+    """The largest of ``values``, NaN when any is NaN (the builtin max keeps a
+    NaN only when it comes first)."""
+    return float(np.max(np.array(list(values), dtype=float), initial=0.0))
+
+
+def group_laws_by_loops(entry: GroupCatalogEntry, tensors=()) -> dict:
+    """validate's residuals by check name, in validate's order, and under
+    ``cg.intertwiner <J>x<j>-><K>`` verify_cg's residual of each CGTensor in
+    ``tensors``: every law one irrep, irrep pair, table row, element, element
+    pair, conjugating element or generator pair at a time.  Associativity
+    takes every triple, as validate does up to EXHAUSTIVE_ASSOCIATIVITY_LIMIT."""
+    out = {}
+    irreps = entry.irreps
+    if entry.is_lie:
+        out["generators.hermitian"] = _worst(max_abs(t - t.conj().T)
+                                             for ir in irreps for t in ir.generators)
+        if entry.lie_kind == "su2":
+            eps = np.zeros((3, 3, 3))
+            for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                eps[a, b, c], eps[b, a, c] = 1.0, -1.0
+            out["su2.algebra_structure_constants"] = _worst(
+                max_abs(t[a] @ t[b] - t[b] @ t[a]
+                        - 1j * sum(eps[a, b, c] * t[c] for c in range(3)))
+                for t in (ir.generators for ir in irreps) for a in range(3) for b in range(3))
+            out["su2.casimir_diagonal"] = _worst(
+                max_abs(sum(x @ x for x in ir.generators) - ir.casimir * np.eye(ir.dim))
+                for ir in irreps)
+            two_js = sorted(int(2 * Fraction(ir.label)) for ir in irreps)
+            out["su2.representation_series_complete"] = float(two_js != list(range(len(two_js))))
+        else:
+            p_max = int(entry.cutoff)
+            out["u1.charge_series_complete"] = float(
+                sorted(int(ir.label) for ir in irreps) != list(range(-p_max, p_max + 1)))
+            out["u1.generator_is_charge"] = _worst(max_abs(ir.generators[0] - float(ir.label))
+                                                   for ir in irreps)
+        out["fundamental.present"] = float(not entry.has_irrep(entry.fundamental))
+    else:
+        _finite_group_laws_by_loops(entry, out)
+    for tensor in tensors:
+        a = tensor.matrix()
+        ir_J, ir_j, ir_K = (entry.irrep(label) for label in (tensor.J, tensor.j, tensor.K))
+        out[f"cg.intertwiner {tensor.J}x{tensor.j}->{tensor.K}"] = _worst(
+            max_abs(np.kron(ir_J.matrix(g), ir_j.matrix(g)) @ a - a @ ir_K.matrix(g))
+            for g in entry.elements(LIE_SAMPLE_COUNT, LIE_SAMPLE_SEED))
+    return out
+
+
+def _finite_group_laws_by_loops(entry: GroupCatalogEntry, out: dict):
+    spec, irreps = entry.spec, entry.irreps
+    mul, order, e = spec.mul, spec.order, spec.identity
+    elements = range(order)
+    if mul.min() < 0 or mul.max() >= order:
+        latin = sum(not 0 <= x < order for x in mul.ravel())
+    else:
+        full = set(elements)
+        latin = sum((set(mul[i]) != full) + (set(mul[:, i]) != full) for i in elements)
+    out["mul.latin_square"] = float(latin)
+    out["mul.associative"] = float(sum(
+        mul[mul[a, b], c] != mul[a, mul[b, c]] for a, b, c in product(elements, repeat=3))
+        if latin == 0 else 1)
+    out["mul.identity"] = float(sum((mul[e, g] != g) + (mul[g, e] != g) for g in elements))
+    inverse_known = all(spec.inv >= 0)
+    out["mul.inverse"] = float(sum(mul[g, spec.inv[g]] != e if inverse_known
+                                   else spec.inv[g] < 0 for g in elements))
+    out["classes.closed_under_conjugation"] = float(sum(
+        spec.class_of[mul[mul[spec.inv[h], g], h]] != spec.class_of[g]
+        for h in elements for g in elements) if inverse_known and mul.max() < order else 1)
+    if latin or out["mul.inverse"]:
+        return
+
+    out["irreps.identity_matrix"] = _worst(max_abs(ir.matrices[e] - np.eye(ir.dim))
+                                           for ir in irreps)
+    out["irreps.unitary"] = _worst(max_abs(d.conj().T @ d - np.eye(ir.dim))
+                                   for ir in irreps for d in ir.matrices)
+    out["irreps.inverse_is_dagger"] = _worst(
+        max_abs(ir.matrices[spec.inv[g]] - ir.matrices[g].conj().T)
+        for ir in irreps for g in elements)
+    out["irreps.homomorphism"] = _worst(
+        max_abs(ir.matrices[g] @ ir.matrices[h] - ir.matrices[mul[g, h]])
+        for ir in irreps for g in elements for h in elements)
+    out["irreps.dim_sum_equals_order"] = float(abs(sum(ir.dim ** 2 for ir in irreps) - order))
+    pairs = []
+    for ir1, ir2 in product(irreps, repeat=2):
+        s = np.einsum("gab,gcd->abcd", ir1.matrices, ir2.matrices.conj()) / order
+        if ir1 is ir2:
+            s -= np.einsum("ac,bd->abcd", np.eye(ir1.dim), np.eye(ir1.dim)) / ir1.dim
+        pairs.append(max_abs(s))
+    out["irreps.great_orthogonality"] = _worst(pairs)
+    fund = entry.fundamental_irrep.matrices
+    out["fundamental.faithful"] = float(sum(np.abs(fund[g] - fund[h]).max() < 1e-6
+                                            for g in elements for h in range(g + 1, order)))
+    regular = {}
+    for g in elements:   # the first member of each class stands for it
+        regular.setdefault(spec.class_of[g], sum(ir.dim * np.trace(ir.matrices[g])
+                                                 for ir in irreps))
+    out["characters.regular_representation"] = _worst(
+        abs(value - (order if c == spec.class_of[e] else 0)) for c, value in regular.items())
 
 
 def decode(basis: GlobalBasis, index: int) -> list[int]:

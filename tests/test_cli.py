@@ -276,6 +276,15 @@ def test_config_errors(runner, tmp_path):
     ("spectrum", {"seed": "7"}),
     ("spectrum", {"lattice": {"lx": "2", "ly": 2, "boundary": "periodic"}}),
     ("spectrum", {"tasks": [{"spectrum": {"k": "3"}}]}),
+    # a NaN or infinite parameter on Z_2 2x1 with matter, refused by Model
+    # before any assembly
+    *[("spectrum", {"lattice": {"lx": 2, "ly": 1, "boundary": "open", "include_matter": True},
+                    "params": {"mass": 1.0, "epsilon": 0.5, "coupling": 1.0, **params}})
+      for params in ({"mass": float("nan")}, {"mass": float("inf")},
+                     {"coupling": float("nan")}, {"coupling": float("-inf")},
+                     {"epsilon": float("nan")}, {"epsilon": [float("inf"), 0.5]},
+                     {"epsilon": [0.5, float("nan")]},
+                     {"electric_weights": {"0": 0.0, "1": float("nan")}})],
 ])
 def test_bad_config_values_exit_2_with_one_line(runner, tmp_path, command, overrides):
     cfg = write_config(tmp_path / "bad.yaml", **overrides)
@@ -574,3 +583,34 @@ def test_model_past_physical_memory_exits_2_before_assembly(runner, tmp_path,
     assert len(lines) == 1 and lines[0].startswith("config error:"), lines
     assert "physical memory" in lines[0] and "10^24.1" in lines[0]
     assert not out.exists()
+
+
+def _nan_entry(doc):
+    doc["irreps"][2]["matrices"][1][0][1][0] = float("nan")
+
+
+INT64 = "must be a JSON integer that fits in int64, got"
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda doc: doc["mul"].__setitem__(0, 10 ** 20), f"each mul entry {INT64} {10 ** 20}"),
+    (lambda doc: doc["mul"].__setitem__(0, 1.9), f"each mul entry {INT64} 1.9"),
+    (lambda doc: doc.update(order=2.5), f"order {INT64} 2.5"),
+    (_nan_entry, "irrep 2, element 1: matrix entry is not a finite number")],
+    ids=["mul-past-int64", "mul-float", "order-float", "nan-entry"])
+def test_bad_group_file_numbers_exit_2_with_one_line(runner, tmp_path, corrupt, message):
+    path = _write_d3_file(tmp_path / "d3.json")
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["group-info", "--file", str(path)])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0], lines
+    cfg = write_config(tmp_path / "cfg.yaml", group={"file": "d3.json"})
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, ["spectrum", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+    assert message in lines[0] and not out.exists()

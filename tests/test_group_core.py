@@ -3,13 +3,19 @@ import json
 import numpy as np
 import pytest
 
+import oracles
+from fockgauge.clebsch_gordan import cg, decompose, verify_cg
 from fockgauge.group_core import (
+    DEFAULT_TOL,
     GroupFileError,
+    Irrep,
+    _spec_from_mul,
     build_builtin,
     character_table,
     dump_group_file,
     fourier_matrix,
     great_orthogonality_residual,
+    group_law_residual,
     load_group_file,
     parse_j_label,
     rep_basis_order,
@@ -292,3 +298,141 @@ def test_out_of_range_table_entry_is_reported_not_raised(tmp_path):
     path.write_text(json.dumps(doc))
     report = validate(load_group_file(path))
     assert report.first_failure().name == "mul.latin_square"
+
+
+# ---------------------------------------------------------------------------
+# group files: integers and finite numbers only
+
+def _d3_doc(tmp_path):
+    path = tmp_path / "d3.json"
+    dump_group_file(build_builtin("D3"), path)
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("key,value", [
+    ("mul", 10 ** 20), ("mul", 1.9), ("mul", True), ("mul", "1"), ("mul", 1.0),
+    ("order", 2.5), ("order", 6.0), ("order", True), ("order", "6"), ("order", 10 ** 20),
+    ("dim", 2.0), ("dim", "2"), ("dim", 10 ** 20)],
+    ids=["mul-past-int64", "mul-float", "mul-bool", "mul-string", "mul-integral-float",
+         "order-float", "order-integral-float", "order-bool", "order-string",
+         "order-past-int64", "dim-float", "dim-string", "dim-past-int64"])
+def test_group_file_integers_are_json_integers_that_fit_int64(tmp_path, key, value):
+    # refused, never truncated or coerced: 1.9 would load as 1, true as 1
+    path, doc = _d3_doc(tmp_path)
+    if key == "mul":
+        doc["mul"][7] = value
+    elif key == "order":
+        doc["order"] = value
+    else:
+        doc["irreps"][2]["dim"] = value
+    path.write_text(json.dumps(doc))
+    what = {"mul": "each mul entry", "order": "order", "dim": "irrep 2 dim"}[key]
+    with pytest.raises(GroupFileError, match=f"^{what} must "):
+        load_group_file(path)
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_group_file_matrix_entries_are_finite(tmp_path, text):
+    # the JSON module reads NaN and Infinity, and 1e400 overflows to inf
+    path, doc = _d3_doc(tmp_path)
+    doc["irreps"][2]["matrices"][1][0][1][0] = "@"
+    path.write_text(json.dumps(doc).replace('"@"', text))
+    with pytest.raises(GroupFileError, match="irrep 2, element 1: .* not a finite number"):
+        load_group_file(path)
+
+
+# ---------------------------------------------------------------------------
+# the representation laws against one irrep, pair, row and element at a time
+
+def _channels(entry):
+    """The CG tensor of every multiplicity-free channel J (x) fundamental."""
+    fund = entry.fundamental
+    return [cg(entry, ir.label, fund, k) for ir in entry.irreps
+            for k, _ in decompose(entry, ir.label, fund).terms]
+
+
+def _corrupted_d3(kind):
+    d3 = build_builtin("D3")
+    two = d3.irreps[2].matrices
+    if kind == "entry":
+        two[1, 0, 0] += 1e-3
+    elif kind == "scaled":
+        two[1] *= 1.5
+    elif kind == "scaled-identity":
+        two[0] *= 1.5
+    elif kind == "repeated-fundamental":
+        d3.irreps.append(Irrep(label="2b", dim=2, matrices=two.copy()))
+    elif kind == "swapped":
+        two[[1, 3]] = two[[3, 1]]
+    elif kind == "table-row":
+        mul = d3.spec.mul.copy()
+        mul[1, [0, 1]] = mul[1, [1, 0]]
+        d3.spec = _spec_from_mul("D3", mul, d3.spec.element_labels)
+    elif kind == "nan":
+        two[1, 0, 1] = np.nan
+    return d3
+
+
+CLEAN_GROUPS = [*[(f"Z_{n}", lambda n=n: build_builtin("Z_N", N=n)) for n in range(2, 9)],
+                ("Z_50", lambda: build_builtin("Z_N", N=50)), ("D3", lambda: build_builtin("D3")),
+                ("SU2-j1", lambda: build_builtin("SU2_trunc", j_max="1")),
+                ("SU2-j2", lambda: build_builtin("SU2_trunc", j_max="2")),
+                ("U1-P2", lambda: build_builtin("U1_trunc", P=2))]
+CORRUPTIONS = ["entry", "scaled", "scaled-identity", "repeated-fundamental", "swapped",
+               "table-row", "nan"]
+
+
+@pytest.mark.parametrize("make_entry", [
+    *[make for _, make in CLEAN_GROUPS],
+    *[lambda kind=kind: _corrupted_d3(kind) for kind in CORRUPTIONS]],
+    ids=[*[name for name, _ in CLEAN_GROUPS], *[f"d3-{kind}" for kind in CORRUPTIONS]])
+def test_group_laws_equal_the_loop_reference(make_entry):
+    # validate and verify_cg against the loop definitions, to float64 rounding
+    # of entries of size max(1, residual); a NaN is a NaN on both sides.  The
+    # CG tensors are those of the clean group, checked against the corrupted one.
+    entry = make_entry()
+    clean = build_builtin("D3") if entry.name == "D3" else entry
+    tensors = _channels(clean)
+    found = {c.name: c.residual for c in validate(entry).checks}
+    found.update({f"cg.intertwiner {t.J}x{t.j}->{t.K}": verify_cg(entry, t) for t in tensors})
+    reference = oracles.group_laws_by_loops(entry, tensors)
+    assert list(found) == list(reference)
+    for name, value in reference.items():
+        assert (np.isnan(value) and np.isnan(found[name])) or \
+            abs(found[name] - value) <= 1e-14 * max(1.0, value), (name, found[name], value)
+    assert {name for name, value in found.items() if not value <= DEFAULT_TOL} == \
+        {name for name, value in reference.items() if not value <= DEFAULT_TOL}
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_each_d3_corruption_fails_validate(kind):
+    report = validate(_corrupted_d3(kind))
+    assert not report.passed
+    if kind == "nan":
+        # one NaN off the diagonal keeps every character; the laws it enters fail
+        failing = {c.name for c in report.checks if not c.passed}
+        assert failing == {"irreps.unitary", "irreps.inverse_is_dagger",
+                           "irreps.homomorphism", "irreps.great_orthogonality"}
+        assert report.first_failure().name == "irreps.unitary"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_group_law_residual_equals_the_pair_loop_on_any_stack(seed):
+    # random matrices on D3's table, the last one ten times larger, so the
+    # largest residual sits at g = h = the last element alone
+    spec = build_builtin("D3").spec
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((6, 3, 2, 2)) + 1j * rng.standard_normal((6, 3, 2, 2))
+    stack[5] *= 10
+    loop = max(np.abs(stack[g] @ stack[h] - stack[spec.mul[g, h]]).max()
+               for g in range(6) for h in range(6))
+    assert abs(group_law_residual(stack, spec) - loop) <= 1e-14 * loop
+
+
+def test_group_law_residual_keeps_a_nan_of_a_late_element():
+    d3 = build_builtin("D3")
+    stack = d3.irreps[2].matrices.copy()
+    assert group_law_residual(stack, d3.spec) < 1e-14
+    stack[5, 1, 0] = np.nan
+    assert np.isnan(group_law_residual(stack, d3.spec))
+

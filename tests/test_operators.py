@@ -15,6 +15,7 @@ from fockgauge.lattice_model import (
 from fockgauge.link_space import BasisMismatchError, theta_left
 from fockgauge.matter_space import VertexFock, number_operator, psi
 from fockgauge.operators import (
+    SLICE_NNZ,
     Operator,
     hermiticity_residual,
     matvec,
@@ -71,6 +72,13 @@ def test_hermiticity_residual_matches_the_whole_difference(dtype):
     for case in (mat, hermitian, noisy, sp.csr_matrix((300, 300), dtype=dtype)):
         assert hermiticity_residual(case) == hermiticity_residual_whole(case)
     assert hermiticity_residual(hermitian) == 0.0
+
+
+@pytest.mark.parametrize("row", [0, -1], ids=["first-slice", "last-slice"])
+def test_hermiticity_residual_keeps_a_nan_in_any_slice(row):
+    values = np.arange(1.0, 3 * SLICE_NNZ + 1)
+    values[row] = np.nan
+    assert np.isnan(hermiticity_residual(sp.diags(values).tocsr()))
 
 
 def test_hermiticity_residual_holds_one_transposed_copy():

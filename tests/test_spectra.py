@@ -21,7 +21,7 @@ from fockgauge.lattice_model import (
     vacuum_state,
 )
 from fockgauge.link_space import projector_rep
-from fockgauge.operators import DROP_TOL, eigh_by_components, real_if_close
+from fockgauge.operators import DROP_TOL, SLICE_NNZ, eigh_by_components, real_if_close
 from fockgauge.spectra import (
     DENSE_ROWS_PER_PAIR,
     EPS,
@@ -49,6 +49,24 @@ def test_eigensolve_rejects_non_hermitian():
     mat = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(EigensolveError):
         eigensolve(mat)
+
+
+def _diagonal_nan_past_the_first_slice():
+    # two stored entries a row in M and M^T together: several row slices
+    dim = 3 * SLICE_NNZ
+    values = np.arange(1.0, dim + 1)
+    values[-1] = np.nan
+    return sp.diags(values).tocsr()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, np.nan]),
+    _diagonal_nan_past_the_first_slice], ids=["dense-8", "past-first-slice"])
+def test_eigensolve_refuses_a_nan_hermiticity_residual(make):
+    # a NaN residual is not at most the tolerance: no eigenpair with NaN
+    # residuals comes back
+    with pytest.raises(EigensolveError, match="not Hermitian"):
+        eigensolve(make(), k=2)
 
 
 def test_k_clamped_with_warning():

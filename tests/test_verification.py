@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from fockgauge import lattice_model, operators, verification
+from fockgauge.clebsch_gordan import cg, decompose
 from fockgauge.group_core import build_builtin, dump_group_file, load_group_file
 from fockgauge.lattice_model import (
     LatticeSpec,
@@ -698,3 +699,51 @@ def test_link_identities_equal_the_loop_reference(monkeypatch, make_model, build
             (name, checks[name].residual, value)
     assert {name for name, value in reference.items()
             if value > checks[name].tolerance} == failing
+
+
+@pytest.mark.parametrize("make_model", [
+    lambda: _d3_chain("group"), _su2_chain, _z3_square,
+    lambda: _lie_chain("U1_trunc", P=1), lambda: _lie_chain("SU2_trunc", j_max="1")],
+    ids=["d3-group", "su2", "z3-square", "u1-P1", "su2-jmax-one"])
+def test_group_and_cg_checks_equal_the_loop_reference(make_model):
+    # the group.* checks are validate's, in its order; cg.intertwiner is the
+    # largest verify_cg residual over every channel J (x) j, and
+    # cg.completeness compares each J's stacked CG columns one pair at a time
+    model = make_model()
+    entry, fund = model.entry, model.magnetic_rep
+    checks = {c.name: c.residual for c in verify_model(model, seed=2).checks}
+    channels = {ir.label: decompose(entry, ir.label, fund) for ir in entry.irreps}
+    tensors = {label: [cg(entry, label, fund, k) for k, _ in dec.terms]
+               for label, dec in channels.items()}
+    reference = oracles.group_laws_by_loops(entry, [t for ts in tensors.values() for t in ts])
+    reference["cg.intertwiner"] = max(reference.pop(name) for name in list(reference)
+                                      if name.startswith("cg."))
+    columns = [np.hstack([t.matrix() for t in tensors[label]]).T
+               for label, dec in channels.items() if not dec.dropped and dec.terms]
+    reference["cg.completeness"] = max(abs(np.vdot(a, b) - (p == q))
+                                       for cols in columns
+                                       for p, a in enumerate(cols) for q, b in enumerate(cols))
+    found = {name.removeprefix("group."): value for name, value in checks.items()
+             if name.startswith(("group.", "cg."))}
+    assert list(found) == list(reference)
+    for name, value in reference.items():
+        assert abs(found[name] - value) <= 1e-14 * max(1.0, value), (name, found[name], value)
+
+
+@pytest.mark.parametrize("name,check", [
+    ("verify_cg", "cg.intertwiner"), ("hermiticity_residual", "model.terms_hermitian"),
+    ("_commutator_residual", "model.gauss_commutes_with_tunneling"),
+    ("_unitarity", "theta.unitary"), ("group_law_residual", "theta.group_law")])
+def test_a_nan_in_a_late_part_fails_its_check(monkeypatch, name, check):
+    # the first part is finite and every later one NaN: a max that keeps its
+    # first value would report the finite one and pass
+    original, calls = getattr(verification, name), []
+
+    def late_nan(*args, **kwargs):
+        calls.append(name)
+        value = original(*args, **kwargs)
+        return value if len(calls) == 1 else float("nan")
+
+    monkeypatch.setattr(verification, name, late_nan)
+    found = {c.name: c for c in verify_model(_d3_chain("group"), seed=2).checks}[check]
+    assert np.isnan(found.residual) and not found.passed
