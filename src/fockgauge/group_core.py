@@ -659,7 +659,8 @@ def load_group_file(path: Union[str, Path]) -> GroupCatalogEntry:
     below 1) raise GroupFileError; algebraic problems (bad table, non-irrep
     matrices) are left for validate() to report.  ``order``, each ``dim``
     and the ``mul`` entries are JSON integers that fit in int64, and every
-    matrix entry is a finite number.
+    matrix entry is a finite JSON number (not a bool, a string or null).
+    Every GroupFileError names the file.
     """
     path = Path(path)
     try:
@@ -683,23 +684,30 @@ def load_group_file(path: Union[str, Path]) -> GroupCatalogEntry:
         for block in doc["irreps"]:
             label = str(block["label"])
             dim = int(_ints(block["dim"], f"irrep {label} dim"))
-            arr = np.asarray(block["matrices"], dtype=float)
+            arr = np.asarray(block["matrices"], dtype=object)
             if arr.shape != (order, dim, dim, 2):
                 raise GroupFileError(
                     f"irrep {label}: expected {order} matrices of {dim}x{dim} "
                     f"[re, im] pairs, got shape {arr.shape}")
+            # a bool or a string would pass float(); only JSON numbers are entries
+            stray = np.array([type(x) not in (int, float) for x in arr.flat]).reshape(arr.shape)
+            if stray.any():
+                where = np.argwhere(stray)[0]
+                raise GroupFileError(f"irrep {label}, element {where[0]}: matrix entry must "
+                                     f"be a JSON number, got {arr[tuple(where)]!r}")
+            arr = arr.astype(float)
             if not np.isfinite(arr).all():
                 raise GroupFileError(f"irrep {label}, element "
                                      f"{np.argwhere(~np.isfinite(arr))[0, 0]}: "
                                      "matrix entry is not a finite number")
             irreps.append(Irrep(label=label, dim=dim, matrices=arr[..., 0] + 1j * arr[..., 1]))
         fundamental = str(doc["fundamental"])
-    except GroupFileError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        if not any(ir.label == fundamental for ir in irreps):
+            raise GroupFileError(f"fundamental irrep {fundamental!r} not among irreps")
+    except GroupFileError as exc:
+        raise GroupFileError(f"{exc} (group file {path})") from None
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GroupFileError(f"malformed group file {path}: {exc}") from exc
-    if not any(ir.label == fundamental for ir in irreps):
-        raise GroupFileError(f"fundamental irrep {fundamental!r} not among irreps")
     spec = _spec_from_mul(name, mul, labels)
     return GroupCatalogEntry(name=name, spec=spec, irreps=irreps, fundamental=fundamental)
 

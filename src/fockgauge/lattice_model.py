@@ -12,8 +12,9 @@ top x-link, then U-dagger on the left y-link (counterclockwise circulation).
 Placement: every operator reaches the full space one way.  ``_sum_on_span``
 sums the per-factor products of one local piece on the span of factors
 they touch and applies its coefficient and h.c. there, giving a block (lo,
-hi, local); ``_sum_blocks``, the only sum, places blocks on a span and adds
-them as they are produced; ``_operator``, the one step onto the lattice,
+hi, local); ``_sum_blocks``, the only sum, adds blocks on a span one range
+of its leading factor's digits at a time, placing each block on those rows
+only, into one CSR allocated once; ``_operator``, the one step onto the lattice,
 makes a block a full-space ``Operator`` by ``_place``, which writes I (x)
 local (x) I straight into canonical CSR with the bits a Kronecker product
 with complex identities gives.  The ``_TERMS`` builders return blocks, so
@@ -63,7 +64,8 @@ from .matter_space import (
     number_operator,
     theta_q,
 )
-from .operators import Operator, eigh_by_components, normalize, real_if_close
+from .operators import (SLICE_NNZ, Operator, _row_slices, _row_view, eigh_by_components,
+                        normalize, real_if_close)
 
 # Largest dimension handled with dense matrices: dense eigh, the sector
 # projector and basis, and the dense identity checks.
@@ -429,13 +431,68 @@ def _span(factors: Iterable[int]) -> tuple[int, int]:
 def _sum_blocks(dims: Sequence[int], lo: int, hi: int, blocks: Iterable[Block]) -> Block:
     """(lo, hi, local): blocks inside the factors [lo, hi) added there in order.
 
-    ``blocks`` is consumed one at a time: each block is placed on the span
-    and added, from a float64 zero, before the next one is built.
+    The sum is written into index and value arrays allocated once, as long
+    as the placed blocks' nnz together, one range of the span's leading
+    factor digits at a time, and trimmed to its nnz at the end.  On each
+    range every block is placed on those rows only (``_digit_rows``) and the
+    rows are added in order, from a float64 zero, by the CSR addition of the
+    whole sum, so the result is that sum bit for bit.  A range holds about
+    1/64 of the placed nnz, at least SLICE_NNZ entries.
     """
     span = dims[lo:hi]
-    zero = sp.csr_matrix((math.prod(span),) * 2)
-    return lo, hi, sum((_place(span, b_lo - lo, b_hi - lo, local)
-                        for b_lo, b_hi, local in blocks), zero)
+    dim = math.prod(span)
+    lead = span[0] if span else 1
+    rest = dim // lead
+    parts = [_digit_rows(span, b_lo - lo, b_hi - lo, local) for b_lo, b_hi, local in blocks]
+    load = np.cumsum(np.r_[0, sum((counts for counts, _, _ in parts), np.zeros(lead, int))])
+    index = _index_dtype(dim, load[-1])
+    indptr, indices = np.zeros(dim + 1, index), np.empty(load[-1], index)
+    data = np.empty(load[-1], np.result_type(np.float64, *(dtype for _, dtype, _ in parts)))
+    nnz = 0
+    for t0, t1 in _row_slices(load, max(SLICE_NNZ, load[-1] // 64)):
+        added = sum((rows(t0, t1) for _, _, rows in parts),
+                    sp.csr_matrix(((t1 - t0) * rest, dim)))
+        pointers = indptr[t0 * rest + 1:t1 * rest + 1]
+        pointers[:] = added.indptr[1:]
+        pointers += nnz
+        indices[nnz:nnz + added.nnz], data[nnz:nnz + added.nnz] = added.indices, added.data
+        nnz += added.nnz
+        del added    # freed before the next range is added
+    indices.resize(nnz, refcheck=False)    # shrinks in place: no view of either is left
+    data.resize(nnz, refcheck=False)
+    total = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    total.has_canonical_format = True
+    return lo, hi, total
+
+
+def _digit_rows(span: Sequence[int], lo: int, hi: int, local: sp.spmatrix):
+    """A block on factors [lo, hi) of ``span`` as (counts, dtype, rows).
+
+    ``rows(t0, t1)`` is the rows of ``_place(span, lo, hi, local)`` whose
+    leading-factor digit is in [t0, t1), bit for bit, with the local in
+    canonical form; ``counts`` is their nnz per digit, ``dtype`` their
+    values' type.  A block on the leading factor takes its local's rows
+    (x) I_after; any other block repeats one precomputed single-digit band,
+    shifted per digit.  A zero-width block, c times the identity, is placed
+    after the leading factor.
+    """
+    local = sp.csr_matrix(local)
+    if not local.has_canonical_format:
+        local = local.copy()
+        local.sum_duplicates()
+    dtype = np.complex128 if np.iscomplexobj(local.data) else np.float64
+    padded = (math.prod(span[:lo]) > 1) + (math.prod(span[hi:]) > 1)    # as _place pads
+    if lo == hi:
+        lo = hi = min(1, len(span))
+    lead, dim = (span[0] if span else 1), math.prod(span)
+    after = math.prod(span[hi:])
+    if lo == 0:
+        per_digit = local.shape[0] // lead
+        return (np.diff(local.indptr[::per_digit]) * after, dtype, lambda t0, t1: _band(
+            _row_view(local, t0 * per_digit, t1 * per_digit), after, dtype, padded))
+    digit = _tiled(_band(local, after, dtype, padded), range(math.prod(span[1:lo])))
+    return (np.full(lead, digit.nnz), dtype,
+            lambda t0, t1: _tiled(digit, range(t0, t1), dim))
 
 
 def _operator(model: Model, block: Block) -> Operator:
@@ -451,12 +508,11 @@ def _place(dims: Sequence[int], lo: int, hi: int, local: sp.spmatrix) -> sp.csr_
     """A block on factors [lo, hi) of ``dims``, padded with one identity on each side.
 
     I_before (x) local (x) I_after is written straight into canonical CSR,
-    with int32 indices when the dim and the nnz fit: each local row is
-    repeated ``after`` times with its columns spread by ``after``, and that
-    band is tiled ``before`` times down the diagonal.  A complex local is
-    multiplied by 1+0j once per padded side, as a Kronecker product with a
-    complex identity does, so even signed zeros come out the same; a real
-    local stays float64.
+    with int32 indices when the dim and the nnz fit: ``_band`` spreads
+    local (x) I_after and ``_tiled`` repeats that band ``before`` times down
+    the diagonal.  A complex local is multiplied by 1+0j once per padded
+    side, as a Kronecker product with a complex identity does, so even
+    signed zeros come out the same; a real local stays float64.
     """
     local = sp.csr_matrix(local)
     dtype = np.complex128 if np.iscomplexobj(local.data) else np.float64
@@ -466,28 +522,55 @@ def _place(dims: Sequence[int], lo: int, hi: int, local: sp.spmatrix) -> sp.csr_
     if not local.has_canonical_format:
         local = local.copy()
         local.sum_duplicates()
+    band = _band(local, after, dtype, (before > 1) + (after > 1))
+    return band if before == 1 else _tiled(band, range(before))
+
+
+def _index_dtype(*sizes: int):
+    """int32 when every one of ``sizes`` (a dim, an nnz) fits it, else int64."""
+    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
+
+
+def _band(local: sp.csr_matrix, after: int, dtype, padded: int) -> sp.csr_matrix:
+    """local (x) I_after for a canonical (k x n) CSR local, in canonical CSR:
+    each row repeated ``after`` times with its columns spread by ``after``.
+    The values are cast to ``dtype`` and, when complex, multiplied by 1+0j
+    ``padded`` times; with after = 1 and nothing padded, ``local`` itself."""
+    if after == 1 and not padded:
+        return local.astype(dtype, copy=False)
+    (k, n), nnz = local.shape, local.nnz * after
+    index = _index_dtype(n * after, nnz)
     values = local.data.astype(dtype)
     if dtype is np.complex128:
-        for _ in range((before > 1) + (after > 1)):
+        for _ in range(padded):
             values *= 1 + 0j
-    n = local.shape[0]
-    dim, nnz = before * n * after, before * local.nnz * after
-    index = np.int32 if max(dim, nnz) <= np.iinfo(np.int32).max else np.int64
     band = sp.csr_matrix((values, local.indices, local.indptr),
-                         shape=local.shape)[np.repeat(np.arange(n), after)]
+                         shape=local.shape)[np.repeat(np.arange(k), after)]
     indices = band.indices.astype(index, copy=False)
     indices *= after
-    indices += np.repeat(np.tile(np.arange(after, dtype=index), n),
+    indices += np.repeat(np.tile(np.arange(after, dtype=index), k),
                          np.repeat(np.diff(local.indptr), after))
-    indptr, data = band.indptr.astype(index, copy=False), band.data
-    if before > 1:
-        steps = np.arange(before, dtype=index)[:, None]
-        indices = (indices + steps * (n * after)).ravel()
-        indptr = np.append((indptr[:-1] + steps * indptr[-1]).ravel(), index(nnz))
-        data = np.tile(data, before)
-    placed = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
-    placed.has_canonical_format = True
-    return placed
+    band = sp.csr_matrix((band.data, indices, band.indptr.astype(index, copy=False)),
+                         shape=(k * after, n * after))
+    band.has_canonical_format = True
+    return band
+
+
+def _tiled(band: sp.csr_matrix, steps: range, width: Optional[int] = None) -> sp.csr_matrix:
+    """Copies of a canonical (k x w) band down the rows, the i-th shifted right
+    by steps[i] * w columns, in a canonical CSR ``width`` columns wide (by
+    default, the band's width times len(steps))."""
+    (k, w), count = band.shape, len(steps)
+    width = w * count if width is None else width
+    index = _index_dtype(width, count * band.nnz)
+    shifts = np.arange(steps.start, steps.stop, dtype=index)[:, None] * w
+    indices = (band.indices.astype(index, copy=False) + shifts).ravel()
+    offsets = np.arange(count, dtype=index)[:, None] * band.nnz
+    indptr = np.append((band.indptr[:-1].astype(index, copy=False) + offsets).ravel(),
+                       index(count * band.nnz))
+    tiled = sp.csr_matrix((np.tile(band.data, count), indices, indptr), shape=(count * k, width))
+    tiled.has_canonical_format = True
+    return tiled
 
 
 def _vertex_block(model: Model, matrix: sp.spmatrix, vertex: int) -> sp.csr_matrix:
@@ -568,8 +651,8 @@ def _link_hops(model: Model) -> Iterable[Block]:
 
 def _tunneling_term(model: Model) -> Block:
     """sum over links in index order of eps_l sum_ab psi^dag_a U_ab psi_b (+ h.c.):
-    ``_sum_blocks`` adds the ``_link_hops`` on the union of their spans, one
-    link block alive at a time."""
+    ``_sum_blocks`` adds the ``_link_hops`` on the union of their spans, each
+    link block placed one slice of fermion digits at a time."""
     gb = model.global_basis
     return _sum_blocks(gb.factor_dims, *_span(
         factor for link in model.lattice.links
@@ -693,11 +776,12 @@ def _real(block: Block) -> Block:
 def build_hamiltonian(model: Model) -> Operator:
     """Assemble the full Hamiltonian: the enabled terms summed in model.terms order.
 
-    ``_sum_blocks`` on the full span, one term at a time, each through
+    ``_sum_blocks`` of the terms' blocks on the full span, each through
     ``_real``: H is float64 when every term is real, complex128 once a term
-    has an imaginary part above DROP_TOL.  With matter, H's pieces are made
-    at their first use, so ``eigensolve`` never pays for them and none sits
-    above the sum's freed temporaries: the electric and magnetic blocks on
+    has an imaginary part above DROP_TOL.  Only the blocks are held, never a
+    placed term.  With matter, H's pieces are made at their first use, so
+    ``eigensolve`` never pays for them and none sits above the sum's freed
+    temporaries: the electric and magnetic blocks on
     the link factors (first: ``apply`` then frees its transposed copy before
     it makes the result), the last link's hop, and the mass with the other
     hops, built again, on the widest of their spans (one product each).

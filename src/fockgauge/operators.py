@@ -57,10 +57,12 @@ def _row_view(mat: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
                          shape=(hi - lo, mat.shape[1]))
 
 
-def _row_slices(load: np.ndarray):
-    """Row ranges [lo, hi) holding about SLICE_NNZ stored entries each, cut
-    from ``load``, the running count of entries per row (an indptr)."""
-    cuts = np.searchsorted(load, np.arange(SLICE_NNZ, load[-1], SLICE_NNZ))
+def _row_slices(load: np.ndarray, step: Optional[int] = None):
+    """Row ranges [lo, hi) holding about ``step`` (by default SLICE_NNZ)
+    stored entries each, cut from ``load``, the running count of entries per
+    row (an indptr)."""
+    step = SLICE_NNZ if step is None else step
+    cuts = np.searchsorted(load, np.arange(step, load[-1], step))
     bounds = np.unique(np.r_[0, cuts, len(load) - 1])
     return zip(bounds[:-1], bounds[1:])
 
@@ -68,25 +70,36 @@ def _row_slices(load: np.ndarray):
 def hermiticity_residual(mat: sp.spmatrix) -> float:
     """max |M - M^dag| over the entries of a sparse matrix.
 
-    Taken one row slice at a time against one transposed CSR copy, which
-    is conjugated slice by slice, so beyond that copy only slices holding
-    about SLICE_NNZ stored entries of M and M^T together are alive at once.
+    Taken one row slice at a time, about SLICE_NNZ stored entries of M and
+    M^T together, against M^T's rows read through a transposed index map:
+    the positions of M's entries in M^T's CSR order (int32 when they fit),
+    made by one CSR transpose of those positions.  Each slice gathers and
+    conjugates its own values, so no array over all values is made.
     """
     mat = sp.csr_matrix(mat)
-    transposed = mat.T.tocsr()
-    return max_abs([max_abs(_row_view(mat, lo, hi)
-                            - _row_view(transposed, lo, hi).conj(copy=False))
-                    for lo, hi in _row_slices(mat.indptr + transposed.indptr)])
+    where = sp.csr_matrix((np.arange(mat.nnz, dtype=mat.indptr.dtype), mat.indices, mat.indptr),
+                          shape=mat.shape).T.tocsr()
+
+    def transposed(lo: int, hi: int) -> sp.csr_matrix:
+        rows = _row_view(where, lo, hi)
+        return sp.csr_matrix((np.conjugate(mat.data[rows.data]), rows.indices, rows.indptr),
+                             shape=rows.shape)
+
+    return max_abs([max_abs(_row_view(mat, lo, hi) - transposed(lo, hi))
+                    for lo, hi in _row_slices(mat.indptr + where.indptr)])
 
 
 def normalize(mat: sp.spmatrix) -> sp.csr_matrix:
     """``mat`` as CSR with duplicates summed and entries |x| <= DROP_TOL dropped.
 
-    A CSR matrix is normalized in place, not copied.
+    A CSR matrix is normalized in place, not copied; the |x| <= DROP_TOL
+    mask is taken one SLICE_NNZ chunk of values at a time.
     """
     mat = sp.csr_matrix(mat)
     mat.sum_duplicates()
-    mat.data[np.abs(mat.data) <= DROP_TOL] = 0.0
+    for start in range(0, mat.nnz, SLICE_NNZ):
+        chunk = mat.data[start:start + SLICE_NNZ]
+        chunk[np.abs(chunk) <= DROP_TOL] = 0.0
     mat.eliminate_zeros()
     return mat
 

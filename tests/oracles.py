@@ -4,8 +4,9 @@ None of these is used by the library itself: each rebuilds a quantity by
 another route (a matrix exponential, a sampled nullspace, scalar digit
 arithmetic, scipy Kronecker products, whole-matrix formulas, Lanczos with
 full reorthogonalization, full-space sums over generators, plaquettes and
-links, the product of the vertex averages) so that a test can check the production
-construction.
+links, the product of the vertex averages, a running sum of whole placed
+blocks, a transposed copy of the values) so that a test can check the
+production construction.
 """
 
 import math
@@ -34,7 +35,7 @@ from fockgauge.lattice_model import (GROUP, REP, SECTOR_TOL, GlobalBasis, Model,
                                      vertex_sector_average)
 from fockgauge.link_space import projector_rep, theta_group_basis
 from fockgauge.matter_space import VertexFock, _fundamental, annihilation_matrix, bilinear
-from fockgauge.operators import Operator, max_abs, real_if_close
+from fockgauge.operators import Operator, _row_slices, _row_view, max_abs, real_if_close
 from fockgauge.spectra import (LANCZOS_MAX_ITER, LANCZOS_TOL, RITZ_CHECK_EVERY,
                                _Counts, _project_out, _Rows, expectation)
 
@@ -395,6 +396,26 @@ def link_identities_by_loops(model: Model, seed: int) -> dict:
 def hermiticity_residual_whole(mat: sp.spmatrix) -> float:
     """max |M - M^dag| from the whole difference, conjugate transpose copied."""
     return max_abs(mat - mat.conj().T)
+
+
+def hermiticity_residual_transposed_copy(mat: sp.spmatrix) -> float:
+    """max |M - M^dag| one row slice at a time against one transposed CSR
+    copy of M, values and all, conjugated slice by slice."""
+    mat = sp.csr_matrix(mat)
+    transposed = mat.T.tocsr()
+    return max_abs([max_abs(_row_view(mat, lo, hi)
+                            - _row_view(transposed, lo, hi).conj(copy=False))
+                    for lo, hi in _row_slices(mat.indptr + transposed.indptr)])
+
+
+def sum_blocks_running(dims, lo: int, hi: int, blocks):
+    """(lo, hi, local): the blocks placed whole on the factors [lo, hi) by
+    ``_place`` and added one at a time to a running CSR sum from a float64
+    zero."""
+    span = dims[lo:hi]
+    zero = sp.csr_matrix((math.prod(span),) * 2)
+    return lo, hi, sum((_place(span, b_lo - lo, b_hi - lo, local)
+                        for b_lo, b_hi, local in blocks), zero)
 
 
 def _full_reorth_run(mat, deflate, rng, tol, budget, counts):

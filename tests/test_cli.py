@@ -596,8 +596,15 @@ INT64 = "must be a JSON integer that fits in int64, got"
     (lambda doc: doc["mul"].__setitem__(0, 10 ** 20), f"each mul entry {INT64} {10 ** 20}"),
     (lambda doc: doc["mul"].__setitem__(0, 1.9), f"each mul entry {INT64} 1.9"),
     (lambda doc: doc.update(order=2.5), f"order {INT64} 2.5"),
-    (_nan_entry, "irrep 2, element 1: matrix entry is not a finite number")],
-    ids=["mul-past-int64", "mul-float", "order-float", "nan-entry"])
+    (_nan_entry, "irrep 2, element 1: matrix entry is not a finite number"),
+    (lambda doc: doc["irreps"][2]["matrices"][1][0][1].__setitem__(0, "-1"),
+     "irrep 2, element 1: matrix entry must be a JSON number, got '-1'"),
+    (lambda doc: doc["irreps"][2]["matrices"][1][0][1].__setitem__(1, False),
+     "irrep 2, element 1: matrix entry must be a JSON number, got False"),
+    (lambda doc: doc["irreps"][2]["matrices"][1][0][1].__setitem__(0, None),
+     "irrep 2, element 1: matrix entry must be a JSON number, got None")],
+    ids=["mul-past-int64", "mul-float", "order-float", "nan-entry", "string-entry",
+         "bool-entry", "null-entry"])
 def test_bad_group_file_numbers_exit_2_with_one_line(runner, tmp_path, corrupt, message):
     path = _write_d3_file(tmp_path / "d3.json")
     doc = json.loads(path.read_text())
@@ -614,3 +621,26 @@ def test_bad_group_file_numbers_exit_2_with_one_line(runner, tmp_path, corrupt, 
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), lines
     assert message in lines[0] and not out.exists()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc.update(order=0),
+    lambda doc: doc["mul"].pop(),
+    lambda doc: doc["irreps"][1]["matrices"][1][0].__setitem__(0, ["-1", False]),
+    lambda doc: doc.update(fundamental="x"),
+], ids=["order-below-one", "mul-length", "string-and-bool-pair", "fundamental"])
+def test_group_file_error_line_names_the_file(runner, tmp_path, corrupt):
+    path = _write_d3_file(tmp_path / "d3_named.json")
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["group-info", "--file", str(path)])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "d3_named.json" in lines[0]
+    cfg = write_config(tmp_path / "cfg.yaml", group={"file": "d3_named.json"})
+    result = runner.invoke(main, ["spectrum", "-c", str(cfg), "-o", str(tmp_path / "o.json")])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+    assert "d3_named.json" in lines[0], lines

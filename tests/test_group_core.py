@@ -341,6 +341,46 @@ def test_group_file_matrix_entries_are_finite(tmp_path, text):
         load_group_file(path)
 
 
+@pytest.mark.parametrize("value", ["-1", False, None, ["-1", False]],
+                         ids=["string", "bool", "null", "string-and-bool-pair"])
+def test_group_file_matrix_entries_are_json_numbers(tmp_path, value):
+    # float() reads "-1" as -1.0 and false as 0.0, so ["-1", false] would
+    # load as -1+0j and pass validate
+    path, doc = _d3_doc(tmp_path)
+    if isinstance(value, list):
+        doc["irreps"][1]["matrices"][1][0][0] = value
+    else:
+        doc["irreps"][2]["matrices"][1][0][1][0] = value
+    path.write_text(json.dumps(doc))
+    label = "p" if isinstance(value, list) else "2"
+    with pytest.raises(GroupFileError, match=f"irrep {label}, element 1: matrix entry must "
+                                             "be a JSON number, got"):
+        load_group_file(path)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc.update(order=0),
+    lambda doc: doc.update(order="6"),
+    lambda doc: doc["mul"].pop(),
+    lambda doc: doc["mul"].__setitem__(3, 1.5),
+    lambda doc: doc.update(element_labels=["e"]),
+    lambda doc: doc["irreps"][2].update(dim=3),
+    lambda doc: doc["irreps"][2].update(dim="2"),
+    lambda doc: doc["irreps"][2]["matrices"][1][0][1].__setitem__(0, float("nan")),
+    lambda doc: doc["irreps"][2]["matrices"][1][0][1].__setitem__(0, "1"),
+    lambda doc: doc.update(fundamental="x"),
+    lambda doc: doc.pop("irreps"),
+], ids=["order-below-one", "order-string", "mul-length", "mul-float", "labels", "shape",
+        "dim-string", "nan-entry", "string-entry", "fundamental", "missing-key"])
+def test_every_group_file_error_names_the_file(tmp_path, corrupt):
+    path, doc = _d3_doc(tmp_path)
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GroupFileError) as info:
+        load_group_file(path)
+    assert str(path) in str(info.value), info.value
+
+
 # ---------------------------------------------------------------------------
 # the representation laws against one irrep, pair, row and element at a time
 

@@ -28,7 +28,8 @@ from fockgauge.lattice_model import (
 from fockgauge.link_space import BasisMismatchError, identity_operator, projector_rep
 from fockgauge.matter_space import theta_q
 from fockgauge.operators import HERMITICITY_TOL
-from oracles import decode, digit_array, physical_basis_by_average_product
+from oracles import (decode, digit_array, physical_basis_by_average_product,
+                     sum_blocks_running)
 
 
 def _mabs(mat):
@@ -248,6 +249,139 @@ def test_build_hamiltonian_keeps_one_placed_term_alive():
     assert ham.matrix.dtype == np.float64
     assert ham.matrix.indices.dtype == np.int32
     assert peak < 2 * ham.matrix.nnz * (16 + 4), (peak, ham.matrix.nnz)
+
+
+def test_build_hamiltonian_peaks_below_one_and_a_half_hamiltonians():
+    # L1 again: a running sum holds the old sum, the next placed term and
+    # the new sum at once (2.09x H's bytes under tracemalloc); the sum
+    # written one slice of fermion digits at a time into arrays allocated
+    # once peaks at about 1.34x
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3,
+                         electric_weights={"I": 0.0, "p": 1.0, "2": 1.0})
+    model = Model(build_builtin("D3"), lat, params, basis_tag="group")
+    tracemalloc.start()
+    try:
+        ham = build_hamiltonian(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    mat = ham.matrix
+    ham_bytes = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    assert peak <= 1.5 * ham_bytes, (peak, ham_bytes)
+
+
+def _csr(rng, n: int, nnz: int, complex_values: bool = False) -> sp.csr_matrix:
+    values = rng.standard_normal(nnz)
+    if complex_values:
+        values = values + 1j * rng.standard_normal(nnz)
+    return sp.csr_matrix((values, (rng.integers(0, n, nnz), rng.integers(0, n, nnz))),
+                         shape=(n, n))
+
+
+def _signed_zeros(rng, n: int) -> sp.csr_matrix:
+    """A canonical complex CSR whose stored values include -0.0 and 0.0 in
+    the real and imaginary parts, one entry per row."""
+    parts = np.array([-0.0, 0.0, 1.5, -2.0])
+    values = rng.choice(parts, n) + 1j * rng.choice(parts, n)
+    return sp.csr_matrix((values, rng.permutation(n), np.arange(n + 1)), shape=(n, n))
+
+
+def _sum_cases():
+    rng = np.random.default_rng(11)
+    dims = [4, 3, 2, 5, 2]
+    a = _csr(rng, 6, 20)
+    cancelling = _csr(rng, 12, 40, complex_values=True)
+    return {
+        # real and complex blocks on overlapping spans, the first on the
+        # leading factor
+        "overlapping": (dims, 0, 4, [(0, 2, _csr(rng, 12, 50)),
+                                     (1, 3, _csr(rng, 6, 25, complex_values=True)),
+                                     (0, 4, _csr(rng, 120, 400)),
+                                     (2, 4, _csr(rng, 10, 30))]),
+        "real": (dims, 1, 5, [(1, 3, a), (3, 5, _csr(rng, 10, 30)), (1, 2, _csr(rng, 3, 5))]),
+        # factors 2 and 3 of the span [1, 5) are touched by no block
+        "gaps": (dims, 1, 5, [(1, 2, _csr(rng, 3, 6, complex_values=True)),
+                              (4, 5, _csr(rng, 2, 3))]),
+        # a zero block before the span, a scalar one inside it, and blocks
+        # after the leading factor only
+        "zero-width": (dims, 1, 4, [(0, 0, sp.csr_matrix((1, 1), dtype=complex)),
+                                    (2, 2, sp.csr_matrix(np.array([[0.25]]))),
+                                    (2, 4, _csr(rng, 10, 20))]),
+        "empty-span": (dims, 2, 2, [(2, 2, sp.csr_matrix((1, 1), dtype=complex))]),
+        "no-blocks": (dims, 0, 0, []),
+        # a block and its negative cancel to exact zeros everywhere but on
+        # the third block's entries
+        "cancelling": (dims, 0, 2, [(0, 2, cancelling), (1, 2, _csr(rng, 3, 4)),
+                                    (0, 2, -cancelling)]),
+        "signed-zeros": (dims, 0, 3, [(0, 3, _signed_zeros(rng, 24)),
+                                      (1, 2, _signed_zeros(rng, 3)),
+                                      (0, 1, _signed_zeros(rng, 4)),
+                                      (2, 3, sp.csr_matrix(([-0.0, 0.0], [1, 0], [0, 1, 2]),
+                                                           shape=(2, 2)))]),
+    }
+
+
+@pytest.mark.parametrize("slice_nnz", [16, None], ids=["many-slices", "one-slice"])
+@pytest.mark.parametrize("case", list(_sum_cases()))
+def test_sum_blocks_is_the_running_sum_bit_for_bit(monkeypatch, case, slice_nnz):
+    import fockgauge.lattice_model as lm
+
+    if slice_nnz is not None:
+        monkeypatch.setattr(lm, "SLICE_NNZ", slice_nnz)
+    dims, lo, hi, blocks = _sum_cases()[case]
+    got = lm._sum_blocks(dims, lo, hi, iter(blocks))
+    want = sum_blocks_running(dims, lo, hi, blocks)
+    assert got[:2] == want[:2]
+    got, want = got[2], want[2]
+    assert got.shape == want.shape and got.dtype == want.dtype
+    for name in ("indptr", "indices", "data"):
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+
+
+@pytest.mark.parametrize("group,params,basis", [
+    ("SU2_trunc", {"j_max": "1/2"}, "rep"),
+    ("D3", {}, "group"),
+], ids=["su2-l4", "d3-2x1"])
+def test_sum_blocks_adds_the_hamiltonian_terms_as_the_running_sum(group, params, basis):
+    # real model terms, normalized as H takes them, past SLICE_NNZ entries
+    import fockgauge.lattice_model as lm
+
+    lx, ly = (2, 2) if group == "SU2_trunc" else (2, 1)
+    model = Model(build_builtin(group, **params), LatticeSpec(lx, ly, include_matter=True),
+                  ModelParams(mass=1.0, epsilon=0.7, coupling=1.3,
+                              electric_weights=None if group == "SU2_trunc"
+                              else {"I": 0.0, "p": 1.0, "2": 1.0}), basis_tag=basis)
+    dims = model.global_basis.factor_dims
+    blocks = [lm._real(lm._TERMS[name](model)) for name in model.terms]
+    got = lm._sum_blocks(dims, 0, len(dims), blocks)[2]
+    want = sum_blocks_running(dims, 0, len(dims), blocks)[2]
+    if group == "SU2_trunc":
+        assert want.nnz > lm.SLICE_NNZ
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.dtype == want.dtype
+
+
+def test_sum_blocks_sorts_a_full_span_block_that_is_not_canonical():
+    # a product's column indices come out unsorted; the running sum takes
+    # such a block through scipy's general path (reversed column order), the
+    # sliced sum canonicalizes it first: the same matrix, sorted
+    import fockgauge.lattice_model as lm
+
+    rng = np.random.default_rng(5)
+    g = _csr(rng, 24, 120, complex_values=True)
+    square = g @ g
+    assert not square.has_canonical_format
+    dims, blocks = [4, 3, 2], [(0, 3, square), (1, 3, _csr(rng, 6, 12))]
+    got = lm._sum_blocks(dims, 0, 3, blocks)[2]
+    want = sum_blocks_running(dims, 0, 3, blocks)[2]
+    assert got.has_canonical_format
+    want.sort_indices()
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
 
 
 @pytest.mark.parametrize("group,basis,epsilon,dtype", [

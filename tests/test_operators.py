@@ -15,14 +15,16 @@ from fockgauge.lattice_model import (
 from fockgauge.link_space import BasisMismatchError, theta_left
 from fockgauge.matter_space import VertexFock, number_operator, psi
 from fockgauge.operators import (
+    DROP_TOL,
     SLICE_NNZ,
     Operator,
     hermiticity_residual,
     matvec,
     max_abs,
+    normalize,
     real_if_close,
 )
-from oracles import hermiticity_residual_whole
+from oracles import hermiticity_residual_transposed_copy, hermiticity_residual_whole
 
 
 def test_combination_needs_the_same_space():
@@ -93,6 +95,87 @@ def test_hermiticity_residual_holds_one_transposed_copy():
         tracemalloc.stop()
     assert peak < 2 * mat_bytes
     assert value == hermiticity_residual_whole(mat)
+
+
+def _hermiticity_cases():
+    mat = _random_sparse(300, 4000, seed=7)
+    hermitian = (mat + mat.conj().T).tocsr()
+    faulty = hermitian.copy()
+    faulty.data[len(faulty.data) // 2] += 0.5j
+    real = _random_sparse(300, 4000, seed=8, dtype=float)
+    rng = np.random.default_rng(9)
+    # duplicates and unsorted columns within rows
+    rows, cols = rng.integers(0, 300, 6000), rng.integers(0, 300, 6000)
+    values = rng.standard_normal(6000) + 1j * rng.standard_normal(6000)
+    order = np.lexsort((-cols, rows))
+    loose = sp.csr_matrix((values[order], cols[order],
+                           np.searchsorted(rows[order], np.arange(301))), shape=(300, 300))
+    nan = hermitian.copy()
+    nan.data[-1] = np.nan
+    return {"complex": mat, "hermitian": hermitian, "non-hermitian": faulty,
+            "real": real, "real-symmetric": (real + real.T).tocsr(),
+            "non-canonical": loose, "nan-past-the-first-slice": nan}
+
+
+@pytest.mark.parametrize("case", list(_hermiticity_cases()))
+def test_hermiticity_residual_is_the_transposed_copy_one(monkeypatch, case):
+    # 16 entries per slice: the last row's NaN lies hundreds of slices in
+    import fockgauge.operators as operators
+
+    monkeypatch.setattr(operators, "SLICE_NNZ", 16)
+    mat = _hermiticity_cases()[case]
+    got, want = hermiticity_residual(mat), hermiticity_residual_transposed_copy(mat)
+    assert np.array_equal(got, want, equal_nan=True), (got, want)
+    if case == "non-canonical":
+        assert not mat.has_canonical_format
+    assert np.isnan(got) == (case == "nan-past-the-first-slice")
+    assert (got == 0.0) == (case in ("hermitian", "real-symmetric"))
+
+
+def test_hermiticity_residual_of_the_tunneling_block_makes_no_transposed_values():
+    # L1's tunneling block (D3 2x2 with matter, group basis): 2 211 840
+    # complex entries spanning every factor, 33.75 MiB of values.  A
+    # transposed copy of the block alone is 42 MiB (48.6 MiB peak under
+    # tracemalloc); the transposed index map and its int32 positions peak at
+    # about 26.6 MiB
+    from fockgauge.lattice_model import _TERMS
+
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3,
+                         electric_weights={"I": 0.0, "p": 1.0, "2": 1.0})
+    block = _TERMS["tunneling"](Model(build_builtin("D3"), lat, params, basis_tag="group"))[2]
+    assert block.nnz == 2_211_840 and block.dtype == complex
+    tracemalloc.start()
+    try:
+        value = hermiticity_residual(block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < block.data.nbytes, (peak, block.data.nbytes)
+    assert value == hermiticity_residual_transposed_copy(block) <= 1e-12
+
+
+def test_normalize_masks_one_chunk_at_a_time():
+    # |x| over all values and its mask would take 9 B per complex entry
+    # (10.3 MiB here); one SLICE_NNZ chunk at a time takes about 1.1 MiB
+    mat = _random_sparse(200_000, 1_200_000, seed=6)
+    mat.sum_duplicates()
+    small = np.arange(0, mat.nnz, 1000)
+    mat.data[small] = DROP_TOL * (1 - 0.5j) / 2
+    mat.data[-1] = np.nan
+    want = mat.copy()
+    want.data[np.abs(want.data) <= DROP_TOL] = 0.0
+    want.eliminate_zeros()
+    tracemalloc.start()
+    try:
+        got = normalize(mat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.nnz == want.nnz < mat.data.size
+    assert got.indices.tobytes() == want.indices.tobytes()
+    assert got.data.tobytes() == want.data.tobytes()
+    assert peak < want.data.nbytes / 8, (peak, want.data.nbytes)
 
 
 @pytest.fixture(scope="module")

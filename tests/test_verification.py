@@ -408,6 +408,28 @@ def test_verify_holds_one_full_space_gauss_operator_at_a_time():
     assert peak < 2.5 * tunneling_csr_bytes, peak
 
 
+def test_verify_builds_the_tunneling_block_without_a_running_sum():
+    # L1 as above.  Adding the link hops to a running sum holds the old sum,
+    # the next placed hop and the new sum at once, and a transposed copy of
+    # the block for its Hermiticity check: 92.3 MiB under tracemalloc (2.19x
+    # the block's CSR bytes).  The hops written one slice of fermion digits
+    # at a time into arrays allocated once, and the check read through a
+    # transposed index map, peak at about 76.6 MiB (1.81x).
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3,
+                         electric_weights={"I": 0.0, "p": 1.0, "2": 1.0})
+    model = Model(build_builtin("D3"), lat, params, basis_tag="group")
+    tunneling_csr_bytes = 2_211_840 * (16 + 4)
+    tracemalloc.start()
+    try:
+        report = verify_model(model, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed, str(report.first_failure())
+    assert peak < 2.0 * tunneling_csr_bytes, peak
+
+
 # ---------------------------------------------------------------------------
 # the vacuum probes against test-side oracles
 
