@@ -431,6 +431,9 @@ def _spectrum_payload(model, opts, seed):
     _check_fits_memory(model)
     ham = build_hamiltonian(model)
     result = eigensolve(ham, k=k, seed=seed)
+    click.echo(f"spectrum: {result.method} on {result.rows} of {ham.dim} rows, "
+               f"{result.steps} steps, {result.restarts} restarts, {result.matvecs} "
+               f"matvecs, {result.reorthogonalizations} reorthogonalizations", err=True)
     payload = {
         "method": result.method,
         "eigenvalues": result.eigenvalues,

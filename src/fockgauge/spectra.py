@@ -1,23 +1,28 @@
 """Eigensolvers and observables.
 
-The solver is chosen from the operator's own shape.  Up to DENSE_MAX_DIM
-the sparsity graph is split into its connected components; when k pairs
-are asked of a matrix whose largest component has at most
-k * DENSE_ROWS_PER_PAIR rows (always when every pair is asked), LAPACK
+The sparsity graph is split into its connected components once.  With more
+than k, only those that can hold the k lowest levels are solved: each has
+an eigenvalue at or below its least diagonal entry, so the k-th level is at
+most U, the k-th smallest of those, and none lies in a component whose
+Gershgorin bound (S. Gershgorin 1931; the least Re H_ii - sum_{j != i}
+|H_ij| over its rows) exceeds U + LANCZOS_TOL.  Their principal submatrix
+is copied when the dropped rows times ROW_BLOCK, the Krylov rows a run
+allocates first, outnumber its stored entries.  Up to DENSE_MAX_DIM rows
+solved, when k pairs are asked of a matrix whose largest component has at
+most k * DENSE_ROWS_PER_PAIR rows (always when every pair is asked), LAPACK
 (MRRR) computes only the k lowest eigenpairs of each dense block, once per
 component.  Otherwise, a few pairs of one large block below the cap
-included, a symmetric Lanczos iteration with partial reorthogonalization,
-a seeded start vector, and deflation restarts resolves degenerate levels
-(cutting each certified Ritz vector along the connected components, one
-run takes a level's copies in all of them), and ``method`` reads
-"iterative": a full O(n^3) reduction of an n-row block costs more than a
-Lanczos run of a few dozen matvecs per pair once n exceeds
-k * DENSE_ROWS_PER_PAIR.  Its Krylov
-basis and accepted (deflation) vectors are rows of arrays that start at
-ROW_BLOCK rows and double when full.  Every new Lanczos vector is projected
-off the accepted vectors by two classical Gram-Schmidt passes.  Against
-the Krylov basis it gets the same two passes ("twice is enough", Daniel,
-Gragg, Kaufman and Stewart 1976) only on the steps where Simon's
+included, a symmetric Lanczos iteration with partial reorthogonalization, a
+seeded start vector, and deflation restarts resolves degenerate levels
+(cutting each certified Ritz vector along the connected components, one run
+takes a level's copies in all of them), and ``method`` reads "iterative": a
+full O(n^3) reduction of an n-row block costs more than a Lanczos run of a
+few dozen matvecs per pair once n exceeds k * DENSE_ROWS_PER_PAIR.  Its
+Krylov basis and accepted (deflation) vectors are rows of arrays that start
+at ROW_BLOCK rows and double when full.  Every new Lanczos vector is
+projected off the accepted vectors by two classical Gram-Schmidt passes.
+Against the Krylov basis it gets the same two passes ("twice is enough",
+Daniel, Gragg, Kaufman and Stewart 1976) only on the steps where Simon's
 recurrence for the overlaps q_j . q_k (H. D. Simon, Math. Comp. 42, 115
 (1984)) predicts one above SEMI_ORTHOGONAL = sqrt(eps), and on the step
 after; a semi-orthogonal basis gives Ritz values to machine precision.
@@ -26,10 +31,10 @@ come from one GEMM on the basis.  Both paths work in the field of the
 operator: when no entry has an imaginary part above DROP_TOL they run in
 float64 (real LAPACK, real Krylov vectors, real eigenvectors), on the
 matrix itself when it is float64, as a real Hamiltonian is, and otherwise
-in complex128.  Every reported eigenpair carries an explicit
-residual ||Hv - lambda v|| computed with the operator as given, and results
-count Lanczos steps, deflated runs, matrix-vector products and the steps
-that reorthogonalized against the whole basis.
+in complex128.  Every reported eigenpair carries an explicit residual
+||Hv - lambda v|| computed with the operator as given, and results count
+Lanczos steps, deflated runs, matrix-vector products and the steps that
+reorthogonalized against the whole basis.
 """
 
 from __future__ import annotations
@@ -54,6 +59,8 @@ from .lattice_model import (
 from .operators import (
     HERMITICITY_TOL,
     Operator,
+    _row_slices,
+    _row_view,
     components,
     eigh_by_components,
     hermiticity_residual,
@@ -112,6 +119,7 @@ class SpectrumResult:
     restarts: int = 0
     matvecs: int = 0
     reorthogonalizations: int = 0
+    rows: int = 0   # rows the solver ran on: dim, or those ``_gershgorin_cut`` kept
 
     def degeneracies(self, tol: float = DEGENERACY_TOL) -> list[list[int]]:
         """Indices grouped into (numerically) degenerate levels."""
@@ -144,9 +152,13 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
                want_vectors: bool = True) -> SpectrumResult:
     """Lowest k eigenpairs of a Hermitian operator with residual certificates.
 
-    An operator whose Hermiticity residual exceeds HERMITICITY_TOL, or is
-    NaN, raises EigensolveError.  The connected components of the sparsity
-    graph are read once.  Above ``dense_cutoff`` Lanczos certifies each pair to
+    An empty or non-square operator, or a k that is not an integer of at
+    least 1 (a bool included), raises ValueError before any work; a
+    Hermiticity residual above HERMITICITY_TOL, or NaN, raises
+    EigensolveError.  The components of the sparsity graph are read once and
+    cut as the module docstring says; everything below then runs on the kept
+    rows (``rows`` counts them), and the vectors come back as full-dim
+    columns.  Above ``dense_cutoff`` rows Lanczos certifies each pair to
     LANCZOS_TOL within ``max_iter`` steps, cutting Ritz vectors along the
     components, or raises EigensolveError.  Up to it, when the largest
     component has at most ``k * DENSE_ROWS_PER_PAIR`` rows (always for
@@ -160,16 +172,16 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
     """
     mat = _as_sparse(op)
     dim = mat.shape[0]
-    if dim != mat.shape[1]:
-        raise ValueError("operator must be square")
+    if dim != mat.shape[1] or not dim:
+        raise ValueError(f"operator must be square and non-empty, got {mat.shape}")
+    if k is not None and (isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1):
+        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
     herm_res = hermiticity_residual(mat)
     if not herm_res <= HERMITICITY_TOL:    # NaN included
         raise EigensolveError(
             f"operator is not Hermitian (residual {herm_res:.3e})")
     if k is None:
         k = dim if dim <= dense_cutoff else 6
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
     if k > dim:
         warnings.warn(f"requested {k} eigenvalues of a dimension-{dim} "
                       "operator; clamping", stacklevel=2)
@@ -177,7 +189,11 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
     work = real_if_close(mat)
     counts = _Counts()
     labels = components(work)
-    if dim <= dense_cutoff and \
+    kept = _gershgorin_cut(work, labels, k)
+    if kept is not None:
+        work = work[kept][:, kept]
+        labels = np.unique(labels[kept], return_inverse=True)[1]
+    if work.shape[0] <= dense_cutoff and \
             k * DENSE_ROWS_PER_PAIR >= np.bincount(labels).max():
         vals, vecs = eigh_by_components(work, k=k, labels=labels)
         method = "dense"
@@ -187,10 +203,31 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
                                      labels=labels if labels.max() else None)
         counts.matvecs += k
         method = "iterative"
+    if kept is not None:
+        vecs, solved = np.zeros((dim, vecs.shape[1]), vecs.dtype), vecs
+        vecs[kept] = solved
     return SpectrumResult(eigenvalues=vals,
                           eigenvectors=vecs if want_vectors else None,
                           residuals=_residuals(mat, vals, vecs),
-                          method=method, seed=seed, **vars(counts))
+                          method=method, seed=seed, rows=work.shape[0], **vars(counts))
+
+
+def _gershgorin_cut(mat: sp.csr_matrix, labels: np.ndarray,
+                    k: int) -> Optional[np.ndarray]:
+    """Rows of the components that can hold the k lowest levels (module docstring),
+    row sums one SLICE_NNZ row slice at a time; None when nothing or too little is cut."""
+    if labels.max() < k:
+        return None
+    diag = mat.diagonal().real
+    radius = np.concatenate([abs(_row_view(mat, lo, hi)).sum(axis=1).A1
+                             for lo, hi in _row_slices(mat.indptr)])
+    least, bound = np.full((2, labels.max() + 1), np.inf)
+    np.minimum.at(least, labels, diag)
+    np.minimum.at(bound, labels, diag + np.abs(diag) - radius)
+    keep = bound <= np.partition(least, k - 1)[k - 1] + LANCZOS_TOL
+    rows = np.flatnonzero(keep[labels])
+    saved = (len(diag) - len(rows)) * ROW_BLOCK > np.diff(mat.indptr)[rows].sum()
+    return rows if saved else None
 
 
 class _Rows:

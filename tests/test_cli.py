@@ -444,6 +444,31 @@ def test_threads_env_var_honored_and_overridden(runner, tmp_path, monkeypatch):
     assert json.loads(out.read_text())["threads"] == 2
 
 
+@pytest.mark.parametrize("k,line", [
+    (4, "spectrum: dense on 456 of 1296 rows, 0 steps, 0 restarts, 0 matvecs, "
+        "0 reorthogonalizations"),
+    (1296, "spectrum: dense on 1296 of 1296 rows, 0 steps, 0 restarts, 0 matvecs, "
+           "0 reorthogonalizations"),
+])
+def test_spectrum_reports_the_rows_it_solved_on_stderr(runner, tmp_path, k, line):
+    # U(1) P=1 2x2 with matter splits into 472 components; at k = 4 the
+    # Gershgorin cut keeps the 456 rows that can hold the 4 lowest levels
+    cfg = write_config(tmp_path / "u1.yaml",
+                       group={"builtin": "U1_trunc", "params": {"P": 1}},
+                       lattice={"lx": 2, "ly": 2, "boundary": "open",
+                                "include_matter": True},
+                       params={"mass": 1.0, "epsilon": 0.7, "coupling": 1.3},
+                       basis="rep", tasks=[{"spectrum": {"k": k}}])
+    out = tmp_path / "u1.json"
+    result = runner.invoke(main, ["spectrum", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    lines = result.stderr.strip().splitlines()
+    assert lines[0] == line and line not in lines[1:], lines
+    # the solver's behaviour goes to stderr only
+    doc = json.loads(out.read_text())["tasks"]["spectrum"]
+    assert set(doc) == {"method", "eigenvalues", "residuals", "degeneracies"}
+
+
 def test_spectrum_config_errors_fail_before_assembly(runner, tmp_path, monkeypatch):
     import fockgauge.cli as cli
 

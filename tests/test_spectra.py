@@ -84,6 +84,24 @@ def test_eigensolve_rejects_k_below_one():
             eigensolve(mat, k=k, dense_cutoff=1)
 
 
+@pytest.mark.parametrize("mat,k,message", [
+    (np.zeros((0, 0)), None, "non-empty"),
+    (np.diag([3.0, 1.0, 2.0]), 2.0, "integer"),
+    (np.diag([3.0, 1.0, 2.0]), True, "integer"),
+], ids=["0x0", "float-k", "bool-k"])
+def test_eigensolve_refuses_bad_input_before_any_work(monkeypatch, mat, k, message):
+    # a 0x0 operator used to warn "clamping" and die in a numpy reduction,
+    # k=2.0 in a slice, and k=True solved k=1
+    def no_work(*args, **kwargs):
+        raise AssertionError("the Hermiticity check ran before the input check")
+
+    monkeypatch.setattr(spectra, "hermiticity_residual", no_work)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            eigensolve(mat, k=k)
+
+
 def test_dense_iterative_agreement_degenerate():
     d3 = build_builtin("D3")
     lat = LatticeSpec(2, 2, boundary="open", include_matter=False)
@@ -635,6 +653,113 @@ def test_noise_below_drop_tol_is_solved_real_and_certified_complex(
     recomputed = np.linalg.norm(mat @ vecs - vecs * result.eigenvalues, axis=0)
     assert np.array_equal(result.residuals, recomputed)
     assert result.residuals.max() <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the Gershgorin cut: only the components that can hold the k lowest levels
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def su2_matter_ham():
+    """SU(2) j<=1/2 2x1 open with matter, dim 80: 51 connected components."""
+    lat = LatticeSpec(2, 1, boundary="open", include_matter=True)
+    params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3)
+    return build_hamiltonian(Model(build_builtin("SU2_trunc", j_max="1/2"), lat, params))
+
+
+@pytest.mark.parametrize("ham_name", ["su2_matter_ham", "u1_matter_ham",
+                                      "z2_matter_ham"])
+@pytest.mark.parametrize("k", [1, 4, 6])
+@pytest.mark.parametrize("dense_cutoff", [None, 0])
+def test_cut_solve_matches_the_full_eigh_oracle(request, ham_name, k, dense_cutoff):
+    # the oracle is one np.linalg.eigvalsh of the whole H; every model splits
+    # into more components than k, and the cut keeps only some of their rows
+    ham = request.getfixturevalue(ham_name)
+    mat = ham.matrix
+    owner = connected_components(mat, directed=False)[1]
+    oracle = np.linalg.eigvalsh(ham.toarray())[:k]
+    levels = SpectrumResult(eigenvalues=oracle, eigenvectors=None,
+                            residuals=np.zeros(k), method="oracle",
+                            seed=0).degeneracies()
+    opts = {} if dense_cutoff is None else {"dense_cutoff": dense_cutoff}
+    result = eigensolve(ham, k=k, seed=0, **opts)
+    assert result.method == ("dense" if dense_cutoff is None else "iterative")
+    assert result.rows < ham.dim
+    assert np.abs(result.eigenvalues - oracle).max() < 1e-10
+    assert result.degeneracies() == levels
+    vecs = result.eigenvectors
+    assert vecs.shape == (ham.dim, k)
+    assert np.abs(vecs.conj().T @ vecs - np.eye(k)).max() < 1e-10
+    assert result.residuals.max() <= 1e-8
+    # the copies of every level of more than one copy sit in several of the
+    # kept components: each vector in one component, not all in the same one
+    for level in result.degeneracies():
+        if len(level) > 1:
+            homes = [set(owner[np.abs(vecs[:, i]) > 1e-12]) for i in level]
+            assert all(len(home) == 1 for home in homes)
+            assert len(set.union(*homes)) > 1
+
+
+def _gershgorin_blocks(fillers, seed=0):
+    """Blocks whose Gershgorin bounds sit at U = 0, the 2nd smallest of the
+    blocks' least diagonal entries at k = 2, and around U + LANCZOS_TOL:
+    two 1x1 blocks at 0; [[1, 1], [1, 1]] (bound 0 = U, levels 0 and 2);
+    the same shifted by 0.5 tol (kept) and by 1.5 tol (dropped); a 20x20
+    block 19 I + (J - I) (bound 0, levels 18 and 38); ``fillers`` 1x1 blocks
+    at 10.  Rows permuted; returns the matrix and each row's block."""
+    tol = spectra.LANCZOS_TOL
+    pair = np.ones((2, 2))
+    wide = 18 * np.eye(20) + np.ones((20, 20))
+    blocks = [[[0.0]], [[0.0]], pair, pair + 0.5 * tol * np.eye(2),
+              pair + 1.5 * tol * np.eye(2), wide] + [[[10.0]]] * fillers
+    mat = sp.block_diag(blocks, format="csr")
+    owner = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    perm = np.random.default_rng(seed).permutation(mat.shape[0])
+    return mat[perm][:, perm].tocsr(), owner[perm]
+
+
+@pytest.mark.parametrize("dense_cutoff", [None, 0])
+def test_a_bound_at_u_is_kept_and_one_past_u_plus_tol_is_dropped(dense_cutoff):
+    # 100 fillers: 102 dropped rows times ROW_BLOCK outnumber the 418 stored
+    # entries of the kept rows, so the cut takes the 26 rows of the blocks
+    # whose bound is at most U + tol: both 1x1 blocks, the pair at U, the
+    # pair at U + 0.5 tol and the wide block
+    mat, owner = _gershgorin_blocks(fillers=100)
+    opts = {} if dense_cutoff is None else {"dense_cutoff": dense_cutoff}
+    result = eigensolve(mat, k=2, seed=0, **opts)
+    assert result.rows == 1 + 1 + 2 + 2 + 20
+    # Lanczos may take the pair at 0.5 tol as a copy of the level at 0
+    assert np.abs(result.eigenvalues).max() <= spectra.LANCZOS_TOL
+    assert result.residuals.max() <= 1e-8
+    assert np.abs(result.eigenvectors[np.isin(owner, [4, 6]), :]).max() == 0
+    # every kept block and no other: the same solve on the kept blocks alone
+    kept = np.isin(owner, [0, 1, 2, 3, 5])
+    assert np.array_equal(np.flatnonzero(kept),
+                          spectra._gershgorin_cut(mat, owner, 2))
+
+
+def test_a_cut_that_saves_little_takes_no_submatrix():
+    # no fillers: the 2 dropped rows times ROW_BLOCK (128) are fewer than the
+    # 418 stored entries kept, so the solve runs on the operator as it is
+    mat, owner = _gershgorin_blocks(fillers=0)
+    assert spectra._gershgorin_cut(mat, owner, 2) is None
+    result = eigensolve(mat, k=2, seed=0)
+    assert result.rows == mat.shape[0] == 28
+    assert np.abs(result.eigenvalues).max() < 1e-10
+    # at most k components: nothing to cut
+    assert spectra._gershgorin_cut(mat, owner, 6) is None
+
+
+def test_cut_lanczos_basis_stays_below_the_full_space_basis(u1_matter_ham):
+    # U(1) P=1 2x2 with matter splits into 472 components, and the lowest
+    # level lies in few of them: the Krylov basis spans the kept rows only,
+    # so the whole solve peaks below the first ROW_BLOCK rows of a basis over
+    # all 1296 rows (a solve over all of them peaks at 2.2x that)
+    ham = u1_matter_ham
+    result, peak = _traced_peak(lambda: eigensolve(ham, k=1, dense_cutoff=0))
+    assert result.method == "iterative" and result.rows < ham.dim
+    assert result.residuals.max() <= 1e-8
+    assert peak < ROW_BLOCK * ham.dim * np.dtype(np.float64).itemsize
 
 
 def test_degeneracy_grouping():
