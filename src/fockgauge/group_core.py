@@ -459,8 +459,11 @@ def _check_associativity(mul: np.ndarray) -> float:
 def group_law_residual(stack: np.ndarray, spec: GroupSpec) -> float:
     """max over element pairs of |M(g) M(h) - M(gh)|, ``stack`` indexed by
     element on its first axis and by matrix on its last two, one g at a time,
-    so that no more than one stack's worth of products is alive."""
-    return max_abs([max_abs(stack[g] @ stack - stack[spec.mul[g]])
+    so that no more than one stack's worth of products is alive.  1x1
+    matrices are multiplied elementwise, without a batched product's
+    per-matrix cost."""
+    product = np.multiply if stack.shape[-1] == 1 else np.matmul
+    return max_abs([max_abs(product(stack[g], stack) - stack[spec.mul[g]])
                     for g in range(spec.order)])
 
 

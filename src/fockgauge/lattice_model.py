@@ -433,25 +433,19 @@ def _sum_blocks(dims: Sequence[int], lo: int, hi: int, blocks: Iterable[Block]) 
 
     The sum is written into index and value arrays allocated once, as long
     as the placed blocks' nnz together, one range of the span's leading
-    factor digits at a time, and trimmed to its nnz at the end.  On each
-    range every block is placed on those rows only (``_digit_rows``) and the
-    rows are added in order, from a float64 zero, by the CSR addition of the
-    whole sum, so the result is that sum bit for bit.  A range holds about
-    1/64 of the placed nnz, at least SLICE_NNZ entries.
+    factor digits at a time (``_digit_sums``, whose rows are the CSR addition
+    of the whole sum, bit for bit), and trimmed to its nnz at the end.  A
+    range holds about 1/64 of the placed nnz, at least SLICE_NNZ entries.
     """
-    span = dims[lo:hi]
-    dim = math.prod(span)
-    lead = span[0] if span else 1
-    rest = dim // lead
-    parts = [_digit_rows(span, b_lo - lo, b_hi - lo, local) for b_lo, b_hi, local in blocks]
-    load = np.cumsum(np.r_[0, sum((counts for counts, _, _ in parts), np.zeros(lead, int))])
+    dim = math.prod(dims[lo:hi])
+    rest = dim // (dims[lo] if hi > lo else 1)
+    load, dtype, rows = _digit_sums(dims, lo, hi, blocks)
     index = _index_dtype(dim, load[-1])
     indptr, indices = np.zeros(dim + 1, index), np.empty(load[-1], index)
-    data = np.empty(load[-1], np.result_type(np.float64, *(dtype for _, dtype, _ in parts)))
+    data = np.empty(load[-1], dtype)
     nnz = 0
     for t0, t1 in _row_slices(load, max(SLICE_NNZ, load[-1] // 64)):
-        added = sum((rows(t0, t1) for _, _, rows in parts),
-                    sp.csr_matrix(((t1 - t0) * rest, dim)))
+        added = rows(t0, t1)
         pointers = indptr[t0 * rest + 1:t1 * rest + 1]
         pointers[:] = added.indptr[1:]
         pointers += nnz
@@ -463,6 +457,23 @@ def _sum_blocks(dims: Sequence[int], lo: int, hi: int, blocks: Iterable[Block]) 
     total = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
     total.has_canonical_format = True
     return lo, hi, total
+
+
+def _digit_sums(dims: Sequence[int], lo: int, hi: int, blocks: Iterable[Block]):
+    """(load, dtype, rows) of the sum of blocks on the factors [lo, hi): rows(t0,
+    t1) adds, in order from a float64 zero, each block placed on the rows of
+    the leading digits [t0, t1) (``_digit_rows``); load runs over the digits'
+    placed nnz."""
+    span = dims[lo:hi]
+    lead, dim = (span[0] if span else 1), math.prod(span)
+    parts = [_digit_rows(span, b_lo - lo, b_hi - lo, local) for b_lo, b_hi, local in blocks]
+    load = np.cumsum(np.r_[0, sum((counts for counts, _, _ in parts), np.zeros(lead, int))])
+
+    def rows(t0: int, t1: int) -> sp.csr_matrix:
+        return sum((part(t0, t1) for _, _, part in parts),
+                   sp.csr_matrix(((t1 - t0) * (dim // lead), dim)))
+
+    return load, np.result_type(np.float64, *(dtype for _, dtype, _ in parts)), rows
 
 
 def _digit_rows(span: Sequence[int], lo: int, hi: int, local: sp.spmatrix):

@@ -22,15 +22,16 @@ is the product of its parts' largest entries, so the residual is
 max |[S_A, T_A]| times the largest entry of each factor of S outside the
 span.  A Lie generator is a sum of one-factor pieces, and the pieces outside
 the span commute with T exactly and are dropped.  max |T - T^dag| on the span
-is the full-space value.  The tunneling term is taken on each vertex v's
-star (the fermion factor and v's link factors) against T_v, the hops of v's
-links, each once: S keeps every vertex's fermion parity and touches no other
-link, so it commutes exactly with every other hop.  The assembled tunneling
-block meets each full-space S on one row slice drawn from the seed.  The
-Gauss operators are taken in one pass, one alive at a time: each S is built
-on every span the terms need and on the full space, which that probe and
-the vacuum check S vac = vac (G vac = 0 for a generator) share.  The
-rep/group agreement converts the mirror model's H one link factor at a time.
+is the full-space value.  The tunneling term is never summed whole: its
+Hermiticity is that of its link hops' sum, and it is taken on each vertex
+v's star (the fermion factor and v's link factors) against T_v, the hops of
+v's links, each once: S keeps every vertex's fermion parity and touches no
+other link, so it commutes exactly with every other hop.  There S also
+meets the vacuum, with the star's axes moved to the front.  One range R of
+fermion digits per S, drawn from the seed, probes the hops' sum as H places
+it: (S T - T S)[R, :] = S[R, :] T - T[R, :] S.  No operator is built on the
+full space.  The rep/group agreement converts the mirror model's H one link
+factor at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from functools import reduce
-from operator import matmul
+from operator import add, matmul
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,8 +51,10 @@ from .lattice_model import (
     GROUP,
     REP,
     Model,
+    _digit_sums,
     _gauss_products,
     _hop_products,
+    _link_hops,
     _place,
     _sum_on_span,
     _TERMS,
@@ -68,6 +71,7 @@ COVARIANCE_SAMPLES = 20
 
 TIGHT = 1e-12
 LOOSE = 1e-10
+PROBE_NNZ = 1 << 16    # entries of the tunneling term per part of a probed range
 
 
 def verify_model(model: Model, seed: int = 0) -> ValidationReport:
@@ -206,18 +210,15 @@ def _check_matter(model: Model, report: ValidationReport, seed: int):
         report.add(f"matter.covariance_parity{parity}", covariance, TIGHT)
 
 
-def _commutator_residual(term: sp.csr_matrix, symmetry_ops, rng=None) -> float:
+def _commutator_residual(term: sp.csr_matrix, symmetry_ops) -> float:
     """max |S T - T S| over the CSR operators S, consumed one at a time, and
     entries: each S meets T one row slice at a time, about SLICE_NNZ stored
     entries of T cut as ``hermiticity_residual`` cuts, the rows of S and T read
-    as views.  Given a numpy Generator ``rng``, each S meets one slice drawn
-    from it instead: the exact residual on those rows only."""
+    as views."""
     term = sp.csr_matrix(term)
     slices = list(_row_slices(term.indptr))
     return max_abs([max_abs(_row_view(s_op, lo, hi) @ term - _row_view(term, lo, hi) @ s_op)
-                    for s_op in symmetry_ops
-                    for lo, hi in (slices if rng is None
-                                   else [slices[rng.integers(len(slices))]])])
+                    for s_op in symmetry_ops for lo, hi in slices])
 
 
 def _on_span(dims, factors, pieces, coeff: complex = 1.0, hc: bool = False) -> sp.csr_matrix:
@@ -241,22 +242,72 @@ def _on_span(dims, factors, pieces, coeff: complex = 1.0, hc: bool = False) -> s
         coeff, hc))
 
 
-def _star_residual(model: Model, probes) -> float:
+def _star_residual(model: Model, probes, vacuum=None, tunneling: bool = True,
+                   symmetry=None) -> float:
     """max |S T - T S| over the tunneling term T and each vertex v's Gauss
-    operators or generators S (``_gauss_products`` of each probe), taken as
-    S T_v - T_v S on v's star: the fermion factor and v's link factors, where
-    T_v is the sum of the hops of v's links, each link once."""
+    operators or generators S (``_gauss_products`` of each probe, or the
+    vertex-major ``symmetry`` that holds them), taken as S T_v - T_v S on v's
+    star: the fermion factor and v's link factors, where T_v is the sum of the
+    hops of v's links, each link once (0 without ``tunneling``).  Given a list
+    ``vacuum``, it gets |S vac - vac| (|G vac| for a generator), taken on the
+    star's axes of ``vacuum_state``."""
     gb = model.global_basis
+    dims = gb.factor_dims
+    vac = None if vacuum is None else vacuum_state(model).reshape(dims)
+    symmetry = symmetry or [_gauss_products(model, v, **probe)
+                            for v in range(model.lattice.n_vertices) for probe in probes]
     worst = []
     for v in range(model.lattice.n_vertices):
         links = dict(sorted((link.index, link) for link, _ in model.lattice.links_at_vertex(v)))
-        star = [gb.fermion_factor, *map(gb.link_factor, links)]
-        hops = sum((_on_span(gb.factor_dims, star, *_hop_products(model, link))
-                    for link in links.values()),
-                   sp.csr_matrix((math.prod(gb.factor_dims[f] for f in star),) * 2))
-        worst.append(_commutator_residual(hops, (
-            _on_span(gb.factor_dims, star, _gauss_products(model, v, **probe))
-            for probe in probes)))
+        star = ([gb.fermion_factor] if gb.has_matter else []) + [*map(gb.link_factor, links)]
+        size = math.prod(dims[f] for f in star)
+        ops = [_on_span(dims, star, pieces)
+               for pieces in symmetry[v * len(probes):(v + 1) * len(probes)]]
+        if tunneling:
+            worst.append(_commutator_residual(sum((
+                _on_span(dims, star, *_hop_products(model, link)) for link in links.values()),
+                sp.csr_matrix((size, size))), ops))
+        if vac is not None:
+            on_star = np.moveaxis(vac, star, range(len(star))).reshape(size, -1)
+            vacuum += [math.sqrt(np.vdot(d, d).real) for d in (
+                s_op @ on_star - (0 if model.entry.is_lie else on_star) for s_op in ops)]
+    return max_abs(worst)
+
+
+def _row_probe(dims, pieces, t_rows, load, lo: int, hi: int) -> float:
+    """max |S T - T S| on the rows R of the leading digits [lo, hi), S the sum of
+    the products ``pieces`` and T the operator whose rows at the digits [t0,
+    t1) are ``t_rows(t0, t1)``: S[R, :] T - T[R, :] S, in parts of about
+    PROBE_NNZ of T's ``load`` entries, each factor built where the other
+    reaches (S as lead (x) other, with its lead cut to rows)."""
+    rest = math.prod(dims[1:])
+    split = [(reduce(matmul, ops[0]), [{f - 1: m for f, m in ops.items() if f}])
+             for ops in pieces if 0 in ops] + [(sp.identity(dims[0], dtype=complex), [
+                 {f - 1: m for f, m in ops.items()} for ops in pieces if 0 not in ops])]
+    split = [(sp.csr_matrix(lead), _place(dims[1:], *_sum_on_span(dims[1:], others)))
+             for lead, others in split if others]
+
+    def s_rows(at):
+        return reduce(add, (sp.kron(lead[at], other, format="csr") for lead, other in split))
+
+    def onto(mat, at):    # mat's columns renumbered onto the rows stacked at ``at``
+        digit, offset = np.divmod(mat.indices, rest)
+        return sp.csr_matrix((mat.data, np.searchsorted(at, digit) * rest + offset, mat.indptr),
+                             shape=(mat.shape[0], len(at) * rest))
+
+    worst = []
+    for a, b in _row_slices(load[lo:hi + 1] - load[lo], PROBE_NNZ):
+        r = np.arange(lo + a, lo + b)
+        s_r = s_rows(r)
+        at = np.union1d(r, s_r.indices // rest)    # R and the digits S[R, :] reaches
+        runs = np.split(at, np.flatnonzero(np.diff(at) > 1) + 1)
+        t_at = sp.vstack([t_rows(run[0], run[-1] + 1) for run in runs], format="csr")
+        first = np.searchsorted(at, lo + a) * rest
+        t_r = t_at[first:first + s_r.shape[0]]
+        left = onto(s_r, at) @ t_at
+        del s_r, t_at    # freed before S is built where T[R, :] reaches
+        at = np.unique(t_r.indices // rest)
+        worst.append(max_abs(left - onto(t_r, at) @ s_rows(at)))
     return max_abs(worst)
 
 
@@ -270,38 +321,43 @@ def _check_hamiltonian(model: Model, report: ValidationReport, seed: int):
     herm, blocks = [], {}
     for name in model.terms:
         try:
-            blocks[name] = _TERMS[name](model)
+            # the tunneling term as its link hops: never summed whole
+            blocks[name] = list(_link_hops(model)) if name == "tunneling" else _TERMS[name](model)
         except ValueError as exc:
             # a term that cannot be assembled is a failed check, not a crash
             report.checks.append(CheckResult(
                 f"model.term_build_{name} ({exc})", float("inf"), LOOSE))
             continue
-        herm.append(hermiticity_residual(blocks[name][2]))
+        if name != "tunneling":
+            herm.append(hermiticity_residual(blocks[name][2]))
     if not blocks:
         return
 
-    # one pass over the Gauss operators: each S on every span the blocks need
-    # and on the full space, which the vacuum and tunneling probes share,
-    # dropped before the next; the tunneling term itself is taken on the stars
+    commutes, vacuum = {name: [] for name in blocks}, []
+    if "tunneling" in blocks:
+        hops = blocks.pop("tunneling")
+        # T - T^dag: the hops' nonzero b - b^dag, added one range of fermion digits at a time
+        load, _, rows = _digit_sums(dims, 0, len(dims), [
+            (lo, hi, hop - hop.conj().T) for lo, hi, hop in hops if hermiticity_residual(hop)])
+        herm.append(max_abs([max_abs(rows(t0, t1)) for t0, t1 in _row_slices(load)]))
+        # T meets each S on one range of fermion digits drawn from the seed, and
+        # its hops are freed before the star pass
+        load, _, rows = _digit_sums(dims, 0, len(dims), hops)
+        ranges, draw = list(_row_slices(load)), np.random.default_rng(seed + 3)
+        commutes["tunneling"] = [_row_probe(dims, pieces, rows, load, *ranges[draw.integers(
+            len(ranges))]) for pieces in symmetry]
+        del hops, rows
+    # each S meets T_v and the vacuum on its star;
     # sum G^2 vac = 0 iff G vac = 0 for each Hermitian generator G, and
     # P_v vac = vac iff Theta_v(s) vac = vac for each element s of a generating set
-    full = (0, len(dims))
-    spans = {span: [name for name, block in blocks.items() if block[:2] == span]
-             for span in [*(block[:2] for block in blocks.values()), full]}
-    vac = vacuum_state(model)
-    rows = np.random.default_rng(seed + 3)
-    commutes, vacuum = {name: [] for name in blocks}, []
-    for pieces in symmetry:
-        for span, names in spans.items():
-            s_op = _on_span(dims, range(*span), pieces)
-            for name in names:
-                commutes[name].append(_commutator_residual(
-                    blocks[name][2], [s_op], rows if name == "tunneling" else None))
-            if span == full:
-                vacuum.append(np.linalg.norm(s_op @ vac - (0 if lie else vac)))
-            del s_op
+    star = _star_residual(model, probes, vacuum, "tunneling" in commutes, symmetry)
     if "tunneling" in commutes:
-        commutes["tunneling"].append(_star_residual(model, probes))
+        commutes["tunneling"].append(star)
+    # and on the span of each other block
+    for pieces in symmetry:
+        for name, (lo, hi, local) in blocks.items():
+            commutes[name].append(
+                _commutator_residual(local, [_on_span(dims, range(lo, hi), pieces)]))
     report.add("model.terms_hermitian", max_abs(herm), TIGHT)
     for name, parts in commutes.items():
         report.add(f"model.gauss_commutes_with_{name}", max_abs(parts), LOOSE)

@@ -469,6 +469,38 @@ def test_group_law_residual_equals_the_pair_loop_on_any_stack(seed):
     assert abs(group_law_residual(stack, spec) - loop) <= 1e-14 * loop
 
 
+def _one_by_one_stack(name):
+    """(stack, spec): Z_5's irreps on its own table, or U(1)'s charges p on
+    the rotations by 2 pi k / 7 (a Z_7 subgroup), as (order, irrep, 1, 1)."""
+    if name == "Z_5":
+        z5 = build_builtin("Z_N", N=5)
+        return np.stack([ir.matrices for ir in z5.irreps], axis=1), z5.spec
+    z7 = build_builtin("Z_N", N=7)
+    charges = np.array([int(ir.label) for ir in build_builtin("U1_trunc", P=2).irreps])
+    angles = 2 * np.pi * np.arange(7) / 7
+    return np.exp(1j * np.outer(angles, charges))[..., None, None], z7.spec
+
+
+@pytest.mark.parametrize("name", ["Z_5", "U1"])
+def test_one_by_one_group_law_equals_the_batched_product(name):
+    # 1x1 matrices are multiplied elementwise: the same residual as the
+    # batched matmul, on the exact stack, on a perturbed one and with a NaN
+    stack, spec = _one_by_one_stack(name)
+
+    def batched(stack):
+        return max(np.abs(stack[g] @ stack - stack[spec.mul[g]]).max()
+                   for g in range(spec.order))
+
+    rng = np.random.default_rng(4)
+    perturbed = stack * np.exp(1e-3j * rng.standard_normal(stack.shape))
+    for case in (stack, perturbed):
+        got, reference = group_law_residual(case, spec), batched(case)
+        assert abs(got - reference) <= 1e-14 * max(1.0, reference), (got, reference)
+    assert batched(perturbed) > 1e-4
+    perturbed[spec.order - 1, 1, 0, 0] = np.nan
+    assert np.isnan(group_law_residual(perturbed, spec)) and np.isnan(batched(perturbed))
+
+
 def test_group_law_residual_keeps_a_nan_of_a_late_element():
     d3 = build_builtin("D3")
     stack = d3.irreps[2].matrices.copy()

@@ -162,6 +162,18 @@ def _sign_flipped_tunneling(model):
     return lo, hi, local - 2 * (piece + piece.conj().T)
 
 
+def _sign_flipped_link_hops(model):
+    """The link hops with the (0, 0) piece of link 0 and its h.c. negated."""
+    gb = model.global_basis
+    for link, (lo, hi, local) in zip(model.lattice.links, lattice_model._link_hops(model)):
+        if link.index == 0:
+            piece = model.epsilon[0] * lattice_model._sum_on_span(gb.factor_dims, [{
+                gb.fermion_factor: [lattice_model._hop(model, link.origin, 0, link.target, 0)],
+                gb.link_factor(0): [model.u_tunneling.entry(0, 0).matrix]}])[2]
+            local = local - 2 * (piece + piece.conj().T)
+        yield lo, hi, local
+
+
 @pytest.mark.parametrize("name,params,basis", [
     ("D3", {}, "group"), ("D3", {}, "rep"),
     ("SU2_trunc", {"j_max": "1/2"}, "rep")])
@@ -176,7 +188,8 @@ def test_fault_injections_fail_the_report(monkeypatch, name, params, basis):
                 if not c.passed}
 
     assert "model.terms_hermitian" in failing(include_hc=False)
-    monkeypatch.setitem(lattice_model._TERMS, "tunneling", _sign_flipped_tunneling)
+    # verification reads the tunneling term as its link hops
+    monkeypatch.setattr(verification, "_link_hops", _sign_flipped_link_hops)
     failed = failing(include_hc=True)
     assert failed["model.gauss_commutes_with_tunneling"] > 0.1, failed
     assert "model.gauss_commutes_with_mass" not in failed
@@ -430,6 +443,41 @@ def test_verify_builds_the_tunneling_block_without_a_running_sum():
     assert peak < 2.0 * tunneling_csr_bytes, peak
 
 
+def _traced_peak(model):
+    """verify_model(model, seed=1) and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        report = verify_model(model, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return report, peak
+
+
+def test_verify_model_l1_never_holds_a_full_space_block():
+    # L1 as above.  Its tunneling CSR alone takes 42.2 MiB, and each full-space
+    # Gauss operator about as much; built from the link hops, the stars and
+    # one range of fermion digits per Gauss operator, the peak is that of
+    # building the hops (about 34 MiB), where it was 76.4 MiB
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3,
+                         electric_weights={"I": 0.0, "p": 1.0, "2": 1.0})
+    report, peak = _traced_peak(Model(build_builtin("D3"), lat, params, basis_tag="group"))
+    assert report.passed, str(report.first_failure())
+    assert peak < 38 * 2**20, peak
+
+
+def test_verify_model_l4_holds_no_full_space_operator():
+    # L4: SU(2) j <= 1/2 2x2 open with matter, dim 160 000, where the
+    # full-space Gauss generators and tunneling block peaked at 40.7 MiB
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    model = Model(build_builtin("SU2_trunc", j_max="1/2"), lat,
+                  ModelParams(mass=1.0, epsilon=0.7, coupling=1.3))
+    report, peak = _traced_peak(model)
+    assert report.passed, str(report.first_failure())
+    assert peak < 20 * 2**20, peak
+
+
 # ---------------------------------------------------------------------------
 # the vacuum probes against test-side oracles
 
@@ -553,30 +601,49 @@ def test_star_residual_equals_the_full_space_one(monkeypatch, make_model):
         assert (full > 0.1) if faulty else (full <= 1e-13), full
 
 
-def _misplaced_tunneling(model):
-    """The tunneling block with link 0's hop carrying its U on link 1's factor:
-    Hermitian, but not gauge invariant."""
+@pytest.mark.parametrize("basis,expected", [("group", 0.8), ("rep", 0.4)])
+def test_hermiticity_of_overlapping_hops_is_that_of_their_sum(basis, expected):
+    # D3 2x1 ring without the h.c.: both links join vertices 0 and 1, and in
+    # the group basis, where U is diagonal, their hops share every entry, so
+    # max |T - T^dag| of the sum is 2 eps = 0.8, not the 0.4 of either link
+    lat = LatticeSpec(2, 1, boundary=("periodic", "open"), include_matter=True)
+    model = Model(build_builtin("D3"), lat,
+                  ModelParams(mass=0.8, epsilon=0.4, coupling=1.2, include_hc=False,
+                              electric_weights=D3_WEIGHTS), basis_tag=basis)
+    term = observable(model, "tunneling_energy").matrix
+    full = max_abs(term - term.conj().T)
+    assert abs(full - expected) <= 1e-13 * expected, full
+    failed = {c.name: c.residual for c in verify_model(model, seed=2).checks if not c.passed}
+    assert set(failed) == {"model.terms_hermitian"}, failed
+    assert abs(failed["model.terms_hermitian"] - full) <= 1e-13 * full, failed
+
+
+def _misplaced_hops(model):
+    """The link hops with link 0's hop carrying its U on link 1's factor."""
     gb = model.global_basis
     moved = {gb.link_factor(0): gb.link_factor(1)}
+    for link in model.lattice.links:
+        products, coeff, hc = lattice_model._hop_products(model, link)
+        if link.index == 0:
+            products = [{moved.get(f, f): mats for f, mats in ops.items()}
+                        for ops in products]
+        yield lattice_model._sum_on_span(gb.factor_dims, products, coeff, hc)
 
-    def hops():
-        for link in model.lattice.links:
-            products, coeff, hc = lattice_model._hop_products(model, link)
-            if link.index == 0:
-                products = [{moved.get(f, f): mats for f, mats in ops.items()}
-                            for ops in products]
-            yield lattice_model._sum_on_span(gb.factor_dims, products, coeff, hc)
 
-    dims = gb.factor_dims
-    return lattice_model._sum_blocks(dims, 0, len(dims), hops())
+def _misplaced_tunneling(model):
+    """The tunneling block summed from ``_misplaced_hops``: Hermitian, but not
+    gauge invariant."""
+    dims = model.global_basis.factor_dims
+    return lattice_model._sum_blocks(dims, 0, len(dims), _misplaced_hops(model))
 
 
 def test_probe_sees_a_hop_placed_on_the_wrong_link(monkeypatch):
     # the star pass rebuilds T_v from the library's hops, so only the seeded
-    # row slice of the returned block can see this fault; with 16 stored
-    # entries a slice the block spans many slices
+    # range of fermion digits of the probe, whose rows are placed from the
+    # hops verification reads, can see this fault; with 16 stored entries a
+    # slice each range holds about one digit
     monkeypatch.setattr(operators, "SLICE_NNZ", 16)
-    monkeypatch.setitem(lattice_model._TERMS, "tunneling", _misplaced_tunneling)
+    monkeypatch.setattr(verification, "_link_hops", _misplaced_hops)
     model = _d3_ring("rep")
     block = _misplaced_tunneling(model)[2]
     assert max_abs(block - block.conj().T) == 0.0
@@ -591,34 +658,37 @@ def test_probe_sees_a_hop_placed_on_the_wrong_link(monkeypatch):
 
 def test_tunneling_block_meets_each_gauss_operator_on_one_row_slice(monkeypatch):
     # L1: D3 2x2 open with matter in the group basis.  Its tunneling block
-    # (2 211 840 stored entries, 17 row slices) is checked whole on the
-    # vertex stars; the full-space block meets each of the 8 Gauss operators
-    # of the generating set on one row slice only
+    # (2 211 840 stored entries, 17 ranges of fermion digits) is checked on
+    # the vertex stars and never built whole: each of the 8 Gauss operators of
+    # the generating set meets its rows on one range of fermion digits only
     lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
     params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3, electric_weights=D3_WEIGHTS,
                          terms=("mass", "tunneling"))
     model = Model(build_builtin("D3"), lat, params, basis_tag="group")
-    built = []
+    built, ranges = [], []
 
     def tunneling(model):
         block = lattice_model._tunneling_term(model)
         built.append(block[2])
         return block
 
-    row_view, views = verification._row_view, []
+    row_probe = verification._row_probe
 
-    def counting(mat, lo, hi):
-        views.append(any(np.shares_memory(mat.data, block.data) for block in built))
-        return row_view(mat, lo, hi)
+    def counting(dims, pieces, t_rows, load, lo, hi):
+        ranges.append((lo, hi))
+        return row_probe(dims, pieces, t_rows, load, lo, hi)
 
     monkeypatch.setitem(lattice_model._TERMS, "tunneling", tunneling)
-    monkeypatch.setattr(verification, "_row_view", counting)
+    monkeypatch.setattr(verification, "_row_probe", counting)
     report = verify_model(model, seed=1)
     assert report.passed, str(report.first_failure())
-    assert len(built) == 1 and built[0].shape[0] == model.global_basis.dim
-    assert len(list(operators._row_slices(built[0].indptr))) > 1
+    assert not built
+    dims = model.global_basis.factor_dims
+    load = lattice_model._digit_sums(dims, 0, len(dims), lattice_model._link_hops(model))[0]
+    assert len(list(operators._row_slices(load))) > 1
+    assert all(0 <= lo < hi <= dims[0] and hi - lo < dims[0] for lo, hi in ranges)
     gauss_operators = model.lattice.n_vertices * len(model.entry.spec.generating_set())
-    assert sum(views) == gauss_operators == 8
+    assert len(ranges) == gauss_operators == 8
 
 
 # ---------------------------------------------------------------------------
