@@ -11,8 +11,10 @@ top x-link, then U-dagger on the left y-link (counterclockwise circulation).
 
 Placement: every operator reaches the full space one way.  ``_sum_on_span``
 sums the per-factor products of one local piece on the span of factors
-they touch and applies its coefficient and h.c. there, giving a block (lo,
-hi, local); ``_sum_blocks``, the only sum, adds blocks on a span one range
+they touch (each a Kronecker chain, ``_kron_rows``) and applies its
+coefficient and h.c. there, giving a block (lo, hi, local), a long one,
+such as the last link's hop, written one range of its leading digits at a
+time; ``_sum_blocks``, the only sum, adds blocks on a span one range
 of its leading factor's digits at a time, placing each block on those rows
 only, into one CSR allocated once; ``_operator``, the one step onto the lattice,
 makes a block a full-space ``Operator`` by ``_place``, which writes I (x)
@@ -310,6 +312,8 @@ class Model:
                              f"is not in the catalog")
         self._u_ops: dict[str, UOperator] = {}
         self._fermion_ops: dict[int, sp.csr_matrix] = {}
+        self._generators: Optional[tuple[list[Operator], list[Operator]]] = None
+        self._charges: dict[tuple[int, int], sp.csr_matrix] = {}
 
     # -- resolved pieces ----------------------------------------------------
 
@@ -367,7 +371,7 @@ class Model:
             return ((-1.0) ** int(self.lattice.vertex_parity[vertex])) * m
         return m
 
-    # -- small operator caches ----------------------------------------------
+    # -- small operator caches, each built once per model --------------------
 
     def fermion_annihilation(self, vertex: int, mode: int) -> sp.csr_matrix:
         """psi at a global mode, over the whole fermion factor (string signs included)."""
@@ -376,6 +380,21 @@ class Model:
             self._fermion_ops[gm] = annihilation_matrix(
                 self.global_basis.n_fermion_modes, gm)
         return self._fermion_ops[gm]
+
+    def link_generator(self, side: str, component: int) -> sp.csr_matrix:
+        """L_a (side "L") or R_a (side "R") on one link, for a Lie catalog."""
+        if self._generators is None:
+            self._generators = link_generators(self.link_space)
+        left, right = self._generators
+        return (left if side == "L" else right)[component].matrix
+
+    def vertex_charge(self, vertex: int, component: int) -> sp.csr_matrix:
+        """The charge Q_a of a vertex on the fermion factor's vertex digits."""
+        key = (vertex, component)
+        if key not in self._charges:
+            charge = matter_charges(self.vertex_spaces[vertex], self.entry, [component])[0]
+            self._charges[key] = _vertex_block(self, charge.matrix, vertex)
+        return self._charges[key]
 
     def link_theta(self, g, side: str) -> Operator:
         if self.basis_tag == GROUP:
@@ -400,26 +419,115 @@ def _sum_on_span(dims: Sequence[int], products: Sequence[dict[int, list[sp.spmat
     """(lo, hi, local): coeff * (sum of the products) + h.c. on factors [lo, hi).
 
     The span runs from the first to the last factor any ``{factor:
-    [matrices]}`` product touches; the products are summed there in order,
-    then the coefficient and the h.c. are applied.  No product: a zero block.
+    [matrices]}`` product touches; each product is the Kronecker chain of
+    its factors' matrices (complex identities on the factors it skips,
+    ``_kron_rows``), the products are summed there in order, then the
+    coefficient and the h.c. are applied.  No product: a zero block.
+
+    A block whose products place more than two ranges' worth of entries, h.c.
+    included, as a long link hop does, is ``_written`` one range of the
+    leading factor's digits at a time: each chain runs with its leading
+    matrix cut to those rows, and the h.c. rows are the conjugate of coeff
+    times the chains of the transposed factors on the same rows, whose values
+    are those of the transposed sum.  A smaller one is summed whole.  Both
+    give the same bits.
     """
     if not products:
         return 0, 0, sp.csr_matrix((1, 1), dtype=complex)
     lo, hi = _span(factor for ops in products for factor in ops)
-
-    def on_span(ops: dict[int, list[sp.spmatrix]]) -> sp.csr_matrix:
-        blocks = [reduce(operator.matmul, ops[factor]) if factor in ops
-                  else sp.identity(dims[factor], dtype=complex, format="csr")
-                  for factor in range(lo, hi)]
-        return sp.csr_matrix(reduce(lambda a, b: sp.kron(a, b, format="csr"),
-                                    blocks or [sp.identity(1, dtype=complex)]))
-
-    local = sum(on_span(ops) for ops in products)
-    if coeff != 1:
-        local = coeff * local
+    chains = [[sp.csr_matrix(reduce(operator.matmul, ops[factor])) if factor in ops
+               else sp.identity(dims[factor], dtype=complex, format="csr")
+               for factor in range(lo, hi)] or [sp.identity(1, dtype=complex, format="csr")]
+              for ops in products]
+    chains = [chain if len(chain) == 1 else [b.sorted_indices() for b in chain] for chain in chains]
+    lead, tails = chains[0][0].shape[0], [math.prod(b.nnz for b in chain[1:]) for chain in chains]
+    counts = sum(np.diff(chain[0].indptr) * tail for chain, tail in zip(chains, tails))
     if hc:
-        local = local + local.conj().T
-    return lo, hi, local
+        counts = counts + sum(np.bincount(chain[0].indices, minlength=chain[0].shape[1]) * tail
+                              for chain, tail in zip(chains, tails))
+    load = np.cumsum(np.r_[0, counts])
+
+    def summed(side, digits: range) -> sp.csr_matrix:
+        part = reduce(operator.add, (_kron_rows(chain, digits) for chain in side))
+        return coeff * part if coeff != 1 else part
+
+    step = max(SLICE_NNZ, load[-1] // 64)
+    if load[-1] <= 2 * step:
+        local = summed(chains, range(lead))
+        return lo, hi, local + local.conj().T if hc else local
+    adjoint = [[b.T.tocsr() for b in chain] for chain in chains] if hc else []
+    dtype = np.result_type(*(b.dtype for chain in chains for b in chain))
+    return lo, hi, _written(math.prod(dims[lo:hi]), lead, load, step, lambda digits: (
+        summed(chains, digits) + summed(adjoint, digits).conj() if hc
+        else summed(chains, digits)), np.result_type(dtype, coeff) if coeff != 1 else dtype)
+
+
+def _written(dim: int, lead: int, load: np.ndarray, step: int, rows, dtype) -> sp.csr_matrix:
+    """The (dim x dim) CSR whose rows at the leading digits ``digits`` are
+    ``rows(digits)``, written into index and value arrays allocated once, as
+    long as ``load[-1]`` (a bound on the nnz, ``load`` running over the
+    digits), one range of about ``step`` of the load at a time, each range's
+    rows freed before the next is made, and trimmed to the nnz at the end."""
+    rest = dim // lead
+    index = _index_dtype(dim, load[-1])
+    indptr, indices = np.zeros(dim + 1, index), np.empty(load[-1], index)
+    data = np.empty(load[-1], dtype)
+    nnz = 0
+    for t0, t1 in _row_slices(load, step):
+        part = rows(range(t0, t1))
+        pointers = indptr[t0 * rest + 1:t1 * rest + 1]
+        pointers[:] = part.indptr[1:]
+        pointers += nnz
+        indices[nnz:nnz + part.nnz], data[nnz:nnz + part.nnz] = part.indices, part.data
+        nnz += part.nnz
+        del part
+    indices.resize(nnz, refcheck=False)    # shrinks in place: no view of either is left
+    data.resize(nnz, refcheck=False)
+    total = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    total.has_canonical_format = True
+    return total
+
+
+def _kron_rows(chain: Sequence[sp.csr_matrix], digits: range) -> sp.csr_matrix:
+    """Rows of B_0 (x) B_1 (x) ... whose B_0 row is in ``digits``, in canonical CSR
+    for sorted factors: the values of scipy's chain of ``sp.kron`` calls, bit
+    for bit (each step multiplies the running values, repeated, by the next
+    factor's, in the same array shapes).  The values come out ordered by their
+    factors' entries; when every factor but the last has at most one entry a
+    row, as a hop's have, that is the CSR order, else each is scattered to its
+    place in the rows.  A chain whose product has no entry is a float64 zero,
+    as scipy's is."""
+    first = _row_view(chain[0], digits.start, digits.stop)
+    shape = (first.shape[0] * math.prod(b.shape[0] for b in chain[1:]),
+             first.shape[1] * math.prod(b.shape[1] for b in chain[1:]))
+    nnz = first.nnz * math.prod(b.nnz for b in chain[1:])
+    if not nnz:
+        return sp.csr_matrix(shape)
+    index = _index_dtype(*shape, nnz)
+    counts = np.diff(first.indptr).astype(index)
+    scatter = any(np.diff(b.indptr).max() > 1 for b in [first, *chain[1:-1]])
+    values, col = first.data, first.indices.astype(index)
+    if scatter:
+        row = np.repeat(np.arange(len(counts), dtype=index), counts)
+        at = np.arange(first.nnz, dtype=index) - first.indptr[:-1].astype(index)[row]
+    for b in chain[1:]:
+        b_counts = np.diff(b.indptr).astype(index)
+        values = (values.repeat(b.nnz).reshape(-1, b.nnz) * b.data).ravel()
+        col = (col[:, None] * index(b.shape[1]) + b.indices.astype(index)).ravel()
+        if scatter:
+            b_row = np.repeat(np.arange(b.shape[0], dtype=index), b_counts)
+            b_at = np.arange(b.nnz, dtype=index) - b.indptr[:-1].astype(index)[b_row]
+            row = (row[:, None] * index(b.shape[0]) + b_row).ravel()
+            at = (at[:, None] * b_counts[b_row] + b_at).ravel()
+        counts = np.multiply.outer(counts, b_counts).ravel()
+    indptr = np.zeros(shape[0] + 1, index)
+    np.cumsum(counts, out=indptr[1:])
+    if scatter:
+        at += indptr[row]
+        data, indices = np.empty_like(values), np.empty_like(col)
+        data[at], indices[at] = values, col
+        values, col = data, indices
+    return sp.csr_matrix((values, col, indptr), shape=shape)
 
 
 def _span(factors: Iterable[int]) -> tuple[int, int]:
@@ -431,47 +539,29 @@ def _span(factors: Iterable[int]) -> tuple[int, int]:
 def _sum_blocks(dims: Sequence[int], lo: int, hi: int, blocks: Iterable[Block]) -> Block:
     """(lo, hi, local): blocks inside the factors [lo, hi) added there in order.
 
-    The sum is written into index and value arrays allocated once, as long
-    as the placed blocks' nnz together, one range of the span's leading
-    factor digits at a time (``_digit_sums``, whose rows are the CSR addition
-    of the whole sum, bit for bit), and trimmed to its nnz at the end.  A
-    range holds about 1/64 of the placed nnz, at least SLICE_NNZ entries.
+    The sum is ``_written`` as long as the placed blocks' nnz together, one
+    range of the span's leading factor digits at a time (``_digit_sums``,
+    whose rows are the CSR addition of the whole sum, bit for bit).  A range
+    holds about 1/64 of the placed nnz, at least SLICE_NNZ entries.
     """
-    dim = math.prod(dims[lo:hi])
-    rest = dim // (dims[lo] if hi > lo else 1)
     load, dtype, rows = _digit_sums(dims, lo, hi, blocks)
-    index = _index_dtype(dim, load[-1])
-    indptr, indices = np.zeros(dim + 1, index), np.empty(load[-1], index)
-    data = np.empty(load[-1], dtype)
-    nnz = 0
-    for t0, t1 in _row_slices(load, max(SLICE_NNZ, load[-1] // 64)):
-        added = rows(t0, t1)
-        pointers = indptr[t0 * rest + 1:t1 * rest + 1]
-        pointers[:] = added.indptr[1:]
-        pointers += nnz
-        indices[nnz:nnz + added.nnz], data[nnz:nnz + added.nnz] = added.indices, added.data
-        nnz += added.nnz
-        del added    # freed before the next range is added
-    indices.resize(nnz, refcheck=False)    # shrinks in place: no view of either is left
-    data.resize(nnz, refcheck=False)
-    total = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
-    total.has_canonical_format = True
-    return lo, hi, total
+    return lo, hi, _written(math.prod(dims[lo:hi]), dims[lo] if hi > lo else 1, load,
+                            max(SLICE_NNZ, load[-1] // 64), rows, dtype)
 
 
 def _digit_sums(dims: Sequence[int], lo: int, hi: int, blocks: Iterable[Block]):
-    """(load, dtype, rows) of the sum of blocks on the factors [lo, hi): rows(t0,
-    t1) adds, in order from a float64 zero, each block placed on the rows of
-    the leading digits [t0, t1) (``_digit_rows``); load runs over the digits'
-    placed nnz."""
+    """(load, dtype, rows) of the sum of blocks on the factors [lo, hi):
+    rows(digits) adds, in order from a float64 zero, each block placed on the
+    rows of the leading digits ``digits``, a range or an ascending array
+    (``_digit_rows``); load runs over the digits' placed nnz."""
     span = dims[lo:hi]
     lead, dim = (span[0] if span else 1), math.prod(span)
     parts = [_digit_rows(span, b_lo - lo, b_hi - lo, local) for b_lo, b_hi, local in blocks]
     load = np.cumsum(np.r_[0, sum((counts for counts, _, _ in parts), np.zeros(lead, int))])
 
-    def rows(t0: int, t1: int) -> sp.csr_matrix:
-        return sum((part(t0, t1) for _, _, part in parts),
-                   sp.csr_matrix(((t1 - t0) * (dim // lead), dim)))
+    def rows(digits) -> sp.csr_matrix:
+        return sum((part(digits) for _, _, part in parts),
+                   sp.csr_matrix((len(digits) * (dim // lead), dim)))
 
     return load, np.result_type(np.float64, *(dtype for _, dtype, _ in parts)), rows
 
@@ -479,13 +569,13 @@ def _digit_sums(dims: Sequence[int], lo: int, hi: int, blocks: Iterable[Block]):
 def _digit_rows(span: Sequence[int], lo: int, hi: int, local: sp.spmatrix):
     """A block on factors [lo, hi) of ``span`` as (counts, dtype, rows).
 
-    ``rows(t0, t1)`` is the rows of ``_place(span, lo, hi, local)`` whose
-    leading-factor digit is in [t0, t1), bit for bit, with the local in
-    canonical form; ``counts`` is their nnz per digit, ``dtype`` their
-    values' type.  A block on the leading factor takes its local's rows
-    (x) I_after; any other block repeats one precomputed single-digit band,
-    shifted per digit.  A zero-width block, c times the identity, is placed
-    after the leading factor.
+    ``rows(digits)`` is the rows of ``_place(span, lo, hi, local)`` whose
+    leading-factor digit is in ``digits`` (a range or an ascending array),
+    bit for bit, with the local in canonical form; ``counts`` is their nnz
+    per digit, ``dtype`` their values' type.  A block on the leading factor
+    takes its local's rows (x) I_after; any other block repeats one
+    precomputed single-digit band, shifted per digit.  A zero-width block, c
+    times the identity, is placed after the leading factor.
     """
     local = sp.csr_matrix(local)
     if not local.has_canonical_format:
@@ -499,11 +589,17 @@ def _digit_rows(span: Sequence[int], lo: int, hi: int, local: sp.spmatrix):
     after = math.prod(span[hi:])
     if lo == 0:
         per_digit = local.shape[0] // lead
-        return (np.diff(local.indptr[::per_digit]) * after, dtype, lambda t0, t1: _band(
-            _row_view(local, t0 * per_digit, t1 * per_digit), after, dtype, padded))
+
+        def rows(digits) -> sp.csr_matrix:
+            if isinstance(digits, range):
+                picked = _row_view(local, digits.start * per_digit, digits.stop * per_digit)
+            else:
+                picked = local[(digits[:, None] * per_digit + np.arange(per_digit)).ravel()]
+            return _band(picked, after, dtype, padded)
+
+        return np.diff(local.indptr[::per_digit]) * after, dtype, rows
     digit = _tiled(_band(local, after, dtype, padded), range(math.prod(span[1:lo])))
-    return (np.full(lead, digit.nnz), dtype,
-            lambda t0, t1: _tiled(digit, range(t0, t1), dim))
+    return np.full(lead, digit.nnz), dtype, lambda digits: _tiled(digit, digits, dim)
 
 
 def _operator(model: Model, block: Block) -> Operator:
@@ -567,14 +663,17 @@ def _band(local: sp.csr_matrix, after: int, dtype, padded: int) -> sp.csr_matrix
     return band
 
 
-def _tiled(band: sp.csr_matrix, steps: range, width: Optional[int] = None) -> sp.csr_matrix:
+def _tiled(band: sp.csr_matrix, steps: Union[range, np.ndarray],
+           width: Optional[int] = None) -> sp.csr_matrix:
     """Copies of a canonical (k x w) band down the rows, the i-th shifted right
-    by steps[i] * w columns, in a canonical CSR ``width`` columns wide (by
-    default, the band's width times len(steps))."""
+    by steps[i] * w columns (``steps`` a range or an array of ints), in a
+    canonical CSR ``width`` columns wide (by default, the band's width times
+    len(steps))."""
     (k, w), count = band.shape, len(steps)
     width = w * count if width is None else width
     index = _index_dtype(width, count * band.nnz)
-    shifts = np.arange(steps.start, steps.stop, dtype=index)[:, None] * w
+    shifts = (np.arange(steps.start, steps.stop, dtype=index) if isinstance(steps, range)
+              else np.asarray(steps, dtype=index))[:, None] * w
     indices = (band.indices.astype(index, copy=False) + shifts).ravel()
     offsets = np.arange(count, dtype=index)[:, None] * band.nnz
     indptr = np.append((band.indptr[:-1].astype(index, copy=False) + offsets).ravel(),
@@ -854,17 +953,16 @@ def _gauss_products(model: Model, vertex: int, g=None,
     if component is None:
         sides = {side: model.link_theta(g, side).matrix for side in ("L", "R")}
     else:
-        left, right = link_generators(model.link_space)
-        sides = {"L": left[component].matrix, "R": right[component].matrix}
+        sides = {side: model.link_generator(side, component) for side in ("L", "R")}
     ops: dict[int, list[sp.spmatrix]] = {}
     for link, role in model.lattice.links_at_vertex(vertex):
         ops.setdefault(gb.link_factor(link.index), []).append(
             sides["L" if role == "out" else "R"])
     if model.lattice.include_matter:
-        space = model.vertex_spaces[vertex]
-        matter = (theta_q(space, model.entry, g) if component is None
-                  else matter_charges(space, model.entry, [component])[0])
-        ops[gb.fermion_factor] = [_vertex_block(model, matter.matrix, vertex)]
+        ops[gb.fermion_factor] = [
+            _vertex_block(model, theta_q(model.vertex_spaces[vertex], model.entry, g).matrix,
+                          vertex) if component is None
+            else model.vertex_charge(vertex, component)]
     return [ops] if component is None else [
         {factor: [mat]} for factor, mats in ops.items() for mat in mats]
 

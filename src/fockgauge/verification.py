@@ -27,11 +27,18 @@ Hermiticity is that of its link hops' sum, and it is taken on each vertex
 v's star (the fermion factor and v's link factors) against T_v, the hops of
 v's links, each once: S keeps every vertex's fermion parity and touches no
 other link, so it commutes exactly with every other hop.  There S also
-meets the vacuum, with the star's axes moved to the front.  One range R of
-fermion digits per S, drawn from the seed, probes the hops' sum as H places
-it: (S T - T S)[R, :] = S[R, :] T - T[R, :] S.  No operator is built on the
-full space.  The rep/group agreement converts the mirror model's H one link
-factor at a time.
+meets the vacuum, with the star's axes moved to the front, one block of
+columns at a time.  One range R of fermion digits per S, drawn from the
+seed, probes the hops' sum as H places it: (S T - T S)[R, :] = S[R, :] T -
+T[R, :] S.  No operator is built on the full space.  The rep/group
+agreement converts the mirror model's H one link factor at a time.
+
+At its peak ``verify_model`` holds the link hops, each as H takes it
+(``_real``: float64 when real), and one part of the probe: about PROBE_NNZ
+entries of T's rows, the rows of S where they reach, and their products,
+whose columns run over the digits reached only.  A hop is built by
+``_sum_on_span``; the last one, which spans every factor, one range of
+fermion digits at a time into arrays allocated once.
 """
 
 from __future__ import annotations
@@ -56,8 +63,11 @@ from .lattice_model import (
     _hop_products,
     _link_hops,
     _place,
+    _real,
     _sum_on_span,
     _TERMS,
+    _band,
+    _tiled,
     build_hamiltonian,
     physical_projector,
     vacuum_state,
@@ -71,7 +81,7 @@ COVARIANCE_SAMPLES = 20
 
 TIGHT = 1e-12
 LOOSE = 1e-10
-PROBE_NNZ = 1 << 16    # entries of the tunneling term per part of a probed range
+PROBE_NNZ = 3 << 14    # entries of the tunneling term per part of a probed range
 
 
 def verify_model(model: Model, seed: int = 0) -> ValidationReport:
@@ -268,47 +278,91 @@ def _star_residual(model: Model, probes, vacuum=None, tunneling: bool = True,
                 _on_span(dims, star, *_hop_products(model, link)) for link in links.values()),
                 sp.csr_matrix((size, size))), ops))
         if vac is not None:
-            on_star = np.moveaxis(vac, star, range(len(star))).reshape(size, -1)
-            vacuum += [math.sqrt(np.vdot(d, d).real) for d in (
-                s_op @ on_star - (0 if model.entry.is_lie else on_star) for s_op in ops)]
+            squares = np.zeros(len(ops))
+            for columns in _star_columns(vac, star):
+                for i, s_op in enumerate(ops):
+                    d = s_op @ columns
+                    if not model.entry.is_lie:
+                        d -= columns
+                    squares[i] += np.vdot(d, d).real
+            vacuum += [math.sqrt(square) for square in squares]
     return max_abs(worst)
+
+
+def _star_columns(vec: np.ndarray, star):
+    """``vec`` (shaped as the factors) as a matrix whose rows run over the
+    ``star`` axes, one block of columns at a time: those at each digit of the
+    first factor off the star, or all of them when every factor is on it."""
+    moved = np.moveaxis(vec, star, range(len(star)))
+    rows = math.prod(moved.shape[:len(star)])
+    for block in [moved] if moved.ndim == len(star) else np.moveaxis(moved, len(star), 0):
+        yield block.reshape(rows, -1)
 
 
 def _row_probe(dims, pieces, t_rows, load, lo: int, hi: int) -> float:
     """max |S T - T S| on the rows R of the leading digits [lo, hi), S the sum of
-    the products ``pieces`` and T the operator whose rows at the digits [t0,
-    t1) are ``t_rows(t0, t1)``: S[R, :] T - T[R, :] S, in parts of about
-    PROBE_NNZ of T's ``load`` entries, each factor built where the other
-    reaches (S as lead (x) other, with its lead cut to rows)."""
-    rest = math.prod(dims[1:])
-    split = [(reduce(matmul, ops[0]), [{f - 1: m for f, m in ops.items() if f}])
-             for ops in pieces if 0 in ops] + [(sp.identity(dims[0], dtype=complex), [
-                 {f - 1: m for f, m in ops.items()} for ops in pieces if 0 not in ops])]
-    split = [(sp.csr_matrix(lead), _place(dims[1:], *_sum_on_span(dims[1:], others)))
+    the products ``pieces`` and T the operator whose rows at the leading
+    digits ``digits`` (an ascending array) are ``t_rows(digits)``:
+    S[R, :] T - T[R, :] S, in parts of about PROBE_NNZ of T's ``load``
+    entries.  Each factor is built on the leading digits the other reaches
+    (read off its columns by ``np.bincount``), and each product's inner and
+    outer columns are renumbered onto the digits they reach, so no product
+    is as wide as the space.  S is a sum of lead (x) other, the lead on the
+    leading factor: a lead's rows padded by an identity other, an identity
+    lead's rows as shifted copies of its other, and a Kronecker product
+    otherwise."""
+    lead_dim, rest = dims[0], math.prod(dims[1:])
+    split = [(sp.csr_matrix(reduce(matmul, ops[0])).sorted_indices(),
+              [{f - 1: m for f, m in ops.items() if f}]) for ops in pieces if 0 in ops]
+    split.append((None, [{f - 1: m for f, m in ops.items()} for ops in pieces if 0 not in ops]))
+    split = [(lead, _place(dims[1:], *_sum_on_span(dims[1:], others)) if any(others) else None)
              for lead, others in split if others]
 
     def s_rows(at):
-        return reduce(add, (sp.kron(lead[at], other, format="csr") for lead, other in split))
+        return reduce(add, (
+            _band(lead[at], rest, np.complex128, 1) if other is None
+            else _tiled(other, at, lead_dim * rest) if lead is None
+            else sp.kron(lead[at], other, format="csr") for lead, other in split))
 
-    def onto(mat, at):    # mat's columns renumbered onto the rows stacked at ``at``
-        digit, offset = np.divmod(mat.indices, rest)
-        return sp.csr_matrix((mat.data, np.searchsorted(at, digit) * rest + offset, mat.indptr),
-                             shape=(mat.shape[0], len(at) * rest))
+    def reached(*mats, also=None):    # the digits the columns reach (and ``also``), in order
+        hits = sum(np.bincount(mat.indices // rest, minlength=lead_dim) for mat in mats)
+        if also is not None:
+            hits[also] = 1
+        at = np.flatnonzero(hits)
+        shift = np.zeros(lead_dim, dtype=np.int64)    # a column's shift onto them, per digit
+        shift[at] = (at - np.arange(len(at))) * rest
+        return at, shift
+
+    def onto(mat, at, shift):    # mat's columns renumbered onto the digits ``at``
+        return sp.csr_matrix((mat.data, mat.indices - shift[mat.indices // rest].astype(
+            mat.indices.dtype), mat.indptr), shape=(mat.shape[0], len(at) * rest))
 
     worst = []
     for a, b in _row_slices(load[lo:hi + 1] - load[lo], PROBE_NNZ):
         r = np.arange(lo + a, lo + b)
         s_r = s_rows(r)
-        at = np.union1d(r, s_r.indices // rest)    # R and the digits S[R, :] reaches
-        runs = np.split(at, np.flatnonzero(np.diff(at) > 1) + 1)
-        t_at = sp.vstack([t_rows(run[0], run[-1] + 1) for run in runs], format="csr")
-        first = np.searchsorted(at, lo + a) * rest
-        t_r = t_at[first:first + s_r.shape[0]]
-        left = onto(s_r, at) @ t_at
-        del s_r, t_at    # freed before S is built where T[R, :] reaches
-        at = np.unique(t_r.indices // rest)
-        worst.append(max_abs(left - onto(t_r, at) @ s_rows(at)))
+        inner, into = reached(s_r, also=r)    # R and the digits S[R, :] reaches
+        t_at = t_rows(inner)
+        first = (lo + a) * rest - into[lo + a]
+        t_r = _row_view(t_at, first, first + s_r.shape[0])
+        inner_t, into_t = reached(t_r)    # the digits T[R, :] reaches
+        s_at = s_rows(inner_t)
+        outer, out = reached(t_at, s_at)
+        left = onto(s_r, inner, into) @ onto(t_at, outer, out)
+        del s_r    # freed before T[R, :] S is made
+        worst.append(_difference(left, onto(t_r, inner_t, into_t) @ onto(s_at, outer, out)))
     return max_abs(worst)
+
+
+def _difference(a: sp.csr_matrix, b: sp.csr_matrix) -> float:
+    """max |a - b| of two CSR matrices, sorted in place: on their values alone
+    when their patterns are the same, as the two products of a commutator's
+    rows mostly are, else through the CSR difference."""
+    a.sort_indices()
+    b.sort_indices()
+    if np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices):
+        return max_abs(a.data - b.data)
+    return max_abs(a - b)
 
 
 def _check_hamiltonian(model: Model, report: ValidationReport, seed: int):
@@ -321,8 +375,9 @@ def _check_hamiltonian(model: Model, report: ValidationReport, seed: int):
     herm, blocks = [], {}
     for name in model.terms:
         try:
-            # the tunneling term as its link hops: never summed whole
-            blocks[name] = list(_link_hops(model)) if name == "tunneling" else _TERMS[name](model)
+            # the tunneling term as its link hops, each as H takes it: never summed whole
+            blocks[name] = ([_real(hop) for hop in _link_hops(model)] if name == "tunneling"
+                            else _TERMS[name](model))
         except ValueError as exc:
             # a term that cannot be assembled is a failed check, not a crash
             report.checks.append(CheckResult(
@@ -339,7 +394,7 @@ def _check_hamiltonian(model: Model, report: ValidationReport, seed: int):
         # T - T^dag: the hops' nonzero b - b^dag, added one range of fermion digits at a time
         load, _, rows = _digit_sums(dims, 0, len(dims), [
             (lo, hi, hop - hop.conj().T) for lo, hi, hop in hops if hermiticity_residual(hop)])
-        herm.append(max_abs([max_abs(rows(t0, t1)) for t0, t1 in _row_slices(load)]))
+        herm.append(max_abs([max_abs(rows(range(t0, t1))) for t0, t1 in _row_slices(load)]))
         # T meets each S on one range of fermion digits drawn from the seed, and
         # its hops are freed before the star pass
         load, _, rows = _digit_sums(dims, 0, len(dims), hops)

@@ -5,8 +5,8 @@ another route (a matrix exponential, a sampled nullspace, scalar digit
 arithmetic, scipy Kronecker products, whole-matrix formulas, Lanczos with
 full reorthogonalization, full-space sums over generators, plaquettes and
 links, the product of the vertex averages, a running sum of whole placed
-blocks, a transposed copy of the values) so that a test can check the
-production construction.
+blocks, a transposed copy of the values, link hops as whole Kronecker
+chains) so that a test can check the production construction.
 """
 
 import math
@@ -406,6 +406,33 @@ def hermiticity_residual_transposed_copy(mat: sp.spmatrix) -> float:
     return max_abs([max_abs(_row_view(mat, lo, hi)
                             - _row_view(transposed, lo, hi).conj(copy=False))
                     for lo, hi in _row_slices(mat.indptr + transposed.indptr)])
+
+
+def link_hops_by_kron(model: Model):
+    """Each link's hop eps_l sum_ab psi^dag_(origin, a) U_ab psi_(target, b)
+    (+ h.c.) as (lo, hi, local) on the factors from the fermion factor to the
+    link's, links in index order: every (a, b) product a chain of scipy
+    Kronecker products (complex identities on the links between), the
+    products added row-major from 0, scaled by eps_l unless it is 1, and the
+    h.c. added as a conjugated transposed copy."""
+    gb = model.global_basis
+    u, n, modes = model.u_tunneling, gb.n_fermion_modes, gb.modes_per_vertex
+    for link in model.lattice.links:
+        k = gb.link_factor(link.index)
+
+        def chain(a, b):
+            hop = (annihilation_matrix(n, link.origin * modes + a).conj().T
+                   @ annihilation_matrix(n, link.target * modes + b))
+            blocks = [hop, *(sp.identity(gb.factor_dims[f], dtype=complex, format="csr")
+                             for f in range(1, k)), u.entry(a, b).matrix]
+            return sp.csr_matrix(reduce(lambda x, y: sp.kron(x, y, format="csr"), blocks))
+
+        local = sum(chain(a, b) for a in range(u.dim) for b in range(u.dim))
+        if model.epsilon[link.index] != 1:
+            local = model.epsilon[link.index] * local
+        if model.params.include_hc:
+            local = local + local.conj().T
+        yield 0, k + 1, local
 
 
 def sum_blocks_running(dims, lo: int, hi: int, blocks):

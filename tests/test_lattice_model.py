@@ -28,8 +28,8 @@ from fockgauge.lattice_model import (
 from fockgauge.link_space import BasisMismatchError, identity_operator, projector_rep
 from fockgauge.matter_space import theta_q
 from fockgauge.operators import HERMITICITY_TOL
-from oracles import (decode, digit_array, physical_basis_by_average_product,
-                     sum_blocks_running)
+from oracles import (decode, digit_array, link_hops_by_kron,
+                     physical_basis_by_average_product, sum_blocks_running)
 
 
 def _mabs(mat):
@@ -924,3 +924,78 @@ def test_global_dim_is_exact_past_int64(monkeypatch):
     assert model.global_basis.dim == 6 ** 31
     with pytest.raises(ValueError, match=f"limited to dim {lm.DENSE_MAX_DIM}"):
         physical_basis(model)
+
+
+# ---------------------------------------------------------------------------
+# link hops: written one range of fermion digits at a time
+# ---------------------------------------------------------------------------
+
+D3_WEIGHTS = {"I": 0.0, "p": 1.0, "2": 1.0}
+
+
+def _hop_model(name, include_hc):
+    """D3 2x1 ring (two links join vertices 0 and 1), D3 1x1 torus (both
+    links are self-loops, where a hop's rows meet its own adjoint's) in
+    either basis, and the SU(2) j <= 1/2 ring, all with matter."""
+    group, basis = {"su2-ring": ("SU2_trunc", "rep")}.get(name, ("D3", name.split("-")[-1]))
+    torus = "torus" in name
+    lat = LatticeSpec(*((1, 1) if torus else (2, 1)),
+                      boundary="periodic" if torus else ("periodic", "open"), include_matter=True)
+    params = ModelParams(mass=0.8, epsilon=[0.6 + 0.2j, -0.5] if not torus else [0.6, 0.3 - 0.4j],
+                         coupling=1.2, staggered=not torus, include_hc=include_hc,
+                         electric_weights=None if group == "SU2_trunc" else D3_WEIGHTS)
+    entry = build_builtin(group, j_max="1/2") if group == "SU2_trunc" else build_builtin(group)
+    return Model(entry, lat, params, basis_tag=basis)
+
+
+@pytest.mark.parametrize("slice_nnz", [None, 4], ids=["whole", "ranged"])
+@pytest.mark.parametrize("include_hc", [True, False], ids=["hc", "no-hc"])
+@pytest.mark.parametrize("name", ["d3-ring-group", "d3-ring-rep", "d3-torus-group",
+                                  "d3-torus-rep", "su2-ring"])
+def test_link_hops_equal_the_kronecker_chains_bit_for_bit(monkeypatch, name, include_hc,
+                                                          slice_nnz):
+    # with 4 stored entries a slice, every hop is written range by range, the
+    # h.c. rows from the transposed chains
+    import fockgauge.lattice_model as lm
+
+    written = []
+    if slice_nnz:
+        monkeypatch.setattr(lm, "SLICE_NNZ", slice_nnz)
+        real_written = lm._written
+        monkeypatch.setattr(lm, "_written", lambda *args: written.append(args) or real_written(*args))
+    model = _hop_model(name, include_hc)
+    hops = list(lm._link_hops(model))
+    expected = list(link_hops_by_kron(model))
+    assert len(hops) == len(expected) == model.lattice.n_links
+    for (lo, hi, got), (want_lo, want_hi, want) in zip(hops, expected):
+        assert (lo, hi) == (want_lo, want_hi)
+        assert got.shape == want.shape and got.nnz == want.nnz > 0
+        for part in ("indptr", "indices", "data"):
+            ours, theirs = getattr(got, part), getattr(want, part)
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), part
+    assert len(written) == (len(hops) if slice_nnz else 0)
+
+
+def test_last_link_hop_of_l1_peaks_below_twice_its_bytes():
+    # L1: D3 2x2 open with matter in the group basis.  The last link's hop
+    # spans every factor: 552 960 entries, 11.8 MiB of complex128 values and
+    # int32 indices.  Summing its four Kronecker products whole, scaling a
+    # copy and adding a conjugated transposed copy peaked at 2.7x that
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    model = Model(build_builtin("D3"), lat,
+                  ModelParams(mass=1.0, epsilon=0.7, coupling=1.3, electric_weights=D3_WEIGHTS),
+                  basis_tag="group")
+    import fockgauge.lattice_model as lm
+
+    hops = lm._link_hops(model)
+    for _ in range(model.lattice.n_links - 1):
+        next(hops)
+    tracemalloc.start()
+    try:
+        lo, hi, hop = next(hops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (lo, hi, hop.nnz) == (0, len(model.global_basis.factor_dims), 552_960)
+    kept = hop.data.nbytes + hop.indices.nbytes + hop.indptr.nbytes
+    assert peak < 2 * kept, peak / kept

@@ -467,6 +467,19 @@ def test_verify_model_l1_never_holds_a_full_space_block():
     assert peak < 38 * 2**20, peak
 
 
+def test_verify_model_l1_holds_its_hops_as_h_takes_them():
+    # L1 as above.  The hops are kept in float64, as H takes them (9.9 MiB, not
+    # 15.0), the last one is written one range of fermion digits at a time,
+    # and the vacuum norms are taken one block of columns at a time: 34.0 MiB
+    # before, when the last hop was summed whole
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3,
+                         electric_weights={"I": 0.0, "p": 1.0, "2": 1.0})
+    report, peak = _traced_peak(Model(build_builtin("D3"), lat, params, basis_tag="group"))
+    assert report.passed, str(report.first_failure())
+    assert peak < 24 * 2**20, peak
+
+
 def test_verify_model_l4_holds_no_full_space_operator():
     # L4: SU(2) j <= 1/2 2x2 open with matter, dim 160 000, where the
     # full-space Gauss generators and tunneling block peaked at 40.7 MiB
