@@ -22,8 +22,11 @@ local (x) I straight into canonical CSR with the bits a Kronecker product
 with complex identities gives.  The ``_TERMS`` builders return blocks, so
 the verification suite takes Gauss commutators on their spans; each
 observable is one of those blocks, and H is ``_sum_blocks`` of them on the
-full span, each in float64 when real.  A vertex Fock matrix is placed on
-the fermion factor's per-vertex digits.
+full span, each in float64 when real, but for the tunneling term: its
+link hops, built once per Hamiltonian, stand in H's sum as one block,
+their sum, added range by range with no tunneling block written, and H's
+pieces reuse them.  A vertex Fock matrix is placed on the fermion
+factor's per-vertex digits.
 
 Gauss law: one star builder, ``_gauss_products``, serves every group (one
 product per element, one single-factor product per generator piece).  Each
@@ -76,7 +79,8 @@ DENSE_MAX_DIM = 4096
 SECTOR_TOL = 1e-8
 
 # (lo, hi, local): an operator as its matrix on the factors [lo, hi) of the
-# global basis, identity on every other factor
+# global basis, identity on every other factor; in a sum, a local may be a
+# list of blocks, which stands for their sum (``_digit_sums``)
 Block = tuple[int, int, sp.csr_matrix]
 
 
@@ -542,21 +546,31 @@ def _sum_blocks(dims: Sequence[int], lo: int, hi: int, blocks: Iterable[Block]) 
     The sum is ``_written`` as long as the placed blocks' nnz together, one
     range of the span's leading factor digits at a time (``_digit_sums``,
     whose rows are the CSR addition of the whole sum, bit for bit).  A range
-    holds about 1/64 of the placed nnz, at least SLICE_NNZ entries.
+    holds about 1/32 of the placed nnz, at least SLICE_NNZ entries.
     """
     load, dtype, rows = _digit_sums(dims, lo, hi, blocks)
     return lo, hi, _written(math.prod(dims[lo:hi]), dims[lo] if hi > lo else 1, load,
-                            max(SLICE_NNZ, load[-1] // 64), rows, dtype)
+                            max(SLICE_NNZ, load[-1] // 32), rows, dtype)
 
 
 def _digit_sums(dims: Sequence[int], lo: int, hi: int, blocks: Iterable[Block]):
     """(load, dtype, rows) of the sum of blocks on the factors [lo, hi):
     rows(digits) adds, in order from a float64 zero, each block placed on the
     rows of the leading digits ``digits``, a range or an ascending array
-    (``_digit_rows``); load runs over the digits' placed nnz."""
+    (``_digit_rows``); load runs over the digits' placed nnz.  A block whose
+    local is a list of blocks stands for their sum: its rows are theirs,
+    added the same way on [lo, hi) and normalized as ``_real`` normalizes,
+    its dtype theirs."""
     span = dims[lo:hi]
     lead, dim = (span[0] if span else 1), math.prod(span)
-    parts = [_digit_rows(span, b_lo - lo, b_hi - lo, local) for b_lo, b_hi, local in blocks]
+
+    def block_rows(b_lo: int, b_hi: int, local):
+        if not isinstance(local, list):
+            return _digit_rows(span, b_lo - lo, b_hi - lo, local)
+        load, dtype, summed = _digit_sums(dims, lo, hi, local)
+        return np.diff(load), dtype, lambda digits: normalize(summed(digits))
+
+    parts = [block_rows(*block) for block in blocks]
     load = np.cumsum(np.r_[0, sum((counts for counts, _, _ in parts), np.zeros(lead, int))])
 
     def rows(digits) -> sp.csr_matrix:
@@ -888,34 +902,36 @@ def build_hamiltonian(model: Model) -> Operator:
 
     ``_sum_blocks`` of the terms' blocks on the full span, each through
     ``_real``: H is float64 when every term is real, complex128 once a term
-    has an imaginary part above DROP_TOL.  Only the blocks are held, never a
-    placed term.  With matter, H's pieces are made at their first use, so
-    ``eigensolve`` never pays for them and none sits above the sum's freed
-    temporaries: the electric and magnetic blocks on
-    the link factors (first: ``apply`` then frees its transposed copy before
-    it makes the result), the last link's hop, and the mass with the other
-    hops, built again, on the widest of their spans (one product each).
+    has an imaginary part above DROP_TOL (the tunneling term once a hop
+    has).  Only the blocks are held, never a placed term.  The tunneling
+    term is its ``_link_hops``, each built once through ``_real`` and
+    standing in the sum as the block of their sum, so its rows are added
+    one range of fermion digits at a time and no tunneling block is written.
+    With matter, H's pieces are made from the same blocks at their first
+    use, so ``eigensolve`` never pays for them and none sits above the
+    sum's freed temporaries: the electric and magnetic blocks on the link
+    factors (first: ``apply`` then frees its transposed copy before it
+    makes the result), the last link's hop, and the mass with the other
+    hops on the widest of their spans (one product each); then the hops no
+    piece holds are released.
     """
     dims = model.global_basis.factor_dims
-    blocks = {}
-
-    def term(name: str) -> Block:
-        block = _real(_TERMS[name](model))
-        if name != "tunneling":
-            blocks[name] = block
-        return block
+    hops = [_real(hop) for hop in _link_hops(model)] if "tunneling" in model.terms else []
+    blocks = {name: (0, len(dims), hops) if name == "tunneling" else _real(_TERMS[name](model))
+              for name in model.terms}
 
     def pieces() -> list:    # each group's nonzero blocks, summed on their union span
-        hops = [_real(hop) for hop in _link_hops(model)] if "tunneling" in model.terms else []
         made = []
-        for names, more in ((("electric", "magnetic"), []), ((), hops[-1:]),
-                            (("mass",), hops[:-1])):
-            group = [b for b in [blocks[n] for n in names if n in blocks] + more if b[2].nnz]
+        for group in ([blocks[n] for n in ("electric", "magnetic") if n in blocks], hops[-1:],
+                      [blocks[n] for n in ("mass",) if n in blocks] + hops[:-1]):
+            group = [b for b in group if b[2].nnz]
             made += group if len(group) < 2 else [_real(_sum_blocks(
                 dims, min(b[0] for b in group), max(b[1] for b in group), group))]
+        hops.clear()
+        blocks.clear()
         return [(math.prod(dims[:lo]), local, math.prod(dims[hi:])) for lo, hi, local in made]
 
-    return Operator(model.global_basis, _sum_blocks(dims, 0, len(dims), map(term, model.terms))[2],
+    return Operator(model.global_basis, _sum_blocks(dims, 0, len(dims), blocks.values())[2],
                     make_pieces=pieces if model.lattice.include_matter else ())
 
 

@@ -93,14 +93,20 @@ def normalize(mat: sp.spmatrix) -> sp.csr_matrix:
     """``mat`` as CSR with duplicates summed and entries |x| <= DROP_TOL dropped.
 
     A CSR matrix is normalized in place, not copied; the |x| <= DROP_TOL
-    mask is taken one SLICE_NNZ chunk of values at a time.
+    mask is taken one SLICE_NNZ chunk of values at a time, and the zeroed
+    entries are eliminated only when a chunk held one.
     """
     mat = sp.csr_matrix(mat)
     mat.sum_duplicates()
+    small = False
     for start in range(0, mat.nnz, SLICE_NNZ):
         chunk = mat.data[start:start + SLICE_NNZ]
-        chunk[np.abs(chunk) <= DROP_TOL] = 0.0
-    mat.eliminate_zeros()
+        mask = np.abs(chunk) <= DROP_TOL
+        if mask.any():
+            chunk[mask] = 0.0
+            small = True
+    if small:
+        mat.eliminate_zeros()
     return mat
 
 

@@ -6,7 +6,8 @@ arithmetic, scipy Kronecker products, whole-matrix formulas, Lanczos with
 full reorthogonalization, full-space sums over generators, plaquettes and
 links, the product of the vertex averages, a running sum of whole placed
 blocks, a transposed copy of the values, link hops as whole Kronecker
-chains) so that a test can check the production construction.
+chains, H as the sum of whole term blocks) so that a test can check the
+production construction.
 """
 
 import math
@@ -29,13 +30,14 @@ from fockgauge.clebsch_gordan import (
     _fix_phase,
 )
 from fockgauge.group_core import GroupCatalogEntry
-from fockgauge.lattice_model import (GROUP, REP, SECTOR_TOL, GlobalBasis, Model, _place,
-                                     _sum_on_span, embed_link, gauss_generators,
-                                     hamiltonian_terms, observable, plaquette_trace,
-                                     vertex_sector_average)
+from fockgauge.lattice_model import (GROUP, REP, SECTOR_TOL, _TERMS, GlobalBasis, Model, _place,
+                                     _real, _sum_blocks, _sum_on_span, embed_link,
+                                     gauss_generators, hamiltonian_terms, observable,
+                                     plaquette_trace, vertex_sector_average)
 from fockgauge.link_space import projector_rep, theta_group_basis
 from fockgauge.matter_space import VertexFock, _fundamental, annihilation_matrix, bilinear
-from fockgauge.operators import Operator, _row_slices, _row_view, max_abs, real_if_close
+from fockgauge.operators import (Operator, _row_slices, _row_view, max_abs, normalize,
+                                  real_if_close)
 from fockgauge.spectra import (LANCZOS_MAX_ITER, LANCZOS_TOL, RITZ_CHECK_EVERY,
                                _Counts, _project_out, _Rows, expectation)
 
@@ -443,6 +445,16 @@ def sum_blocks_running(dims, lo: int, hi: int, blocks):
     zero = sp.csr_matrix((math.prod(span),) * 2)
     return lo, hi, sum((_place(span, b_lo - lo, b_hi - lo, local)
                         for b_lo, b_hi, local in blocks), zero)
+
+
+def hamiltonian_by_terms(model: Model) -> sp.csr_matrix:
+    """H as ``_sum_blocks`` of every term's whole block on the full span, each
+    through ``_real``: the tunneling term written whole, its links summed
+    first (``_TERMS``), then added where it stands in model.terms; the sum
+    normalized, as an Operator holds it."""
+    dims = model.global_basis.factor_dims
+    return normalize(_sum_blocks(dims, 0, len(dims),
+                                 [_real(_TERMS[t](model)) for t in model.terms])[2])
 
 
 def _full_reorth_run(mat, deflate, rng, tol, budget, counts):

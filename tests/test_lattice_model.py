@@ -28,7 +28,7 @@ from fockgauge.lattice_model import (
 from fockgauge.link_space import BasisMismatchError, identity_operator, projector_rep
 from fockgauge.matter_space import theta_q
 from fockgauge.operators import HERMITICITY_TOL
-from oracles import (decode, digit_array, link_hops_by_kron,
+from oracles import (decode, digit_array, hamiltonian_by_terms, link_hops_by_kron,
                      physical_basis_by_average_product, sum_blocks_running)
 
 
@@ -999,3 +999,101 @@ def test_last_link_hop_of_l1_peaks_below_twice_its_bytes():
     assert (lo, hi, hop.nnz) == (0, len(model.global_basis.factor_dims), 552_960)
     kept = hop.data.nbytes + hop.indices.nbytes + hop.indptr.nbytes
     assert peak < 2 * kept, peak / kept
+
+
+# ---------------------------------------------------------------------------
+# H from the link hops: each hop built once, no tunneling block written
+# ---------------------------------------------------------------------------
+
+EDGE_GROUPS = {"d3-group": ("D3", {}, "group"), "d3-rep": ("D3", {}, "rep"),
+               "z3-group": ("Z_3", {}, "group"), "z3-rep": ("Z_3", {}, "rep"),
+               "su2": ("SU2_trunc", {"j_max": "1/2"}, "rep"), "u1": ("U1_trunc", {"P": 1}, "rep")}
+EDGE_LATTICES = {"ring": (2, 1, ("periodic", "open")), "torus": (1, 1, "periodic"),
+                 "open-2x1": (2, 1, "open"), "open-2x2": (2, 2, "open")}
+
+
+def _edge_model(group: str, lattice: str, epsilon: str, include_hc: bool) -> Model:
+    """Matter on a 2x1 ring (two links join the same vertices), a 1x1 torus
+    (two self-loops, whose hops meet the mass term on the diagonal), 2x1 or
+    2x2 open, with one real or one complex epsilon per link."""
+    name, params, basis = EDGE_GROUPS[group]
+    lx, ly, boundary = EDGE_LATTICES[lattice]
+    lat = LatticeSpec(lx, ly, boundary=boundary, include_matter=True)
+    eps = [0.7 - 0.1 * i + (0.2j * (i % 2 == 0) if epsilon == "complex" else 0)
+           for i in range(lat.n_links)]
+    return Model(build_builtin(name, **params), lat,
+                 ModelParams(mass=0.8, epsilon=eps, coupling=1.2, staggered=lattice != "torus",
+                             include_hc=include_hc,
+                             electric_weights=D3_WEIGHTS if name == "D3" else None),
+                 basis_tag=basis)
+
+
+def _edge_cases():
+    small = [pytest.param(g, lat, eps, hc, id=f"{g}-{lat}-{eps}-{'hc' if hc else 'no-hc'}")
+             for g in EDGE_GROUPS for lat in ("ring", "torus", "open-2x1")
+             for eps in ("real", "complex") for hc in (True, False)]
+    squares = [pytest.param(g, "open-2x2", eps, True, id=f"{g}-open-2x2-{eps}-hc")
+               for g in ("z3-group", "z3-rep", "u1") for eps in ("real", "complex")]
+    # L1-sized (D3) and dim 160 000 (SU(2)): one real-epsilon case each
+    large = [pytest.param(g, "open-2x2", "real", True, id=f"{g}-open-2x2-real-hc")
+             for g in ("d3-group", "d3-rep", "su2")]
+    return small + squares + large
+
+
+@pytest.mark.parametrize("group,lattice,epsilon,include_hc", _edge_cases())
+def test_hamiltonian_is_the_sum_of_whole_term_blocks_bit_for_bit(group, lattice, epsilon,
+                                                                 include_hc):
+    # the tunneling term's hops added in H's own sum give the bits, dtype
+    # included, of the whole tunneling block added there; on the torus the
+    # self-loop hops share the mass term's diagonal entries, so the order of
+    # addition shows, and a complex epsilon pins when H is complex128
+    model = _edge_model(group, lattice, epsilon, include_hc)
+    got = build_hamiltonian(model).matrix
+    want = hamiltonian_by_terms(model)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    for part in ("indptr", "indices", "data"):
+        mine, theirs = getattr(got, part), getattr(want, part)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), part
+
+
+def test_build_hamiltonian_builds_each_link_hop_once(monkeypatch):
+    # Z_2 2x2 open with matter: one _sum_on_span for the mass, one per link
+    # hop, one for the electric term and one per plaquette, through H's first
+    # apply, which makes its pieces from the same hops; the whole tunneling
+    # term is never built
+    import fockgauge.lattice_model as lm
+
+    def unbuildable(model):
+        raise AssertionError("built the whole tunneling term")
+
+    calls = []
+    summed = lm._sum_on_span
+    monkeypatch.setattr(lm, "_sum_on_span", lambda *args: calls.append(args) or summed(*args))
+    monkeypatch.setitem(lm._TERMS, "tunneling", unbuildable)
+    model = Model(build_builtin("Z_2"), LatticeSpec(2, 2, boundary="open", include_matter=True),
+                  ModelParams(mass=1.0, epsilon=0.7, coupling=1.3), basis_tag="group")
+    ham = build_hamiltonian(model)
+    ham.apply(np.ones(ham.dim, dtype=complex))
+    lattice = model.lattice
+    assert model.terms == ("mass", "tunneling", "electric", "magnetic")
+    assert len(ham.pieces) == 3
+    assert len(calls) == 2 + lattice.n_links + len(lattice.plaquettes) == 7
+
+
+def test_build_hamiltonian_peaks_at_one_and_a_quarter_hamiltonians():
+    # L1: D3 2x2 open with matter in the group basis.  The whole tunneling
+    # block (2 211 840 entries) held beside H's arrays peaked at 1.34x H's
+    # bytes; the link hops, which the pieces keep, added range by range in
+    # H's own sum (each range about 1/32 of the placed nnz) peak at about 1.21x
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3, electric_weights=D3_WEIGHTS)
+    model = Model(build_builtin("D3"), lat, params, basis_tag="group")
+    tracemalloc.start()
+    try:
+        ham = build_hamiltonian(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    mat = ham.matrix
+    ham_bytes = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    assert peak <= 1.25 * ham_bytes, peak / ham_bytes

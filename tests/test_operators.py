@@ -178,6 +178,47 @@ def test_normalize_masks_one_chunk_at_a_time():
     assert peak < want.data.nbytes / 8, (peak, want.data.nbytes)
 
 
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_normalize_eliminates_zeros_only_when_a_chunk_drops_one(monkeypatch, dtype):
+    # a clean canonical CSR never reaches eliminate_zeros and keeps its bits;
+    # tiny entries, signed and complex explicit zeros and |x| = DROP_TOL in
+    # a later chunk are dropped, NaN and 2 DROP_TOL kept, as before
+    import fockgauge.operators as operators
+
+    calls = []
+    eliminate = sp.csr_matrix.eliminate_zeros
+    monkeypatch.setattr(sp.csr_matrix, "eliminate_zeros",
+                        lambda self: calls.append(self.nnz) or eliminate(self))
+    monkeypatch.setattr(operators, "SLICE_NNZ", 16)
+    clean = _random_sparse(60, 400, seed=9, dtype=dtype)
+    clean.sum_duplicates()
+    arrays = [clean.indptr.copy(), clean.indices.copy(), clean.data.copy()]
+    got = normalize(clean)
+    assert calls == []
+    for mine, theirs in zip((got.indptr, got.indices, got.data), arrays):
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
+    dirty = _random_sparse(60, 400, seed=10, dtype=dtype)
+    dirty.sum_duplicates()
+    edge = [DROP_TOL / 2, 0.0, -0.0, DROP_TOL, np.nan, 2 * DROP_TOL, -DROP_TOL / 3]
+    if dtype is complex:
+        edge += [0j, complex(-0.0, 0.0), DROP_TOL * (0.3 - 0.4j), DROP_TOL * (1 + 1j)]
+    at = np.arange(len(edge)) * 29 + 40
+    dirty.data[at] = edge
+    want = dirty.copy()
+    want.data[np.abs(want.data) <= DROP_TOL] = 0.0
+    want.eliminate_zeros()
+    calls.clear()
+    before = dirty.nnz
+    got = normalize(dirty)
+    assert calls == [before]
+    assert got.nnz == want.nnz == before - (5 if dtype is float else 8)
+    assert np.isnan(got.data).sum() == 1
+    for part in ("indptr", "indices", "data"):
+        mine, theirs = getattr(got, part), getattr(want, part)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), part
+
+
 @pytest.fixture(scope="module")
 def d3_pure_ham():
     """D3 2x2 open pure gauge, group basis: a real H, 21 nonzeros per row,
