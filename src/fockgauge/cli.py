@@ -10,10 +10,10 @@ runner, ``_model_command``, and one failure contract.  Exit 2 with one
 ``config error:`` line: an unreadable or malformed config or group file
 (its ``order``, ``dim`` and ``mul`` entries not JSON integers that fit in
 int64, or a matrix entry not finite), a group file that fails a
-``validate`` invariant (named with its residual), a NaN or infinite mass,
-coupling, epsilon or electric weight, a seed, $FOCKGAUGE_THREADS, spectrum
-k or lattice size that is not an integer (bools, quoted numbers in the
-config and non-integral numbers are rejected, not coerced), an
+``validate`` invariant (named with its residual), a mass, coupling, part of
+epsilon or electric weight that is NaN, infinite or not a number, a seed,
+$FOCKGAUGE_THREADS, spectrum k or lattice size that is not an integer (no
+bool or quoted number is coerced, nor a fraction to an integer), an
 ``include_matter``, ``staggered`` or ``include_hc`` that is not a YAML
 boolean, a section or value of the wrong type (``params``,
 ``electric_weights`` and ``group.params`` are mappings; ``terms`` and
@@ -111,6 +111,16 @@ def _as_int(raw, name: str, text: bool = False) -> int:
     return value
 
 
+def _as_float(raw, name: str) -> float:
+    """An int or float as a float; never a bool or a string."""
+    try:
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise TypeError(raw)
+        return float(raw)
+    except (TypeError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be a number, got {raw!r}") from exc
+
+
 def _as_bool(raw, name: str) -> bool:
     if not isinstance(raw, bool):
         raise ConfigError(f"{name} must be true or false, got {raw!r}")
@@ -144,24 +154,22 @@ def _resolve_group(doc: dict, config_dir: Path) -> GroupCatalogEntry:
 
 
 def _resolve_epsilon(raw, n_links: int):
-    """A scalar, [re, im] or one of those per link.  Two numbers on a
+    """A number, [re, im] or one of those per link.  Two numbers on a
     two-link lattice could be either reading, so they are refused."""
     if raw is None:
         return 1.0
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    if isinstance(raw, list) and len(raw) == 2 and all(
-            isinstance(x, (int, float)) for x in raw):
+    if isinstance(raw, list) and len(raw) == 2 and not any(isinstance(x, list) for x in raw):
         a, b = raw
+        value = complex(_as_float(a, "epsilon"), _as_float(b, "epsilon"))
         if n_links == 2:
             raise ConfigError(
                 f"epsilon {raw!r} on a two-link lattice reads as one complex value "
                 f"or as one real value per link; write [[{a}, 0], [{b}, 0]] per link "
                 f"or [[{a}, {b}], [{a}, {b}]]")
-        return complex(a, b)
+        return value
     if isinstance(raw, list):
         return [_resolve_epsilon(x, n_links=1) for x in raw]   # one link's value each
-    raise ConfigError(f"cannot parse epsilon value {raw!r}")
+    return _as_float(raw, "epsilon")
 
 
 def _resolve_model(doc: dict, config_dir: Path, basis_override: Optional[str]) -> Model:
@@ -185,11 +193,12 @@ def _resolve_model(doc: dict, config_dir: Path, basis_override: Optional[str]) -
     weights = _optional(p_doc.get("electric_weights"), dict, "electric_weights")
     try:
         params = ModelParams(
-            mass=float(p_doc.get("mass", 0.0)),
+            mass=_as_float(p_doc.get("mass", 0.0), "params.mass"),
             epsilon=_resolve_epsilon(p_doc.get("epsilon"), lattice.n_links),
-            coupling=float(p_doc.get("coupling", 1.0)),
+            coupling=_as_float(p_doc.get("coupling", 1.0), "params.coupling"),
             electric_weights=(None if weights is None else
-                              {str(k): float(v) for k, v in weights.items()}),
+                              {str(k): _as_float(v, f"electric weight {k!r}")
+                               for k, v in weights.items()}),
             magnetic_rep=(str(p_doc["magnetic_rep"])
                           if "magnetic_rep" in p_doc else None),
             staggered=_as_bool(p_doc.get("staggered", True), "params.staggered"),

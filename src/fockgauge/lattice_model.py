@@ -17,9 +17,10 @@ such as the last link's hop, written one range of its leading digits at a
 time; ``_sum_blocks``, the only sum, adds blocks on a span one range
 of its leading factor's digits at a time, placing each block on those rows
 only, into one CSR allocated once; ``_operator``, the one step onto the lattice,
-makes a block a full-space ``Operator`` by ``_place``, which writes I (x)
-local (x) I straight into canonical CSR with the bits a Kronecker product
-with complex identities gives.  The ``_TERMS`` builders return blocks, so
+makes a block a full-space ``Operator`` by ``_place``.  Both place a block
+by ``_digit_rows``, the one writer of I (x) local (x) I, straight in
+canonical CSR with the bits a Kronecker product with complex identities
+gives.  The ``_TERMS`` builders return blocks, so
 the verification suite takes Gauss commutators on their spans; each
 observable is one of those blocks, and H is ``_sum_blocks`` of them on the
 full span, each in float64 when real, but for the tunneling term: its
@@ -581,22 +582,21 @@ def _digit_sums(dims: Sequence[int], lo: int, hi: int, blocks: Iterable[Block]):
 
 
 def _digit_rows(span: Sequence[int], lo: int, hi: int, local: sp.spmatrix):
-    """A block on factors [lo, hi) of ``span`` as (counts, dtype, rows).
-
-    ``rows(digits)`` is the rows of ``_place(span, lo, hi, local)`` whose
-    leading-factor digit is in ``digits`` (a range or an ascending array),
-    bit for bit, with the local in canonical form; ``counts`` is their nnz
-    per digit, ``dtype`` their values' type.  A block on the leading factor
-    takes its local's rows (x) I_after; any other block repeats one
-    precomputed single-digit band, shifted per digit.  A zero-width block, c
-    times the identity, is placed after the leading factor.
-    """
+    """(counts, dtype, rows) of I (x) local (x) I, local on factors [lo, hi) of
+    ``span``: the one writer of a placed block.  ``rows(digits)`` is its rows
+    at the leading digits ``digits`` (a range or an ascending array) in
+    canonical CSR, int32 indices where they fit, bit for bit scipy's Kronecker
+    products with complex identities (a complex local times 1+0j once per
+    padded side; a real one stays float64); ``counts`` is the nnz per digit.
+    A block on the leading factor is its local's rows (x) I_after (``_band``),
+    any other one single-digit band shifted per digit (``_tiled``); a
+    zero-width block, c times the identity, sits after the leading factor."""
     local = sp.csr_matrix(local)
     if not local.has_canonical_format:
         local = local.copy()
         local.sum_duplicates()
     dtype = np.complex128 if np.iscomplexobj(local.data) else np.float64
-    padded = (math.prod(span[:lo]) > 1) + (math.prod(span[hi:]) > 1)    # as _place pads
+    padded = (math.prod(span[:lo]) > 1) + (math.prod(span[hi:]) > 1)
     if lo == hi:
         lo = hi = min(1, len(span))
     lead, dim = (span[0] if span else 1), math.prod(span)
@@ -626,25 +626,9 @@ def _operator(model: Model, block: Block) -> Operator:
 
 
 def _place(dims: Sequence[int], lo: int, hi: int, local: sp.spmatrix) -> sp.csr_matrix:
-    """A block on factors [lo, hi) of ``dims``, padded with one identity on each side.
-
-    I_before (x) local (x) I_after is written straight into canonical CSR,
-    with int32 indices when the dim and the nnz fit: ``_band`` spreads
-    local (x) I_after and ``_tiled`` repeats that band ``before`` times down
-    the diagonal.  A complex local is multiplied by 1+0j once per padded
-    side, as a Kronecker product with a complex identity does, so even
-    signed zeros come out the same; a real local stays float64.
-    """
-    local = sp.csr_matrix(local)
-    dtype = np.complex128 if np.iscomplexobj(local.data) else np.float64
-    before, after = math.prod(dims[:lo]), math.prod(dims[hi:])
-    if before == after == 1:
-        return local.astype(dtype, copy=False)
-    if not local.has_canonical_format:
-        local = local.copy()
-        local.sum_duplicates()
-    band = _band(local, after, dtype, (before > 1) + (after > 1))
-    return band if before == 1 else _tiled(band, range(before))
+    """A block on factors [lo, hi) of ``dims`` on the whole space: the rows of
+    ``_digit_rows`` at every leading digit."""
+    return _digit_rows(dims, lo, hi, local)[2](range(dims[0] if dims else 1))
 
 
 def _index_dtype(*sizes: int):

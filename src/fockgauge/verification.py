@@ -30,8 +30,10 @@ other link, so it commutes exactly with every other hop.  There S also
 meets the vacuum, with the star's axes moved to the front, one block of
 columns at a time.  One range R of fermion digits per S, drawn from the
 seed, probes the hops' sum as H places it: (S T - T S)[R, :] = S[R, :] T -
-T[R, :] S.  No operator is built on the full space.  The rep/group
-agreement converts the mirror model's H one link factor at a time.
+T[R, :] S, both placed by ``_digit_rows`` but for a piece of S on the
+fermion factor and beyond, a Kronecker product.  No operator is built on
+the full space.  The rep/group agreement converts the mirror model's H one
+link factor at a time.
 
 At its peak ``verify_model`` holds the link hops, each as H takes it
 (``_real``: float64 when real), and one part of the probe: about PROBE_NNZ
@@ -58,6 +60,7 @@ from .lattice_model import (
     GROUP,
     REP,
     Model,
+    _digit_rows,
     _digit_sums,
     _gauss_products,
     _hop_products,
@@ -66,8 +69,6 @@ from .lattice_model import (
     _real,
     _sum_on_span,
     _TERMS,
-    _band,
-    _tiled,
     build_hamiltonian,
     physical_projector,
     vacuum_state,
@@ -307,22 +308,22 @@ def _row_probe(dims, pieces, t_rows, load, lo: int, hi: int) -> float:
     entries.  Each factor is built on the leading digits the other reaches
     (read off its columns by ``np.bincount``), and each product's inner and
     outer columns are renumbered onto the digits they reach, so no product
-    is as wide as the space.  S is a sum of lead (x) other, the lead on the
-    leading factor: a lead's rows padded by an identity other, an identity
-    lead's rows as shifted copies of its other, and a Kronecker product
-    otherwise."""
+    is as wide as the space.  S's rows are its parts' rows added in order:
+    each piece on the leading factor, then the pieces off it summed, placed
+    by ``_digit_rows``, but a piece on the leading factor and beyond, the
+    Kronecker product of its leading matrix's rows and its placed rest."""
     lead_dim, rest = dims[0], math.prod(dims[1:])
-    split = [(sp.csr_matrix(reduce(matmul, ops[0])).sorted_indices(),
-              [{f - 1: m for f, m in ops.items() if f}]) for ops in pieces if 0 in ops]
-    split.append((None, [{f - 1: m for f, m in ops.items()} for ops in pieces if 0 not in ops]))
-    split = [(lead, _place(dims[1:], *_sum_on_span(dims[1:], others)) if any(others) else None)
-             for lead, others in split if others]
+    parts, off = [], [ops for ops in pieces if 0 not in ops]
+    for ops in (ops for ops in pieces if 0 in ops):
+        lead = sp.csr_matrix(reduce(matmul, ops[0])).sorted_indices()
+        other = _place(dims[1:], *_sum_on_span(dims[1:], [
+            {f - 1: m for f, m in ops.items() if f}])) if len(ops) > 1 else None
+        parts.append(_digit_rows(dims, 0, 1, lead)[2] if other is None else
+                     lambda at, lead=lead, other=other: sp.kron(lead[at], other, format="csr"))
+    parts += [_digit_rows(dims, *_sum_on_span(dims, off))[2]] if off else []
 
     def s_rows(at):
-        return reduce(add, (
-            _band(lead[at], rest, np.complex128, 1) if other is None
-            else _tiled(other, at, lead_dim * rest) if lead is None
-            else sp.kron(lead[at], other, format="csr") for lead, other in split))
+        return reduce(add, (part(at) for part in parts))
 
     def reached(*mats, also=None):    # the digits the columns reach (and ``also``), in order
         hits = sum(np.bincount(mat.indices // rest, minlength=lead_dim) for mat in mats)

@@ -285,6 +285,13 @@ def test_config_errors(runner, tmp_path):
                      {"epsilon": float("nan")}, {"epsilon": [float("inf"), 0.5]},
                      {"epsilon": [0.5, float("nan")]},
                      {"electric_weights": {"0": 0.0, "1": float("nan")}})],
+    # a bool, a quoted number or an integer past float range is not a real
+    # parameter, on the same model
+    *[("spectrum", {"lattice": {"lx": 2, "ly": 1, "boundary": "open", "include_matter": True},
+                    "params": {"mass": 1.0, "epsilon": 0.5, "coupling": 1.0, **params}})
+      for params in ({"mass": True}, {"coupling": "1.5"}, {"epsilon": True},
+                     {"epsilon": [True, 0.5]}, {"electric_weights": {"0": 0.0, "1": "2"}},
+                     {"mass": 10 ** 400})],
 ])
 def test_bad_config_values_exit_2_with_one_line(runner, tmp_path, command, overrides):
     cfg = write_config(tmp_path / "bad.yaml", **overrides)

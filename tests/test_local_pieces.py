@@ -326,6 +326,27 @@ def test_place_matches_kron_with_complex_identities(lo, hi, kind):
     _assert_bit_identical(got.astype(complex), ref, (lo, hi, kind))
 
 
+@pytest.mark.parametrize("kind", ["real", "complex", "signed-zeros"])
+@pytest.mark.parametrize("lo,hi", [(0, 2), (1, 3), (2, 4), (2, 2)],
+                         ids=["lo=0", "both-sides", "hi=len", "zero-width"])
+def test_digit_rows_on_a_digit_array_match_kron(lo, hi, kind):
+    # the rows of an ascending array of leading digits, as the tunneling
+    # probe reads them, against the same rows of the Kronecker placement
+    dims = [5, 2, 4, 3]
+    rest = math.prod(dims[1:])
+    local = _local(math.prod(dims[lo:hi]), kind, np.random.default_rng([lo, hi, 1]))
+    ref = place_by_kron(dims, lo, hi, local)
+    counts, dtype, rows = lm._digit_rows(dims, lo, hi, local)
+    assert dtype == (np.float64 if kind == "real" else np.complex128)
+    np.testing.assert_array_equal(counts, np.diff(ref.indptr[::rest]))
+    for digits in (np.array([0, 2, 3]), np.array([4]), np.arange(dims[0])):
+        got = rows(digits)
+        assert got.shape == (len(digits) * rest, math.prod(dims))
+        assert got.dtype == dtype and got.has_canonical_format
+        picked = (digits[:, None] * rest + np.arange(rest)).ravel()
+        _assert_bit_identical(got.astype(complex), ref[picked], (lo, hi, kind, digits))
+
+
 def _d3_matter_group(lx, boundary):
     lat = LatticeSpec(lx, 1, boundary=boundary, include_matter=True)
     return Model(build_builtin("D3"), lat,
