@@ -33,7 +33,9 @@ Gauss law: one star builder, ``_gauss_products``, serves every group (one
 product per element, one single-factor product per generator piece).  Each
 vertex adds one positive semidefinite block C_v on its star's span, sum_a
 G_a^2 for a Lie catalog or 1 - A_v^s (the sector average) for a finite
-group; the physical sector is the nullspace of their sum.
+group; the sector is the nullspace of their sum, the Gauss penalty, but for
+a finite catalog's sector with at most one irrep of dim > 1: that one is
+W range(M), gauge fixed on a maximal tree (``_gauge_fixed``).
 """
 
 from __future__ import annotations
@@ -1065,16 +1067,104 @@ def physical_basis(model: Model,
                    sector: Optional[dict[int, str]] = None) -> np.ndarray:
     """Dense orthonormal columns spanning the physical sector (desk scale).
 
-    The null eigenvectors of the Gauss penalty sum_v C_v, for every group:
-    C_v is sum_a G_a^2 for a Lie catalog (the neutral sector only) and
-    1 - A_v^s for a finite group.  LAPACK runs once per connected component
-    of the penalty's sparsity graph (a gauge orbit), keeping the eigenpairs
-    in the window [-SECTOR_TOL, SECTOR_TOL].
+    A finite catalog whose sector has at most one irrep of dim > 1 is gauge
+    fixed (``_gauge_fixed``): the columns are W range(M) (``_lifted``),
+    float64 when the sector's projector is real.  Any other sector is the
+    nullspace of the Gauss penalty sum_v C_v.  LAPACK runs once per
+    connected component of I - M's or the penalty's sparsity graph, keeping
+    the eigenvalues in [-SECTOR_TOL, SECTOR_TOL].
     """
     _check_dense_dim(model, "dense sector basis")
+    labels = _sector_labels(model, sector)
     # scipy's value window is half-open, (lo, hi]
     window = [np.nextafter(-SECTOR_TOL, -np.inf), SECTOR_TOL]
-    return eigh_by_components(_gauss_penalty(model, sector).matrix, window=window)[1]
+    if model.entry.is_lie or sum(model.entry.irrep(s).dim > 1 for s in labels) > 1:
+        return eigh_by_components(_gauss_penalty(model, sector).matrix, window=window)[1]
+    root, free, thetas, chars, terms = _gauge_fixed(model, labels)
+    m = sum(w * reduce(lambda a, b: sp.kron(a, b, format="csr"), factors,
+                       sp.identity(1, format="csr")) for w, factors in terms)
+    vecs = eigh_by_components(sp.identity(m.shape[0], format="csr") - m, window=window)[1]
+    cols, k = _lifted(model, root, free, thetas, chars, vecs), vecs.shape[1]
+    if np.iscomplexobj(cols) and k:    # a real span gets real columns
+        parts = np.hstack([cols.real, cols.imag])
+        vals, vecs = np.linalg.eigh(parts.T @ parts)
+        if vals[:k].max() <= SECTOR_TOL:
+            return parts @ vecs[:, k:]
+    return cols
+
+
+def _lifted(model: Model, root: int, free: list[int], thetas, chars,
+            vecs: np.ndarray) -> np.ndarray:
+    """W vecs, slice columns lifted to the full space in the model's basis.
+
+    W = |G|^(-(V-1)/2) sum_(h, h_root = e) prod_(v != root) chi_(s_v)(h_v)*
+    T(h) is written from the group table: T(h) takes a link label x to
+    h_origin x h_target^-1 and rotates each vertex's fermions by
+    theta_q(h_v).  In the rep basis the columns are then converted one link
+    factor at a time by the Fourier unitary.
+    """
+    spec, lat, k = model.entry.spec, model.lattice, vecs.shape[1]
+    others = [v for v in range(lat.n_vertices) if v != root]
+    hs = np.full((spec.order ** len(others), lat.n_vertices), spec.identity)
+    hs[:, others] = list(product(range(spec.order), repeat=len(others)))
+    cs = np.zeros((spec.order ** len(free), len(free)), int)
+    cs[:] = list(product(range(spec.order), repeat=len(free)))
+    index = np.zeros((len(hs), len(cs)), int)    # each (h, c)'s link digits
+    for link in lat.links:
+        x = cs[:, free.index(link.index)] if link.index in free else spec.identity
+        index = index * spec.order + spec.mul[spec.mul[hs[:, [link.origin]], x],
+                                              spec.inv[hs[:, [link.target]]]]
+    fermions = vecs.shape[0] // len(cs)
+    cols = np.broadcast_to(vecs.reshape(1, fermions, -1), (len(hs), fermions, len(cs) * k))
+    for v, theta in enumerate(thetas):    # vertex v is digit n-1-v of the fermion factor
+        d = theta.shape[1]
+        cols = np.einsum("hab,hpbq->hpaq", theta[hs[:, v]],
+                         cols.reshape(len(hs), d ** (lat.n_vertices - 1 - v), d, -1))
+    weight = np.prod([chars[v][hs[:, v]] / math.sqrt(spec.order) for v in others], axis=0)
+    cols = cols.reshape(len(hs), fermions, len(cs), k) * np.reshape(weight, (-1, 1, 1, 1))
+    out = np.zeros((fermions, spec.order ** lat.n_links, k), cols.dtype)
+    out[:, index.ravel()] = cols.transpose(1, 0, 2, 3).reshape(fermions, len(hs) * len(cs), k)
+    out = out.reshape(fermions, *[spec.order] * lat.n_links, k)
+    if model.basis_tag == REP:
+        fourier = np.real_if_close(model.link_space.fourier.conj())
+        for axis in range(1, lat.n_links + 1):
+            out = np.moveaxis(np.tensordot(fourier, out, axes=(0, axis)), 0, axis)
+    return out.reshape(model.global_basis.dim, k)
+
+
+def _gauge_fixed(model: Model, labels: Sequence[str]):
+    """(root, free, thetas, chars, terms): a finite catalog's gauge-fixed slice.
+
+    The root carries the sector's irrep of dim > 1, else it is vertex 0; the
+    tree, a BFS from it in ``links_at_vertex`` order, sits at e, and the slice
+    keeps the fermion factor and the free links.  ``thetas[v]`` stacks vertex
+    v's theta_q(g), ``chars[v]`` its chi_(s_v)(g)*.  The root's residual
+    action is M = sum over ``terms`` (w_g, factors) of w_g = (d_s/|G|) prod_v
+    chi_(s_v)(g)* times the Kronecker product of the factors of T_global(g):
+    each vertex's theta_q(g) (vertex n-1 first), then x -> g x g^-1 per free link.
+    """
+    entry, spec, lat = model.entry, model.entry.spec, model.lattice
+    root = int(np.argmax([entry.irrep(s).dim for s in labels]))
+    seen, tree = [root], []
+    for v in seen:
+        for link, role in lat.links_at_vertex(v):
+            far = link.target if role == "out" else link.origin
+            if far not in seen:
+                seen.append(far)
+                tree.append(link.index)
+    free = [link.index for link in lat.links if link.index not in tree]
+    by_parity = {space.parity: space for space in model.vertex_spaces}
+    by_parity = {parity: np.real_if_close(np.stack([theta_q(space, entry, g).toarray()
+                                                    for g in range(spec.order)]))
+                 for parity, space in by_parity.items()}
+    thetas = [by_parity[space.parity] for space in model.vertex_spaces]
+    chars = np.real_if_close(np.array([entry.irrep(s).characters.conj() for s in labels]))
+    elements = np.arange(spec.order)
+    terms = [(entry.irrep(labels[root]).dim / spec.order * chars[:, g].prod(),
+              [theta[g] for theta in thetas[::-1]] + [sp.csr_matrix((np.ones(
+                  spec.order), (spec.mul[spec.mul[g], spec.inv[g]], elements)))] * len(free))
+             for g in range(spec.order)]
+    return root, free, thetas, chars, terms
 
 
 def vacuum_state(model: Model) -> np.ndarray:

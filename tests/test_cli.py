@@ -177,6 +177,26 @@ def test_physical_sector_levels_carry_residuals(runner, tmp_path, group, matter,
     assert max(sector["residuals"]) <= 1e-8
 
 
+def test_physical_sector_agrees_across_link_bases(runner, tmp_path):
+    # D3 2x2 open pure gauge: the gauge-fixed sector basis is written in the
+    # group basis and converted link by link for the rep basis, so the two
+    # bases' sector spectra check that conversion end to end
+    sectors = []
+    for basis in ("group", "rep"):
+        cfg = write_config(
+            tmp_path / f"{basis}.yaml", group={"builtin": "D3"}, basis=basis,
+            params={"coupling": 1.3, "electric_weights": {"I": 0.0, "p": 1.0, "2": 1.0}},
+            lattice={"lx": 2, "ly": 2, "boundary": "open", "include_matter": False},
+            tasks=[{"spectrum": {"k": 4, "sector": "physical"}}])
+        out = tmp_path / f"{basis}.json"
+        result = runner.invoke(main, ["spectrum", "-c", str(cfg), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        sectors.append(json.loads(out.read_text())["tasks"]["spectrum"]["physical_sector"])
+    group, rep = sectors
+    assert group["dimension"] == rep["dimension"] == 3
+    assert np.abs(np.subtract(group["eigenvalues"], rep["eigenvalues"])).max() <= 1e-10
+
+
 def test_spectrum_z3_cosine_levels(runner, tmp_path):
     cfg = write_config(
         tmp_path / "z3.yaml",

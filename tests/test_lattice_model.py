@@ -1097,3 +1097,105 @@ def test_build_hamiltonian_peaks_at_one_and_a_quarter_hamiltonians():
     mat = ham.matrix
     ham_bytes = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
     assert peak <= 1.25 * ham_bytes, peak / ham_bytes
+
+
+# ---------------------------------------------------------------------------
+# physical_basis through maximal-tree gauge fixing
+# ---------------------------------------------------------------------------
+
+def _tree_model(group, lx, ly, boundary, matter, basis):
+    """A model with L1's couplings (D3's electric weights for D3)."""
+    params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3,
+                         electric_weights=D3_WEIGHTS if group == "D3" else None)
+    return Model(build_builtin(group), LatticeSpec(lx, ly, boundary=boundary,
+                                                   include_matter=matter),
+                 params, basis_tag=basis)
+
+
+@pytest.mark.parametrize("lx,ly,slice_dim,dim", [(2, 2, 1536, 257), (3, 2, 147456, 24579)],
+                         ids=["L1", "d3-3x2-matter"])
+def test_root_projector_trace_is_the_trivial_sector_dim(lx, ly, slice_dim, dim):
+    # Tr M from the Kronecker factors of each T_global(g), on the slice
+    # only: no W, no full-space vector (the full spaces have 331 776 and
+    # 1 146 617 856 states)
+    import fockgauge.lattice_model as lm
+
+    model = _tree_model("D3", lx, ly, "open", True, "group")
+    root, free, _, _, terms = lm._gauge_fixed(model, lm._sector_labels(model, None))
+    lattice = model.lattice
+    assert root == 0 and len(free) == lattice.n_links - (lattice.n_vertices - 1)
+    for _, factors in terms:
+        assert np.prod([f.shape[0] for f in factors]) == slice_dim
+    trace = sum(w * np.prod([f.trace() for f in factors]) for w, factors in terms)
+    assert abs(trace - dim) < 1e-9
+
+
+TREE_CASES = (
+    [("D3", 2, 2, "open", False, basis, sector) for basis in ("group", "rep")
+     for sector in (None, {2: "p"}, {0: "p", 1: "p", 3: "2"})]
+    + [("Z_3", 3, 2, "open", False, "group", None),
+       ("Z_2", 2, 2, "periodic", False, "group", None)]
+    + [("D3", 2, 1, boundary, True, basis, sector) for basis in ("group", "rep")
+       for boundary in ("open", ["periodic", "open"]) for sector in (None, {0: "p", 1: "2"})]
+    + [("Z_3", 2, 2, "open", True, basis, sector) for basis in ("group", "rep")
+       for sector in (None, {2: "1"}, {1: "1", 2: "1", 3: "2"})]
+    + [("D3", 2, 1, "open", False, "group", {0: "2"})])
+
+
+@pytest.mark.parametrize("group,lx,ly,boundary,matter,basis,sector", TREE_CASES,
+                         ids=lambda value: str(value).replace(" ", ""))
+def test_gauge_fixed_basis_matches_the_average_product(monkeypatch, group, lx, ly, boundary,
+                                                       matter, basis, sector):
+    # W range(M) against the eigenvalue-1 space of prod_v A_v^s, with the
+    # Gauss penalty unbuildable: every one of these sectors has at most one
+    # irrep of dim > 1, so none may reach it.  The columns are float64
+    # exactly when the oracle's are: complex ones would upcast H in a
+    # caller's cols^H @ H
+    import fockgauge.lattice_model as lm
+
+    def no_penalty(*args, **kwargs):
+        raise AssertionError("Gauss penalty built for a gauge-fixable sector")
+
+    model = _tree_model(group, lx, ly, boundary, matter, basis)
+    ref = physical_basis_by_average_product(model, sector=sector)
+    monkeypatch.setattr(lm, "_gauss_penalty", no_penalty)
+    cols = physical_basis(model, sector=sector)
+    assert cols.shape == ref.shape
+    assert cols.dtype == ref.dtype
+    assert np.abs(cols.conj().T @ cols - np.eye(cols.shape[1])).max(initial=0.0) < 1e-12
+    assert _projector_gap(cols, ref) <= 1e-12
+
+
+def test_two_doublets_take_the_penalty_route(monkeypatch):
+    # D3 2x2 pure gauge with doublets at vertices 0 and 3: W has no charged
+    # form for a second multi-dimensional irrep, so the penalty builds the sector
+    import fockgauge.lattice_model as lm
+
+    def no_slice(*args, **kwargs):
+        raise AssertionError("gauge-fixed slice built for two doublets")
+
+    calls = []
+    penalty = lm._gauss_penalty
+    monkeypatch.setattr(lm, "_gauss_penalty", lambda *args: calls.append(args) or penalty(*args))
+    monkeypatch.setattr(lm, "_gauge_fixed", no_slice)
+    model = _tree_model("D3", 2, 2, "open", False, "group")
+    sector = {0: "2", 3: "2"}
+    cols = physical_basis(model, sector=sector)
+    ref = physical_basis_by_average_product(model, sector=sector)
+    assert len(calls) == 1
+    assert cols.shape == ref.shape and cols.shape[1] > 0
+    assert _projector_gap(cols, ref) <= 1e-12
+
+
+def test_gauge_fixed_basis_over_the_cap_raises_before_any_slice_work(monkeypatch):
+    # L1 (dim 331 776): the same dense-cap message, before the slice or the
+    # penalty is touched
+    import fockgauge.lattice_model as lm
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("sector work above the dense cap")
+
+    for name in ("_gauge_fixed", "_gauss_penalty", "_sector_labels"):
+        monkeypatch.setattr(lm, name, no_work)
+    with pytest.raises(ValueError, match="^dense sector basis limited to dim 4096, got 331776$"):
+        physical_basis(_tree_model("D3", 2, 2, "open", True, "group"))
