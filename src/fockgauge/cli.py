@@ -9,13 +9,14 @@ The model commands (verify, spectrum, observables, vortex-masses) share one
 runner, ``_model_command``, and one failure contract.  Exit 2 with one
 ``config error:`` line: an unreadable or malformed config or group file
 (its ``order``, ``dim`` and ``mul`` entries not JSON integers that fit in
-int64, or a matrix entry not finite), a group file that fails a
-``validate`` invariant (named with its residual), a mass, coupling, part of
-epsilon or electric weight that is NaN, infinite or not a number, a seed,
-$FOCKGAUGE_THREADS, spectrum k or lattice size that is not an integer (no
-bool or quoted number is coerced, nor a fraction to an integer), an
-``include_matter``, ``staggered`` or ``include_hc`` that is not a YAML
-boolean, a section or value of the wrong type (``params``,
+int64, or a matrix entry not finite), a key not in ``KEYS`` (in any task
+entry too), a spectrum ``sector`` other than ``physical``, a group file
+that fails a ``validate`` invariant (named with its residual), a mass,
+coupling, part of epsilon or electric weight that is NaN, infinite or not a
+number, a seed, $FOCKGAUGE_THREADS, spectrum k or lattice size that is not
+an integer (no bool or quoted number is coerced, nor a fraction to an
+integer), an ``include_matter``, ``staggered`` or ``include_hc`` that is
+not a YAML boolean, a section or value of the wrong type (``params``,
 ``electric_weights`` and ``group.params`` are mappings; ``terms`` and
 observable ``names`` are lists), an unknown term, observable or state, a
 term listed twice, two numbers as ``epsilon`` on a two-link lattice (one
@@ -72,6 +73,15 @@ THREADS_ENV = "FOCKGAUGE_THREADS"
 BYTES_PER_ROW = 24
 
 
+# each section's keys and each task's options; any other key is a misspelling
+KEYS = {"config": ("group", "lattice", "params", "basis", "seed", "output", "tasks"),
+        "group": ("builtin", "file", "params"), "lattice": ("lx", "ly", "boundary", "include_matter"),
+        "params": ("mass", "epsilon", "coupling", "staggered", "electric_weights", "magnetic_rep",
+                   "terms", "include_hc"),
+        "tasks": ("verify", "spectrum", "observables", "vortex-masses"), "verify": (),
+        "spectrum": ("k", "sector"), "observables": ("names", "state"), "vortex-masses": ()}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -87,7 +97,14 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
-    return doc
+    return _known(doc, "config")
+
+
+def _known(section: dict, name: str) -> dict:
+    """``section``, a config error naming its first key not in KEYS[name]."""
+    for key in (key for key in section if key not in KEYS[name]):
+        raise ConfigError(f"unknown key {key!r} in {name}; known: {', '.join(KEYS[name])}")
+    return section
 
 
 def _optional(raw, kind: type, what: str):
@@ -131,7 +148,7 @@ def _resolve_group(doc: dict, config_dir: Path) -> GroupCatalogEntry:
     group = doc.get("group")
     if not isinstance(group, dict):
         raise ConfigError("config needs a 'group' section")
-    if "file" in group:
+    if "file" in _known(group, "group"):
         path = Path(group["file"])
         if not path.is_absolute():
             path = config_dir / path
@@ -177,6 +194,7 @@ def _resolve_model(doc: dict, config_dir: Path, basis_override: Optional[str]) -
     lat_doc = doc.get("lattice")
     if not isinstance(lat_doc, dict):
         raise ConfigError("config needs a 'lattice' section")
+    _known(lat_doc, "lattice")
     try:
         lattice = LatticeSpec(
             lx=_as_int(lat_doc["lx"], "lattice.lx"),
@@ -189,7 +207,7 @@ def _resolve_model(doc: dict, config_dir: Path, basis_override: Optional[str]) -
     basis = basis_override or doc.get("basis", REP)
     if basis not in (REP, GROUP):
         raise ConfigError(f"basis must be 'rep' or 'group', got {basis!r}")
-    p_doc = _optional(doc.get("params"), dict, "params") or {}
+    p_doc = _known(_optional(doc.get("params"), dict, "params") or {}, "params")
     weights = _optional(p_doc.get("electric_weights"), dict, "electric_weights")
     try:
         params = ModelParams(
@@ -224,19 +242,19 @@ def _check_fits_memory(model: Model) -> None:
 
 
 def _task_options(doc: dict, task_name: str) -> dict:
-    """Options of the config's entry for one task, {} if it has none."""
+    """Options of the config's first entry for one task, {} if it has none;
+    every entry must name a known task and hold only its known options."""
     tasks = doc.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         raise ConfigError("config needs a nonempty 'tasks' list")
-    opts = {}
+    found = []
     for item in tasks:
-        if isinstance(item, dict) and task_name in item:
-            value = item[task_name]
-            opts = value if isinstance(value, dict) else (
-                {} if value is None else {"names": value})
-            break
-        if item == task_name:
-            break
+        for name, value in _known(item if isinstance(item, dict) else {str(item): None},
+                                  "tasks").items():
+            opts = _known(value if isinstance(value, dict) else
+                          {} if value is None else {"names": value}, name)
+            found += [opts] if name == task_name else []
+    opts = found[0] if found else {}
     _optional(opts.get("names"), list, f"{task_name} names")
     return opts
 
@@ -430,8 +448,10 @@ def _spectrum_payload(model, opts, seed):
     k = _as_int(opts.get("k", 6), "spectrum k")
     if k < 1:
         raise ConfigError(f"spectrum k must be at least 1, got {k}")
-    basis_cols = None
-    if opts.get("sector") == "physical":
+    basis_cols, sector = None, opts.get("sector")
+    if sector not in (None, "physical"):
+        raise ConfigError(f"spectrum sector must be 'physical', got {sector!r}")
+    if sector:
         # before the full-space solve, so a model over the dense cap fails fast
         try:
             basis_cols = physical_basis(model)

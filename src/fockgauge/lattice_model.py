@@ -559,11 +559,10 @@ def _sum_blocks(dims: Sequence[int], lo: int, hi: int, blocks: Iterable[Block]) 
 def _digit_sums(dims: Sequence[int], lo: int, hi: int, blocks: Iterable[Block]):
     """(load, dtype, rows) of the sum of blocks on the factors [lo, hi):
     rows(digits) adds, in order from a float64 zero, each block placed on the
-    rows of the leading digits ``digits``, a range or an ascending array
-    (``_digit_rows``); load runs over the digits' placed nnz.  A block whose
-    local is a list of blocks stands for their sum: its rows are theirs,
-    added the same way on [lo, hi) and normalized as ``_real`` normalizes,
-    its dtype theirs."""
+    rows of the range of leading digits ``digits`` (``_digit_rows``); load
+    runs over the digits' placed nnz.  A block whose local is a list of
+    blocks stands for their sum: its rows are theirs, added the same way on
+    [lo, hi) and normalized as ``_real`` normalizes, its dtype theirs."""
     span = dims[lo:hi]
     lead, dim = (span[0] if span else 1), math.prod(span)
 
@@ -586,13 +585,13 @@ def _digit_sums(dims: Sequence[int], lo: int, hi: int, blocks: Iterable[Block]):
 def _digit_rows(span: Sequence[int], lo: int, hi: int, local: sp.spmatrix):
     """(counts, dtype, rows) of I (x) local (x) I, local on factors [lo, hi) of
     ``span``: the one writer of a placed block.  ``rows(digits)`` is its rows
-    at the leading digits ``digits`` (a range or an ascending array) in
-    canonical CSR, int32 indices where they fit, bit for bit scipy's Kronecker
-    products with complex identities (a complex local times 1+0j once per
-    padded side; a real one stays float64); ``counts`` is the nnz per digit.
-    A block on the leading factor is its local's rows (x) I_after (``_band``),
-    any other one single-digit band shifted per digit (``_tiled``); a
-    zero-width block, c times the identity, sits after the leading factor."""
+    at the range of leading digits ``digits`` in canonical CSR, int32 indices
+    where they fit, bit for bit scipy's Kronecker products with complex
+    identities (a complex local times 1+0j once per padded side; a real one
+    stays float64); ``counts`` is the nnz per digit.  A block on the leading
+    factor is its local's rows (x) I_after (``_band``), any other one
+    single-digit band shifted per digit (``_tiled``); a zero-width block, c
+    times the identity, sits after the leading factor."""
     local = sp.csr_matrix(local)
     if not local.has_canonical_format:
         local = local.copy()
@@ -606,15 +605,13 @@ def _digit_rows(span: Sequence[int], lo: int, hi: int, local: sp.spmatrix):
     if lo == 0:
         per_digit = local.shape[0] // lead
 
-        def rows(digits) -> sp.csr_matrix:
-            if isinstance(digits, range):
-                picked = _row_view(local, digits.start * per_digit, digits.stop * per_digit)
-            else:
-                picked = local[(digits[:, None] * per_digit + np.arange(per_digit)).ravel()]
-            return _band(picked, after, dtype, padded)
+        def rows(digits: range) -> sp.csr_matrix:
+            return _band(_row_view(local, digits.start * per_digit, digits.stop * per_digit),
+                         after, dtype, padded)
 
         return np.diff(local.indptr[::per_digit]) * after, dtype, rows
-    digit = _tiled(_band(local, after, dtype, padded), range(math.prod(span[1:lo])))
+    digit = _tiled(_band(local, after, dtype, padded), range(math.prod(span[1:lo])),
+                   math.prod(span[1:]))
     return np.full(lead, digit.nnz), dtype, lambda digits: _tiled(digit, digits, dim)
 
 
@@ -663,18 +660,13 @@ def _band(local: sp.csr_matrix, after: int, dtype, padded: int) -> sp.csr_matrix
     return band
 
 
-def _tiled(band: sp.csr_matrix, steps: Union[range, np.ndarray],
-           width: Optional[int] = None) -> sp.csr_matrix:
+def _tiled(band: sp.csr_matrix, steps: range, width: int) -> sp.csr_matrix:
     """Copies of a canonical (k x w) band down the rows, the i-th shifted right
-    by steps[i] * w columns (``steps`` a range or an array of ints), in a
-    canonical CSR ``width`` columns wide (by default, the band's width times
-    len(steps))."""
+    by steps[i] * w columns, in a canonical CSR ``width`` columns wide."""
     (k, w), count = band.shape, len(steps)
-    width = w * count if width is None else width
     index = _index_dtype(width, count * band.nnz)
-    shifts = (np.arange(steps.start, steps.stop, dtype=index) if isinstance(steps, range)
-              else np.asarray(steps, dtype=index))[:, None] * w
-    indices = (band.indices.astype(index, copy=False) + shifts).ravel()
+    indices = (band.indices.astype(index, copy=False)
+               + np.arange(steps.start, steps.stop, dtype=index)[:, None] * w).ravel()
     offsets = np.arange(count, dtype=index)[:, None] * band.nnz
     indptr = np.append((band.indptr[:-1].astype(index, copy=False) + offsets).ravel(),
                        index(count * band.nnz))

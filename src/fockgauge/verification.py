@@ -23,24 +23,20 @@ max |[S_A, T_A]| times the largest entry of each factor of S outside the
 span.  A Lie generator is a sum of one-factor pieces, and the pieces outside
 the span commute with T exactly and are dropped.  max |T - T^dag| on the span
 is the full-space value.  The tunneling term is never summed whole: its
-Hermiticity is that of its link hops' sum, and it is taken on each vertex
-v's star (the fermion factor and v's link factors) against T_v, the hops of
-v's links, each once: S keeps every vertex's fermion parity and touches no
-other link, so it commutes exactly with every other hop.  There S also
-meets the vacuum, with the star's axes moved to the front, one block of
-columns at a time.  One range R of fermion digits per S, drawn from the
-seed, probes the hops' sum as H places it: (S T - T S)[R, :] = S[R, :] T -
-T[R, :] S, both placed by ``_digit_rows`` but for a piece of S on the
-fermion factor and beyond, a Kronecker product.  No operator is built on
-the full space.  The rep/group agreement converts the mirror model's H one
-link factor at a time.
+Hermiticity is that of its link hops' sum, and each hop, as H takes it, is
+read as P_l (x) I with an exact defect (``_split_hop``).  Each S of vertex v
+meets T = sum_l P_l (x) I on v's star (the fermion factor and v's link
+factors), and each other link's P_l on the fermion factor and that link's;
+when every defect and off-star part is 0, the star's residual is the exact
+full-space max |S T - T S| for H's own hops.  There S also meets the
+vacuum, one block of columns at a time.  No operator is built on the full
+space.  The rep/group agreement converts the mirror model's H one link
+factor at a time.
 
 At its peak ``verify_model`` holds the link hops, each as H takes it
-(``_real``: float64 when real), and one part of the probe: about PROBE_NNZ
-entries of T's rows, the rows of S where they reach, and their products,
-whose columns run over the digits reached only.  A hop is built by
-``_sum_on_span``; the last one, which spans every factor, one range of
-fermion digits at a time into arrays allocated once.
+(``_real``: float64 when real), the last one written one range of fermion
+digits at a time into arrays allocated once, and the index arrays of one
+SPLIT_NNZ slice of their split.
 """
 
 from __future__ import annotations
@@ -48,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from functools import reduce
-from operator import add, matmul
+from operator import matmul
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,10 +56,8 @@ from .lattice_model import (
     GROUP,
     REP,
     Model,
-    _digit_rows,
     _digit_sums,
     _gauss_products,
-    _hop_products,
     _link_hops,
     _place,
     _real,
@@ -82,7 +76,7 @@ COVARIANCE_SAMPLES = 20
 
 TIGHT = 1e-12
 LOOSE = 1e-10
-PROBE_NNZ = 3 << 14    # entries of the tunneling term per part of a probed range
+SPLIT_NNZ = 1 << 15    # stored entries of a link hop per slice of its two-factor reading
 
 
 def verify_model(model: Model, seed: int = 0) -> ValidationReport:
@@ -97,7 +91,7 @@ def verify_model(model: Model, seed: int = 0) -> ValidationReport:
     _check_cg(model, report)
     if model.lattice.include_matter:
         _check_matter(model, report, seed)
-    _check_hamiltonian(model, report, seed)
+    _check_hamiltonian(model, report)
     return report
 
 
@@ -232,16 +226,16 @@ def _commutator_residual(term: sp.csr_matrix, symmetry_ops) -> float:
                     for s_op in symmetry_ops for lo, hi in slices])
 
 
-def _on_span(dims, factors, pieces, coeff: complex = 1.0, hc: bool = False) -> sp.csr_matrix:
+def _on_span(dims, factors, pieces) -> sp.csr_matrix:
     """S on the ascending ``factors``, scaled so that its commutator with a
     block there has the largest entry of the full-space commutator.
 
     S is the sum of the ``{factor: [matrices]}`` products in ``pieces``, taken
-    as ``_sum_on_span`` takes them with ``coeff`` and ``hc``.  A piece with no
-    factor in ``factors`` commutes with the block and is dropped.  The
-    factors a kept piece has outside scale S by their largest entries, since
-    max |A (x) B| = max |A| max |B|: exact for one product, as a group
-    element's Gauss operator is; a Lie generator's pieces have one factor each.
+    as ``_sum_on_span`` takes them.  A piece with no factor in ``factors``
+    commutes with the block and is dropped.  The factors a kept piece has
+    outside scale S by their largest entries, since max |A (x) B| = max |A|
+    max |B|: exact for one product, as a group element's Gauss operator is; a
+    Lie generator's pieces have one factor each.
     """
     where = {f: i for i, f in enumerate(factors)}
     sub = [dims[f] for f in factors]
@@ -249,35 +243,40 @@ def _on_span(dims, factors, pieces, coeff: complex = 1.0, hc: bool = False) -> s
     outside = math.prod(max_abs(reduce(matmul, mats)) for ops in kept
                         for f, mats in ops.items() if f not in where)
     return outside * _place(sub, *_sum_on_span(
-        sub, [{where[f]: mats for f, mats in ops.items() if f in where} for ops in kept],
-        coeff, hc))
+        sub, [{where[f]: mats for f, mats in ops.items() if f in where} for ops in kept]))
 
 
-def _star_residual(model: Model, probes, vacuum=None, tunneling: bool = True,
-                   symmetry=None) -> float:
-    """max |S T - T S| over the tunneling term T and each vertex v's Gauss
-    operators or generators S (``_gauss_products`` of each probe, or the
-    vertex-major ``symmetry`` that holds them), taken as S T_v - T_v S on v's
-    star: the fermion factor and v's link factors, where T_v is the sum of the
-    hops of v's links, each link once (0 without ``tunneling``).  Given a list
-    ``vacuum``, it gets |S vac - vac| (|G vac| for a generator), taken on the
-    star's axes of ``vacuum_state``."""
+def _star_residual(model: Model, probes, vacuum=None, hops=None, symmetry=None) -> float:
+    """max |S T - T S| over T = sum_l P_l (x) I, ``hops[l]`` being P_l's
+    ``_split_hop`` products (by default split from ``_link_hops``), and each
+    vertex v's Gauss operators or generators S (``_gauss_products`` of each
+    probe, or the vertex-major ``symmetry``): on v's star (the fermion factor
+    and v's link factors) against the P_l of v's links, each link once, and
+    on the fermion factor and link l's for each other l, where S has its
+    fermion part alone.  Given a list ``vacuum``, it gets |S vac - vac|
+    (|G vac| for a generator), taken on the star's axes of ``vacuum_state``."""
     gb = model.global_basis
     dims = gb.factor_dims
     vac = None if vacuum is None else vacuum_state(model).reshape(dims)
     symmetry = symmetry or [_gauss_products(model, v, **probe)
                             for v in range(model.lattice.n_vertices) for probe in probes]
-    worst = []
+    if hops is None:
+        hops = [_split_hop(dims, gb.link_factor(link.index), _real(hop))[0]
+                for link, hop in zip(model.lattice.links, _link_hops(model))]
+    pairs = [[0, gb.link_factor(l)] for l in range(len(hops))]
+    worst, on_pairs = [], [_on_span(dims, pair, products) for pair, products in zip(pairs, hops)]
     for v in range(model.lattice.n_vertices):
-        links = dict(sorted((link.index, link) for link, _ in model.lattice.links_at_vertex(v)))
+        links = sorted({link.index for link, _ in model.lattice.links_at_vertex(v)})
         star = ([gb.fermion_factor] if gb.has_matter else []) + [*map(gb.link_factor, links)]
         size = math.prod(dims[f] for f in star)
-        ops = [_on_span(dims, star, pieces)
-               for pieces in symmetry[v * len(probes):(v + 1) * len(probes)]]
-        if tunneling:
-            worst.append(_commutator_residual(sum((
-                _on_span(dims, star, *_hop_products(model, link)) for link in links.values()),
-                sp.csr_matrix((size, size))), ops))
+        at_v = symmetry[v * len(probes):(v + 1) * len(probes)]
+        ops = [_on_span(dims, star, products) for products in at_v]
+        if hops:
+            worst.append(_commutator_residual(sum(
+                (_on_span(dims, star, hops[l]) for l in links), sp.csr_matrix((size, size))), ops))
+        worst += [_commutator_residual(on_pairs[l], [_on_span(dims, pairs[l], products)
+                                                     for products in at_v])
+                  for l in range(len(hops)) if l not in links]
         if vac is not None:
             squares = np.zeros(len(ops))
             for columns in _star_columns(vac, star):
@@ -290,6 +289,44 @@ def _star_residual(model: Model, probes, vacuum=None, tunneling: bool = True,
     return max_abs(worst)
 
 
+def _split_hop(dims, factor: int, block):
+    """(products, defect): a link hop (lo, hi, local) read as P (x) I, P the
+    block's rows and columns at digit 0 of every factor but the fermion factor
+    and ``factor``, as products {0: [P_xy], factor: [e_x e_y^T]}, one per
+    link digit pair (x, y) it holds.  The defect max |local - P (x) I| is
+    exact, from the stored entries, one SPLIT_NNZ slice at a time, by
+    mixed-radix index arithmetic: 0.0 exactly when the hop has the form.  A
+    hop whose span does not run from the fermion factor to ``factor`` has
+    no products and defect inf."""
+    lo, hi, local = block
+    if lo or not 0 < factor < hi:
+        return [], math.inf
+    shape = (dims[0], math.prod(dims[1:factor]), dims[factor], math.prod(dims[factor + 1:hi]))
+    d, n = shape[2], shape[0] * shape[2]
+    at_zero = (np.arange(shape[0])[:, None] * shape[1] * d + np.arange(d)).ravel() * shape[3]
+    p = local[at_zero][:, at_zero].sorted_indices().tocoo()
+    # P's entries in row-major order, then a sentinel that no index reaches
+    keys, values = np.r_[p.row * n + p.col, n * n], np.r_[p.data, 0]
+    copies, worst = np.zeros(len(keys), np.int64), []
+    for r0, r1 in _row_slices(local.indptr, SPLIT_NNZ):
+        part = _row_view(local, r0, r1)
+        # the (fermion, middle, link, last) digits of each entry's row and column
+        rows = np.unravel_index(np.repeat(np.arange(r0, r1), np.diff(part.indptr)), shape)
+        cols = np.unravel_index(part.indices, shape)
+        key = (rows[0] * d + rows[2]) * n + cols[0] * d + cols[2]
+        at = np.searchsorted(keys, key)
+        hit = (rows[1] == cols[1]) & (rows[3] == cols[3]) & (keys[at] == key)
+        worst.append(max_abs(part.data - np.where(hit, values[at], 0)))
+        copies += np.bincount(at[hit], minlength=len(keys))
+    # an entry of P with fewer copies than the other factors' digit tuples lacks one
+    defect = max_abs([*worst, max_abs(values[copies < shape[1] * shape[3]])])
+    xy = p.row % d * d + p.col % d    # each entry's link digits (x, y)
+    return [{0: [sp.csr_matrix((p.data[at], (p.row[at] // d, p.col[at] // d)),
+                               shape=(shape[0], shape[0]))],
+             factor: [sp.csr_matrix(([1.0], ([pair // d], [pair % d])), shape=(d, d))]}
+            for pair in np.unique(xy) for at in [xy == pair]], defect
+
+
 def _star_columns(vec: np.ndarray, star):
     """``vec`` (shaped as the factors) as a matrix whose rows run over the
     ``star`` axes, one block of columns at a time: those at each digit of the
@@ -300,73 +337,7 @@ def _star_columns(vec: np.ndarray, star):
         yield block.reshape(rows, -1)
 
 
-def _row_probe(dims, pieces, t_rows, load, lo: int, hi: int) -> float:
-    """max |S T - T S| on the rows R of the leading digits [lo, hi), S the sum of
-    the products ``pieces`` and T the operator whose rows at the leading
-    digits ``digits`` (an ascending array) are ``t_rows(digits)``:
-    S[R, :] T - T[R, :] S, in parts of about PROBE_NNZ of T's ``load``
-    entries.  Each factor is built on the leading digits the other reaches
-    (read off its columns by ``np.bincount``), and each product's inner and
-    outer columns are renumbered onto the digits they reach, so no product
-    is as wide as the space.  S's rows are its parts' rows added in order:
-    each piece on the leading factor, then the pieces off it summed, placed
-    by ``_digit_rows``, but a piece on the leading factor and beyond, the
-    Kronecker product of its leading matrix's rows and its placed rest."""
-    lead_dim, rest = dims[0], math.prod(dims[1:])
-    parts, off = [], [ops for ops in pieces if 0 not in ops]
-    for ops in (ops for ops in pieces if 0 in ops):
-        lead = sp.csr_matrix(reduce(matmul, ops[0])).sorted_indices()
-        other = _place(dims[1:], *_sum_on_span(dims[1:], [
-            {f - 1: m for f, m in ops.items() if f}])) if len(ops) > 1 else None
-        parts.append(_digit_rows(dims, 0, 1, lead)[2] if other is None else
-                     lambda at, lead=lead, other=other: sp.kron(lead[at], other, format="csr"))
-    parts += [_digit_rows(dims, *_sum_on_span(dims, off))[2]] if off else []
-
-    def s_rows(at):
-        return reduce(add, (part(at) for part in parts))
-
-    def reached(*mats, also=None):    # the digits the columns reach (and ``also``), in order
-        hits = sum(np.bincount(mat.indices // rest, minlength=lead_dim) for mat in mats)
-        if also is not None:
-            hits[also] = 1
-        at = np.flatnonzero(hits)
-        shift = np.zeros(lead_dim, dtype=np.int64)    # a column's shift onto them, per digit
-        shift[at] = (at - np.arange(len(at))) * rest
-        return at, shift
-
-    def onto(mat, at, shift):    # mat's columns renumbered onto the digits ``at``
-        return sp.csr_matrix((mat.data, mat.indices - shift[mat.indices // rest].astype(
-            mat.indices.dtype), mat.indptr), shape=(mat.shape[0], len(at) * rest))
-
-    worst = []
-    for a, b in _row_slices(load[lo:hi + 1] - load[lo], PROBE_NNZ):
-        r = np.arange(lo + a, lo + b)
-        s_r = s_rows(r)
-        inner, into = reached(s_r, also=r)    # R and the digits S[R, :] reaches
-        t_at = t_rows(inner)
-        first = (lo + a) * rest - into[lo + a]
-        t_r = _row_view(t_at, first, first + s_r.shape[0])
-        inner_t, into_t = reached(t_r)    # the digits T[R, :] reaches
-        s_at = s_rows(inner_t)
-        outer, out = reached(t_at, s_at)
-        left = onto(s_r, inner, into) @ onto(t_at, outer, out)
-        del s_r    # freed before T[R, :] S is made
-        worst.append(_difference(left, onto(t_r, inner_t, into_t) @ onto(s_at, outer, out)))
-    return max_abs(worst)
-
-
-def _difference(a: sp.csr_matrix, b: sp.csr_matrix) -> float:
-    """max |a - b| of two CSR matrices, sorted in place: on their values alone
-    when their patterns are the same, as the two products of a commutator's
-    rows mostly are, else through the CSR difference."""
-    a.sort_indices()
-    b.sort_indices()
-    if np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices):
-        return max_abs(a.data - b.data)
-    return max_abs(a - b)
-
-
-def _check_hamiltonian(model: Model, report: ValidationReport, seed: int):
+def _check_hamiltonian(model: Model, report: ValidationReport):
     dims = model.global_basis.factor_dims
     lie = model.entry.is_lie
     probes = ([{"component": a} for a in range(model.entry.n_generator_components)]
@@ -389,24 +360,24 @@ def _check_hamiltonian(model: Model, report: ValidationReport, seed: int):
     if not blocks:
         return
 
-    commutes, vacuum = {name: [] for name in blocks}, []
+    commutes, vacuum, hop_products = {name: [] for name in blocks}, [], []
     if "tunneling" in blocks:
         hops = blocks.pop("tunneling")
         # T - T^dag: the hops' nonzero b - b^dag, added one range of fermion digits at a time
         load, _, rows = _digit_sums(dims, 0, len(dims), [
             (lo, hi, hop - hop.conj().T) for lo, hi, hop in hops if hermiticity_residual(hop)])
         herm.append(max_abs([max_abs(rows(range(t0, t1))) for t0, t1 in _row_slices(load)]))
-        # T meets each S on one range of fermion digits drawn from the seed, and
-        # its hops are freed before the star pass
-        load, _, rows = _digit_sums(dims, 0, len(dims), hops)
-        ranges, draw = list(_row_slices(load)), np.random.default_rng(seed + 3)
-        commutes["tunneling"] = [_row_probe(dims, pieces, rows, load, *ranges[draw.integers(
-            len(ranges))]) for pieces in symmetry]
+        # each hop read as P_l (x) I: its defect, and P_l's products for the
+        # stars; the hops are freed before the star pass
+        split = [_split_hop(dims, model.global_basis.link_factor(link.index), hop)
+                 for link, hop in zip(model.lattice.links, hops)]
         del hops, rows
+        hop_products = [products for products, _ in split]
+        commutes["tunneling"] = [defect for _, defect in split]
     # each S meets T_v and the vacuum on its star;
     # sum G^2 vac = 0 iff G vac = 0 for each Hermitian generator G, and
     # P_v vac = vac iff Theta_v(s) vac = vac for each element s of a generating set
-    star = _star_residual(model, probes, vacuum, "tunneling" in commutes, symmetry)
+    star = _star_residual(model, probes, vacuum, hop_products, symmetry)
     if "tunneling" in commutes:
         commutes["tunneling"].append(star)
     # and on the span of each other block

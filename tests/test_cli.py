@@ -521,6 +521,52 @@ def test_spectrum_config_errors_fail_before_assembly(runner, tmp_path, monkeypat
     assert not out.exists()
 
 
+def _no_task_run(monkeypatch):
+    import fockgauge.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a model task ran before the config check")
+
+    for name in ("build_hamiltonian", "physical_basis", "verify_model", "vortex_masses"):
+        monkeypatch.setattr(cli, name, no_run)
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum", "observables", "vortex-masses"])
+@pytest.mark.parametrize("overrides,key", [
+    ({"sed": 7}, "sed"),
+    ({"group": {"builtin": "Z_2", "parms": {}}}, "parms"),
+    ({"lattice": {"lx": 2, "ly": 2, "boundry": "periodic", "include_matter": False}},
+     "boundry"),
+    ({"params": {"couplng": 3.0, "terms": ["magnetic"]}}, "couplng"),
+    ({"tasks": ["verify", {"spectrum": {"k": 2, "sector": "physical", "kk": 3}},
+                "vortex-masses", "observables"]}, "kk"),
+    ({"tasks": ["verify", "spectrum", "vortex-masses", "observables", "spectrm"]}, "spectrm")],
+    ids=["top-level", "group", "lattice", "params", "task-option", "task-name"])
+def test_unknown_config_key_exits_2_before_any_task(runner, tmp_path, monkeypatch, command,
+                                                    overrides, key):
+    # a misspelled key is refused, not run with its default
+    _no_task_run(monkeypatch)
+    out = tmp_path / "out.json"
+    cfg = write_config(tmp_path / "cfg.yaml", **overrides)
+    result = runner.invoke(main, [command, "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+    assert f"unknown key {key!r}" in lines[0], lines
+    assert not out.exists()
+
+
+def test_spectrum_sector_other_than_physical_exits_2(runner, tmp_path, monkeypatch):
+    _no_task_run(monkeypatch)
+    out = tmp_path / "out.json"
+    cfg = write_config(tmp_path / "cfg.yaml", tasks=[{"spectrum": {"k": 2, "sector": "phys"}}])
+    result = runner.invoke(main, ["spectrum", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.strip().splitlines()
+    assert lines == ["config error: spectrum sector must be 'physical', got 'phys'"], lines
+    assert not out.exists()
+
+
 def test_physical_sector_past_int64_dim_exits_2_at_the_cap(runner, tmp_path, monkeypatch):
     import fockgauge.cli as cli
 

@@ -606,7 +606,6 @@ def test_star_residual_equals_the_full_space_one(monkeypatch, make_model):
             # the same fault in H's hops and in the star's: no longer invariant
             flipped = _sign_flipped_hops(lattice_model._hop_products)
             monkeypatch.setattr(lattice_model, "_hop_products", flipped)
-            monkeypatch.setattr(verification, "_hop_products", flipped)
         term = observable(model, "tunneling_energy").matrix
         full = _full_commutator(term, symmetry_ops)
         star = verification._star_residual(model, _probes(model))
@@ -669,39 +668,167 @@ def test_probe_sees_a_hop_placed_on_the_wrong_link(monkeypatch):
     assert verification._star_residual(model, _probes(model)) <= 1e-10
 
 
-def test_tunneling_block_meets_each_gauss_operator_on_one_row_slice(monkeypatch):
+def test_tunneling_hops_are_each_split_once_with_no_defect(monkeypatch):
     # L1: D3 2x2 open with matter in the group basis.  Its tunneling block
-    # (2 211 840 stored entries, 17 ranges of fermion digits) is checked on
-    # the vertex stars and never built whole: each of the 8 Gauss operators of
-    # the generating set meets its rows on one range of fermion digits only
+    # (2 211 840 stored entries) is never built: each of its 4 link hops is
+    # read once as P_l (x) I, exactly, and every hop has that form
     lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
     params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3, electric_weights=D3_WEIGHTS,
                          terms=("mass", "tunneling"))
     model = Model(build_builtin("D3"), lat, params, basis_tag="group")
-    built, ranges = [], []
+    built, splits = [], []
 
     def tunneling(model):
         block = lattice_model._tunneling_term(model)
         built.append(block[2])
         return block
 
-    row_probe = verification._row_probe
+    split_hop = verification._split_hop
 
-    def counting(dims, pieces, t_rows, load, lo, hi):
-        ranges.append((lo, hi))
-        return row_probe(dims, pieces, t_rows, load, lo, hi)
+    def counting(dims, factor, block):
+        splits.append((factor, *split_hop(dims, factor, block)))
+        return splits[-1][1:]
 
     monkeypatch.setitem(lattice_model._TERMS, "tunneling", tunneling)
-    monkeypatch.setattr(verification, "_row_probe", counting)
+    monkeypatch.setattr(verification, "_split_hop", counting)
     report = verify_model(model, seed=1)
     assert report.passed, str(report.first_failure())
     assert not built
+    gb = model.global_basis
+    assert [factor for factor, _, _ in splits] == [gb.link_factor(l) for l in range(4)]
+    assert all(products and defect == 0.0 for _, products, defect in splits)
+
+
+def _ring(name, basis, **params):
+    """A 2x1 lattice periodic in x with matter, for a group with default
+    electric weights: two links join vertices 0 and 1."""
+    lat = LatticeSpec(2, 1, boundary=("periodic", "open"), include_matter=True)
+    return Model(build_builtin(name, **params), lat,
+                 ModelParams(mass=0.8, epsilon=0.6, coupling=1.2), basis_tag=basis)
+
+
+def _dense_defect(dims, factor, block):
+    """max |local - P (x) I| on dense arrays, P the block's rows and columns at
+    digit 0 of every factor of its span but the fermion factor and ``factor``."""
+    lo, hi, local = block
+    shape = (dims[0], int(np.prod(dims[1:factor])), dims[factor],
+             int(np.prod(dims[factor + 1:hi])))
+    full = local.toarray().reshape(shape + shape)
+    two = full[:, 0, :, 0, :, 0, :, 0]
+    placed = np.einsum("iajb,mn,pq->imapjnbq", two, np.eye(shape[1]), np.eye(shape[3]))
+    return max_abs(full - placed)
+
+
+def _hop_faults(local, fermion_dim, link_dim):
+    """The last link's hop with one fault each: an entry off the diagonal of
+    the other link factors' digits, one stored entry removed, and one stored
+    value changed."""
+    inner = local.shape[1] // fermion_dim    # the link factors' digit tuples
+    rows = np.repeat(np.arange(local.shape[0]), np.diff(local.indptr))
+    k = local.nnz // 2
+    r, c = rows[k], local.indices[k]
+    # the same fermion and last-link digits, the next digit tuple of the others
+    moved = c - c % inner + (c % inner + link_dim) % inner
+    off = local + sp.csr_matrix(([0.5], ([r], [moved])), shape=local.shape)
+    kept = np.arange(local.nnz) != local.nnz - 1
+    removed = sp.csr_matrix((local.data[kept], (rows[kept], local.indices[kept])),
+                            shape=local.shape)
+    wrong = local.copy()
+    wrong.data[k] += 0.25
+    return {"off-diagonal": off, "removed": removed, "wrong value": wrong}
+
+
+DEFECT_MODELS = RING_MODELS + [
+    lambda: _ring("Z_N", "group", N=3), lambda: _ring("Z_N", "rep", N=3),
+    lambda: _ring("U1_trunc", "rep", P=1)]
+DEFECT_IDS = RING_IDS + ["z3-ring-group", "z3-ring-rep", "u1-ring"]
+
+
+@pytest.mark.parametrize("make_model", DEFECT_MODELS, ids=DEFECT_IDS)
+def test_hop_defect_equals_the_dense_one(make_model):
+    # each link hop as H takes it has the form P_l (x) I, defect 0.0; the last
+    # hop, with another link factor between its two, under three faults has
+    # the defect of the dense oracle
+    model = make_model()
+    gb = model.global_basis
+    dims = gb.factor_dims
+    hops = [lattice_model._real(hop) for hop in lattice_model._link_hops(model)]
+    for link, hop in zip(model.lattice.links, hops):
+        products, defect = verification._split_hop(dims, gb.link_factor(link.index), hop)
+        assert products and defect == 0.0 == _dense_defect(dims, gb.link_factor(link.index), hop)
+    factor = gb.link_factor(model.lattice.links[-1].index)
+    # a hop whose span stops short of its link's factor is no P (x) I there
+    assert verification._split_hop(dims, factor, hops[0]) == ([], np.inf)
+    lo, hi, local = hops[-1]
+    assert (lo, hi) == (0, len(dims)) and len(dims) > 2
+    for fault, faulty in _hop_faults(local, dims[0], dims[factor]).items():
+        defect = verification._split_hop(dims, factor, (lo, hi, faulty))[1]
+        oracle = _dense_defect(dims, factor, (lo, hi, faulty))
+        assert oracle > 0.1 and abs(defect - oracle) <= 1e-15, (fault, defect, oracle)
+
+
+def _one_value_changed(model):
+    """The link hops, the last one with one stored value changed by 0.5."""
+    hops = list(lattice_model._link_hops(model))
+    lo, hi, local = hops[-1]
+    local = local.copy()
+    local.data[local.nnz // 2] += 0.5
+    return hops[:-1] + [(lo, hi, local)]
+
+
+def test_one_wrong_entry_fails_the_tunneling_check_at_every_seed(monkeypatch):
+    # D3 2x1 ring in the rep basis.  With 16 stored entries a slice, each
+    # slice holds about one fermion digit, so a check that read only the
+    # slices a seed picks would miss the entry at some seeds; the hop's
+    # defect reads every stored entry at every seed
+    monkeypatch.setattr(operators, "SLICE_NNZ", 16)
+    monkeypatch.setattr(verification, "_link_hops", _one_value_changed)
+    model = _d3_ring("rep")
+    for seed in range(10):
+        failed = {c.name: c.residual for c in verify_model(model, seed=seed).checks
+                  if not c.passed}
+        assert failed.get("model.gauss_commutes_with_tunneling", 0.0) > 0.1, (seed, failed)
+
+
+def _off_link_number(model):
+    """The link hops, link 0's with 0.5 n added for mode 0 of vertex 2, which
+    link 0 does not touch: Hermitian, of the form P (x) I, not gauge invariant."""
+    psi = model.fermion_annihilation(2, 0)
     dims = model.global_basis.factor_dims
-    load = lattice_model._digit_sums(dims, 0, len(dims), lattice_model._link_hops(model))[0]
-    assert len(list(operators._row_slices(load))) > 1
-    assert all(0 <= lo < hi <= dims[0] and hi - lo < dims[0] for lo, hi in ranges)
-    gauss_operators = model.lattice.n_vertices * len(model.entry.spec.generating_set())
-    assert len(ranges) == gauss_operators == 8
+    extra = lattice_model._sum_on_span(dims, [{0: [0.5 * psi.conj().T @ psi],
+                                                1: [sp.identity(dims[1], format="csr")]}])
+    hops = list(lattice_model._link_hops(model))
+    assert hops[0][:2] == extra[:2] == (0, 2)
+    return [(0, 2, hops[0][2] + extra[2])] + hops[1:]
+
+
+@pytest.mark.parametrize("basis", ["group", "rep"])
+def test_a_hop_acting_off_its_link_fails_the_tunneling_check(monkeypatch, basis):
+    # D3 3x1 open with matter: the endpoints' stars of link 0 do not see a
+    # term on vertex 2's modes, so vertex 2's Gauss operators meet link 0's
+    # P on the fermion factor and link 0's factor
+    monkeypatch.setattr(verification, "_link_hops", _off_link_number)
+    lat = LatticeSpec(3, 1, boundary="open", include_matter=True)
+    model = Model(build_builtin("D3"), lat,
+                  ModelParams(mass=0.8, epsilon=0.6, coupling=1.2, electric_weights=D3_WEIGHTS),
+                  basis_tag=basis)
+    failed = {c.name: c.residual for c in verify_model(model).checks if not c.passed}
+    assert set(failed) == {"model.gauss_commutes_with_tunneling"}, failed
+    assert failed["model.gauss_commutes_with_tunneling"] > 0.1, failed
+
+
+@pytest.mark.parametrize("basis", ["group", "rep"])
+def test_finite_group_report_does_not_depend_on_the_seed(basis):
+    # a finite group's checks take every element, and the tunneling check
+    # reads every stored entry of every hop, so no residual follows the seed
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    square = Model(build_builtin("D3"), lat,
+                   ModelParams(mass=1.0, epsilon=0.7, coupling=1.3, electric_weights=D3_WEIGHTS),
+                   basis_tag=basis)
+    for model in (_d3_ring(basis), square):
+        reports = [[(c.name, c.residual) for c in verify_model(model, seed=seed).checks]
+                   for seed in range(5)]
+        assert all(report == reports[0] for report in reports), reports
 
 
 # ---------------------------------------------------------------------------
