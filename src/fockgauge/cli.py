@@ -2,8 +2,7 @@
 
 Configuration is one YAML document (see README for the schema); results
 are written as a JSON file whose content depends only on the configuration
-and seed, never on wall-clock; the thread count appears only in its
-``threads`` field.  Timings go to stderr.
+and seed, never on wall-clock.  Timings go to stderr.
 
 The model commands (verify, spectrum, observables, vortex-masses) share one
 runner, ``_model_command``, and one failure contract.  Exit 2 with one
@@ -13,7 +12,7 @@ int64, or a matrix entry not finite), a key not in ``KEYS`` (in any task
 entry too), a spectrum ``sector`` other than ``physical``, a group file
 that fails a ``validate`` invariant (named with its residual), a mass,
 coupling, part of epsilon or electric weight that is NaN, infinite or not a
-number, a seed, $FOCKGAUGE_THREADS, spectrum k or lattice size that is not
+number, a seed, spectrum k or lattice size that is not
 an integer (no bool or quoted number is coerced, nor a fraction to an
 integer), an ``include_matter``, ``staggered`` or ``include_hc`` that is
 not a YAML boolean, a section or value of the wrong type (``params``,
@@ -67,7 +66,6 @@ from .link_space import GROUP, REP
 from .spectra import EigensolveError, eigensolve, expectation, vortex_masses
 from .verification import verify_model
 
-THREADS_ENV = "FOCKGAUGE_THREADS"
 # the least a full-space sparse Hamiltonian holds per row: one float64 value,
 # one index and one indptr slot, so a model that could fit is never refused
 BYTES_PER_ROW = 24
@@ -115,13 +113,13 @@ def _optional(raw, kind: type, what: str):
     return raw
 
 
-def _as_int(raw, name: str, text: bool = False) -> int:
-    """An int or integral float, or with ``text`` an integer string; never a bool."""
+def _as_int(raw, name: str) -> int:
+    """An int or integral float; never a bool or a string."""
     try:
-        if isinstance(raw, bool) or (isinstance(raw, str) and not text):
+        if isinstance(raw, (bool, str)):
             raise TypeError(raw)
         value = int(raw)
-        if not isinstance(raw, str) and value != raw:
+        if value != raw:
             raise ValueError(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be an integer, got {raw!r}") from exc
@@ -290,11 +288,10 @@ def _emit(payload: dict, output: Optional[str]):
         click.echo(text, nl=False)
 
 
-def _result_skeleton(doc: dict, seed: int, threads: int) -> dict:
+def _result_skeleton(doc: dict, seed: int) -> dict:
     return {
         "artifact": {"name": "fockgauge", "version": __version__},
         "seed": seed,
-        "threads": threads,
         "config": doc,
         "tasks": {},
     }
@@ -309,10 +306,6 @@ def _common_options(fn):
                       type=click.Path(), help="YAML run configuration")(fn)
     fn = click.option("--seed", type=int, default=None,
                       help="override the config seed")(fn)
-    fn = click.option("--threads", type=int, default=None,
-                      help="thread count recorded in the result's 'threads' "
-                           f"field (default ${THREADS_ENV} or 1); assembly runs "
-                           "on one thread")(fn)
     fn = click.option("--output", "-o", type=click.Path(), default=None,
                       help="override the config output path")(fn)
     fn = click.option("--basis", type=click.Choice([REP, GROUP]), default=None,
@@ -392,16 +385,13 @@ def _model_command(name: str, passed=lambda payload: True):
     def register(task):
         @main.command(name, help=task.__doc__)
         @_common_options
-        def command(config_path, seed, threads, output, basis):
+        def command(config_path, seed, output, basis):
             t0 = time.time()
             try:
                 doc = _load_config(config_path)
                 opts = _task_options(doc, name)
                 if seed is None:
                     seed = _as_int(doc.get("seed", 0), "seed")
-                if threads is None:
-                    threads = _as_int(os.environ.get(THREADS_ENV, "1"),
-                                      f"${THREADS_ENV}", text=True)
                 output = output or _optional(doc.get("output"), str, "output")
                 if output and not Path(output).parent.is_dir():
                     raise ConfigError(f"output directory of {output} does not exist")
@@ -414,7 +404,7 @@ def _model_command(name: str, passed=lambda payload: True):
             except EigensolveError as exc:
                 click.echo(f"eigensolve failed: {exc}", err=True)
                 sys.exit(1)
-            payload = _result_skeleton(doc, seed, threads)
+            payload = _result_skeleton(doc, seed)
             payload["tasks"][name.replace("-", "_")] = result
             _emit(payload, output)
             ok = passed(result)

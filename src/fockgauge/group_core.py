@@ -74,9 +74,6 @@ class GroupSpec:
     def class_members(self, c: int) -> np.ndarray:
         return np.flatnonzero(self.class_of == c)
 
-    def class_representatives(self) -> list[int]:
-        return [int(self.class_members(c)[0]) for c in range(self.n_classes)]
-
     def generating_set(self) -> list[int]:
         """Element indices whose products give every element (valid tables only).
 
@@ -596,7 +593,7 @@ def character_table(entry: GroupCatalogEntry) -> CharacterTable:
         raise ValueError("character table per conjugacy class is only defined "
                          "for finite group entries here")
     spec = entry.spec
-    reps = spec.class_representatives()
+    reps = [int(spec.class_members(c)[0]) for c in range(spec.n_classes)]
     chi = np.array([ir.characters[reps] for ir in entry.irreps])
     sizes = np.array([len(spec.class_members(c)) for c in range(spec.n_classes)])
     labels = [spec.element_labels[g] for g in reps]

@@ -11,22 +11,23 @@ top x-link, then U-dagger on the left y-link (counterclockwise circulation).
 
 Placement: every operator reaches the full space one way.  ``_sum_on_span``
 sums the per-factor products of one local piece on the span of factors
-they touch (each a Kronecker chain, ``_kron_rows``) and applies its
-coefficient and h.c. there, giving a block (lo, hi, local), a long one,
-such as the last link's hop, written one range of its leading digits at a
-time; ``_sum_blocks``, the only sum, adds blocks on a span one range
-of its leading factor's digits at a time, placing each block on those rows
-only, into one CSR allocated once; ``_operator``, the one step onto the lattice,
-makes a block a full-space ``Operator`` by ``_place``.  Both place a block
-by ``_digit_rows``, the one writer of I (x) local (x) I, straight in
-canonical CSR with the bits a Kronecker product with complex identities
-gives.  The ``_TERMS`` builders return blocks, so
-the verification suite takes Gauss commutators on their spans; each
-observable is one of those blocks, and H is ``_sum_blocks`` of them on the
-full span, each in float64 when real, but for the tunneling term: its
-link hops, built once per Hamiltonian, stand in H's sum as one block,
-their sum, added range by range with no tunneling block written, and H's
-pieces reuse them.  A vertex Fock matrix is placed on the fermion
+they touch (each a Kronecker chain, ``_kron_chain``) and applies its
+coefficient and h.c. there, giving a block (lo, hi, local).  A link hop is
+such a sum on two factors alone, the fermion factor and its link's: P_l,
+which ``_spread`` writes on its span, I on the links between, by index
+arithmetic one range of fermion digits at a time.  ``_sum_blocks``, the
+only sum, adds blocks on a span one range of its leading factor's digits at
+a time, placing each block on those rows only, into one CSR allocated once;
+``_operator``, the one step onto the lattice, makes a block a full-space
+``Operator`` by ``_place``.  Both place a block by ``_digit_rows``, the one
+writer of I (x) local (x) I, straight in canonical CSR with the bits a
+Kronecker product with complex identities gives.  The ``_TERMS`` builders
+return blocks, so the verification suite takes Gauss commutators on their
+spans; each observable is one of those blocks, and H is ``_sum_blocks`` of
+them on the full span, each in float64 when real, but for the tunneling
+term: its link hops, built once per Hamiltonian, stand in H's sum as one
+block, their sum, added range by range with no tunneling block written,
+and H's pieces reuse them.  A vertex Fock matrix is placed on the fermion
 factor's per-vertex digits.
 
 Gauss law: one star builder, ``_gauss_products``, serves every group (one
@@ -428,16 +429,8 @@ def _sum_on_span(dims: Sequence[int], products: Sequence[dict[int, list[sp.spmat
     The span runs from the first to the last factor any ``{factor:
     [matrices]}`` product touches; each product is the Kronecker chain of
     its factors' matrices (complex identities on the factors it skips,
-    ``_kron_rows``), the products are summed there in order, then the
+    ``_kron_chain``), the products are summed there in order, then the
     coefficient and the h.c. are applied.  No product: a zero block.
-
-    A block whose products place more than two ranges' worth of entries, h.c.
-    included, as a long link hop does, is ``_written`` one range of the
-    leading factor's digits at a time: each chain runs with its leading
-    matrix cut to those rows, and the h.c. rows are the conjugate of coeff
-    times the chains of the transposed factors on the same rows, whose values
-    are those of the transposed sum.  A smaller one is summed whole.  Both
-    give the same bits.
     """
     if not products:
         return 0, 0, sp.csr_matrix((1, 1), dtype=complex)
@@ -446,27 +439,12 @@ def _sum_on_span(dims: Sequence[int], products: Sequence[dict[int, list[sp.spmat
                else sp.identity(dims[factor], dtype=complex, format="csr")
                for factor in range(lo, hi)] or [sp.identity(1, dtype=complex, format="csr")]
               for ops in products]
-    chains = [chain if len(chain) == 1 else [b.sorted_indices() for b in chain] for chain in chains]
-    lead, tails = chains[0][0].shape[0], [math.prod(b.nnz for b in chain[1:]) for chain in chains]
-    counts = sum(np.diff(chain[0].indptr) * tail for chain, tail in zip(chains, tails))
-    if hc:
-        counts = counts + sum(np.bincount(chain[0].indices, minlength=chain[0].shape[1]) * tail
-                              for chain, tail in zip(chains, tails))
-    load = np.cumsum(np.r_[0, counts])
-
-    def summed(side, digits: range) -> sp.csr_matrix:
-        part = reduce(operator.add, (_kron_rows(chain, digits) for chain in side))
-        return coeff * part if coeff != 1 else part
-
-    step = max(SLICE_NNZ, load[-1] // 64)
-    if load[-1] <= 2 * step:
-        local = summed(chains, range(lead))
-        return lo, hi, local + local.conj().T if hc else local
-    adjoint = [[b.T.tocsr() for b in chain] for chain in chains] if hc else []
-    dtype = np.result_type(*(b.dtype for chain in chains for b in chain))
-    return lo, hi, _written(math.prod(dims[lo:hi]), lead, load, step, lambda digits: (
-        summed(chains, digits) + summed(adjoint, digits).conj() if hc
-        else summed(chains, digits)), np.result_type(dtype, coeff) if coeff != 1 else dtype)
+    local = reduce(operator.add, (_kron_chain(chain if len(chain) == 1 else
+                                              [b.sorted_indices() for b in chain])
+                                  for chain in chains))
+    if coeff != 1:
+        local = coeff * local
+    return lo, hi, local + local.conj().T if hc else local
 
 
 def _written(dim: int, lead: int, load: np.ndarray, step: int, rows, dtype) -> sp.csr_matrix:
@@ -495,16 +473,15 @@ def _written(dim: int, lead: int, load: np.ndarray, step: int, rows, dtype) -> s
     return total
 
 
-def _kron_rows(chain: Sequence[sp.csr_matrix], digits: range) -> sp.csr_matrix:
-    """Rows of B_0 (x) B_1 (x) ... whose B_0 row is in ``digits``, in canonical CSR
-    for sorted factors: the values of scipy's chain of ``sp.kron`` calls, bit
-    for bit (each step multiplies the running values, repeated, by the next
-    factor's, in the same array shapes).  The values come out ordered by their
-    factors' entries; when every factor but the last has at most one entry a
-    row, as a hop's have, that is the CSR order, else each is scattered to its
-    place in the rows.  A chain whose product has no entry is a float64 zero,
-    as scipy's is."""
-    first = _row_view(chain[0], digits.start, digits.stop)
+def _kron_chain(chain: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
+    """B_0 (x) B_1 (x) ... in canonical CSR for sorted factors: the values of
+    scipy's chain of ``sp.kron`` calls, bit for bit (each step multiplies the
+    running values, repeated, by the next factor's, in the same array
+    shapes).  The values come out ordered by their factors' entries; when
+    every factor but the last has at most one entry a row, as a hop's have,
+    that is the CSR order, else each is scattered to its place in the rows.
+    A chain whose product has no entry is a float64 zero, as scipy's is."""
+    first = chain[0]
     shape = (first.shape[0] * math.prod(b.shape[0] for b in chain[1:]),
              first.shape[1] * math.prod(b.shape[1] for b in chain[1:]))
     nnz = first.nnz * math.prod(b.nnz for b in chain[1:])
@@ -735,30 +712,81 @@ def _mass_term(model: Model) -> Block:
 
 def _hop_products(model: Model, link: Link):
     """One link's hop eps_l sum_ab psi^dag_a U_ab psi_b (+ h.c.) as the
-    ``_sum_on_span`` arguments (products, coeff, hc): the (a, b) products
-    row-major over the fermion and link factors, eps_l, and the h.c. switch."""
-    gb = model.global_basis
+    ``_sum_on_span`` arguments (products, coeff, hc) on two factors, the
+    fermion factor (0) and the link's (1): the (a, b) products row-major,
+    eps_l, and the h.c. switch.  Each fermion matrix takes one 1+0j multiply
+    per link factor between the two, as the complex identities there give
+    its Kronecker chain on the lattice."""
     u = model.u_tunneling
-    return ([{gb.fermion_factor: [_hop(model, link.origin, a, link.target, b)],
-              gb.link_factor(link.index): [u.entry(a, b).matrix]}
+    between = model.global_basis.link_factor(link.index) - 1
+
+    def fermion(a: int, b: int) -> sp.csr_matrix:
+        hop = _hop(model, link.origin, a, link.target, b)
+        for _ in range(between):
+            hop = hop * (1 + 0j)
+        return hop
+
+    return ([{0: [fermion(a, b)], 1: [u.entry(a, b).matrix]}
              for a in range(u.dim) for b in range(u.dim)],
             model.epsilon[link.index], model.params.include_hc)
 
 
-def _link_hops(model: Model) -> Iterable[Block]:
-    """Each link's ``_hop_products`` summed on its span, in index order."""
+def _link_hops(model: Model) -> Iterable[tuple[int, sp.csr_matrix]]:
+    """Each link's hop as (k, P_l), in index order: its link factor k and P_l,
+    ``_hop_products`` summed on the fermion factor and that one alone."""
+    dims = model.global_basis.factor_dims
     for link in model.lattice.links:
-        yield _sum_on_span(model.global_basis.factor_dims, *_hop_products(model, link))
+        k = model.global_basis.link_factor(link.index)
+        yield k, _sum_on_span([dims[0], dims[k]], *_hop_products(model, link))[2]
+
+
+def _hop_block(dims: Sequence[int], k: int, p: sp.csr_matrix) -> Block:
+    """A hop (k, P) as the block on the factors [0, k + 1) of ``dims``."""
+    return 0, k + 1, _spread(p, dims[0], math.prod(dims[1:k]))
+
+
+def _spread(p: sp.csr_matrix, fermions: int, mid: int) -> sp.csr_matrix:
+    """P, canonical on a fermion factor of ``fermions`` digits and a link
+    factor after it, with I_mid on the factors between them: each row and
+    column (f, x) of P becomes (f, m, x) for every middle digit m.  Index
+    arithmetic only, each value copied, ``_written`` one range of fermion
+    digits at a time with int32 indices where they fit; P itself when
+    nothing lies between (mid = 1)."""
+    if mid == 1:
+        return p
+    link = p.shape[0] // fermions
+    dim = fermions * mid * link
+    load = p.indptr[::link].astype(np.int64) * mid
+
+    def rows(digits: range) -> sp.csr_matrix:
+        part = _row_view(p, digits.start * link, digits.stop * link)
+        index = _index_dtype(dim, part.nnz * mid)
+        # each fermion digit's entries, once per middle digit m
+        starts = part.indptr[::link].astype(index)
+        lengths = np.repeat(np.diff(starts), mid)
+        take = np.arange(part.nnz * mid, dtype=index) + np.repeat(
+            np.repeat(starts[:-1], mid) - (np.cumsum(lengths, dtype=index) - lengths), lengths)
+        cols = part.indices[take].astype(index, copy=False)
+        cols += cols // link * index((mid - 1) * link) + np.repeat(
+            np.tile(np.arange(mid, dtype=index) * index(link), len(digits)), lengths)
+        indptr = np.zeros(len(digits) * mid * link + 1, index)
+        np.cumsum(np.broadcast_to(np.diff(part.indptr).reshape(-1, 1, link),
+                                  (len(digits), mid, link)), out=indptr[1:])
+        return sp.csr_matrix((part.data[take], cols, indptr), shape=(len(indptr) - 1, dim))
+
+    return _written(dim, fermions, load, max(SLICE_NNZ, load[-1] // 32), rows, p.dtype)
 
 
 def _tunneling_term(model: Model) -> Block:
     """sum over links in index order of eps_l sum_ab psi^dag_a U_ab psi_b (+ h.c.):
-    ``_sum_blocks`` adds the ``_link_hops`` on the union of their spans, each
-    link block placed one slice of fermion digits at a time."""
+    ``_sum_blocks`` adds the ``_link_hops``, each written on its span, on the
+    union of their spans, each link block placed one slice of fermion digits
+    at a time."""
     gb = model.global_basis
     return _sum_blocks(gb.factor_dims, *_span(
         factor for link in model.lattice.links
-        for factor in (gb.fermion_factor, gb.link_factor(link.index))), _link_hops(model))
+        for factor in (gb.fermion_factor, gb.link_factor(link.index))),
+        (_hop_block(gb.factor_dims, *hop) for hop in _link_hops(model)))
 
 
 def _electric_term(model: Model) -> Block:
@@ -870,9 +898,10 @@ def observable(model: Model, name: str) -> Operator:
     return _operator(model, block)
 
 
-def _real(block: Block) -> Block:
-    """A block as H takes it: its local normalized (in place), float64 when real."""
-    return block[0], block[1], real_if_close(normalize(block[2]))
+def _real(block):
+    """A block (lo, hi, local) or a hop (k, P) as H takes it: its last part
+    normalized (in place), float64 when real."""
+    return (*block[:-1], real_if_close(normalize(block[-1])))
 
 
 def build_hamiltonian(model: Model) -> Operator:
@@ -882,10 +911,10 @@ def build_hamiltonian(model: Model) -> Operator:
     ``_real``: H is float64 when every term is real, complex128 once a term
     has an imaginary part above DROP_TOL (the tunneling term once a hop
     has).  Only the blocks are held, never a placed term.  The tunneling
-    term is its ``_link_hops``, each built once through ``_real`` and
-    standing in the sum as the block of their sum, so its rows are added
-    one range of fermion digits at a time and no tunneling block is written.
-    With matter, H's pieces are made from the same blocks at their first
+    term is its ``_link_hops``, each written on its span once and taken
+    through ``_real``, standing in the sum as the block of their sum, so its
+    rows are added one range of fermion digits at a time and no tunneling
+    block is written.  With matter, H's pieces are made from the same blocks at their first
     use, so ``eigensolve`` never pays for them and none sits above the
     sum's freed temporaries: the electric and magnetic blocks on the link
     factors (first: ``apply`` then frees its transposed copy before it
@@ -894,7 +923,12 @@ def build_hamiltonian(model: Model) -> Operator:
     piece holds are released.
     """
     dims = model.global_basis.factor_dims
-    hops = [_real(hop) for hop in _link_hops(model)] if "tunneling" in model.terms else []
+    # each hop written, then taken through ``_real`` as every block is: the
+    # other order gives the same bits but frees no hop-sized array, which in
+    # a fresh process leaves glibc's mmap threshold below the temporaries of
+    # the sum and of ``apply``, so they page-fault on every use
+    hops = ([_real(_hop_block(dims, *hop)) for hop in _link_hops(model)]
+            if "tunneling" in model.terms else [])
     blocks = {name: (0, len(dims), hops) if name == "tunneling" else _real(_TERMS[name](model))
               for name in model.terms}
 

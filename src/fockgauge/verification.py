@@ -22,21 +22,23 @@ is the product of its parts' largest entries, so the residual is
 max |[S_A, T_A]| times the largest entry of each factor of S outside the
 span.  A Lie generator is a sum of one-factor pieces, and the pieces outside
 the span commute with T exactly and are dropped.  max |T - T^dag| on the span
-is the full-space value.  The tunneling term is never summed whole: its
-Hermiticity is that of its link hops' sum, and each hop, as H takes it, is
-read as P_l (x) I with an exact defect (``_split_hop``).  Each S of vertex v
-meets T = sum_l P_l (x) I on v's star (the fermion factor and v's link
-factors), and each other link's P_l on the fermion factor and that link's;
-when every defect and off-star part is 0, the star's residual is the exact
+is the full-space value.  The tunneling term is never summed whole: it is
+read as its link hops, each the local block P_l on the fermion factor and
+its link's (``_link_hops``, as H takes it), written on a span no wider than
+a vertex star.  Its Hermiticity is that of the hops' sum, from the nonzero
+P_l - P_l^dag alone, which only a faulty hop has; those are written on
+their spans and added one range of fermion digits at a time.  Each S of
+vertex v meets T = sum_l P_l (x) I on v's star (the fermion factor and v's
+link factors), and each other link's P_l on the fermion factor and that
+link's; when every off-star part is 0, the star's residual is the exact
 full-space max |S T - T S| for H's own hops.  There S also meets the
 vacuum, one block of columns at a time.  No operator is built on the full
 space.  The rep/group agreement converts the mirror model's H one link
 factor at a time.
 
-At its peak ``verify_model`` holds the link hops, each as H takes it
-(``_real``: float64 when real), the last one written one range of fermion
-digits at a time into arrays allocated once, and the index arrays of one
-SPLIT_NNZ slice of their split.
+At its peak ``verify_model`` holds the link hops' P_l, each on two factors
+(``_real``: float64 when real), and one star's operators: no Hermitian hop
+is placed on more than a star's factors.
 """
 
 from __future__ import annotations
@@ -58,9 +60,11 @@ from .lattice_model import (
     Model,
     _digit_sums,
     _gauss_products,
+    _hop_block,
     _link_hops,
     _place,
     _real,
+    _sum_blocks,
     _sum_on_span,
     _TERMS,
     build_hamiltonian,
@@ -76,7 +80,6 @@ COVARIANCE_SAMPLES = 20
 
 TIGHT = 1e-12
 LOOSE = 1e-10
-SPLIT_NNZ = 1 << 15    # stored entries of a link hop per slice of its two-factor reading
 
 
 def verify_model(model: Model, seed: int = 0) -> ValidationReport:
@@ -247,36 +250,33 @@ def _on_span(dims, factors, pieces) -> sp.csr_matrix:
 
 
 def _star_residual(model: Model, probes, vacuum=None, hops=None, symmetry=None) -> float:
-    """max |S T - T S| over T = sum_l P_l (x) I, ``hops[l]`` being P_l's
-    ``_split_hop`` products (by default split from ``_link_hops``), and each
-    vertex v's Gauss operators or generators S (``_gauss_products`` of each
-    probe, or the vertex-major ``symmetry``): on v's star (the fermion factor
-    and v's link factors) against the P_l of v's links, each link once, and
-    on the fermion factor and link l's for each other l, where S has its
-    fermion part alone.  Given a list ``vacuum``, it gets |S vac - vac|
-    (|G vac| for a generator), taken on the star's axes of ``vacuum_state``."""
+    """max |S T - T S| over T = sum_l P_l (x) I, ``hops`` being the (k, P_l)
+    (by default ``_link_hops`` through ``_real``), and each vertex v's Gauss
+    operators or generators S (``_gauss_products`` of each probe, or the
+    vertex-major ``symmetry``): on v's star (the fermion factor and v's link
+    factors) against the P_l on its link factors, each written there once,
+    and on the fermion factor and link factor k of each other P_l, where S
+    has its fermion part alone.  Given a list ``vacuum``, it gets |S vac -
+    vac| (|G vac| for a generator), taken on the star's axes of
+    ``vacuum_state``."""
     gb = model.global_basis
     dims = gb.factor_dims
     vac = None if vacuum is None else vacuum_state(model).reshape(dims)
     symmetry = symmetry or [_gauss_products(model, v, **probe)
                             for v in range(model.lattice.n_vertices) for probe in probes]
-    if hops is None:
-        hops = [_split_hop(dims, gb.link_factor(link.index), _real(hop))[0]
-                for link, hop in zip(model.lattice.links, _link_hops(model))]
-    pairs = [[0, gb.link_factor(l)] for l in range(len(hops))]
-    worst, on_pairs = [], [_on_span(dims, pair, products) for pair, products in zip(pairs, hops)]
+    hops = [_real(hop) for hop in _link_hops(model)] if hops is None else hops
+    worst = []
     for v in range(model.lattice.n_vertices):
         links = sorted({link.index for link, _ in model.lattice.links_at_vertex(v)})
         star = ([gb.fermion_factor] if gb.has_matter else []) + [*map(gb.link_factor, links)]
-        size = math.prod(dims[f] for f in star)
+        sub = [dims[f] for f in star]
         at_v = symmetry[v * len(probes):(v + 1) * len(probes)]
         ops = [_on_span(dims, star, products) for products in at_v]
         if hops:
-            worst.append(_commutator_residual(sum(
-                (_on_span(dims, star, hops[l]) for l in links), sp.csr_matrix((size, size))), ops))
-        worst += [_commutator_residual(on_pairs[l], [_on_span(dims, pairs[l], products)
-                                                     for products in at_v])
-                  for l in range(len(hops)) if l not in links]
+            worst.append(_commutator_residual(_sum_blocks(sub, 0, len(sub), [
+                _hop_block(sub, star.index(k), p) for k, p in hops if k in star])[2], ops))
+        worst += [_commutator_residual(p, [_on_span(dims, [0, k], products) for products in at_v])
+                  for k, p in hops if k not in star]
         if vac is not None:
             squares = np.zeros(len(ops))
             for columns in _star_columns(vac, star):
@@ -287,44 +287,6 @@ def _star_residual(model: Model, probes, vacuum=None, hops=None, symmetry=None) 
                     squares[i] += np.vdot(d, d).real
             vacuum += [math.sqrt(square) for square in squares]
     return max_abs(worst)
-
-
-def _split_hop(dims, factor: int, block):
-    """(products, defect): a link hop (lo, hi, local) read as P (x) I, P the
-    block's rows and columns at digit 0 of every factor but the fermion factor
-    and ``factor``, as products {0: [P_xy], factor: [e_x e_y^T]}, one per
-    link digit pair (x, y) it holds.  The defect max |local - P (x) I| is
-    exact, from the stored entries, one SPLIT_NNZ slice at a time, by
-    mixed-radix index arithmetic: 0.0 exactly when the hop has the form.  A
-    hop whose span does not run from the fermion factor to ``factor`` has
-    no products and defect inf."""
-    lo, hi, local = block
-    if lo or not 0 < factor < hi:
-        return [], math.inf
-    shape = (dims[0], math.prod(dims[1:factor]), dims[factor], math.prod(dims[factor + 1:hi]))
-    d, n = shape[2], shape[0] * shape[2]
-    at_zero = (np.arange(shape[0])[:, None] * shape[1] * d + np.arange(d)).ravel() * shape[3]
-    p = local[at_zero][:, at_zero].sorted_indices().tocoo()
-    # P's entries in row-major order, then a sentinel that no index reaches
-    keys, values = np.r_[p.row * n + p.col, n * n], np.r_[p.data, 0]
-    copies, worst = np.zeros(len(keys), np.int64), []
-    for r0, r1 in _row_slices(local.indptr, SPLIT_NNZ):
-        part = _row_view(local, r0, r1)
-        # the (fermion, middle, link, last) digits of each entry's row and column
-        rows = np.unravel_index(np.repeat(np.arange(r0, r1), np.diff(part.indptr)), shape)
-        cols = np.unravel_index(part.indices, shape)
-        key = (rows[0] * d + rows[2]) * n + cols[0] * d + cols[2]
-        at = np.searchsorted(keys, key)
-        hit = (rows[1] == cols[1]) & (rows[3] == cols[3]) & (keys[at] == key)
-        worst.append(max_abs(part.data - np.where(hit, values[at], 0)))
-        copies += np.bincount(at[hit], minlength=len(keys))
-    # an entry of P with fewer copies than the other factors' digit tuples lacks one
-    defect = max_abs([*worst, max_abs(values[copies < shape[1] * shape[3]])])
-    xy = p.row % d * d + p.col % d    # each entry's link digits (x, y)
-    return [{0: [sp.csr_matrix((p.data[at], (p.row[at] // d, p.col[at] // d)),
-                               shape=(shape[0], shape[0]))],
-             factor: [sp.csr_matrix(([1.0], ([pair // d], [pair % d])), shape=(d, d))]}
-            for pair in np.unique(xy) for at in [xy == pair]], defect
 
 
 def _star_columns(vec: np.ndarray, star):
@@ -347,7 +309,8 @@ def _check_hamiltonian(model: Model, report: ValidationReport):
     herm, blocks = [], {}
     for name in model.terms:
         try:
-            # the tunneling term as its link hops, each as H takes it: never summed whole
+            # the tunneling term as its link hops (k, P_l), each P_l as H takes
+            # it: never summed whole
             blocks[name] = ([_real(hop) for hop in _link_hops(model)] if name == "tunneling"
                             else _TERMS[name](model))
         except ValueError as exc:
@@ -360,24 +323,18 @@ def _check_hamiltonian(model: Model, report: ValidationReport):
     if not blocks:
         return
 
-    commutes, vacuum, hop_products = {name: [] for name in blocks}, [], []
+    commutes, vacuum, hops = {name: [] for name in blocks}, [], []
     if "tunneling" in blocks:
         hops = blocks.pop("tunneling")
-        # T - T^dag: the hops' nonzero b - b^dag, added one range of fermion digits at a time
+        # T - T^dag: the hops' nonzero P_l - P_l^dag written on their spans,
+        # added one range of fermion digits at a time
         load, _, rows = _digit_sums(dims, 0, len(dims), [
-            (lo, hi, hop - hop.conj().T) for lo, hi, hop in hops if hermiticity_residual(hop)])
+            _hop_block(dims, k, p - p.conj().T) for k, p in hops if hermiticity_residual(p)])
         herm.append(max_abs([max_abs(rows(range(t0, t1))) for t0, t1 in _row_slices(load)]))
-        # each hop read as P_l (x) I: its defect, and P_l's products for the
-        # stars; the hops are freed before the star pass
-        split = [_split_hop(dims, model.global_basis.link_factor(link.index), hop)
-                 for link, hop in zip(model.lattice.links, hops)]
-        del hops, rows
-        hop_products = [products for products, _ in split]
-        commutes["tunneling"] = [defect for _, defect in split]
     # each S meets T_v and the vacuum on its star;
     # sum G^2 vac = 0 iff G vac = 0 for each Hermitian generator G, and
     # P_v vac = vac iff Theta_v(s) vac = vac for each element s of a generating set
-    star = _star_residual(model, probes, vacuum, hop_products, symmetry)
+    star = _star_residual(model, probes, vacuum, hops, symmetry)
     if "tunneling" in commutes:
         commutes["tunneling"].append(star)
     # and on the span of each other block

@@ -6,8 +6,8 @@ arithmetic, scipy Kronecker products, whole-matrix formulas, Lanczos with
 full reorthogonalization, full-space sums over generators, plaquettes and
 links, the product of the vertex averages, a running sum of whole placed
 blocks, a transposed copy of the values, link hops as whole Kronecker
-chains, H as the sum of whole term blocks) so that a test can check the
-production construction.
+chains, a hop spread by Kronecker products, H as the sum of whole term
+blocks) so that a test can check the production construction.
 """
 
 import math
@@ -435,6 +435,25 @@ def link_hops_by_kron(model: Model):
         if model.params.include_hc:
             local = local + local.conj().T
         yield 0, k + 1, local
+
+
+def spread_by_kron(p, fermions, mid):
+    """P with I_mid between its two factors as the sum over its link digit
+    pairs (x, y) of sp.kron(P_xy, I_mid, e_x e_y^T), taken on P's 1-based
+    entry numbers, which are exact and never zero, then replaced by P's
+    values: the structure of scipy's Kronecker products, each value copied."""
+    link = p.shape[0] // fermions
+    numbers = sp.csr_matrix((np.arange(1.0, p.nnz + 1), p.indices, p.indptr), shape=p.shape)
+    dense = numbers.toarray().reshape(fermions, link, fermions, link)
+    total = sp.csr_matrix((fermions * mid * link,) * 2)
+    for x in range(link):
+        for y in range(link):
+            unit = sp.csr_matrix(([1.0], ([x], [y])), shape=(link, link))
+            total = total + sp.kron(sp.kron(sp.csr_matrix(dense[:, x, :, y]), sp.identity(mid)),
+                                    unit, format="csr")
+    total.sort_indices()
+    return sp.csr_matrix((p.data[total.data.astype(np.int64) - 1], total.indices, total.indptr),
+                         shape=total.shape)
 
 
 def sum_blocks_running(dims, lo: int, hi: int, blocks):

@@ -374,8 +374,7 @@ def test_epsilon_spellings_resolve_per_link(tmp_path, lx, epsilon, expected):
                                      "vortex-masses"])
 @pytest.mark.parametrize("env,overrides", [
     ({}, {"seed": "abc"}),
-    ({"FOCKGAUGE_THREADS": "x"}, {}),
-], ids=["seed", "threads-env"])
+], ids=["seed"])
 def test_non_integer_seed_or_threads_exit_2_with_one_line(runner, tmp_path,
                                                           command, env, overrides):
     cfg = write_config(tmp_path / "bad.yaml", **overrides)
@@ -388,6 +387,27 @@ def test_non_integer_seed_or_threads_exit_2_with_one_line(runner, tmp_path,
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("command", ["verify", "spectrum", "observables",
+                                     "vortex-masses"])
+def test_thread_count_is_neither_an_option_nor_read_from_the_environment(
+        runner, tmp_path, command):
+    # --threads is refused as an unknown option before anything is written,
+    # and $FOCKGAUGE_THREADS, even one that is no integer, changes no byte
+    cfg = write_config(tmp_path / "cfg.yaml")
+    out, env_out = tmp_path / "out.json", tmp_path / "env.json"
+    result = runner.invoke(main, [command, "-c", str(cfg), "-o", str(out),
+                                  "--threads", "2"])
+    assert result.exit_code == 2, result.output
+    assert "--threads" in result.output and not out.exists()
+    assert runner.invoke(main, [command, "-c", str(cfg), "-o", str(out)]).exit_code == 0
+    result = runner.invoke(main, [command, "-c", str(cfg), "-o", str(env_out)],
+                           env={"FOCKGAUGE_THREADS": "x"})
+    assert result.exit_code == 0, result.output
+    assert env_out.read_bytes() == out.read_bytes()
+    assert "threads" not in json.loads(out.read_text())
+
+
 def test_determinism_identical_runs(runner, tmp_path):
     cfg = write_config(tmp_path / "cfg.yaml")
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -397,23 +417,19 @@ def test_determinism_identical_runs(runner, tmp_path):
 
 
 def test_determinism_across_threads(runner, tmp_path):
+    # the result is a function of the configuration and seed alone: two runs
+    # of one config write the same bytes, with no thread count in them
     cfg = write_config(tmp_path / "cfg.yaml",
                        group={"builtin": "D3"},
                        lattice={"lx": 2, "ly": 2, "boundary": "open",
                                 "include_matter": False},
                        tasks=[{"spectrum": {"k": 6}}])
-    out1, out4 = tmp_path / "t1.json", tmp_path / "t4.json"
-    r1 = runner.invoke(main, ["spectrum", "-c", str(cfg), "-o", str(out1),
-                              "--threads", "1"])
-    r4 = runner.invoke(main, ["spectrum", "-c", str(cfg), "-o", str(out4),
-                              "--threads", "4"])
-    assert r1.exit_code == 0 and r4.exit_code == 0
-    a = json.loads(out1.read_text())
-    b = json.loads(out4.read_text())
-    assert a["tasks"] == b["tasks"]
-    vals1 = np.array(a["tasks"]["spectrum"]["eigenvalues"])
-    vals4 = np.array(b["tasks"]["spectrum"]["eigenvalues"])
-    assert np.abs(vals1 - vals4).max() <= 1e-12
+    out1, out2 = tmp_path / "t1.json", tmp_path / "t2.json"
+    r1 = runner.invoke(main, ["spectrum", "-c", str(cfg), "-o", str(out1)])
+    r2 = runner.invoke(main, ["spectrum", "-c", str(cfg), "-o", str(out2)])
+    assert r1.exit_code == 0 and r2.exit_code == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    assert "threads" not in json.loads(out1.read_text())
 
 
 def test_seed_recorded_and_overridable(runner, tmp_path):
@@ -457,18 +473,6 @@ def test_basis_flag_overrides_config(runner, tmp_path):
     vg = np.array(json.loads(out_g.read_text())["tasks"]["spectrum"]["eigenvalues"])
     vr = np.array(json.loads(out_r.read_text())["tasks"]["spectrum"]["eigenvalues"])
     assert np.abs(vg - vr).max() < 1e-10
-
-
-def test_threads_env_var_honored_and_overridden(runner, tmp_path, monkeypatch):
-    cfg = write_config(tmp_path / "cfg.yaml")
-    out = tmp_path / "env.json"
-    monkeypatch.setenv("FOCKGAUGE_THREADS", "3")
-    assert runner.invoke(main, ["spectrum", "-c", str(cfg),
-                                "-o", str(out)]).exit_code == 0
-    assert json.loads(out.read_text())["threads"] == 3
-    assert runner.invoke(main, ["spectrum", "-c", str(cfg), "-o", str(out),
-                                "--threads", "2"]).exit_code == 0
-    assert json.loads(out.read_text())["threads"] == 2
 
 
 @pytest.mark.parametrize("k,line", [

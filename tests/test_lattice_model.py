@@ -29,7 +29,7 @@ from fockgauge.link_space import BasisMismatchError, identity_operator, projecto
 from fockgauge.matter_space import theta_q
 from fockgauge.operators import HERMITICITY_TOL
 from oracles import (decode, digit_array, hamiltonian_by_terms, link_hops_by_kron,
-                     physical_basis_by_average_product, sum_blocks_running)
+                     physical_basis_by_average_product, spread_by_kron, sum_blocks_running)
 
 
 def _mabs(mat):
@@ -954,17 +954,29 @@ def _hop_model(name, include_hc):
                                   "d3-torus-rep", "su2-ring"])
 def test_link_hops_equal_the_kronecker_chains_bit_for_bit(monkeypatch, name, include_hc,
                                                           slice_nnz):
-    # with 4 stored entries a slice, every hop is written range by range, the
-    # h.c. rows from the transposed chains
+    # each P_l written on its span; the hop with a link factor between its
+    # two is written in one range of fermion digits, or with 4 stored
+    # entries a slice in several
     import fockgauge.lattice_model as lm
 
-    written = []
+    ranges = []
     if slice_nnz:
         monkeypatch.setattr(lm, "SLICE_NNZ", slice_nnz)
-        real_written = lm._written
-        monkeypatch.setattr(lm, "_written", lambda *args: written.append(args) or real_written(*args))
+    written = lm._written
+
+    def counting(dim, lead, load, step, rows, dtype):
+        ranges.append(0)
+
+        def counted(digits):
+            ranges[-1] += 1
+            return rows(digits)
+
+        return written(dim, lead, load, step, counted, dtype)
+
+    monkeypatch.setattr(lm, "_written", counting)
     model = _hop_model(name, include_hc)
-    hops = list(lm._link_hops(model))
+    dims = model.global_basis.factor_dims
+    hops = [lm._hop_block(dims, *hop) for hop in lm._link_hops(model)]
     expected = list(link_hops_by_kron(model))
     assert len(hops) == len(expected) == model.lattice.n_links
     for (lo, hi, got), (want_lo, want_hi, want) in zip(hops, expected):
@@ -973,32 +985,64 @@ def test_link_hops_equal_the_kronecker_chains_bit_for_bit(monkeypatch, name, inc
         for part in ("indptr", "indices", "data"):
             ours, theirs = getattr(got, part), getattr(want, part)
             assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), part
-    assert len(written) == (len(hops) if slice_nnz else 0)
+    # link 0's P_l is its block; link 1's has link 0's factor between its two
+    assert len(ranges) == 1
+    assert ranges[0] > 1 if slice_nnz else ranges[0] == 1
 
 
 def test_last_link_hop_of_l1_peaks_below_twice_its_bytes():
     # L1: D3 2x2 open with matter in the group basis.  The last link's hop
     # spans every factor: 552 960 entries, 11.8 MiB of complex128 values and
     # int32 indices.  Summing its four Kronecker products whole, scaling a
-    # copy and adding a conjugated transposed copy peaked at 2.7x that
+    # copy and adding a conjugated transposed copy peaked at 2.7x that; its
+    # P_l (2 560 entries) written on the span one range at a time does not
     lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
     model = Model(build_builtin("D3"), lat,
                   ModelParams(mass=1.0, epsilon=0.7, coupling=1.3, electric_weights=D3_WEIGHTS),
                   basis_tag="group")
     import fockgauge.lattice_model as lm
 
+    dims = model.global_basis.factor_dims
     hops = lm._link_hops(model)
     for _ in range(model.lattice.n_links - 1):
         next(hops)
     tracemalloc.start()
     try:
-        lo, hi, hop = next(hops)
+        lo, hi, hop = lm._hop_block(dims, *next(hops))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (lo, hi, hop.nnz) == (0, len(model.global_basis.factor_dims), 552_960)
+    assert (lo, hi, hop.nnz) == (0, len(dims), 552_960)
     kept = hop.data.nbytes + hop.indices.nbytes + hop.indptr.nbytes
     assert peak < 2 * kept, peak / kept
+
+
+@pytest.mark.parametrize("mid", [1, 6, 216])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_spread_equals_the_kronecker_product_bit_for_bit(kind, mid):
+    # random P on 8 fermion digits and 3 link digits, with signed zeros
+    # stored among its values: every value is copied, none is summed
+    import fockgauge.lattice_model as lm
+
+    rng = np.random.default_rng(mid)
+    fermions, link = 8, 3
+    n = fermions * link
+    p = sp.random(n, n, density=0.3, format="csr", random_state=rng)
+    values = rng.standard_normal(p.nnz)
+    if kind == "complex":
+        values = values + 1j * rng.standard_normal(p.nnz)
+        values[::5] = complex(0.0, -0.0)
+        values[1::5] = complex(-0.0, 0.0)
+    else:
+        values[::5] = -0.0
+    p = sp.csr_matrix((values, p.indices, p.indptr), shape=p.shape)
+    p.sort_indices()
+    got = lm._spread(p, fermions, mid)
+    want = spread_by_kron(p, fermions, mid)
+    assert got.shape == want.shape and got.has_canonical_format
+    for part in ("indptr", "indices", "data"):
+        ours, theirs = getattr(got, part), getattr(want, part)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), part
 
 
 # ---------------------------------------------------------------------------

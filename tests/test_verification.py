@@ -163,15 +163,17 @@ def _sign_flipped_tunneling(model):
 
 
 def _sign_flipped_link_hops(model):
-    """The link hops with the (0, 0) piece of link 0 and its h.c. negated."""
-    gb = model.global_basis
-    for link, (lo, hi, local) in zip(model.lattice.links, lattice_model._link_hops(model)):
-        if link.index == 0:
-            piece = model.epsilon[0] * lattice_model._sum_on_span(gb.factor_dims, [{
-                gb.fermion_factor: [lattice_model._hop(model, link.origin, 0, link.target, 0)],
-                gb.link_factor(0): [model.u_tunneling.entry(0, 0).matrix]}])[2]
-            local = local - 2 * (piece + piece.conj().T)
-        yield lo, hi, local
+    """The link hops (k, P_l) with the (0, 0) piece of link 0's P_l and its
+    h.c. negated."""
+    dims = model.global_basis.factor_dims
+    link = model.lattice.links[0]
+    for k, p in lattice_model._link_hops(model):
+        if k == model.global_basis.link_factor(0):
+            piece = model.epsilon[0] * lattice_model._sum_on_span([dims[0], dims[k]], [{
+                0: [lattice_model._hop(model, link.origin, 0, link.target, 0)],
+                1: [model.u_tunneling.entry(0, 0).matrix]}])[2]
+            p = p - 2 * (piece + piece.conj().T)
+        yield k, p
 
 
 @pytest.mark.parametrize("name,params,basis", [
@@ -468,10 +470,10 @@ def test_verify_model_l1_never_holds_a_full_space_block():
 
 
 def test_verify_model_l1_holds_its_hops_as_h_takes_them():
-    # L1 as above.  The hops are kept in float64, as H takes them (9.9 MiB, not
-    # 15.0), the last one is written one range of fermion digits at a time,
-    # and the vacuum norms are taken one block of columns at a time: 34.0 MiB
-    # before, when the last hop was summed whole
+    # L1 as above.  The hops are kept in float64, as H takes them, and the
+    # vacuum norms are taken one block of columns at a time: 34.0 MiB before,
+    # when the last hop was summed whole, and 21.1 MiB with the hops written
+    # on their spans; held as P_l on their two factors, 11.8 MiB
     lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
     params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3,
                          electric_weights={"I": 0.0, "p": 1.0, "2": 1.0})
@@ -631,29 +633,26 @@ def test_hermiticity_of_overlapping_hops_is_that_of_their_sum(basis, expected):
 
 
 def _misplaced_hops(model):
-    """The link hops with link 0's hop carrying its U on link 1's factor."""
+    """The link hops (k, P_l), link 0's P_l yielded on link 1's factor."""
     gb = model.global_basis
-    moved = {gb.link_factor(0): gb.link_factor(1)}
-    for link in model.lattice.links:
-        products, coeff, hc = lattice_model._hop_products(model, link)
-        if link.index == 0:
-            products = [{moved.get(f, f): mats for f, mats in ops.items()}
-                        for ops in products]
-        yield lattice_model._sum_on_span(gb.factor_dims, products, coeff, hc)
+    for k, p in lattice_model._link_hops(model):
+        yield (gb.link_factor(1) if k == gb.link_factor(0) else k), p
 
 
 def _misplaced_tunneling(model):
     """The tunneling block summed from ``_misplaced_hops``: Hermitian, but not
     gauge invariant."""
     dims = model.global_basis.factor_dims
-    return lattice_model._sum_blocks(dims, 0, len(dims), _misplaced_hops(model))
+    return lattice_model._sum_blocks(dims, 0, len(dims), (
+        lattice_model._hop_block(dims, *hop) for hop in _misplaced_hops(model)))
 
 
-def test_probe_sees_a_hop_placed_on_the_wrong_link(monkeypatch):
-    # the star pass rebuilds T_v from the library's hops, so only the seeded
-    # range of fermion digits of the probe, whose rows are placed from the
-    # hops verification reads, can see this fault; with 16 stored entries a
-    # slice each range holds about one digit
+def test_a_hop_placed_on_the_wrong_link_fails_the_tunneling_check(monkeypatch):
+    # D3 2x1 ring: links 0 and 1 join vertices 0 and 1 in opposite
+    # directions, so link 0's P_l on link 1's factor is Hermitian but meets
+    # the Gauss law at its ends the wrong way round; the star pass, which
+    # reads every stored entry of every P_l, sees it at every seed, also
+    # with 16 stored entries a row slice
     monkeypatch.setattr(operators, "SLICE_NNZ", 16)
     monkeypatch.setattr(verification, "_link_hops", _misplaced_hops)
     model = _d3_ring("rep")
@@ -665,38 +664,67 @@ def test_probe_sees_a_hop_placed_on_the_wrong_link(monkeypatch):
                   if not c.passed}
         assert failed.get("model.gauss_commutes_with_tunneling", 0.0) > 0.1, (seed, failed)
         assert "model.gauss_commutes_with_mass" not in failed
-    assert verification._star_residual(model, _probes(model)) <= 1e-10
+    assert verification._star_residual(model, _probes(model)) > 0.1
 
 
-def test_tunneling_hops_are_each_split_once_with_no_defect(monkeypatch):
-    # L1: D3 2x2 open with matter in the group basis.  Its tunneling block
-    # (2 211 840 stored entries) is never built: each of its 4 link hops is
-    # read once as P_l (x) I, exactly, and every hop has that form
+def test_verify_model_l1_writes_no_tunneling_block_wider_than_a_star(monkeypatch):
+    # L1: D3 2x2 open with matter in the group basis.  A vertex star, the
+    # fermion factor and two link factors, has 256 * 6 * 6 = 9 216 rows.
+    # The last link's hop placed on the lattice spans every factor (331 776
+    # rows, 552 960 entries) and the tunneling block 2 211 840 entries; the
+    # hops are read once, as P_l on their two factors, and nothing written
+    # while verifying, by ``_written`` or as a summed block, is wider than a
+    # star
     lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
-    params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3, electric_weights=D3_WEIGHTS,
-                         terms=("mass", "tunneling"))
+    params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3, electric_weights=D3_WEIGHTS)
     model = Model(build_builtin("D3"), lat, params, basis_tag="group")
-    built, splits = [], []
+    rows, reads = [], []
+    written, summed, link_hops = (lattice_model._written, lattice_model._sum_on_span,
+                                  verification._link_hops)
 
-    def tunneling(model):
-        block = lattice_model._tunneling_term(model)
-        built.append(block[2])
+    def unbuildable(model):
+        raise AssertionError("built the whole tunneling term")
+
+    def summing(*args):
+        block = summed(*args)
+        rows.append(block[2].shape[0])
         return block
 
-    split_hop = verification._split_hop
-
-    def counting(dims, factor, block):
-        splits.append((factor, *split_hop(dims, factor, block)))
-        return splits[-1][1:]
-
-    monkeypatch.setitem(lattice_model._TERMS, "tunneling", tunneling)
-    monkeypatch.setattr(verification, "_split_hop", counting)
+    monkeypatch.setattr(lattice_model, "_written",
+                        lambda dim, *args: rows.append(dim) or written(dim, *args))
+    monkeypatch.setattr(lattice_model, "_sum_on_span", summing)
+    monkeypatch.setattr(verification, "_sum_on_span", summing)
+    monkeypatch.setattr(verification, "_link_hops",
+                        lambda model: reads.append(model) or link_hops(model))
+    monkeypatch.setitem(lattice_model._TERMS, "tunneling", unbuildable)
     report = verify_model(model, seed=1)
     assert report.passed, str(report.first_failure())
-    assert not built
-    gb = model.global_basis
-    assert [factor for factor, _, _ in splits] == [gb.link_factor(l) for l in range(4)]
-    assert all(products and defect == 0.0 for _, products, defect in splits)
+    assert reads == [model]
+    assert max(rows) == 9216, max(rows)
+
+
+def _one_value_changed(model):
+    """The link hops (k, P_l), the last P_l with one stored value changed by 0.5."""
+    hops = list(lattice_model._link_hops(model))
+    k, p = hops[-1]
+    p = p.copy()
+    p.data[p.nnz // 2] += 0.5
+    return hops[:-1] + [(k, p)]
+
+
+def test_one_wrong_entry_fails_the_tunneling_check_at_every_seed(monkeypatch):
+    # D3 2x1 ring in the rep basis.  With 16 stored entries a slice, each
+    # slice holds about one fermion digit, so a check that read only the
+    # slices a seed picks would miss the entry at some seeds; the star pass
+    # reads every stored entry of every P_l at every seed
+    monkeypatch.setattr(operators, "SLICE_NNZ", 16)
+    monkeypatch.setattr(verification, "_link_hops", _one_value_changed)
+    model = _d3_ring("rep")
+    for seed in range(10):
+        failed = {c.name: c.residual for c in verify_model(model, seed=seed).checks
+                  if not c.passed}
+        assert failed.get("model.gauss_commutes_with_tunneling", 0.0) > 0.1, (seed, failed)
+
 
 
 def _ring(name, basis, **params):
@@ -707,99 +735,63 @@ def _ring(name, basis, **params):
                  ModelParams(mass=0.8, epsilon=0.6, coupling=1.2), basis_tag=basis)
 
 
-def _dense_defect(dims, factor, block):
-    """max |local - P (x) I| on dense arrays, P the block's rows and columns at
-    digit 0 of every factor of its span but the fermion factor and ``factor``."""
-    lo, hi, local = block
-    shape = (dims[0], int(np.prod(dims[1:factor])), dims[factor],
-             int(np.prod(dims[factor + 1:hi])))
-    full = local.toarray().reshape(shape + shape)
-    two = full[:, 0, :, 0, :, 0, :, 0]
-    placed = np.einsum("iajb,mn,pq->imapjnbq", two, np.eye(shape[1]), np.eye(shape[3]))
-    return max_abs(full - placed)
-
-
-def _hop_faults(local, fermion_dim, link_dim):
-    """The last link's hop with one fault each: an entry off the diagonal of
-    the other link factors' digits, one stored entry removed, and one stored
-    value changed."""
-    inner = local.shape[1] // fermion_dim    # the link factors' digit tuples
-    rows = np.repeat(np.arange(local.shape[0]), np.diff(local.indptr))
-    k = local.nnz // 2
-    r, c = rows[k], local.indices[k]
-    # the same fermion and last-link digits, the next digit tuple of the others
-    moved = c - c % inner + (c % inner + link_dim) % inner
-    off = local + sp.csr_matrix(([0.5], ([r], [moved])), shape=local.shape)
-    kept = np.arange(local.nnz) != local.nnz - 1
-    removed = sp.csr_matrix((local.data[kept], (rows[kept], local.indices[kept])),
-                            shape=local.shape)
-    wrong = local.copy()
-    wrong.data[k] += 0.25
-    return {"off-diagonal": off, "removed": removed, "wrong value": wrong}
-
-
-DEFECT_MODELS = RING_MODELS + [
+HOP_MODELS = RING_MODELS + [
     lambda: _ring("Z_N", "group", N=3), lambda: _ring("Z_N", "rep", N=3),
     lambda: _ring("U1_trunc", "rep", P=1)]
-DEFECT_IDS = RING_IDS + ["z3-ring-group", "z3-ring-rep", "u1-ring"]
+HOP_IDS = RING_IDS + ["z3-ring-group", "z3-ring-rep", "u1-ring"]
 
 
-@pytest.mark.parametrize("make_model", DEFECT_MODELS, ids=DEFECT_IDS)
-def test_hop_defect_equals_the_dense_one(make_model):
-    # each link hop as H takes it has the form P_l (x) I, defect 0.0; the last
-    # hop, with another link factor between its two, under three faults has
-    # the defect of the dense oracle
+def _dense_hop(dims, k, p):
+    """P on the fermion factor and link factor k, placed on every factor by
+    numpy alone: dense identities on the factors between and after."""
+    shape = (dims[0], int(np.prod(dims[1:k])), dims[k], int(np.prod(dims[k + 1:])))
+    two = p.toarray().reshape(dims[0], dims[k], dims[0], dims[k])
+    placed = np.einsum("iajb,mn,pq->imapjnbq", two, np.eye(shape[1]), np.eye(shape[3]))
+    return placed.reshape((int(np.prod(shape)),) * 2)
+
+
+@pytest.mark.parametrize("make_model", HOP_MODELS, ids=HOP_IDS)
+def test_each_hop_as_h_takes_it_is_its_p_l_on_two_factors(monkeypatch, make_model):
+    # every link hop that H takes is its P_l, on the fermion factor and the
+    # link's factor, with identities on the factors between, value for value
+    # against a dense placement; and with one value of the last P_l changed,
+    # the report's Hermiticity and the star pass read the full-space residuals
+    # of the faulty term
     model = make_model()
     gb = model.global_basis
     dims = gb.factor_dims
-    hops = [lattice_model._real(hop) for hop in lattice_model._link_hops(model)]
-    for link, hop in zip(model.lattice.links, hops):
-        products, defect = verification._split_hop(dims, gb.link_factor(link.index), hop)
-        assert products and defect == 0.0 == _dense_defect(dims, gb.link_factor(link.index), hop)
-    factor = gb.link_factor(model.lattice.links[-1].index)
-    # a hop whose span stops short of its link's factor is no P (x) I there
-    assert verification._split_hop(dims, factor, hops[0]) == ([], np.inf)
-    lo, hi, local = hops[-1]
-    assert (lo, hi) == (0, len(dims)) and len(dims) > 2
-    for fault, faulty in _hop_faults(local, dims[0], dims[factor]).items():
-        defect = verification._split_hop(dims, factor, (lo, hi, faulty))[1]
-        oracle = _dense_defect(dims, factor, (lo, hi, faulty))
-        assert oracle > 0.1 and abs(defect - oracle) <= 1e-15, (fault, defect, oracle)
-
-
-def _one_value_changed(model):
-    """The link hops, the last one with one stored value changed by 0.5."""
     hops = list(lattice_model._link_hops(model))
-    lo, hi, local = hops[-1]
-    local = local.copy()
-    local.data[local.nnz // 2] += 0.5
-    return hops[:-1] + [(lo, hi, local)]
-
-
-def test_one_wrong_entry_fails_the_tunneling_check_at_every_seed(monkeypatch):
-    # D3 2x1 ring in the rep basis.  With 16 stored entries a slice, each
-    # slice holds about one fermion digit, so a check that read only the
-    # slices a seed picks would miss the entry at some seeds; the hop's
-    # defect reads every stored entry at every seed
-    monkeypatch.setattr(operators, "SLICE_NNZ", 16)
+    assert [k for k, _ in hops] == [gb.link_factor(link.index) for link in model.lattice.links]
+    after = int(np.prod(dims))
+    for k, p in hops:
+        assert p.shape == (dims[0] * dims[k],) * 2
+        expected = _dense_hop(dims, k, lattice_model._real((k, p.copy()))[1])
+        lo, hi, local = lattice_model._real(lattice_model._hop_block(dims, k, p))
+        assert (lo, hi) == (0, k + 1)
+        outer = after // local.shape[0]
+        assert np.array_equal(np.kron(local.toarray(), np.eye(outer)), expected)
     monkeypatch.setattr(verification, "_link_hops", _one_value_changed)
-    model = _d3_ring("rep")
-    for seed in range(10):
-        failed = {c.name: c.residual for c in verify_model(model, seed=seed).checks
-                  if not c.passed}
-        assert failed.get("model.gauss_commutes_with_tunneling", 0.0) > 0.1, (seed, failed)
+    term = sum(_dense_hop(dims, *lattice_model._real((k, p)))
+               for k, p in _one_value_changed(model))
+    herm = max_abs(sp.csr_matrix(term - term.conj().T))
+    full = _full_commutator(sp.csr_matrix(term), _full_space_symmetry(model, every_element=False))
+    assert max(herm, full) > 0.1, (herm, full)
+    residuals = {c.name: c.residual for c in verify_model(model, seed=2).checks}
+    assert abs(residuals["model.terms_hermitian"] - herm) <= 1e-13, (residuals, herm)
+    star = verification._star_residual(model, _probes(model))
+    assert abs(star - full) <= 1e-13, (star, full)
 
 
 def _off_link_number(model):
-    """The link hops, link 0's with 0.5 n added for mode 0 of vertex 2, which
-    link 0 does not touch: Hermitian, of the form P (x) I, not gauge invariant."""
+    """The link hops (k, P_l), link 0's P_l with 0.5 n added for mode 0 of
+    vertex 2, which link 0 does not touch: Hermitian, not gauge invariant."""
     psi = model.fermion_annihilation(2, 0)
     dims = model.global_basis.factor_dims
-    extra = lattice_model._sum_on_span(dims, [{0: [0.5 * psi.conj().T @ psi],
-                                                1: [sp.identity(dims[1], format="csr")]}])
     hops = list(lattice_model._link_hops(model))
-    assert hops[0][:2] == extra[:2] == (0, 2)
-    return [(0, 2, hops[0][2] + extra[2])] + hops[1:]
+    k, p = hops[0]
+    extra = lattice_model._sum_on_span([dims[0], dims[k]], [{
+        0: [0.5 * psi.conj().T @ psi], 1: [sp.identity(dims[k], format="csr")]}])[2]
+    return [(k, p + extra)] + hops[1:]
 
 
 @pytest.mark.parametrize("basis", ["group", "rep"])
