@@ -1193,12 +1193,11 @@ def _gauge_fixed(model: Model, labels: Sequence[str]):
     return root, free, thetas, chars, terms
 
 
-def vacuum_state(model: Model) -> np.ndarray:
-    """Strong-coupling vacuum: trivial rep on every link, Dirac sea fermions.
-
-    In the group element basis the trivial link state is the uniform
-    superposition over group elements.
-    """
+def _vacuum_factors(model: Model) -> list[np.ndarray]:
+    """The strong-coupling vacuum as one unit vector per factor: the Dirac
+    sea (every mode of each odd vertex filled) on the fermion factor, the
+    trivial rep on every link, which in the group element basis is the
+    uniform superposition over group elements."""
     gb = model.global_basis
     factors = []
     if model.lattice.include_matter:
@@ -1217,8 +1216,10 @@ def vacuum_state(model: Model) -> np.ndarray:
     else:
         link_vec = np.zeros(link_dim)
         link_vec[model.link_space.vacuum_index] = 1.0
-    factors.extend([link_vec] * model.lattice.n_links)
-    state = np.ones(1)
-    for f in factors:
-        state = np.kron(state, f)
-    return state.astype(complex)
+    return factors + [link_vec] * model.lattice.n_links
+
+
+def vacuum_state(model: Model) -> np.ndarray:
+    """Strong-coupling vacuum on the full space: the Kronecker product of
+    its factors' vectors (``_vacuum_factors``)."""
+    return reduce(np.kron, _vacuum_factors(model), np.ones(1)).astype(complex)

@@ -26,19 +26,20 @@ is the full-space value.  The tunneling term is never summed whole: it is
 read as its link hops, each the local block P_l on the fermion factor and
 its link's (``_link_hops``, as H takes it), written on a span no wider than
 a vertex star.  Its Hermiticity is that of the hops' sum, from the nonzero
-P_l - P_l^dag alone, which only a faulty hop has; those are written on
-their spans and added one range of fermion digits at a time.  Each S of
-vertex v meets T = sum_l P_l (x) I on v's star (the fermion factor and v's
-link factors), and each other link's P_l on the fermion factor and that
-link's; when every off-star part is 0, the star's residual is the exact
-full-space max |S T - T S| for H's own hops.  There S also meets the
-vacuum, one block of columns at a time.  No operator is built on the full
-space.  The rep/group agreement converts the mirror model's H one link
-factor at a time.
+P_l - P_l^dag alone, which only a faulty hop has; those are summed
+(``_sum_blocks``), and nothing is written when every P_l is Hermitian.
+Each S of vertex v meets T = sum_l P_l (x) I on v's star (the fermion
+factor and v's link factors), and each other link's P_l on the fermion
+factor and that link's; when every off-star part is 0, the star's residual
+is the exact full-space max |S T - T S| for H's own hops.  There S also
+meets the vacuum: a product of one unit vector per factor, so |S vac - vac|
+is |S v - v| for the product v of the star's own vectors.  No operator and
+no state is built on the full space.  The rep/group agreement converts the
+mirror model's H one link factor at a time.
 
 At its peak ``verify_model`` holds the link hops' P_l, each on two factors
-(``_real``: float64 when real), and one star's operators: no Hermitian hop
-is placed on more than a star's factors.
+(``_real``: float64 when real), and one star's operators and vacuum
+vector: no Hermitian hop is placed on more than a star's factors.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .lattice_model import (
     GROUP,
     REP,
     Model,
-    _digit_sums,
     _gauss_products,
     _hop_block,
     _link_hops,
@@ -67,9 +67,9 @@ from .lattice_model import (
     _sum_blocks,
     _sum_on_span,
     _TERMS,
+    _vacuum_factors,
     build_hamiltonian,
     physical_projector,
-    vacuum_state,
 )
 from .link_space import (generators as link_generators, projector_rep, theta_group_basis,
                          theta_left, theta_right, trace_diagnostic, u_matrix)
@@ -234,38 +234,41 @@ def _on_span(dims, factors, pieces) -> sp.csr_matrix:
     block there has the largest entry of the full-space commutator.
 
     S is the sum of the ``{factor: [matrices]}`` products in ``pieces``, taken
-    as ``_sum_on_span`` takes them.  A piece with no factor in ``factors``
-    commutes with the block and is dropped.  The factors a kept piece has
-    outside scale S by their largest entries, since max |A (x) B| = max |A|
-    max |B|: exact for one product, as a group element's Gauss operator is; a
-    Lie generator's pieces have one factor each.
+    as ``_sum_on_span`` takes them.  A piece with factors, none of them in
+    ``factors``, commutes with the block and is dropped; the empty product,
+    the Gauss operator of a vertex with no link and no matter, is the
+    identity.  The factors a kept piece has outside scale S by their largest
+    entries, since max |A (x) B| = max |A| max |B|: exact for one product, as
+    a group element's Gauss operator is; a Lie generator's pieces have one
+    factor each.
     """
     where = {f: i for i, f in enumerate(factors)}
     sub = [dims[f] for f in factors]
-    kept = [ops for ops in pieces if any(f in where for f in ops)]
+    kept = [ops for ops in pieces if not ops or any(f in where for f in ops)]
     outside = math.prod(max_abs(reduce(matmul, mats)) for ops in kept
                         for f, mats in ops.items() if f not in where)
     return outside * _place(sub, *_sum_on_span(
         sub, [{where[f]: mats for f, mats in ops.items() if f in where} for ops in kept]))
 
 
-def _star_residual(model: Model, probes, vacuum=None, hops=None, symmetry=None) -> float:
+def _star_residual(model: Model, probes, hops=None, symmetry=None, vacuum=False):
     """max |S T - T S| over T = sum_l P_l (x) I, ``hops`` being the (k, P_l)
     (by default ``_link_hops`` through ``_real``), and each vertex v's Gauss
     operators or generators S (``_gauss_products`` of each probe, or the
     vertex-major ``symmetry``): on v's star (the fermion factor and v's link
     factors) against the P_l on its link factors, each written there once,
     and on the fermion factor and link factor k of each other P_l, where S
-    has its fermion part alone.  Given a list ``vacuum``, it gets |S vac -
-    vac| (|G vac| for a generator), taken on the star's axes of
-    ``vacuum_state``."""
+    has its fermion part alone.  With ``vacuum``, (that, the vacuum
+    residuals): |S vac - vac| (|G vac| for a generator) for each S, taken on
+    the Kronecker product of the star's ``_vacuum_factors``; the vacuum is a
+    product of unit vectors, so each is the full-space norm."""
     gb = model.global_basis
     dims = gb.factor_dims
-    vac = None if vacuum is None else vacuum_state(model).reshape(dims)
+    factors = _vacuum_factors(model)
     symmetry = symmetry or [_gauss_products(model, v, **probe)
                             for v in range(model.lattice.n_vertices) for probe in probes]
     hops = [_real(hop) for hop in _link_hops(model)] if hops is None else hops
-    worst = []
+    worst, residuals = [], []
     for v in range(model.lattice.n_vertices):
         links = sorted({link.index for link, _ in model.lattice.links_at_vertex(v)})
         star = ([gb.fermion_factor] if gb.has_matter else []) + [*map(gb.link_factor, links)]
@@ -277,26 +280,11 @@ def _star_residual(model: Model, probes, vacuum=None, hops=None, symmetry=None) 
                 _hop_block(sub, star.index(k), p) for k, p in hops if k in star])[2], ops))
         worst += [_commutator_residual(p, [_on_span(dims, [0, k], products) for products in at_v])
                   for k, p in hops if k not in star]
-        if vac is not None:
-            squares = np.zeros(len(ops))
-            for columns in _star_columns(vac, star):
-                for i, s_op in enumerate(ops):
-                    d = s_op @ columns
-                    if not model.entry.is_lie:
-                        d -= columns
-                    squares[i] += np.vdot(d, d).real
-            vacuum += [math.sqrt(square) for square in squares]
-    return max_abs(worst)
-
-
-def _star_columns(vec: np.ndarray, star):
-    """``vec`` (shaped as the factors) as a matrix whose rows run over the
-    ``star`` axes, one block of columns at a time: those at each digit of the
-    first factor off the star, or all of them when every factor is on it."""
-    moved = np.moveaxis(vec, star, range(len(star)))
-    rows = math.prod(moved.shape[:len(star)])
-    for block in [moved] if moved.ndim == len(star) else np.moveaxis(moved, len(star), 0):
-        yield block.reshape(rows, -1)
+        if vacuum:
+            vac = reduce(np.kron, [factors[f] for f in star], np.ones(1))
+            residuals += [float(np.linalg.norm(s_op @ vac - (0 if model.entry.is_lie else vac)))
+                          for s_op in ops]
+    return (max_abs(worst), residuals) if vacuum else max_abs(worst)
 
 
 def _check_hamiltonian(model: Model, report: ValidationReport):
@@ -323,18 +311,18 @@ def _check_hamiltonian(model: Model, report: ValidationReport):
     if not blocks:
         return
 
-    commutes, vacuum, hops = {name: [] for name in blocks}, [], []
+    commutes, hops = {name: [] for name in blocks}, []
     if "tunneling" in blocks:
         hops = blocks.pop("tunneling")
-        # T - T^dag: the hops' nonzero P_l - P_l^dag written on their spans,
-        # added one range of fermion digits at a time
-        load, _, rows = _digit_sums(dims, 0, len(dims), [
-            _hop_block(dims, k, p - p.conj().T) for k, p in hops if hermiticity_residual(p)])
-        herm.append(max_abs([max_abs(rows(range(t0, t1))) for t0, t1 in _row_slices(load)]))
+        # T - T^dag: the sum of the hops' nonzero P_l - P_l^dag, none when
+        # every P_l is Hermitian
+        faults = [_hop_block(dims, k, p - p.conj().T) for k, p in hops if hermiticity_residual(p)]
+        if faults:
+            herm.append(max_abs(_sum_blocks(dims, 0, len(dims), faults)[2]))
     # each S meets T_v and the vacuum on its star;
     # sum G^2 vac = 0 iff G vac = 0 for each Hermitian generator G, and
     # P_v vac = vac iff Theta_v(s) vac = vac for each element s of a generating set
-    star = _star_residual(model, probes, vacuum, hops, symmetry)
+    star, vacuum = _star_residual(model, probes, hops, symmetry, vacuum=True)
     if "tunneling" in commutes:
         commutes["tunneling"].append(star)
     # and on the span of each other block

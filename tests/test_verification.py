@@ -1,3 +1,4 @@
+import functools
 import json
 import tracemalloc
 
@@ -204,11 +205,8 @@ def test_non_invariant_vacuum_fails_the_report(monkeypatch, name, params, check)
     lat = LatticeSpec(2, 1, boundary="open", include_matter=True)
     model = Model(build_builtin(name, **params), lat,
                   ModelParams(epsilon=0.5, terms=("mass", "tunneling")))
-    rng = np.random.default_rng(11)
-    vec = rng.normal(size=model.global_basis.dim) \
-        + 1j * rng.normal(size=model.global_basis.dim)
-    monkeypatch.setattr(verification, "vacuum_state",
-                        lambda _model: vec / np.linalg.norm(vec))
+    factors = _product_factors(model.global_basis.factor_dims, seed=11)
+    monkeypatch.setattr(verification, "_vacuum_factors", lambda _model: factors)
     failed = {c.name for c in verify_model(model).checks if not c.passed}
     assert failed == {check}, failed
 
@@ -470,10 +468,10 @@ def test_verify_model_l1_never_holds_a_full_space_block():
 
 
 def test_verify_model_l1_holds_its_hops_as_h_takes_them():
-    # L1 as above.  The hops are kept in float64, as H takes them, and the
-    # vacuum norms are taken one block of columns at a time: 34.0 MiB before,
-    # when the last hop was summed whole, and 21.1 MiB with the hops written
-    # on their spans; held as P_l on their two factors, 11.8 MiB
+    # L1 as above.  The hops are kept in float64, as H takes them: 34.0 MiB
+    # before, when the last hop was summed whole, and 21.1 MiB with the hops
+    # written on their spans; held as P_l on their two factors, 11.9 MiB,
+    # and 5.0 MiB with the vacuum read on each star's own factors
     lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
     params = ModelParams(mass=1.0, epsilon=0.7, coupling=1.3,
                          electric_weights={"I": 0.0, "p": 1.0, "2": 1.0})
@@ -491,6 +489,27 @@ def test_verify_model_l4_holds_no_full_space_operator():
     report, peak = _traced_peak(model)
     assert report.passed, str(report.first_failure())
     assert peak < 20 * 2**20, peak
+
+
+@pytest.mark.parametrize("name,params,basis,bound", [
+    ("D3", {"electric_weights": {"I": 0.0, "p": 1.0, "2": 1.0}}, "group", 8 * 2**20),
+    ("SU2_trunc", {}, "rep", 4 * 2**20)], ids=["L1", "L4"])
+def test_verify_model_builds_no_full_space_vacuum(monkeypatch, name, params, basis, bound):
+    # L1 and L4 as above.  The vacuum is a product of one unit vector per
+    # factor, read on each star's own factors: the full-space vector (331 776
+    # entries on L1, 160 000 on L4) is never built, and the peak is 5.0 MiB
+    # on L1 and 2.3 MiB on L4, where it was 11.9 and 5.8 MiB with it
+    def no_full_space(_model):
+        raise AssertionError("built the full-space vacuum")
+
+    monkeypatch.setattr(lattice_model, "vacuum_state", no_full_space)
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    catalog = build_builtin(name, **({} if name == "D3" else {"j_max": "1/2"}))
+    model = Model(catalog, lat, ModelParams(mass=1.0, epsilon=0.7, coupling=1.3, **params),
+                  basis_tag=basis)
+    report, peak = _traced_peak(model)
+    assert report.passed, str(report.first_failure())
+    assert peak < bound, peak
 
 
 # ---------------------------------------------------------------------------
@@ -513,14 +532,11 @@ def _vacuum_residual(model, vac):
                for v in vertices for g in model.entry.spec.generating_set())
 
 
-def _product_state(dims, seed):
-    """A normalized product of random complex vectors, one per factor."""
+def _product_factors(dims, seed):
+    """Random complex unit vectors, one per factor."""
     rng = np.random.default_rng(seed)
-    state = np.ones(1)
-    for dim in dims:
-        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        state = np.kron(state, vec / np.linalg.norm(vec))
-    return state
+    vecs = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for dim in dims]
+    return [vec / np.linalg.norm(vec) for vec in vecs]
 
 
 @pytest.mark.parametrize("make_model,check", [
@@ -536,14 +552,34 @@ def test_vacuum_probe_equals_the_full_space_oracle(monkeypatch, make_model, chec
     assert expected <= 1e-12
     assert abs(residuals[check] - expected) <= 1e-13, (residuals[check], expected)
     # a product state that no Gauss operator leaves alone
-    state = _product_state(model.global_basis.factor_dims, seed=5)
-    monkeypatch.setattr(verification, "vacuum_state", lambda _model: state)
+    factors = _product_factors(model.global_basis.factor_dims, seed=5)
+    state = functools.reduce(np.kron, factors, np.ones(1))
+    monkeypatch.setattr(verification, "_vacuum_factors", lambda _model: factors)
     report = verify_model(model, seed=2)
     failed = {c.name: c.residual for c in report.checks if not c.passed}
     assert set(failed) == {check}, failed
     expected = _vacuum_residual(model, state)
     assert expected > 0.1
     assert abs(failed[check] - expected) <= 1e-12 * expected, (failed[check], expected)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("D3", {"electric_weights": {"I": 0.0, "p": 1.0, "2": 1.0}}), ("Z_N", {})])
+@pytest.mark.parametrize("basis", ["group", "rep"])
+def test_a_vertex_with_an_empty_star_keeps_the_vacuum(name, params, basis):
+    # 1x1 open without matter: the one vertex has no link and no Fock
+    # modes, so its Gauss operator is the empty product, the identity on
+    # the one-state space, which physical_basis keeps
+    lat = LatticeSpec(1, 1, boundary="open", include_matter=False)
+    model = Model(build_builtin(name, **({"N": 3} if name == "Z_N" else {})), lat,
+                  ModelParams(coupling=1.0, **params), basis_tag=basis)
+    assert lattice_model.physical_basis(model).shape == (1, 1)
+    report = verify_model(model, seed=1)
+    assert report.passed, str(report.first_failure())
+    checks = {c.name: c.residual for c in report.checks}
+    assert checks["model.vacuum_gauss_invariant"] == 0.0
+    for term in ("electric", "magnetic"):
+        assert checks[f"model.gauss_commutes_with_{term}"] == 0.0, checks
 
 
 # ---------------------------------------------------------------------------
