@@ -30,35 +30,26 @@ from .link_space import (
     theta_group_basis,
     u_matrix,
     projector_rep,
-    projector_class,
     generators,
     trace_diagnostic,
 )
 from .matter_space import (
     VertexFock,
-    psi,
-    psi_dagger,
     number_operator,
     theta_q,
     charge_su2,
-    charge_u1,
 )
 from .lattice_model import (
     LatticeSpec,
     ModelParams,
     GlobalBasis,
     Model,
-    build_model,
-    embed_link,
-    embed_fermion_bilinear,
     build_hamiltonian,
     hamiltonian_terms,
     gauss_operator,
     gauss_generators,
-    gauss_casimir,
     physical_projector,
     physical_basis,
-    plaquette_trace,
     vacuum_state,
 )
 from .spectra import (

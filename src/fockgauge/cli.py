@@ -12,10 +12,11 @@ int64, or a matrix entry not finite), a key not in ``KEYS`` (in any task
 entry too), a spectrum ``sector`` other than ``physical``, a group file
 that fails a ``validate`` invariant (named with its residual), a mass,
 coupling, part of epsilon or electric weight that is NaN, infinite or not a
-number, a seed, spectrum k or lattice size that is not
-an integer (no bool or quoted number is coerced, nor a fraction to an
-integer), an ``include_matter``, ``staggered`` or ``include_hc`` that is
-not a YAML boolean, a section or value of the wrong type (``params``,
+number, a seed, spectrum k, lattice size or ``group.params`` N or P that is
+not an integer (no bool or quoted number is coerced, nor a fraction to an
+integer), a ``group.params`` key its builtin does not take
+(``BUILTIN_PARAMS``), an ``include_matter``, ``staggered`` or ``include_hc``
+that is not a YAML boolean, a section or value of the wrong type (``params``,
 ``electric_weights`` and ``group.params`` are mappings; ``terms`` and
 observable ``names`` are lists), an unknown term, observable or state, a
 term listed twice, two numbers as ``epsilon`` on a two-link lattice (one
@@ -78,6 +79,8 @@ KEYS = {"config": ("group", "lattice", "params", "basis", "seed", "output", "tas
                    "terms", "include_hc"),
         "tasks": ("verify", "spectrum", "observables", "vortex-masses"), "verify": (),
         "spectrum": ("k", "sector"), "observables": ("names", "state"), "vortex-masses": ()}
+# the group.params each builtin takes; N and P are integers
+BUILTIN_PARAMS = {"Z_N": ("N",), "U1_trunc": ("P",), "SU2_trunc": ("j_max",)}
 
 
 class ConfigError(ValueError):
@@ -161,7 +164,13 @@ def _resolve_group(doc: dict, config_dir: Path) -> GroupCatalogEntry:
     name = group.get("builtin")
     if not name:
         raise ConfigError("group section needs 'builtin' or 'file'")
+    known = BUILTIN_PARAMS.get(str(name), ())
     params = _optional(group.get("params"), dict, "group params") or {}
+    for key in (key for key in params if key not in known):
+        raise ConfigError(f"unknown key {key!r} in group.params of {name}; "
+                          f"known: {', '.join(known) or 'none'}")
+    params = {key: value if key == "j_max" else _as_int(value, f"group.params.{key}")
+              for key, value in params.items()}
     try:
         return build_builtin(str(name), **params)
     except (KeyError, TypeError, ValueError) as exc:

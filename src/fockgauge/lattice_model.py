@@ -412,12 +412,6 @@ class Model:
         return theta_right(self.link_space, g)
 
 
-def build_model(entry: GroupCatalogEntry, lattice: LatticeSpec,
-                params: Optional[ModelParams] = None,
-                basis: str = REP) -> Model:
-    return Model(entry, lattice, params or ModelParams(), basis)
-
-
 # ---------------------------------------------------------------------------
 # operator embedding
 # ---------------------------------------------------------------------------
@@ -671,32 +665,6 @@ def _hop(model: Model, vertex_a: int, a: int, vertex_b: int, b: int) -> sp.csr_m
             @ model.fermion_annihilation(vertex_b, b))
 
 
-def embed_link(model: Model, op: Operator, link_index: int) -> Operator:
-    """Place a link operator on one link factor, identity everywhere else."""
-    if op.basis_tag != model.basis_tag:
-        raise BasisMismatchError(
-            f"operator is in the {op.basis_tag!r} basis but the model uses "
-            f"{model.basis_tag!r}")
-    if not 0 <= link_index < model.lattice.n_links:
-        raise ValueError(f"link {link_index} out of range")
-    f = model.global_basis.link_factor(link_index)
-    return _operator(model, (f, f + 1, op.matrix))
-
-
-def embed_fermion_bilinear(model: Model, vertex_a: int, vertex_b: int,
-                           coeff: np.ndarray) -> Operator:
-    """sum_ab coeff[a, b] psi^dag_(vertex_a, a) psi_(vertex_b, b), strings included."""
-    gb = model.global_basis
-    n_v = gb.n_vertices
-    if not (0 <= vertex_a < n_v and 0 <= vertex_b < n_v):
-        raise ValueError("vertex out of range")
-    coeff = np.asarray(coeff, dtype=complex)
-    modes = range(gb.modes_per_vertex)
-    return _operator(model, _sum_on_span(gb.factor_dims, [
-        {gb.fermion_factor: [coeff[a, b] * _hop(model, vertex_a, a, vertex_b, b)]}
-        for a in modes for b in modes if coeff[a, b] != 0]))
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonian assembly: every sum is a CSR sum in a fixed order
 # ---------------------------------------------------------------------------
@@ -835,11 +803,6 @@ def _plaquette_block(model: Model, plaq: Plaquette, coeff: complex = 1.0,
 
     return _sum_on_span(gb.factor_dims,
                         [loop(*abcd) for abcd in product(range(u.dim), repeat=4)], coeff, hc)
-
-
-def plaquette_trace(model: Model, plaquette_index: int) -> Operator:
-    """The (in general non-Hermitian) Wilson plaquette operator Tr W."""
-    return _operator(model, _plaquette_block(model, model.lattice.plaquettes[plaquette_index]))
 
 
 def _magnetic_term(model: Model) -> Block:
@@ -1032,15 +995,6 @@ def _gauss_penalty(model: Model, sector: Optional[dict[int, str]] = None) -> Ope
         _gauss_block(model, v, label) for v, label in enumerate(_sector_labels(model, sector)))))
 
 
-def gauss_casimir(model: Model) -> Operator:
-    """sum over vertices and components of G_a^2; physical states are its nullspace.
-
-    The Lie case of ``_gauss_penalty``; a finite group has no generators."""
-    if not model.entry.is_lie:
-        raise BasisMismatchError("the Gauss Casimir needs a Lie catalog")
-    return _gauss_penalty(model)
-
-
 def physical_projector(model: Model,
                        sector: Optional[dict[int, str]] = None) -> Operator:
     """Projector onto a Gauss-law sector (finite groups).
@@ -1048,11 +1002,11 @@ def physical_projector(model: Model,
     P is the product over vertices of the character-weighted group averages
     (dim(s)/|G|) sum_g chi_s(g)* Theta_{g, vertex}; the default sector is
     the trivial irrep everywhere (no static charges).  For Lie catalogs use
-    gauss_casimir / physical_basis instead.
+    physical_basis instead.
     """
     if model.entry.is_lie:
         raise ValueError("character projector needs a finite group; for Lie "
-                         "catalogs filter the nullspace of gauss_casimir")
+                         "catalogs use physical_basis")
     _check_dense_dim(model, "sector projector")
     return reduce(operator.matmul, (vertex_sector_average(model, v, label)
                                     for v, label in enumerate(_sector_labels(model, sector))))

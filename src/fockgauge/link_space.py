@@ -165,15 +165,6 @@ def projector_rep(space: LinkSpace, j: str) -> Operator:
     return Operator(space, sp.diags(diag.astype(complex), format="csr"), REP)
 
 
-def projector_class(space: LinkSpace, c: int) -> Operator:
-    """Diagonal projector onto |g> with g in conjugacy class c (group basis)."""
-    if space.catalog.is_lie:
-        raise BasisMismatchError("class projectors require a finite group")
-    spec = space.catalog.spec
-    diag = (spec.class_of == c).astype(complex)
-    return Operator(space, sp.diags(diag, format="csr"), GROUP)
-
-
 def generators(space: LinkSpace) -> tuple[list[Operator], list[Operator]]:
     """Left and right electric generators for a Lie catalog.
 

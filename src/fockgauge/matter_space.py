@@ -59,14 +59,6 @@ def annihilation_matrix(n_modes: int, mode: int) -> sp.csr_matrix:
         shape=(dim, dim)).tocsr()
 
 
-def psi(space: VertexFock, mode: int) -> Operator:
-    return Operator(space, annihilation_matrix(space.n_modes, mode))
-
-
-def psi_dagger(space: VertexFock, mode: int) -> Operator:
-    return psi(space, mode).dagger()
-
-
 def number_operator(space: VertexFock, mode: int = None) -> Operator:
     """n_mode, or the total number operator when mode is None."""
     states = np.arange(space.dim)
@@ -136,11 +128,6 @@ def charge_su2(space: VertexFock, entry: GroupCatalogEntry) -> list[Operator]:
     if entry.lie_kind != "su2":
         raise ValueError("SU(2) charges require an SU(2) catalog entry")
     return charges(space, entry)
-
-
-def charge_u1(space: VertexFock) -> Operator:
-    """Staggered Abelian charge Q = psi^dag psi - parity."""
-    return _charge(space, np.ones((1, 1), dtype=complex))
 
 
 def charges(space: VertexFock, entry: GroupCatalogEntry,

@@ -251,40 +251,36 @@ def _on_span(dims, factors, pieces) -> sp.csr_matrix:
         sub, [{where[f]: mats for f, mats in ops.items() if f in where} for ops in kept]))
 
 
-def _star_residual(model: Model, probes, hops=None, symmetry=None, vacuum=False):
-    """max |S T - T S| over T = sum_l P_l (x) I, ``hops`` being the (k, P_l)
-    (by default ``_link_hops`` through ``_real``), and each vertex v's Gauss
-    operators or generators S (``_gauss_products`` of each probe, or the
-    vertex-major ``symmetry``): on v's star (the fermion factor and v's link
-    factors) against the P_l on its link factors, each written there once,
-    and on the fermion factor and link factor k of each other P_l, where S
-    has its fermion part alone.  With ``vacuum``, (that, the vacuum
-    residuals): |S vac - vac| (|G vac| for a generator) for each S, taken on
-    the Kronecker product of the star's ``_vacuum_factors``; the vacuum is a
+def _star_residual(model: Model, hops, symmetry):
+    """(max |S T - T S|, the vacuum residuals) over T = sum_l P_l (x) I,
+    ``hops`` being the (k, P_l), and each vertex v's Gauss operators or
+    generators S, the vertex-major ``symmetry``: on v's star (the fermion
+    factor and v's link factors) against the P_l on its link factors, each
+    written there once, and on the fermion factor and link factor k of each
+    other P_l, where S has its fermion part alone.  The vacuum residuals are
+    |S vac - vac| (|G vac| for a generator) for each S, taken on the
+    Kronecker product of the star's ``_vacuum_factors``; the vacuum is a
     product of unit vectors, so each is the full-space norm."""
     gb = model.global_basis
     dims = gb.factor_dims
     factors = _vacuum_factors(model)
-    symmetry = symmetry or [_gauss_products(model, v, **probe)
-                            for v in range(model.lattice.n_vertices) for probe in probes]
-    hops = [_real(hop) for hop in _link_hops(model)] if hops is None else hops
+    per_vertex = len(symmetry) // model.lattice.n_vertices
     worst, residuals = [], []
     for v in range(model.lattice.n_vertices):
         links = sorted({link.index for link, _ in model.lattice.links_at_vertex(v)})
         star = ([gb.fermion_factor] if gb.has_matter else []) + [*map(gb.link_factor, links)]
         sub = [dims[f] for f in star]
-        at_v = symmetry[v * len(probes):(v + 1) * len(probes)]
+        at_v = symmetry[v * per_vertex:(v + 1) * per_vertex]
         ops = [_on_span(dims, star, products) for products in at_v]
         if hops:
             worst.append(_commutator_residual(_sum_blocks(sub, 0, len(sub), [
                 _hop_block(sub, star.index(k), p) for k, p in hops if k in star])[2], ops))
         worst += [_commutator_residual(p, [_on_span(dims, [0, k], products) for products in at_v])
                   for k, p in hops if k not in star]
-        if vacuum:
-            vac = reduce(np.kron, [factors[f] for f in star], np.ones(1))
-            residuals += [float(np.linalg.norm(s_op @ vac - (0 if model.entry.is_lie else vac)))
-                          for s_op in ops]
-    return (max_abs(worst), residuals) if vacuum else max_abs(worst)
+        vac = reduce(np.kron, [factors[f] for f in star], np.ones(1))
+        residuals += [float(np.linalg.norm(s_op @ vac - (0 if model.entry.is_lie else vac)))
+                      for s_op in ops]
+    return max_abs(worst), residuals
 
 
 def _check_hamiltonian(model: Model, report: ValidationReport):
@@ -322,7 +318,7 @@ def _check_hamiltonian(model: Model, report: ValidationReport):
     # each S meets T_v and the vacuum on its star;
     # sum G^2 vac = 0 iff G vac = 0 for each Hermitian generator G, and
     # P_v vac = vac iff Theta_v(s) vac = vac for each element s of a generating set
-    star, vacuum = _star_residual(model, probes, hops, symmetry, vacuum=True)
+    star, vacuum = _star_residual(model, hops, symmetry)
     if "tunneling" in commutes:
         commutes["tunneling"].append(star)
     # and on the span of each other block

@@ -31,9 +31,9 @@ from fockgauge.clebsch_gordan import (
 )
 from fockgauge.group_core import GroupCatalogEntry
 from fockgauge.lattice_model import (GROUP, REP, SECTOR_TOL, _TERMS, GlobalBasis, Model, _place,
-                                     _real, _sum_blocks, _sum_on_span, embed_link,
+                                     _plaquette_block, _real, _sum_blocks, _sum_on_span,
                                      gauss_generators, hamiltonian_terms, observable,
-                                     plaquette_trace, vertex_sector_average)
+                                     vertex_sector_average)
 from fockgauge.link_space import projector_rep, theta_group_basis
 from fockgauge.matter_space import VertexFock, _fundamental, annihilation_matrix, bilinear
 from fockgauge.operators import (Operator, _row_slices, _row_view, max_abs, normalize,
@@ -278,23 +278,26 @@ def physical_basis_by_average_product(model: Model, sector=None) -> np.ndarray:
 def observables_by_loops(model: Model, names, state: np.ndarray) -> dict:
     """Command-line observables summed outside the operator: <term> from every
     term placed at once, the mean over plaquettes of <(W + W^dag)/2> and the
-    mean over links of <P_trivial>, one full-space operator each."""
+    mean over links of <P_trivial>, one full-space operator each, placed by
+    scipy Kronecker products."""
     values, terms = {}, hamiltonian_terms(model)
+    dims = model.global_basis.factor_dims
     for name in names:
         if name.endswith("_energy"):
             values[name] = expectation(terms[name.removesuffix("_energy")], state).value
         elif name == "plaquette_trace":
             acc = 0.0
-            for p in range(len(model.lattice.plaquettes)):
-                w = plaquette_trace(model, p)
-                acc += expectation(0.5 * (w.matrix + w.matrix.conj().T), state).value
+            for plaq in model.lattice.plaquettes:
+                w = place_by_kron(dims, *_plaquette_block(model, plaq))
+                acc += expectation(0.5 * (w + w.conj().T), state).value
             values[name] = acc / len(model.lattice.plaquettes)
         else:
             proj = projector_rep(model.link_space, model.entry.trivial_label()
                                  ).to_basis(model.basis_tag)
             acc = 0.0
             for link in model.lattice.links:
-                acc += expectation(embed_link(model, proj, link.index), state).value
+                k = model.global_basis.link_factor(link.index)
+                acc += expectation(place_by_kron(dims, k, k + 1, proj.matrix), state).value
             values[name] = acc / max(model.lattice.n_links, 1)
     return values
 

@@ -324,6 +324,7 @@ def test_bad_config_values_exit_2_with_one_line(runner, tmp_path, command, overr
 
 
 CHAIN_WITH_MATTER = {"lx": 3, "ly": 1, "boundary": "open", "include_matter": True}
+PLAQUETTE = {"lx": 2, "ly": 2, "boundary": "open", "include_matter": False}
 
 
 @pytest.mark.parametrize("command,overrides,message", [
@@ -339,6 +340,17 @@ CHAIN_WITH_MATTER = {"lx": 3, "ly": 1, "boundary": "open", "include_matter": Tru
     ("spectrum", {"lattice": CHAIN_WITH_MATTER,
                   "params": {"mass": 1.0, "coupling": 1.0, "terms": ["mass", "mass"]}},
      "['mass'] are listed more than once"),
+    # group.params: N and P as lattice.lx is (not read as Z_2, Z_3 or P = 1),
+    # and a key the builtin does not take is refused, not ignored
+    ("spectrum", {"group": {"builtin": "Z_N", "params": {"N": 2.5}}, "lattice": PLAQUETTE},
+     "group.params.N must be an integer, got 2.5"),
+    ("spectrum", {"group": {"builtin": "Z_N", "params": {"N": "3"}}, "lattice": PLAQUETTE},
+     "group.params.N must be an integer, got '3'"),
+    ("spectrum", {"group": {"builtin": "U1_trunc", "params": {"P": 1.7}}, "lattice": PLAQUETTE,
+                  "basis": "rep"},
+     "group.params.P must be an integer, got 1.7"),
+    ("spectrum", {"group": {"builtin": "D3", "params": {"N": 5}}, "lattice": PLAQUETTE},
+     "unknown key 'N' in group.params of D3"),
 ])
 def test_config_error_names_the_bad_value(runner, tmp_path, monkeypatch, command,
                                           overrides, message):

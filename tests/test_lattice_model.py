@@ -10,22 +10,22 @@ from fockgauge.lattice_model import (
     LatticeSpec,
     Model,
     ModelParams,
+    _gauss_penalty,
+    _hop,
+    _operator,
+    _plaquette_block,
+    _sum_on_span,
     build_hamiltonian,
-    build_model,
     default_electric_weights,
-    embed_fermion_bilinear,
-    embed_link,
-    gauss_casimir,
     gauss_generators,
     gauss_operator,
     hamiltonian_terms,
     physical_basis,
     physical_projector,
-    plaquette_trace,
     vacuum_state,
     vertex_sector_average,
 )
-from fockgauge.link_space import BasisMismatchError, identity_operator, projector_rep
+from fockgauge.link_space import identity_operator, projector_rep
 from fockgauge.matter_space import theta_q
 from fockgauge.operators import HERMITICITY_TOL
 from oracles import (decode, digit_array, hamiltonian_by_terms, link_hops_by_kron,
@@ -109,14 +109,16 @@ def z2_chain():
 
 def test_embed_identity(z2_chain):
     op = identity_operator(z2_chain.link_space, "rep")
-    glob = embed_link(z2_chain, op, 0)
+    f = z2_chain.global_basis.link_factor(0)
+    glob = _operator(z2_chain, (f, f + 1, op.matrix))
     assert _mabs(glob.matrix - sp.identity(glob.dim)) == 0.0
 
 
 def test_embed_projector_sum(z2_chain):
     total = None
+    f = z2_chain.global_basis.link_factor(0)
     for ir in z2_chain.entry.irreps:
-        glob = embed_link(z2_chain, projector_rep(z2_chain.link_space, ir.label), 0)
+        glob = _operator(z2_chain, (f, f + 1, projector_rep(z2_chain.link_space, ir.label).matrix))
         total = glob if total is None else total + glob
     assert _mabs(total.matrix - sp.identity(total.dim)) == 0.0
 
@@ -126,17 +128,19 @@ def test_embedded_operators_on_different_links_commute():
     lat = LatticeSpec(2, 2, boundary="open", include_matter=False)
     model = Model(z3, lat, ModelParams(terms=("electric",)))
     from fockgauge.link_space import theta_left
-    a = embed_link(model, theta_left(model.link_space, 1), 0)
-    b = embed_link(model, theta_left(model.link_space, 2), 3)
+    fa, fb = model.global_basis.link_factor(0), model.global_basis.link_factor(3)
+    a = _operator(model, (fa, fa + 1, theta_left(model.link_space, 1).matrix))
+    b = _operator(model, (fb, fb + 1, theta_left(model.link_space, 2).matrix))
     assert _mabs((a @ b - b @ a).matrix) == 0.0
 
 
 def test_fermion_bilinear_number_operator(z2_chain):
-    num = embed_fermion_bilinear(z2_chain, 0, 0, np.eye(1))
+    gb = z2_chain.global_basis
+    num = _operator(z2_chain, _sum_on_span(gb.factor_dims, [
+        {gb.fermion_factor: [_hop(z2_chain, 0, 0, 0, 0)]}]))
     arr = num.matrix.diagonal()
     assert num.matrix.nnz == len(arr[arr != 0])     # diagonal
     # vertex 0 occupies bit 0 of the fermion factor (most significant digit)
-    gb = z2_chain.global_basis
     ferm_digits = digit_array(gb, gb.fermion_factor)
     expected = (ferm_digits & 1).astype(complex)
     assert np.abs(num.matrix.diagonal() - expected).max() == 0.0
@@ -472,16 +476,17 @@ def test_su2_singlet_string_is_physical():
     lat = LatticeSpec(2, 1, boundary="open", include_matter=True)
     model = Model(su2, lat, ModelParams())
     vac = vacuum_state(model)
-    cas = gauss_casimir(model)
+    cas = _gauss_penalty(model)
     assert np.linalg.norm(cas.apply(vac)) < 1e-12
     u = model.u_tunneling
+    gb = model.global_basis
     string = np.zeros_like(vac)
     for a in range(2):
         for b in range(2):
-            coeff = np.zeros((2, 2))
-            coeff[a, b] = 1.0
-            op = embed_fermion_bilinear(model, 0, 1, coeff) \
-                @ embed_link(model, u.entry(a, b), 0)
+            # psi^dag_(0, a) U_ab psi_(1, b) on the fermion factor and link 0's
+            op = _operator(model, _sum_on_span(gb.factor_dims, [
+                {gb.fermion_factor: [_hop(model, 0, a, 1, b)],
+                 gb.link_factor(0): [u.entry(a, b).matrix]}]))
             string += op.apply(vac)
     string /= np.linalg.norm(string)
     assert np.linalg.norm(cas.apply(string)) < 1e-12
@@ -569,7 +574,7 @@ def test_physical_basis_lie_nullspace():
     lat = LatticeSpec(2, 1, boundary="open", include_matter=True)
     model = Model(su2, lat, ModelParams())
     cols = physical_basis(model)
-    cas = gauss_casimir(model)
+    cas = _gauss_penalty(model)
     assert np.abs(cols.conj().T @ cas.toarray() @ cols).max() < 1e-10
     vac = vacuum_state(model)
     overlap = cols.conj().T @ vac
@@ -609,7 +614,7 @@ def test_physical_basis_of_a_diagonal_casimir():
     u1 = build_builtin("U1_trunc", P=1)
     lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
     model = Model(u1, lat, ModelParams(mass=1.0, epsilon=0.7, coupling=1.3))
-    cas = gauss_casimir(model).toarray()
+    cas = _gauss_penalty(model).toarray()
     diag = np.diag(cas)
     assert np.abs(cas - np.diag(diag)).max() == 0.0
     cols = physical_basis(model)
@@ -639,7 +644,7 @@ def test_physical_basis_lie_matches_casimir_nullity():
     su2 = build_builtin("SU2_trunc", j_max="1/2")
     lat = LatticeSpec(2, 1, boundary="open", include_matter=True)
     model = Model(su2, lat, ModelParams())
-    vals = np.linalg.eigvalsh(gauss_casimir(model).toarray())
+    vals = np.linalg.eigvalsh(_gauss_penalty(model).toarray())
     nullity = int(np.sum(np.abs(vals) <= 1e-8))
     assert nullity > 0
     assert physical_basis(model).shape[1] == nullity
@@ -701,11 +706,6 @@ def test_finite_penalty_spectrum_is_the_integers_up_to_the_vertex_count(lx, ly, 
     vals = np.linalg.eigvalsh(lm._gauss_penalty(model).toarray())
     assert np.abs(vals - np.round(vals)).max() < 1e-12
     assert set(np.round(vals).astype(int)) == set(range(lat.n_vertices + 1))
-
-
-def test_gauss_casimir_rejects_a_finite_group(z2_chain):
-    with pytest.raises(BasisMismatchError):
-        gauss_casimir(z2_chain)
 
 
 def test_physical_projector_rejects_lie():
@@ -801,7 +801,7 @@ def test_plaquette_commutes_with_tunneling_and_gauss():
     lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
     model = Model(z2, lat, ModelParams(mass=0.4, epsilon=0.7), basis_tag="group")
     terms = hamiltonian_terms(model)
-    w = plaquette_trace(model, 0)
+    w = _operator(model, _plaquette_block(model, model.lattice.plaquettes[0]))
     assert _mabs((w @ terms["tunneling"] - terms["tunneling"] @ w).matrix) < 1e-12
     for v in range(4):
         for g in range(2):
@@ -878,9 +878,9 @@ def test_repeated_assembly_bit_identical():
     assert (h1.matrix != h2.matrix).nnz == 0
 
 
-def test_build_model_defaults():
-    model = build_model(build_builtin("Z_2"),
-                        LatticeSpec(2, 2, boundary="open", include_matter=False))
+def test_pure_gauge_model_default_terms():
+    model = Model(build_builtin("Z_2"),
+                  LatticeSpec(2, 2, boundary="open", include_matter=False), ModelParams())
     assert model.terms == ("electric", "magnetic")
 
 

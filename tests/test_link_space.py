@@ -9,7 +9,6 @@ from fockgauge.link_space import (
     LinkSpace,
     generators,
     identity_operator,
-    projector_class,
     projector_rep,
     theta_group_basis,
     theta_left,
@@ -200,27 +199,6 @@ def test_projector_rep_ranks(d3_space, su2_space):
         assert np.abs((p_half @ p_half - p_half).toarray()).max() == 0.0
 
 
-def test_projector_class(d3_space):
-    ranks = sorted(int(np.trace(projector_class(d3_space, c).toarray()).real)
-                   for c in range(3))
-    assert ranks == [1, 2, 3]
-    total = sum(projector_class(d3_space, c).toarray() for c in range(3))
-    assert np.abs(total - np.eye(6)).max() == 0.0
-    # class closure under conjugation makes the projector invariant under the
-    # simultaneous left/right action |h> -> |g h g^-1> (a gauge transformation
-    # acting on both ends of a holonomy); one-sided translation moves classes
-    for c in range(3):
-        pc = projector_class(d3_space, c)
-        for g in range(6):
-            conj = theta_group_basis(d3_space, g, "L") @ \
-                theta_group_basis(d3_space, g, "R")
-            comm = (pc @ conj - conj @ pc).toarray()
-            assert np.abs(comm).max() < 1e-12
-    z4 = LinkSpace(build_builtin("Z_4"))
-    for c in range(4):
-        assert np.trace(projector_class(z4, c).toarray()).real == pytest.approx(1)
-
-
 def test_generators_su2(su2_space):
     left, right = generators(su2_space)
     assert len(left) == len(right) == 3
@@ -283,5 +261,3 @@ def test_basis_tag_enforcement(d3_space):
         identity_operator(su2).to_basis(GROUP)
     with pytest.raises(BasisMismatchError):
         generators(d3_space)
-    with pytest.raises(BasisMismatchError):
-        projector_class(su2, 0)

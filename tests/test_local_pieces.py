@@ -23,12 +23,10 @@ from fockgauge.lattice_model import (
     ModelParams,
     OBSERVABLE_NAMES,
     build_hamiltonian,
-    gauss_casimir,
     gauss_generators,
     gauss_operator,
     hamiltonian_terms,
     observable,
-    plaquette_trace,
     vacuum_state,
     vertex_sector_average,
 )
@@ -182,7 +180,7 @@ def test_terms_match_full_space_placement_bit_for_bit(make_model):
     for name, term in terms.items():
         _assert_bit_identical(term.matrix, _REFERENCES[name](model), name)
     for plaq in model.lattice.plaquettes:
-        _assert_bit_identical(plaquette_trace(model, plaq.index).matrix,
+        _assert_bit_identical(lm._operator(model, lm._plaquette_block(model, plaq)).matrix,
                               _ref_trace(model, plaq), f"plaquette {plaq.index}")
     if model.entry.is_lie:
         # the reference sum starts at an explicit zero, which turns a -0.0
@@ -268,7 +266,7 @@ def test_group_basis_plaquette_matches_character_closed_form(name, lx, ly, bound
     magnetic = hamiltonian_terms(model)["magnetic"].matrix
     _assert_same_sparsity_close(magnetic, _closed_form_magnetic(model), "magnetic")
     for plaq in lat.plaquettes:
-        _assert_same_sparsity_close(plaquette_trace(model, plaq.index).matrix,
+        _assert_same_sparsity_close(lm._operator(model, lm._plaquette_block(model, plaq)).matrix,
                                     _closed_form_trace(model, plaq), plaq.index)
 
 
@@ -463,7 +461,7 @@ def test_gauss_casimir_is_the_sum_of_squared_generators(name, params, lx, ly):
     lat = LatticeSpec(lx, ly, boundary="open", include_matter=True)
     model = Model(build_builtin(name, **params), lat,
                   ModelParams(mass=0.6, epsilon=0.9, coupling=1.1))
-    _assert_bit_identical(gauss_casimir(model).matrix,
+    _assert_bit_identical(lm._gauss_penalty(model).matrix,
                           gauss_casimir_by_generators(model).matrix, name)
 
 

@@ -5,15 +5,14 @@ from scipy.linalg import expm
 from fockgauge.group_core import build_builtin
 from fockgauge.matter_space import (
     VertexFock,
+    annihilation_matrix,
     bilinear,
     charge_su2,
-    charge_u1,
     charges,
     number_operator,
-    psi,
-    psi_dagger,
     theta_q,
 )
+from fockgauge.operators import Operator
 from oracles import theta_q_exponential
 
 
@@ -29,7 +28,7 @@ def su2():
 
 def test_creation_on_vacuum():
     v = VertexFock(2)
-    col = psi_dagger(v, 0).toarray()[:, 0]
+    col = Operator(v, annihilation_matrix(2, 0)).dagger().toarray()[:, 0]
     expected = np.zeros(4)
     expected[1] = 1.0           # mode 0 occupies the least significant bit
     assert np.array_equal(col, expected)
@@ -37,15 +36,16 @@ def test_creation_on_vacuum():
 
 def test_antisymmetry_sign():
     v = VertexFock(2)
-    order_a = (psi_dagger(v, 1) @ psi_dagger(v, 0)).toarray()[:, 0]
-    order_b = (psi_dagger(v, 0) @ psi_dagger(v, 1)).toarray()[:, 0]
+    up, down = (Operator(v, annihilation_matrix(2, a)).dagger() for a in range(2))
+    order_a = (down @ up).toarray()[:, 0]
+    order_b = (up @ down).toarray()[:, 0]
     assert np.array_equal(order_a, -order_b)
     assert abs(order_b[3]) == 1.0
 
 
 def test_canonical_anticommutators_exact():
     v = VertexFock(3)
-    ops = [psi(v, a).toarray() for a in range(3)]
+    ops = [annihilation_matrix(3, a).toarray() for a in range(3)]
     for a in range(3):
         for b in range(3):
             anti = ops[a] @ ops[b] + ops[b] @ ops[a]
@@ -58,7 +58,7 @@ def test_canonical_anticommutators_exact():
 def test_mode_index_range():
     v = VertexFock(2)
     with pytest.raises(ValueError):
-        psi(v, 2)
+        annihilation_matrix(v.n_modes, 2)
     with pytest.raises(ValueError):
         VertexFock(2, parity=2)
 
@@ -94,7 +94,8 @@ def test_theta_q_rotation_printed_form(d3):
     alpha = 2 * np.pi / 3
     n_up = number_operator(v, 0).toarray()
     n_dn = number_operator(v, 1).toarray()
-    hop = (psi_dagger(v, 0) @ psi(v, 1) - psi_dagger(v, 1) @ psi(v, 0)).toarray()
+    up, down = (annihilation_matrix(2, a).toarray() for a in range(2))
+    hop = up.conj().T @ down - down.conj().T @ up
     expected = (np.eye(4) - (1 - np.cos(alpha)) * (n_up + n_dn)
                 + np.sin(alpha) * hop
                 + 2 * (1 - np.cos(alpha)) * n_up @ n_dn)
@@ -115,12 +116,13 @@ def test_full_state_determinant_eigenvalue(d3, parity):
 
 def test_single_particle_covariance(d3):
     v = VertexFock(2, 1)
+    create = [annihilation_matrix(2, a).toarray().conj().T for a in range(2)]
     for g in range(6):
         theta = theta_q(v, d3, g).toarray()
         d = d3.irrep("2").matrix(g)
         for a in range(2):
-            lhs = theta @ psi_dagger(v, a).toarray() @ theta.conj().T
-            rhs = sum(psi_dagger(v, b).toarray() * d[b, a] for b in range(2))
+            lhs = theta @ create[a] @ theta.conj().T
+            rhs = sum(create[b] * d[b, a] for b in range(2))
             assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -128,7 +130,7 @@ def test_single_particle_covariance(d3):
 def test_charge_conjugation_relation(d3, parity):
     # one-hole states |a'> = psi_a |full> transform with D* det(g)^(1-N)
     v = VertexFock(2, parity)
-    holes = [psi(v, a).toarray()[:, v.full_state] for a in range(2)]
+    holes = [annihilation_matrix(2, a).toarray()[:, v.full_state] for a in range(2)]
     for g in range(6):
         theta = theta_q(v, d3, g).toarray()
         d = d3.irrep("2").matrix(g)
@@ -189,8 +191,9 @@ def test_theta_q_equals_charge_exponential(name, params):
 
 
 def test_u1_staggered_charge():
-    even = charge_u1(VertexFock(1, 0)).toarray()
-    odd = charge_u1(VertexFock(1, 1)).toarray()
+    u1 = build_builtin("U1_trunc", P=1)
+    even = charges(VertexFock(1, 0), u1)[0].toarray()
+    odd = charges(VertexFock(1, 1), u1)[0].toarray()
     assert even[0, 0] == 0.0        # even empty
     assert odd[0, 0] == -1.0        # odd empty
     assert odd[1, 1] == 0.0         # odd fully occupied single mode

@@ -9,11 +9,11 @@ from fockgauge.lattice_model import (
     LatticeSpec,
     Model,
     ModelParams,
+    _operator,
     build_hamiltonian,
-    embed_link,
 )
 from fockgauge.link_space import BasisMismatchError, theta_left
-from fockgauge.matter_space import VertexFock, number_operator, psi
+from fockgauge.matter_space import VertexFock, annihilation_matrix, number_operator
 from fockgauge.operators import (
     DROP_TOL,
     SLICE_NNZ,
@@ -29,18 +29,20 @@ from oracles import hermiticity_residual_transposed_copy, hermiticity_residual_w
 
 def test_combination_needs_the_same_space():
     a, b = VertexFock(2), VertexFock(2)
+    psi_a0 = Operator(a, annihilation_matrix(2, 0))
     with pytest.raises(BasisMismatchError):
-        _ = psi(a, 0) @ psi(b, 1)
+        _ = psi_a0 @ Operator(b, annihilation_matrix(2, 1))
     with pytest.raises(BasisMismatchError):
         _ = number_operator(a) + number_operator(b)
-    n0 = psi(a, 0).dagger() @ psi(a, 0)
+    n0 = psi_a0.dagger() @ psi_a0
     assert np.abs(n0.toarray() - number_operator(a, 0).toarray()).max() == 0.0
 
     # one Z_2 link and no matter: the link and global matrices have one shape
     model = Model(build_builtin("Z_2"), LatticeSpec(2, 1, include_matter=False),
                   ModelParams(terms=("electric",)))
     link_op = theta_left(model.link_space, 1)
-    glob = embed_link(model, link_op, 0)
+    f = model.global_basis.link_factor(0)
+    glob = _operator(model, (f, f + 1, link_op.matrix))
     assert glob.matrix.shape == link_op.matrix.shape
     with pytest.raises(BasisMismatchError):
         _ = link_op @ glob

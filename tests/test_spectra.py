@@ -14,10 +14,10 @@ from fockgauge.lattice_model import (
     LatticeSpec,
     Model,
     ModelParams,
+    _operator,
+    _plaquette_block,
     build_hamiltonian,
-    embed_link,
     physical_basis,
-    plaquette_trace,
     vacuum_state,
 )
 from fockgauge.link_space import projector_rep
@@ -870,7 +870,8 @@ def test_expectation_trivial_rep_on_vacuum():
     lat = LatticeSpec(2, 2, boundary="open", include_matter=False)
     model = Model(d3, lat, ModelParams(terms=("magnetic",)), basis_tag="rep")
     vac = vacuum_state(model)
-    proj = embed_link(model, projector_rep(model.link_space, "I"), 0)
+    f = model.global_basis.link_factor(0)
+    proj = _operator(model, (f, f + 1, projector_rep(model.link_space, "I").matrix))
     assert expectation(proj, vac).value == pytest.approx(1.0)
 
 
@@ -881,7 +882,7 @@ def test_expectation_plaquette_trace_strong_coupling_vacuum():
     lat = LatticeSpec(2, 2, boundary="open", include_matter=False)
     model = Model(d3, lat, ModelParams(terms=("magnetic",)), basis_tag="group")
     vac = vacuum_state(model)
-    w = plaquette_trace(model, 0)
+    w = _operator(model, _plaquette_block(model, model.lattice.plaquettes[0]))
     herm = 0.5 * (w.matrix + w.matrix.conj().T)
     assert abs(expectation(herm, vac).value) < 1e-12
 
