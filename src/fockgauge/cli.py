@@ -15,7 +15,7 @@ coupling, part of epsilon or electric weight that is NaN, infinite or not a
 number, a seed, spectrum k, lattice size or ``group.params`` N or P that is
 not an integer (no bool or quoted number is coerced, nor a fraction to an
 integer), a ``group.params`` key its builtin does not take
-(``BUILTIN_PARAMS``), an ``include_matter``, ``staggered`` or ``include_hc``
+(``build_builtin``), an ``include_matter``, ``staggered`` or ``include_hc``
 that is not a YAML boolean, a section or value of the wrong type (``params``,
 ``electric_weights`` and ``group.params`` are mappings; ``terms`` and
 observable ``names`` are lists), an unknown term, observable or state, a
@@ -79,8 +79,6 @@ KEYS = {"config": ("group", "lattice", "params", "basis", "seed", "output", "tas
                    "terms", "include_hc"),
         "tasks": ("verify", "spectrum", "observables", "vortex-masses"), "verify": (),
         "spectrum": ("k", "sector"), "observables": ("names", "state"), "vortex-masses": ()}
-# the group.params each builtin takes; N and P are integers
-BUILTIN_PARAMS = {"Z_N": ("N",), "U1_trunc": ("P",), "SU2_trunc": ("j_max",)}
 
 
 class ConfigError(ValueError):
@@ -164,13 +162,7 @@ def _resolve_group(doc: dict, config_dir: Path) -> GroupCatalogEntry:
     name = group.get("builtin")
     if not name:
         raise ConfigError("group section needs 'builtin' or 'file'")
-    known = BUILTIN_PARAMS.get(str(name), ())
     params = _optional(group.get("params"), dict, "group params") or {}
-    for key in (key for key in params if key not in known):
-        raise ConfigError(f"unknown key {key!r} in group.params of {name}; "
-                          f"known: {', '.join(known) or 'none'}")
-    params = {key: value if key == "j_max" else _as_int(value, f"group.params.{key}")
-              for key, value in params.items()}
     try:
         return build_builtin(str(name), **params)
     except (KeyError, TypeError, ValueError) as exc:
@@ -340,12 +332,9 @@ def group_info(name, params, file_path):
         if file_path:
             entry = load_group_file(file_path)
         elif name:
-            kwargs = {}
-            for item in params:
-                key, _, value = item.partition("=")
-                kwargs[key] = value if "/" in value else (
-                    int(value) if value.lstrip("-").isdigit() else value)
-            entry = build_builtin(name, **kwargs)
+            pairs = (item.partition("=")[::2] for item in params)
+            entry = build_builtin(name, **{key: int(v) if v.lstrip("-").isdigit() else v
+                                           for key, v in pairs})
         else:
             raise ConfigError("give a builtin name or --file")
     except (GroupFileError, ConfigError, KeyError, ValueError) as exc:

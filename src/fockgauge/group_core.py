@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Integral
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -31,6 +32,8 @@ RANDOM_ASSOCIATIVITY_TRIPLES = 10_000
 RANDOM_ASSOCIATIVITY_SEED = 1347
 
 BUILTIN_NAMES = ("Z_N", "D3", "U1_trunc", "SU2_trunc")
+# the params each builtin takes; N and P are integers
+BUILTIN_PARAMS = {"Z_N": ("N",), "U1_trunc": ("P",), "SU2_trunc": ("j_max",)}
 
 
 class GroupFileError(ValueError):
@@ -369,8 +372,18 @@ def build_builtin(name: str, **params) -> GroupCatalogEntry:
 
     Supported names: ``Z_N`` (param N >= 2, also accepts the shorthand
     ``Z_4``), ``D3``, ``U1_trunc`` (param P >= 1), ``SU2_trunc``
-    (param j_max, a positive half-integer such as ``1/2``).
+    (param j_max, a positive half-integer such as ``1/2``).  A param the
+    builtin does not take (``BUILTIN_PARAMS``), or an N or P that is not an
+    integer (a bool, a string or a fraction), raises ValueError.
     """
+    known = BUILTIN_PARAMS.get(name, ())
+    for key, value in params.items():
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in group.params of {name}; "
+                             f"known: {', '.join(known) or 'none'}")
+        if key != "j_max" and (isinstance(value, bool) or not isinstance(value, Integral)
+                               and not (isinstance(value, float) and value.is_integer())):
+            raise ValueError(f"group.params.{key} must be an integer, got {value!r}")
     if name == "D3":
         return _build_d3()
     if name == "Z_N":

@@ -20,15 +20,16 @@ only sum, adds blocks on a span one range of its leading factor's digits at
 a time, placing each block on those rows only, into one CSR allocated once;
 ``_operator``, the one step onto the lattice, makes a block a full-space
 ``Operator`` by ``_place``.  Both place a block by ``_digit_rows``, the one
-writer of I (x) local (x) I, straight in canonical CSR with the bits a
-Kronecker product with complex identities gives.  The ``_TERMS`` builders
-return blocks, so the verification suite takes Gauss commutators on their
-spans; each observable is one of those blocks, and H is ``_sum_blocks`` of
-them on the full span, each in float64 when real, but for the tunneling
-term: its link hops, built once per Hamiltonian, stand in H's sum as one
-block, their sum, added range by range with no tunneling block written,
-and H's pieces reuse them.  A vertex Fock matrix is placed on the fermion
-factor's per-vertex digits.
+writer of I (x) local (x) I: one ``_kron_chain`` of the identity's rows at
+the digits, the local and the identity after it, in canonical CSR with the
+bits a Kronecker product with complex identities gives.  The ``_TERMS``
+builders return blocks, so the verification suite takes Gauss commutators
+on their spans; each observable is one of those blocks, and H is
+``_sum_blocks`` of them on the full span, each in float64 when real, but
+for the tunneling term: its link hops, built once per Hamiltonian, stand in
+H's sum as one block, their sum, added range by range with no tunneling
+block written, and H's pieces reuse them.  A vertex Fock matrix is placed
+on the fermion factor's per-vertex digits.
 
 Gauss law: one star builder, ``_gauss_products``, serves every group (one
 product per element, one single-factor product per generator piece).  Each
@@ -473,8 +474,9 @@ def _kron_chain(chain: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
     running values, repeated, by the next factor's, in the same array
     shapes).  The values come out ordered by their factors' entries; when
     every factor but the last has at most one entry a row, as a hop's have,
-    that is the CSR order, else each is scattered to its place in the rows.
-    A chain whose product has no entry is a float64 zero, as scipy's is."""
+    that is the CSR order, else scipy's COO to CSR conversion sorts them
+    into it.  A chain whose product has no entry is a float64 zero, as
+    scipy's is."""
     first = chain[0]
     shape = (first.shape[0] * math.prod(b.shape[0] for b in chain[1:]),
              first.shape[1] * math.prod(b.shape[1] for b in chain[1:]))
@@ -483,28 +485,25 @@ def _kron_chain(chain: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
         return sp.csr_matrix(shape)
     index = _index_dtype(*shape, nnz)
     counts = np.diff(first.indptr).astype(index)
-    scatter = any(np.diff(b.indptr).max() > 1 for b in [first, *chain[1:-1]])
+    reorder = any(np.diff(b.indptr).max() > 1 for b in chain[:-1])
     values, col = first.data, first.indices.astype(index)
-    if scatter:
+    if reorder:
         row = np.repeat(np.arange(len(counts), dtype=index), counts)
-        at = np.arange(first.nnz, dtype=index) - first.indptr[:-1].astype(index)[row]
     for b in chain[1:]:
         b_counts = np.diff(b.indptr).astype(index)
-        values = (values.repeat(b.nnz).reshape(-1, b.nnz) * b.data).ravel()
+        outer = values.astype(np.result_type(values, b.data), copy=False).repeat(b.nnz)
+        outer = outer.reshape(-1, b.nnz)
+        outer *= b.data         # in place: scipy's product, with no second array made
+        values = outer.ravel()
         col = (col[:, None] * index(b.shape[1]) + b.indices.astype(index)).ravel()
-        if scatter:
-            b_row = np.repeat(np.arange(b.shape[0], dtype=index), b_counts)
-            b_at = np.arange(b.nnz, dtype=index) - b.indptr[:-1].astype(index)[b_row]
-            row = (row[:, None] * index(b.shape[0]) + b_row).ravel()
-            at = (at[:, None] * b_counts[b_row] + b_at).ravel()
+        if reorder:
+            row = (row[:, None] * index(b.shape[0])
+                   + np.repeat(np.arange(b.shape[0], dtype=index), b_counts)).ravel()
         counts = np.multiply.outer(counts, b_counts).ravel()
+    if reorder:
+        return sp.coo_matrix((values, (row, col)), shape=shape).tocsr()
     indptr = np.zeros(shape[0] + 1, index)
     np.cumsum(counts, out=indptr[1:])
-    if scatter:
-        at += indptr[row]
-        data, indices = np.empty_like(values), np.empty_like(col)
-        data[at], indices[at] = values, col
-        values, col = data, indices
     return sp.csr_matrix((values, col, indptr), shape=shape)
 
 
@@ -559,31 +558,33 @@ def _digit_rows(span: Sequence[int], lo: int, hi: int, local: sp.spmatrix):
     at the range of leading digits ``digits`` in canonical CSR, int32 indices
     where they fit, bit for bit scipy's Kronecker products with complex
     identities (a complex local times 1+0j once per padded side; a real one
-    stays float64); ``counts`` is the nnz per digit.  A block on the leading
-    factor is its local's rows (x) I_after (``_band``), any other one
-    single-digit band shifted per digit (``_tiled``); a zero-width block, c
-    times the identity, sits after the leading factor."""
+    stays float64); ``counts`` is the nnz per digit.  The rows are one
+    ``_kron_chain``: I_before's rows at those digits, local, I_after, each
+    identity one factor in local's dtype and left out when it is I_1 (a
+    block on the leading factor takes its own rows at the digits).  A
+    zero-width block, c times the identity, sits after the last factor."""
     local = sp.csr_matrix(local)
     if not local.has_canonical_format:
         local = local.copy()
         local.sum_duplicates()
     dtype = np.complex128 if np.iscomplexobj(local.data) else np.float64
-    padded = (math.prod(span[:lo]) > 1) + (math.prod(span[hi:]) > 1)
-    if lo == hi:
-        lo = hi = min(1, len(span))
-    lead, dim = (span[0] if span else 1), math.prod(span)
-    after = math.prod(span[hi:])
-    if lo == 0:
-        per_digit = local.shape[0] // lead
+    if lo == hi == 0:
+        lo = hi = len(span)
+    lead, before, after = (span[0] if span else 1), math.prod(span[:lo]), math.prod(span[hi:])
+    per_digit = (before if before > 1 else local.shape[0]) // lead
 
-        def rows(digits: range) -> sp.csr_matrix:
-            return _band(_row_view(local, digits.start * per_digit, digits.stop * per_digit),
-                         after, dtype, padded)
+    def rows(digits: range) -> sp.csr_matrix:
+        first, last = digits.start * per_digit, digits.stop * per_digit
+        chain = [sp.csr_matrix((np.ones(last - first, dtype), np.arange(first, last),
+                                np.arange(last - first + 1)), shape=(last - first, before)),
+                 local] if before > 1 else [_row_view(local, first, last)]
+        if after > 1:
+            chain.append(sp.identity(after, dtype, format="csr"))
+        return _kron_chain(chain).astype(dtype, copy=False)
 
-        return np.diff(local.indptr[::per_digit]) * after, dtype, rows
-    digit = _tiled(_band(local, after, dtype, padded), range(math.prod(span[1:lo])),
-                   math.prod(span[1:]))
-    return np.full(lead, digit.nnz), dtype, lambda digits: _tiled(digit, digits, dim)
+    counts = (np.full(lead, per_digit * local.nnz) if before > 1
+              else np.diff(local.indptr[::per_digit]))
+    return counts * after, dtype, rows
 
 
 def _operator(model: Model, block: Block) -> Operator:
@@ -604,46 +605,6 @@ def _place(dims: Sequence[int], lo: int, hi: int, local: sp.spmatrix) -> sp.csr_
 def _index_dtype(*sizes: int):
     """int32 when every one of ``sizes`` (a dim, an nnz) fits it, else int64."""
     return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
-
-
-def _band(local: sp.csr_matrix, after: int, dtype, padded: int) -> sp.csr_matrix:
-    """local (x) I_after for a canonical (k x n) CSR local, in canonical CSR:
-    each row repeated ``after`` times with its columns spread by ``after``.
-    The values are cast to ``dtype`` and, when complex, multiplied by 1+0j
-    ``padded`` times; with after = 1 and nothing padded, ``local`` itself."""
-    if after == 1 and not padded:
-        return local.astype(dtype, copy=False)
-    (k, n), nnz = local.shape, local.nnz * after
-    index = _index_dtype(n * after, nnz)
-    values = local.data.astype(dtype)
-    if dtype is np.complex128:
-        for _ in range(padded):
-            values *= 1 + 0j
-    band = sp.csr_matrix((values, local.indices, local.indptr),
-                         shape=local.shape)[np.repeat(np.arange(k), after)]
-    indices = band.indices.astype(index, copy=False)
-    indices *= after
-    indices += np.repeat(np.tile(np.arange(after, dtype=index), k),
-                         np.repeat(np.diff(local.indptr), after))
-    band = sp.csr_matrix((band.data, indices, band.indptr.astype(index, copy=False)),
-                         shape=(k * after, n * after))
-    band.has_canonical_format = True
-    return band
-
-
-def _tiled(band: sp.csr_matrix, steps: range, width: int) -> sp.csr_matrix:
-    """Copies of a canonical (k x w) band down the rows, the i-th shifted right
-    by steps[i] * w columns, in a canonical CSR ``width`` columns wide."""
-    (k, w), count = band.shape, len(steps)
-    index = _index_dtype(width, count * band.nnz)
-    indices = (band.indices.astype(index, copy=False)
-               + np.arange(steps.start, steps.stop, dtype=index)[:, None] * w).ravel()
-    offsets = np.arange(count, dtype=index)[:, None] * band.nnz
-    indptr = np.append((band.indptr[:-1].astype(index, copy=False) + offsets).ravel(),
-                       index(count * band.nnz))
-    tiled = sp.csr_matrix((np.tile(band.data, count), indices, indptr), shape=(count * k, width))
-    tiled.has_canonical_format = True
-    return tiled
 
 
 def _vertex_block(model: Model, matrix: sp.spmatrix, vertex: int) -> sp.csr_matrix:

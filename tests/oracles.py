@@ -461,12 +461,14 @@ def spread_by_kron(p, fermions, mid):
 
 def sum_blocks_running(dims, lo: int, hi: int, blocks):
     """(lo, hi, local): the blocks placed whole on the factors [lo, hi) by
-    ``_place`` and added one at a time to a running CSR sum from a float64
-    zero."""
+    scipy Kronecker products with complex identities (``place_by_kron``, a
+    real local's placement taken by its real parts) and added one at a time
+    to a running CSR sum from a float64 zero."""
     span = dims[lo:hi]
     zero = sp.csr_matrix((math.prod(span),) * 2)
-    return lo, hi, sum((_place(span, b_lo - lo, b_hi - lo, local)
-                        for b_lo, b_hi, local in blocks), zero)
+    placed = ((place_by_kron(span, b_lo - lo, b_hi - lo, local), np.iscomplexobj(local))
+              for b_lo, b_hi, local in blocks)
+    return lo, hi, sum((p if is_complex else p.real for p, is_complex in placed), zero)
 
 
 def hamiltonian_by_terms(model: Model) -> sp.csr_matrix:

@@ -118,6 +118,18 @@ def test_group_info_unknown(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args,message", [
+    (["D3", "-p", "N=5"], "unknown key 'N' in group.params of D3"),
+    (["Z_N", "-p", "N=3", "-p", "P=7"], "unknown key 'P' in group.params of Z_N"),
+], ids=["d3-with-n", "zn-with-p"])
+def test_group_info_refuses_a_param_its_builtin_does_not_take(runner, args, message):
+    # the rule build_builtin holds for a run config's group.params, not ignored
+    result = runner.invoke(main, ["group-info", *args])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0], lines
+
+
 def test_verify_passes(runner, tmp_path):
     cfg = write_config(tmp_path / "cfg.yaml")
     out = tmp_path / "verify.json"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,18 @@ from fockgauge.group_core import (
     rep_basis_order,
     validate,
 )
+
+
+@pytest.mark.parametrize("name,params,message", [
+    ("Z_N", {"N": 2.5}, "group.params.N must be an integer, got 2.5"),
+    ("Z_N", {"N": "3"}, "group.params.N must be an integer, got '3'"),
+    ("U1_trunc", {"P": 1.7}, "group.params.P must be an integer, got 1.7"),
+    ("D3", {"N": 5}, "unknown key 'N' in group.params of D3"),
+], ids=["zn-fraction", "zn-string", "u1-fraction", "d3-with-n"])
+def test_build_builtin_refuses_a_bad_param(name, params, message):
+    # not Z_2, Z_3, U(1) with |p| <= 1 or D3 with N ignored
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_builtin(name, **params)
 
 
 def test_d3_structure():

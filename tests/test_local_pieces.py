@@ -324,6 +324,47 @@ def test_place_matches_kron_with_complex_identities(lo, hi, kind):
     _assert_bit_identical(got.astype(complex), ref, (lo, hi, kind))
 
 
+def _one_a_row(n, rng):
+    """An n x n CSR with one complex entry in each row, at a random column."""
+    data = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return sp.csr_matrix((data, rng.integers(0, n, n), np.arange(n + 1)), shape=(n, n))
+
+
+def _kron_chains():
+    rng = np.random.default_rng(23)
+    real, cplx, zeros = (_local(n, kind, rng) for n, kind in
+                         [(4, "real"), (3, "complex"), (4, "signed-zeros")])
+    i_real, i_cplx = sp.identity(3, format="csr"), sp.identity(5, dtype=complex, format="csr")
+    return {
+        "one-real": [real],
+        "one-complex-rows": [_local(6, "complex", rng)[2:5]],
+        # a factor with several entries a row before the last: sorted into row order
+        "several-then-complex-identity": [cplx, i_cplx],
+        "several-then-several": [real, cplx],
+        # every factor but the last with at most one entry a row: CSR order as made
+        "one-a-row-then-several": [_one_a_row(3, rng), real],
+        "identity-rows-local-identity": [i_real[1:3], real, i_real],
+        "complex-identities-around-real": [i_cplx[:2], real, i_cplx],
+        "four-factors": [cplx, _one_a_row(2, rng), real, i_cplx],
+        "signed-zeros": [zeros, i_cplx, zeros],
+        "empty-factor": [cplx, _local(2, "empty", rng), real],
+    }
+
+
+@pytest.mark.parametrize("name", list(_kron_chains()))
+def test_kron_chain_is_scipys_chain_of_krons_bit_for_bit(name):
+    chain = _kron_chains()[name]
+    got = lm._kron_chain(chain)
+    ref = reduce(lambda a, b: sp.kron(a, b, format="csr"), chain)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    if name == "empty-factor":
+        assert got.nnz == 0 and got.dtype == np.float64
+    assert got.indptr.dtype == got.indices.dtype == np.int32
+    for part in ("indptr", "indices", "data"):
+        mine, theirs = getattr(got, part), getattr(ref, part)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), part
+
+
 def _d3_matter_group(lx, boundary):
     lat = LatticeSpec(lx, 1, boundary=boundary, include_matter=True)
     return Model(build_builtin("D3"), lat,
