@@ -7,7 +7,9 @@ most U, the k-th smallest of those, and none lies in a component whose
 Gershgorin bound (S. Gershgorin 1931; the least Re H_ii - sum_{j != i}
 |H_ij| over its rows) exceeds U + LANCZOS_TOL.  Their principal submatrix
 is copied when the dropped rows times ROW_BLOCK, the Krylov rows a run
-allocates first, outnumber its stored entries.  Up to DENSE_MAX_DIM rows
+allocates first, outnumber its stored entries, and power steps on its
+|H| sharpen each kept bound to a Collatz-Wielandt bound, dropping the
+components that then exceed U + LANCZOS_TOL too.  Up to DENSE_MAX_DIM rows
 solved, when k pairs are asked of a matrix whose largest component has at
 most k * DENSE_ROWS_PER_PAIR rows (always when every pair is asked), LAPACK
 (MRRR) computes only the k lowest eigenpairs of each dense block, once per
@@ -119,7 +121,7 @@ class SpectrumResult:
     restarts: int = 0
     matvecs: int = 0
     reorthogonalizations: int = 0
-    rows: int = 0   # rows the solver ran on: dim, or those ``_gershgorin_cut`` kept
+    rows: int = 0   # rows solved: dim, or what ``_gershgorin_cut`` kept after its power steps
 
     def degeneracies(self, tol: float = DEGENERACY_TOL) -> list[list[int]]:
         """Indices grouped into (numerically) degenerate levels."""
@@ -215,7 +217,17 @@ def eigensolve(op: Union[Operator, sp.spmatrix, np.ndarray],
 def _gershgorin_cut(mat: sp.csr_matrix, labels: np.ndarray,
                     k: int) -> Optional[np.ndarray]:
     """Rows of the components that can hold the k lowest levels (module docstring),
-    row sums one SLICE_NNZ row slice at a time; None when nothing or too little is cut."""
+    row sums one SLICE_NNZ row slice at a time; None when nothing or too little is cut.
+
+    Past Gershgorin, ``_collatz_bounds`` sharpens the bounds on the kept
+    submatrix; with H' = diag(Re H_ii) - |H_ij| (i != j), each one holds:
+    for a unit x, x^H H x >= |x|^T H' |x|, so lambda_min(H_c) >= lambda_min(H'_c);
+    sigma I - H' has no negative entry, so by Collatz-Wielandt (L. Collatz
+    1942, H. Wielandt 1950) lambda_min(H'_c) >= min_{i in c} (H'v)_i / v_i
+    for any positive v, and v = 1 is Gershgorin's bound.  The terms of
+    (|H| v)_i are all non-negative, so the rounding near U, about 1e-13,
+    lies well inside the LANCZOS_TOL margin.
+    """
     if labels.max() < k:
         return None
     diag = mat.diagonal().real
@@ -224,10 +236,37 @@ def _gershgorin_cut(mat: sp.csr_matrix, labels: np.ndarray,
     least, bound = np.full((2, labels.max() + 1), np.inf)
     np.minimum.at(least, labels, diag)
     np.minimum.at(bound, labels, diag + np.abs(diag) - radius)
-    keep = bound <= np.partition(least, k - 1)[k - 1] + LANCZOS_TOL
+    upper = np.partition(least, k - 1)[k - 1] + LANCZOS_TOL
+    keep = bound <= upper
     rows = np.flatnonzero(keep[labels])
-    saved = (len(diag) - len(rows)) * ROW_BLOCK > np.diff(mat.indptr)[rows].sum()
-    return rows if saved else None
+    if (len(diag) - len(rows)) * ROW_BLOCK <= np.diff(mat.indptr)[rows].sum():
+        return None
+    for bound in _collatz_bounds(mat[rows][:, rows], labels[rows], len(keep)):
+        drop = keep & (bound > upper)
+        keep &= ~drop
+        if not drop.any() or keep.sum() <= k:
+            return rows[keep[labels[rows]]]
+
+
+def _collatz_bounds(mat: sp.csr_matrix, labels: np.ndarray, n: int):
+    """Per-component lower bounds on the least eigenvalue, one array of n
+    after each RITZ_CHECK_EVERY power steps v <- (sigma I - H') v from v = 1
+    (``_gershgorin_cut``; sigma the largest Re H_ii): min_{i in c} (H'v)_i / v_i,
+    +inf for a component of ``labels`` with no row.  v is floored at the
+    least normal float, so it stays positive, and each later batch starts
+    from v scaled to unit sum on every component."""
+    diag = mat.diagonal().real
+    sigma, floor, absolute = diag.max(), np.finfo(np.float64).tiny, abs(mat)
+    shift = sigma - diag - np.abs(diag)   # |H| v + shift v = (sigma I - H') v
+    vec = np.ones(len(diag))
+    while True:
+        for _ in range(RITZ_CHECK_EVERY):
+            out = absolute @ vec + shift * vec
+            vec, last = np.maximum(out, floor), vec
+        bound = np.full(n, np.inf)
+        np.minimum.at(bound, labels, sigma - out / last)
+        yield bound
+        vec /= np.bincount(labels, vec, n)[labels]
 
 
 class _Rows:

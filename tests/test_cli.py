@@ -500,14 +500,14 @@ def test_basis_flag_overrides_config(runner, tmp_path):
 
 
 @pytest.mark.parametrize("k,line", [
-    (4, "spectrum: dense on 456 of 1296 rows, 0 steps, 0 restarts, 0 matvecs, "
+    (4, "spectrum: dense on 214 of 1296 rows, 0 steps, 0 restarts, 0 matvecs, "
         "0 reorthogonalizations"),
     (1296, "spectrum: dense on 1296 of 1296 rows, 0 steps, 0 restarts, 0 matvecs, "
            "0 reorthogonalizations"),
 ])
 def test_spectrum_reports_the_rows_it_solved_on_stderr(runner, tmp_path, k, line):
     # U(1) P=1 2x2 with matter splits into 472 components; at k = 4 the
-    # Gershgorin cut keeps the 456 rows that can hold the 4 lowest levels
+    # cut keeps the 214 rows whose bounds can reach the 4 lowest levels
     cfg = write_config(tmp_path / "u1.yaml",
                        group={"builtin": "U1_trunc", "params": {"P": 1}},
                        lattice={"lx": 2, "ly": 2, "boundary": "open",

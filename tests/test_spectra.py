@@ -21,7 +21,13 @@ from fockgauge.lattice_model import (
     vacuum_state,
 )
 from fockgauge.link_space import projector_rep
-from fockgauge.operators import DROP_TOL, SLICE_NNZ, eigh_by_components, real_if_close
+from fockgauge.operators import (
+    DROP_TOL,
+    SLICE_NNZ,
+    components,
+    eigh_by_components,
+    real_if_close,
+)
 from fockgauge.spectra import (
     DENSE_ROWS_PER_PAIR,
     EPS,
@@ -281,10 +287,11 @@ def test_solver_counts_reorthogonalizations(z2_matter_ham):
     result = eigensolve(ham, k=5, dense_cutoff=16, seed=0)
     # the full passes against the basis run on some steps, not on all
     assert 0 < result.reorthogonalizations < result.steps
+    # the solve on the 128 kept rows takes 60 steps: 50 fall short
     with pytest.raises(EigensolveError) as failure:
-        eigensolve(ham, k=5, dense_cutoff=16, seed=0, max_iter=60)
+        eigensolve(ham, k=5, dense_cutoff=16, seed=0, max_iter=50)
     err = failure.value
-    assert err.steps == 60 and 0 < err.reorthogonalizations < err.steps
+    assert err.steps == 50 and 0 < err.reorthogonalizations < err.steps
 
 
 def test_omega_estimate_tracks_the_overlaps_of_plain_lanczos():
@@ -748,6 +755,83 @@ def test_a_cut_that_saves_little_takes_no_submatrix():
     assert np.abs(result.eigenvalues).max() < 1e-10
     # at most k components: nothing to cut
     assert spectra._gershgorin_cut(mat, owner, 6) is None
+
+
+def _mixed_sign_blocks(seed, field):
+    """Two 1x1 blocks at 0 (U = 0 at k = 2); 30 random blocks of 3-10 rows,
+    diagonal in [1, 3], sparse couplings of mixed sign (``field`` "real")
+    or complex phase; a stoquastic 6-row path, diagonal 2 and couplings -1,
+    whose Gershgorin bound is 0 = U and least eigenvalue 2 - 2 cos(pi/7);
+    200 fillers at 10.  Rows permuted; returns the matrix and the path's
+    rows."""
+    rng = np.random.default_rng(seed)
+    blocks = [[[0.0]], [[0.0]]]
+    for size in rng.integers(3, 11, 30):
+        block = rng.standard_normal((size, size)) * (rng.random((size, size)) < 0.5)
+        if field == "complex":
+            block = block * np.exp(2j * np.pi * rng.random((size, size)))
+        block = (block + block.conj().T) / 4
+        block[np.diag_indices(size)] = rng.uniform(1, 3, size)
+        blocks.append(block)
+    path = sp.diags([-np.ones(5), 2 * np.ones(6), -np.ones(5)], [-1, 0, 1]).toarray()
+    blocks += [path] + [[[10.0]]] * 200
+    mat = sp.block_diag(blocks, format="csr")
+    start = sum(len(b) for b in blocks[:32])
+    perm = np.random.default_rng(seed).permutation(mat.shape[0])
+    return mat[perm][:, perm].tocsr(), np.flatnonzero((perm >= start) & (perm < start + 6))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_refined_bound_is_certified_and_drops_a_stoquastic_block(seed, field):
+    # each batch's bound lies between the component's Gershgorin bound and
+    # its least eigenvalue, up to rounding (1e-12, far below LANCZOS_TOL)
+    mat, path = _mixed_sign_blocks(seed, field)
+    labels = components(mat)
+    n = labels.max() + 1
+    least = np.array([np.linalg.eigvalsh(mat[labels == c][:, labels == c].toarray())[0]
+                      for c in range(n)])
+    diag = mat.diagonal().real
+    gershgorin = np.full(n, np.inf)
+    np.minimum.at(gershgorin, labels, 2 * diag - abs(mat).sum(axis=1).A1)
+    for _, bound in zip(range(8), spectra._collatz_bounds(mat, labels, n)):
+        assert np.all(bound <= least + 1e-12)
+        assert np.all(bound >= gershgorin - 1e-12)
+    # the cut keeps every component holding one of the k lowest levels, and
+    # drops the path, which Gershgorin keeps
+    k = 2
+    kept = spectra._gershgorin_cut(mat, labels, k)
+    lowest = np.flatnonzero(least <= np.sort(least)[k - 1])
+    assert set(lowest) <= set(labels[kept])
+    assert gershgorin[labels[path[0]]] <= 0 < least[labels[path[0]]] - spectra.LANCZOS_TOL
+    assert not np.isin(path, kept).any()
+    result = eigensolve(mat, k=k, seed=0)
+    assert result.rows == len(kept)
+    assert np.abs(result.eigenvalues - np.sort(least)[:k]).max() < 1e-10
+
+
+@pytest.mark.parametrize("ham_name,gershgorin_rows", [("u1_matter_ham", 456),
+                                                      ("z2_matter_ham", 224)])
+def test_refined_cut_keeps_fewer_rows_than_gershgorin(request, ham_name,
+                                                      gershgorin_rows):
+    # the rows Gershgorin's bound alone keeps at k = 4
+    result = eigensolve(request.getfixturevalue(ham_name), k=4, seed=0)
+    assert result.rows < gershgorin_rows
+
+
+def test_su2_lanczos_runs_on_the_refined_rows():
+    # SU(2) j<=1/2 2x2 with matter (dim 160 000, 16 941 components): at k = 4
+    # Gershgorin keeps 91 846 rows in 1 331 components; power steps bring that
+    # to at most 26 534
+    lat = LatticeSpec(2, 2, boundary="open", include_matter=True)
+    ham = build_hamiltonian(Model(build_builtin("SU2_trunc", j_max="1/2"), lat,
+                                  ModelParams(mass=1.0, epsilon=0.7, coupling=1.3)))
+    result = eigensolve(ham, k=4, seed=0)
+    assert result.method == "iterative" and result.rows <= 26534
+    levels = [-5.345010620900407] + [-4.515250314324584] * 3   # perfbench/reference.json
+    assert np.abs(result.eigenvalues - levels).max() <= 1e-10
+    assert [len(level) for level in result.degeneracies()] == [1, 3]
+    assert result.residuals.max() <= 1e-8
 
 
 def test_cut_lanczos_basis_stays_below_the_full_space_basis(u1_matter_ham):
