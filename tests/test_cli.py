@@ -173,7 +173,9 @@ def test_spectrum_toric_ground_degeneracy(runner, tmp_path):
      {"coupling": 1.3, "electric_weights": {"I": 0.0, "p": 1.0, "2": 1.0}}, 3),
     ({"builtin": "SU2_trunc", "params": {"j_max": "1/2"}}, True, 2, 1,
      {"mass": 1.0, "epsilon": 0.7, "coupling": 1.3}, 5),
-], ids=["d3", "su2"])
+    ({"builtin": "U1_trunc", "params": {"P": 1}}, True, 2, 1,
+     {"mass": 1.0, "epsilon": 0.7, "coupling": 1.3}, 2),
+], ids=["d3", "su2", "u1"])
 def test_physical_sector_levels_carry_residuals(runner, tmp_path, group, matter, lx, ly,
                                                 params, dim):
     cfg = write_config(

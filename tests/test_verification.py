@@ -41,6 +41,32 @@ def test_verify_model_d3_matter_chain():
     assert len(report.checks) >= 20
 
 
+@pytest.mark.parametrize("basis,cost", [("group", None), ("rep", None), ("rep", 10 ** 12)],
+                         ids=["group-dense-rows", "rep-sparse-product", "rep-dense-rows"])
+def test_projector_idempotency_residual_is_the_dense_one(monkeypatch, basis, cost):
+    # D3 2x2 open pure gauge (dim 1296): the sector projector holds 653 184
+    # entries in the group basis, squared in dense rows, and 258 in the rep
+    # basis, squared sparse unless the cost ratio forces dense rows; each
+    # gives the dense max |P P - P|, for P and for the faulty 1.5 P
+    squared = []
+    monkeypatch.setattr(verification, "real_if_close",
+                        lambda mat: squared.append("dense-rows") or operators.real_if_close(mat))
+    if cost is not None:
+        monkeypatch.setattr(verification, "SPARSE_PRODUCT_COST", cost)
+    # 1296 rows in slices of 500 leave a short last slice
+    monkeypatch.setattr(verification, "PROJECTOR_ROWS", 500)
+    model = Model(build_builtin("D3"), LatticeSpec(2, 2, boundary="open", include_matter=False),
+                  ModelParams(coupling=1.3, electric_weights={"I": 0.0, "p": 1.0, "2": 1.0}),
+                  basis)
+    proj = lattice_model.physical_projector(model)
+    dense = proj.matrix.toarray()
+    assert verification._idempotency_residual(proj) <= verification.LOOSE
+    found = verification._idempotency_residual(proj * 1.5)
+    assert abs(found - max_abs(2.25 * dense @ dense - 1.5 * dense)) <= 1e-12, found
+    assert found > verification.LOOSE
+    assert squared == (["dense-rows"] * 2 if basis == "group" or cost else []), squared
+
+
 def test_verify_model_su2_chain():
     su2 = build_builtin("SU2_trunc", j_max="1/2")
     lat = LatticeSpec(2, 1, boundary="open", include_matter=True)
